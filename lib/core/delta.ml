@@ -7,24 +7,28 @@ module Metrics = struct
   let applied =
     Obs.Counter.make ~help:"dataset mutations applied" "rrms_delta_ops_total"
 
-  (* Skyline maintenance outcome per mutation batch: remaps and merges
-     are the incremental wins, rebuilds the fallback. *)
+  (* Skyline maintenance case per mutation batch; one incremental step
+     serves all three. *)
   let sky_remap =
-    Obs.Counter.make ~help:"skyline updates resolved by pure index remap"
+    Obs.Counter.make
+      ~help:"skyline updates with no fresh row and no departed member"
       "rrms_delta_skyline_remaps_total"
 
   let sky_merge =
-    Obs.Counter.make ~help:"skyline updates resolved by partition merge"
+    Obs.Counter.make
+      ~help:"skyline updates with fresh rows and no departed member"
       "rrms_delta_skyline_merges_total"
 
   let sky_rebuild =
-    Obs.Counter.make ~help:"skyline updates requiring a full from-scratch pass"
+    Obs.Counter.make
+      ~help:"skyline updates where an old skyline member departed"
       "rrms_delta_skyline_rebuilds_total"
 end
 
 type mutation = Insert of Vec.t | Delete of int | Upsert of int * Vec.t
 
 type plan = {
+  base : Vec.t array;
   rows : Vec.t array;
   old_to_new : int array;
   new_to_old : int array;
@@ -43,12 +47,14 @@ let check_value ~dim ~what p =
           (Printf.sprintf "%s: values must be finite and non-negative" what))
     p
 
-(* Sequential left-to-right semantics over one growable buffer of
-   (value, origin) pairs: Insert appends a fresh value, Delete i removes
-   the i-th element of the *current* sequence, Upsert i replaces its
-   value in place — destroying the old identity, so artifacts treat it
-   as delete-at + insert-at.  [origin] is the base-row index a value was
-   carried from, or -1 once the value is fresh. *)
+(* Sequential left-to-right semantics without moving any row: the
+   current sequence is always the base rows not yet deleted, in order,
+   followed by the live inserted values, in order — inserts only ever
+   append.  So the ops become positional edits on the base (deleted,
+   or upserted to a new value) plus the inserted tail, and the new
+   arrays are each allocated once and filled in one pass.  Upsert
+   destroys a value's identity: artifacts treat it as delete-at +
+   insert-at, so an upserted row counts as fresh. *)
 let apply ?dim rows muts =
   let n0 = Array.length rows in
   let dim =
@@ -59,38 +65,34 @@ let apply ?dim rows muts =
           Guard.Error.invalid_input "Delta.apply: empty base needs ~dim"
         else Array.length rows.(0)
   in
-  (* Size the buffer for this batch, not for doubling-growth: at most
-     [inserts] values join the sequence, and over-allocating 2n on a
-     large table costs more than the batch itself. *)
+  (* Edited base positions, ascending: [None] deleted, [Some v]
+     upserted to [v]. *)
+  let edits = ref [] in
+  let rec put p e = function
+    | (q, _) :: rest when q = p -> (p, e) :: rest
+    | ((q, _) as x) :: rest when q < p -> x :: put p e rest
+    | l -> (p, e) :: l
+  in
+  (* The inserted values still present, in order. *)
   let inserts =
     List.fold_left
       (fun acc op -> match op with Insert _ -> acc + 1 | _ -> acc)
       0 muts
   in
-  let cap = ref (Int.max 8 (n0 + inserts)) in
-  let vals = ref (Array.make !cap [||]) in
-  let orig = ref (Array.make !cap (-1)) in
-  Array.blit rows 0 !vals 0 n0;
-  for i = 0 to n0 - 1 do
-    !orig.(i) <- i
-  done;
-  let len = ref n0 in
-  let grow () =
-    if !len = !cap then begin
-      let cap' = !cap * 2 in
-      let vals' = Array.make cap' [||] and orig' = Array.make cap' (-1) in
-      Array.blit !vals 0 vals' 0 !len;
-      Array.blit !orig 0 orig' 0 !len;
-      cap := cap';
-      vals := vals';
-      orig := orig'
-    end
+  let tail = Array.make inserts [||] and nt = ref 0 in
+  let nb = ref n0 in
+  (* The base position of the [i]-th base row still present. *)
+  let base_pos i =
+    List.fold_left
+      (fun p (d, e) -> if Option.is_none e && d <= p then p + 1 else p)
+      i !edits
   in
   let check_index ~what i =
-    if i < 0 || i >= !len then
+    let len = !nb + !nt in
+    if i < 0 || i >= len then
       Guard.Error.invalid_input
         (Printf.sprintf "%s: index %d out of range (current size %d)" what i
-           !len)
+           len)
   in
   List.iter
     (fun op ->
@@ -98,31 +100,62 @@ let apply ?dim rows muts =
       match op with
       | Insert p ->
           check_value ~dim ~what:"Delta.apply insert" p;
-          grow ();
-          !vals.(!len) <- p;
-          !orig.(!len) <- -1;
-          incr len
+          tail.(!nt) <- p;
+          incr nt
       | Delete i ->
           check_index ~what:"Delta.apply delete" i;
-          Array.blit !vals (i + 1) !vals i (!len - i - 1);
-          Array.blit !orig (i + 1) !orig i (!len - i - 1);
-          decr len
+          if i < !nb then begin
+            edits := put (base_pos i) None !edits;
+            decr nb
+          end
+          else begin
+            let j = i - !nb in
+            Array.blit tail (j + 1) tail j (!nt - j - 1);
+            decr nt
+          end
       | Upsert (i, p) ->
           check_index ~what:"Delta.apply upsert" i;
           check_value ~dim ~what:"Delta.apply upsert" p;
-          !vals.(i) <- p;
-          !orig.(i) <- -1)
+          if i < !nb then edits := put (base_pos i) (Some p) !edits
+          else tail.(i - !nb) <- p)
     muts;
-  let n = !len in
-  let rows' = Array.sub !vals 0 n in
-  let new_to_old = Array.sub !orig 0 n in
+  let nb = !nb in
+  let n = nb + !nt in
+  let rows' = Array.make n [||] in
+  let new_to_old = Array.make n (-1) in
   let old_to_new = Array.make n0 (-1) in
   let fresh = ref [] in
-  for i = n - 1 downto 0 do
-    let o = new_to_old.(i) in
-    if o >= 0 then old_to_new.(o) <- i else fresh := i :: !fresh
-  done;
-  { rows = rows'; old_to_new; new_to_old; fresh = Array.of_list !fresh }
+  let j = ref 0 and o = ref 0 in
+  (* Carry the unedited base rows [!o, stop). *)
+  let carry stop =
+    let len = stop - !o in
+    Array.blit rows !o rows' !j len;
+    for k = 0 to len - 1 do
+      new_to_old.(!j + k) <- !o + k;
+      old_to_new.(!o + k) <- !j + k
+    done;
+    j := !j + len;
+    o := stop
+  in
+  List.iter
+    (fun (p, e) ->
+      carry p;
+      (match e with
+      | None -> ()
+      | Some v ->
+          rows'.(!j) <- v;
+          fresh := !j :: !fresh;
+          incr j);
+      o := p + 1)
+    !edits;
+  carry n0;
+  Array.blit tail 0 rows' nb (n - nb);
+  let fresh =
+    Array.append
+      (Array.of_list (List.rev !fresh))
+      (Array.init (n - nb) (( + ) nb))
+  in
+  { base = rows; rows = rows'; old_to_new; new_to_old; fresh }
 
 type skyline_path = Remap | Merge | Rebuild
 
@@ -131,18 +164,18 @@ let path_name = function
   | Merge -> "merge"
   | Rebuild -> "rebuild"
 
-(* Correctness of the incremental paths.  FAST is available iff every
-   old-skyline member survives with its value intact: then any surviving
-   base row outside the old skyline is still (weakly) dominated by a
-   surviving skyline member, so every new skyline representative lies in
-   remap(old_sky) ∪ fresh — exactly merge_partitions' joint-coverage
-   contract, which makes the merge bit-identical to a from-scratch sfs.
-   With additionally no fresh rows (pure deletes of non-skyline rows),
-   the skyline set is unchanged and the monotone index remap preserves
-   sfs's sum-descending / index-ascending order and its lowest-index
-   duplicate representatives, so the remap alone *is* the sfs output.
-   Deleting or upserting a skyline member voids the invariant (a row it
-   dominated may surface), hence the full rebuild. *)
+(* One exact step for every case (Skyline.extend).  A row is in a
+   skyline iff no row beats it (Skyline.beats), and carried rows keep
+   their relative order, so between carried rows "beats" is the same
+   relation before and after the batch.  A carried row outside the old
+   skyline was beaten by some old skyline member; if that member
+   survived, it still beats the row.  So every row of the new skyline is
+   a surviving old member, a fresh row, or a carried row that a
+   departed member (deleted, or value-destroyed by an upsert) beat —
+   and those last are found by one scan of the base per departed
+   member.  The surviving members are pairwise unbeaten, which is
+   [extend]'s contract, so the result is bit-identical to
+   [Skyline.sfs plan.rows].  The path label only classifies the case. *)
 let update_skyline ?domains plan ~old_sky =
   let n0 = Array.length plan.old_to_new in
   Array.iter
@@ -151,23 +184,37 @@ let update_skyline ?domains plan ~old_sky =
         Guard.Error.invalid_input
           "Delta.update_skyline: skyline index out of range for the base")
     old_sky;
-  let survives = Array.for_all (fun g -> plan.old_to_new.(g) >= 0) old_sky in
-  if not survives then begin
-    Obs.Counter.incr Metrics.sky_rebuild;
-    (Skyline.sfs ?domains plan.rows, Rebuild)
-  end
-  else begin
-    let remapped = Array.map (fun g -> plan.old_to_new.(g)) old_sky in
-    if Array.length plan.fresh = 0 then begin
-      Obs.Counter.incr Metrics.sky_remap;
-      (remapped, Remap)
-    end
+  let survivors, departed =
+    List.partition (fun g -> plan.old_to_new.(g) >= 0) (Array.to_list old_sky)
+  in
+  let kept = Array.of_list (List.map (fun g -> plan.old_to_new.(g)) survivors) in
+  (* No old skyline member is beaten, so this finds only carried
+     non-skyline rows. *)
+  let exposed =
+    if departed = [] then [||]
     else begin
-      Obs.Counter.incr Metrics.sky_merge;
-      ( Skyline.merge_partitions ?domains plan.rows [| remapped; plan.fresh |],
-        Merge )
+      let acc = ref [] in
+      for o = n0 - 1 downto 0 do
+        let j = plan.old_to_new.(o) in
+        if j >= 0 && List.exists (fun d -> Skyline.beats plan.base d o) departed
+        then acc := j :: !acc
+      done;
+      Array.of_list !acc
     end
-  end
+  in
+  let path =
+    if departed <> [] then Rebuild
+    else if Array.length plan.fresh = 0 then Remap
+    else Merge
+  in
+  Obs.Counter.incr
+    (match path with
+    | Remap -> Metrics.sky_remap
+    | Merge -> Metrics.sky_merge
+    | Rebuild -> Metrics.sky_rebuild);
+  ( Skyline.extend ?domains plan.rows ~sky:kept
+      ~extra:(Array.append plan.fresh exposed),
+    path )
 
 let sequence_preserved plan ~old_sky ~new_sky =
   Array.length old_sky = Array.length new_sky

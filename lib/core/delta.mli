@@ -18,6 +18,10 @@ type mutation =
           keeps its position but counts as fresh) *)
 
 type plan = {
+  base : Rrms_geom.Vec.t array;
+      (** the pre-batch rows — the very array passed to {!apply}, shared,
+          not copied; {!update_skyline} reads departed skyline members
+          from it *)
   rows : Rrms_geom.Vec.t array;  (** the mutated dataset's rows *)
   old_to_new : int array;
       (** base index → new index; [-1] when deleted or value-destroyed
@@ -40,9 +44,13 @@ val apply : ?dim:int -> Rrms_geom.Vec.t array -> mutation list -> plan
     index, a dimension mismatch, or a non-finite / negative value. *)
 
 type skyline_path =
-  | Remap  (** pure index remap of the old skyline *)
-  | Merge  (** {!Rrms_skyline.Skyline.merge_partitions} of old ∪ fresh *)
-  | Rebuild  (** full from-scratch {!Rrms_skyline.Skyline.sfs} *)
+  | Remap  (** every old skyline member survives and no row is fresh *)
+  | Merge  (** every old skyline member survives; some rows are fresh *)
+  | Rebuild
+      (** an old skyline member departed (deleted or upserted), so the
+          rows it beat are re-examined *)
+(** Which case a skyline update was: the labels classify the batch, and
+    one code path serves all three. *)
 
 val path_name : skyline_path -> string
 
@@ -50,13 +58,15 @@ val update_skyline :
   ?domains:int -> plan -> old_sky:int array -> int array * skyline_path
 (** [update_skyline plan ~old_sky] is
     [Rrms_skyline.Skyline.sfs plan.rows] — bit-identical indices in
-    bit-identical order — computed by the cheapest valid path.  When
-    every old skyline member survives with its value intact, surviving
-    non-skyline rows are still dominated by surviving members, so
-    merging [remap(old_sky)] with [plan.fresh] satisfies
-    [merge_partitions]' joint-coverage contract (and with no fresh rows
-    at all, the remap alone is already the sfs output).  Deleting or
-    upserting a skyline member forces the rebuild.
+    bit-identical order — computed by one incremental
+    {!Rrms_skyline.Skyline.extend} step.  [old_sky] must be the skyline
+    of [plan.base].  The surviving members (remapped) are extended by
+    the fresh rows plus every carried row that a departed member beat
+    ({!Rrms_skyline.Skyline.beats}, read from [plan.base]): a carried
+    row outside the old skyline was beaten by some old member, and if
+    that member survived it still beats the row.  Cost
+    O(s·|sky B|·m + n·d·m) for [s] old skyline members, [n] base rows,
+    [m] attributes, [d] departed members and [B] the extension rows.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when
     [old_sky] does not index the plan's base. *)
 

@@ -22,8 +22,8 @@ let bnl points =
   Array.of_list (List.rev !window)
 
 (* Sort-Filter-Skyline: after sorting by attribute sum (descending), a
-   tuple can only be dominated by tuples that precede it, so every kept
-   tuple is final.
+   tuple can only be dominated by tuples that precede it (up to rounded
+   sums that tie, settled at the end), so every kept tuple is final.
 
    The dominance filter is parallelised in blocks: every candidate of a
    block is checked against the already-final survivors concurrently
@@ -47,19 +47,38 @@ module Metrics = struct
       "rrms_skyline_size"
 end
 
-let sfs ?domains points =
+(* The SFS sort key.  [extend] reuses it, so both order ties on exactly
+   the same float. *)
+let sum_of p = Array.fold_left ( +. ) 0. p
+
+(* [covers q p]: q is at least p on every attribute. *)
+let covers (q : float array) (p : float array) =
+  let m = Array.length p in
+  let rec go d =
+    d >= m || (Array.unsafe_get q d >= Array.unsafe_get p d && go (d + 1))
+  in
+  go 0
+
+(* Row [q] beats row [p] iff q strictly dominates p, or the two are
+   equal and q has the lower index.  The skyline is exactly the set of
+   unbeaten rows, in SFS order (sum descending, index ascending). *)
+let beats points q p =
+  let a = points.(q) and b = points.(p) in
+  if Array.length a <> Array.length b then
+    invalid_arg "Skyline.beats: dimension mismatch";
+  covers a b && (q < p || not (covers b a))
+
+(* SFS without metrics: the kept indices, in SFS order. *)
+let sfs_core ?domains points =
   let n = Array.length points in
-  Obs.Counter.incr Metrics.runs;
-  Obs.Counter.add Metrics.input_points n;
   let m = if n > 0 then Array.length points.(0) else 0 in
   Array.iter
     (fun p ->
       if Array.length p <> m then
         invalid_arg "Dominance.compare: dimension mismatch")
     points;
-  let sum p = Array.fold_left ( +. ) 0. p in
   let idx = Array.init n (fun i -> i) in
-  let sums = Array.map sum points in
+  let sums = Array.map sum_of points in
   Array.sort
     (fun i j ->
       let c = Float.compare sums.(j) sums.(i) in
@@ -74,7 +93,7 @@ let sfs ?domains points =
      [Dominance.compare s p ∈ {`Left, `Equal}], i.e. no attribute where
      [p] beats [s] — the one-sided covers test below. *)
   let svals = Array.make (max 1 (n * m)) 0. in
-  let covers j (p : float array) =
+  let kept_covers j (p : float array) =
     let base = j * m in
     let rec go d =
       d >= m
@@ -98,20 +117,137 @@ let sfs ?domains points =
     let base = !lo in
     Rrms_parallel.parallel_for ?domains ~min_chunk:8 len (fun c ->
         let p = points.(idx.(base + c)) in
-        let rec scan j = j < final && (covers j p || scan (j + 1)) in
+        let rec scan j = j < final && (kept_covers j p || scan (j + 1)) in
         dominated.(c) <- scan 0);
     for c = 0 to len - 1 do
       if not dominated.(c) then begin
         let i = idx.(base + c) in
         let p = points.(i) in
-        let rec scan j = j < !nkept && (covers j p || scan (j + 1)) in
+        let rec scan j = j < !nkept && (kept_covers j p || scan (j + 1)) in
         if not (scan final) then keep i
       end
     done;
     lo := hi
   done;
-  Obs.Gauge.set_int Metrics.size !nkept;
-  Array.sub kept 0 !nkept
+  (* Two rows can round to the same sum although one strictly dominates
+     the other; the index tie-break may then put the dominated row
+     first, where nothing ahead of it covers it.  Both rows are then
+     kept, in the same run of equal sums, so one pass over each run
+     drops every member another member of the run dominates. *)
+  let dead = Array.make !nkept false in
+  let r = ref 0 in
+  while !r < !nkept do
+    let s = sums.(kept.(!r)) in
+    let e = ref (!r + 1) in
+    while !e < !nkept && Float.compare sums.(kept.(!e)) s = 0 do
+      incr e
+    done;
+    for a = !r to !e - 1 do
+      for b = !r to !e - 1 do
+        if a <> b && kept_covers b points.(kept.(a)) then dead.(a) <- true
+      done
+    done;
+    r := !e
+  done;
+  let nout = ref 0 in
+  for k = 0 to !nkept - 1 do
+    if not dead.(k) then begin
+      kept.(!nout) <- kept.(k);
+      incr nout
+    end
+  done;
+  Array.sub kept 0 !nout
+
+let sfs ?domains points =
+  Obs.Counter.incr Metrics.runs;
+  Obs.Counter.add Metrics.input_points (Array.length points);
+  let sky = sfs_core ?domains points in
+  Obs.Gauge.set_int Metrics.size (Array.length sky);
+  sky
+
+(* Incremental SFS.  Let A = [sky], pairwise unbeaten, and B = [extra],
+   which holds every other row that might be unbeaten.  "Beats" is a
+   strict partial order, so a row beaten by anything is beaten by an
+   unbeaten row, and so:
+   - a row of B that a member of A beats is out, and dropping it changes
+     nothing else: whatever it beats, that member of A beats too, and no
+     member of A beats another.  Call the rest B';
+   - a member of A survives iff no member of sfs(B') beats it;
+   - every member of sfs(B') survives.
+   Both survivor lists are in SFS order, so one merge by the SFS key
+   (the same [sum_of] floats, then index) yields exactly the [sfs points]
+   output.  Rounding is monotone, so only rows with a sum at least
+   [p]'s can beat [p]; that bounds each scan below. *)
+let extend ?domains points ~sky ~extra =
+  let n = Array.length points in
+  let m = if n > 0 then Array.length points.(0) else 0 in
+  let check i =
+    if i < 0 || i >= n then invalid_arg "Skyline.extend: index out of range";
+    if Array.length points.(i) <> m then
+      invalid_arg "Skyline.extend: dimension mismatch"
+  in
+  Array.iter check sky;
+  Array.iter check extra;
+  Obs.Counter.incr Metrics.runs;
+  Obs.Counter.add Metrics.input_points (Array.length sky + Array.length extra);
+  (* [beaten_by rows sums g]: a row of [rows] (in SFS order, [sums]
+     their keys) beats [g]. *)
+  let beaten_by rows sums g =
+    let s = sum_of points.(g) in
+    let rec go k =
+      k < Array.length rows
+      && sums.(k) >= s
+      && (beats points rows.(k) g || go (k + 1))
+    in
+    go 0
+  in
+  (* [sky] in SFS order.  A remapped skyline already is, so check
+     before paying for a sort. *)
+  let keys = Array.map (fun g -> sum_of points.(g)) sky in
+  let before i j =
+    let c = Float.compare keys.(j) keys.(i) in
+    if c <> 0 then c else Stdlib.compare sky.(i) sky.(j)
+  in
+  let order = Array.init (Array.length sky) Fun.id in
+  let rec sorted k =
+    k >= Array.length sky || (before (k - 1) k < 0 && sorted (k + 1))
+  in
+  if not (sorted 1) then Array.sort before order;
+  let a = Array.map (fun k -> sky.(k)) order in
+  let asums = Array.map (fun k -> keys.(k)) order in
+  (* sfs over B', in ascending global index order so its local index
+     tie-break is the global one. *)
+  let b' =
+    Array.of_seq
+      (Seq.filter (fun g -> not (beaten_by a asums g)) (Array.to_seq extra))
+  in
+  Array.sort Stdlib.compare b';
+  let local = sfs_core ?domains (Array.map (fun g -> points.(g)) b') in
+  let b = Array.map (fun l -> b'.(l)) local in
+  let bsums = Array.map (fun g -> sum_of points.(g)) b in
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
+  let k = ref 0 and i = ref 0 and j = ref 0 in
+  let a_first () =
+    !j >= nb
+    || !i < na
+       &&
+       let c = Float.compare bsums.(!j) asums.(!i) in
+       c < 0 || (c = 0 && a.(!i) < b.(!j))
+  in
+  while !i < na || !j < nb do
+    if a_first () then begin
+      if not (beaten_by b bsums a.(!i)) then (out.(!k) <- a.(!i); incr k);
+      incr i
+    end
+    else begin
+      out.(!k) <- b.(!j);
+      incr k;
+      incr j
+    end
+  done;
+  Obs.Gauge.set_int Metrics.size !k;
+  Array.sub out 0 !k
 
 (* skyline(D) = skyline(∪ᵢ skyline(Dᵢ)) for any partition {Dᵢ} of D: a
    global skyline tuple is undominated within its own part, so it

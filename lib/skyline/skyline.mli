@@ -22,10 +22,33 @@ val bnl : Rrms_geom.Vec.t array -> int array
 (** Block-Nested-Loop skyline. *)
 
 val sfs : ?domains:int -> Rrms_geom.Vec.t array -> int array
-(** Sort-Filter-Skyline.  The dominance filter fans its
+(** Sort-Filter-Skyline.  Returns the rows no other row {!beats}, in
+    SFS order: attribute sum ([Array.fold_left ( +. ) 0.]) descending,
+    then index ascending.  The dominance filter fans its
     candidate-vs-survivor checks out over [domains] worker domains
     (default {!Rrms_parallel.Pool.default_size}); the returned indices
     are identical for every domain count. *)
+
+val beats : Rrms_geom.Vec.t array -> int -> int -> bool
+(** [beats points q p]: row [q] strictly dominates row [p], or the two
+    are equal and [q < p].  The skyline is the set of unbeaten rows, so
+    this is the one dominance rule {!sfs} and {!extend} share.
+    @raise Invalid_argument if the two rows differ in dimension. *)
+
+val extend :
+  ?domains:int -> Rrms_geom.Vec.t array -> sky:int array -> extra:int array ->
+  int array
+(** [extend points ~sky ~extra] is the incremental {!sfs}: the rows of
+    [sky ∪ extra] that nothing in it beats, in SFS order.  [sky] must be
+    pairwise unbeaten (for example a previous skyline, remapped), the
+    two sets disjoint, and every unbeaten row of [points] in one of
+    them; then the result is bit-identical to [sfs points].  [sky] is
+    never compared with itself: rows of [extra] that [sky] beats are
+    dropped first (O(|extra|·|sky|·m) at worst, usually far less), the
+    rest go through one {!sfs} pass, and [sky] is checked against that
+    pass's output only — O(|sky|·|sky B|·m) for the result [sky B].
+    @raise Invalid_argument on an out-of-range index or a dimension
+    mismatch. *)
 
 val merge_partitions :
   ?domains:int -> Rrms_geom.Vec.t array -> int array array -> int array

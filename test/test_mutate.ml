@@ -19,6 +19,7 @@ module Delta = Rrms_core.Delta
 module Dataset = Rrms_dataset.Dataset
 module Guard = Rrms_guard.Guard
 module Rng = Rrms_rng.Rng
+module Skyline = Rrms_skyline.Skyline
 
 let contains = Astring_contains.contains
 let query = Test_serve.query
@@ -256,6 +257,182 @@ let test_empty_and_invalid_rejected () =
       Store.unpin store h
 
 (* ------------------------------------------------------------------ *)
+(* Delta.apply against a naive reference                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The batch semantics spelled out the slow way: a list of
+   (value, base origin) pairs rewritten one op at a time, raising the
+   documented Invalid_input messages.  [Error] carries the message. *)
+let naive_apply ?dim rows muts =
+  let exception Bad of string in
+  let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt in
+  try
+    let dim =
+      match dim with
+      | Some d -> d
+      | None ->
+          if Array.length rows = 0 then bad "Delta.apply: empty base needs ~dim"
+          else Array.length rows.(0)
+    in
+    let value what p =
+      if Array.length p <> dim then
+        bad "%s: value has %d attributes, dataset has %d" what
+          (Array.length p) dim;
+      if Array.exists (fun v -> not (Float.is_finite v) || v < 0.) p then
+        bad "%s: values must be finite and non-negative" what
+    in
+    let index what cur i =
+      if i < 0 || i >= List.length cur then
+        bad "%s: index %d out of range (current size %d)" what i
+          (List.length cur)
+    in
+    let cur =
+      List.fold_left
+        (fun cur op ->
+          match op with
+          | Delta.Insert p ->
+              value "Delta.apply insert" p;
+              cur @ [ (p, -1) ]
+          | Delta.Delete i ->
+              index "Delta.apply delete" cur i;
+              List.filteri (fun k _ -> k <> i) cur
+          | Delta.Upsert (i, p) ->
+              index "Delta.apply upsert" cur i;
+              value "Delta.apply upsert" p;
+              List.mapi (fun k x -> if k = i then (p, -1) else x) cur)
+        (List.mapi (fun i r -> (r, i)) (Array.to_list rows))
+        muts
+    in
+    let new_to_old = Array.of_list (List.map snd cur) in
+    let old_to_new = Array.make (Array.length rows) (-1) in
+    Array.iteri (fun j o -> if o >= 0 then old_to_new.(o) <- j) new_to_old;
+    let fresh =
+      List.filter (fun j -> new_to_old.(j) < 0)
+        (List.init (Array.length new_to_old) Fun.id)
+    in
+    Ok (Array.of_list (List.map fst cur), old_to_new, new_to_old,
+        Array.of_list fresh)
+  with Bad msg -> Error msg
+
+(* Small tables and indices that sometimes miss, values that sometimes
+   have the wrong width or a negative / non-finite entry: the error
+   paths must agree with the reference too. *)
+let apply_case_gen =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun m ->
+    let good = array_size (return m) (map float_of_int (int_bound 3)) in
+    let value =
+      frequency
+        [ (8, good);
+          (1, array_size (int_range 0 4) (map float_of_int (int_bound 3)));
+          ( 1,
+            map
+              (fun (v, k) ->
+                v.(k mod m) <- (if k mod 2 = 0 then -1. else nan);
+                v)
+              (pair good small_nat) ) ]
+    in
+    let op =
+      frequency
+        [ (3, map (fun v -> Delta.Insert v) value);
+          (3, map (fun i -> Delta.Delete (i - 1)) (int_bound 9));
+          (3, map2 (fun i v -> Delta.Upsert (i - 1, v)) (int_bound 9) value) ]
+    in
+    quad (return m)
+      (array_size (int_bound 6) good)
+      (list_size (int_bound 6) op)
+      bool)
+
+let print_batch (m, rows, ops) =
+  let vec v = Rrms_geom.Vec.to_string v in
+  Printf.sprintf "m=%d rows=[%s] ops=[%s]" m
+    (String.concat "; " (Array.to_list (Array.map vec rows)))
+    (String.concat "; "
+       (List.map
+          (function
+            | Delta.Insert v -> "ins " ^ vec v
+            | Delta.Delete i -> Printf.sprintf "del %d" i
+            | Delta.Upsert (i, v) -> Printf.sprintf "ups %d %s" i (vec v))
+          ops))
+
+let prop_apply_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"Delta.apply ≡ one-op-at-a-time reference"
+    (QCheck.make
+       ~print:(fun (m, rows, ops, with_dim) ->
+         Printf.sprintf "%s dim=%b" (print_batch (m, rows, ops)) with_dim)
+       apply_case_gen)
+    (fun (m, rows, ops, with_dim) ->
+      let dim = if with_dim then Some m else None in
+      let want = naive_apply ?dim rows ops in
+      match Delta.apply ?dim rows ops with
+      | plan ->
+          plan.Delta.base == rows
+          && want
+             = Ok
+                 ( plan.Delta.rows,
+                   plan.Delta.old_to_new,
+                   plan.Delta.new_to_old,
+                   plan.Delta.fresh )
+      | exception
+          Guard.Error.Guard_error (Guard.Error.Invalid_input { what; _ }) ->
+          want = Error what)
+
+(* ------------------------------------------------------------------ *)
+(* Delta.update_skyline against a from-scratch sfs                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Values from a 1-5 level alphabet, so duplicates and equal sums are
+   everywhere; deletes and upserts aim at a current skyline member half
+   the time, and a quarter of the batches only delete, so all three
+   path labels come up. *)
+let skyline_case_gen st =
+  let open QCheck.Gen in
+  let m = int_range 2 4 st in
+  let levels = int_range 1 5 st in
+  let value () =
+    Array.init m (fun _ -> float_of_int (int_bound (levels - 1) st) /. 4.)
+  in
+  let rows = Array.init (int_range 1 30 st) (fun _ -> value ()) in
+  let deletes_only = int_bound 3 st = 0 in
+  let cur = ref rows in
+  let ops =
+    List.init (int_range 1 6 st) (fun _ ->
+        let len = Array.length !cur in
+        let sky = Skyline.sfs !cur in
+        let target () =
+          if bool st then sky.(int_bound (Array.length sky - 1) st)
+          else int_bound (len - 1) st
+        in
+        let op =
+          match if deletes_only then 1 else int_bound 2 st with
+          | 0 -> Delta.Insert (value ())
+          | 1 when len > 1 -> Delta.Delete (target ())
+          | _ -> Delta.Upsert (target (), value ())
+        in
+        cur := (Delta.apply ~dim:m !cur [ op ]).Delta.rows;
+        op)
+  in
+  (m, rows, ops)
+
+let prop_update_skyline_matches_sfs =
+  QCheck.Test.make ~count:1000
+    ~name:"Delta.update_skyline ≡ Skyline.sfs plan.rows, labels exact"
+    (QCheck.make ~print:print_batch skyline_case_gen)
+    (fun (m, rows, ops) ->
+      let plan = Delta.apply ~dim:m rows ops in
+      let old_sky = Skyline.sfs rows in
+      let got, path = Delta.update_skyline plan ~old_sky in
+      let departed =
+        Array.exists (fun g -> plan.Delta.old_to_new.(g) < 0) old_sky
+      in
+      let want_path =
+        if departed then Delta.Rebuild
+        else if Array.length plan.Delta.fresh = 0 then Delta.Remap
+        else Delta.Merge
+      in
+      got = Skyline.sfs plan.Delta.rows && path = want_path)
+
+(* ------------------------------------------------------------------ *)
 (* Write-ahead log                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -447,6 +624,8 @@ let suite =
       test_cache_survival;
     Alcotest.test_case "invalid batches rejected" `Quick
       test_empty_and_invalid_rejected;
+    QCheck_alcotest.to_alcotest prop_apply_matches_reference;
+    QCheck_alcotest.to_alcotest prop_update_skyline_matches_sfs;
     Alcotest.test_case "wal replay" `Quick test_wal_replay;
     Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
     Alcotest.test_case "protocol session" `Quick test_protocol_session;

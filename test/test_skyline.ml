@@ -171,6 +171,49 @@ let test_completeness () =
       end)
     pts
 
+(* Regression: the two sums below round to the same float although the
+   second row strictly dominates the first, and the index tie-break put
+   the dominated row first, so sfs kept both. *)
+let test_sfs_float_sum_tie () =
+  let pts = [| [| 1.0; 1e-17 |]; [| 1.0; 2e-17 |] |] in
+  Alcotest.(check (array int)) "bnl" [| 1 |] (Skyline.bnl pts);
+  Alcotest.(check (array int)) "sfs drops the dominated tie" [| 1 |]
+    (Skyline.sfs pts);
+  Alcotest.(check bool) "row 1 beats row 0" true (Skyline.beats pts 1 0);
+  Alcotest.(check bool) "row 0 does not beat row 1" false
+    (Skyline.beats pts 0 1)
+
+(* Property: split the rows in two parts P and Q; the skyline of P, in
+   SFS order or reversed, extended by all of Q is exactly sfs of the
+   whole set. *)
+let test_extend_matches_sfs () =
+  let rng = Rrms_rng.Rng.create 61 in
+  for _ = 1 to 300 do
+    let n = 1 + Rrms_rng.Rng.int rng 40 in
+    let m = 2 + Rrms_rng.Rng.int rng 3 in
+    let levels = 1 + Rrms_rng.Rng.int rng 5 in
+    let pts =
+      Array.init n (fun _ ->
+          Array.init m (fun _ ->
+              float_of_int (Rrms_rng.Rng.int rng levels) /. 4.))
+    in
+    let in_p = Array.init n (fun _ -> Rrms_rng.Rng.int rng 3 > 0) in
+    let part want =
+      Array.of_seq
+        (Seq.filter (fun i -> in_p.(i) = want) (Seq.init n Fun.id))
+    in
+    let p = part true and q = part false in
+    let sky_p =
+      Array.map (fun l -> p.(l)) (Skyline.sfs (Array.map (fun g -> pts.(g)) p))
+    in
+    let sky_p =
+      if Rrms_rng.Rng.int rng 2 = 0 then sky_p
+      else Array.of_list (List.rev (Array.to_list sky_p))
+    in
+    Alcotest.(check (array int)) "extend = sfs" (Skyline.sfs pts)
+      (Skyline.extend pts ~sky:sky_p ~extra:q)
+  done
+
 let test_skyband () =
   let rng = Rrms_rng.Rng.create 59 in
   for _ = 1 to 20 do
@@ -281,6 +324,8 @@ let suite =
     Alcotest.test_case "algorithms agree (HD)" `Quick test_algorithms_agree_hd;
     Alcotest.test_case "two_d sorted" `Quick test_two_d_sorted_order;
     Alcotest.test_case "completeness" `Quick test_completeness;
+    Alcotest.test_case "sfs float-sum tie" `Quick test_sfs_float_sum_tie;
+    Alcotest.test_case "extend = sfs" `Quick test_extend_matches_sfs;
     Alcotest.test_case "skyband" `Quick test_skyband;
     Alcotest.test_case "skyband contains top-k" `Quick test_skyband_contains_topk;
     Alcotest.test_case "k-dom = skyline at k=m" `Quick test_kdom_skyline;
