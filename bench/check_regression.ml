@@ -50,7 +50,7 @@ let rule_of_key key =
       Lower_better
   | "benchmark" | "dataset" | "n" | "m" | "gamma" | "r" | "repeats"
   | "kernel" | "algo" | "level" | "domains" | "budget_kind" | "budget"
-  | "answer_digest" | "corrupt_blobs" | "shards" ->
+  | "answer_digest" | "corrupt_blobs" ->
       Identity
   | _ -> Info
 

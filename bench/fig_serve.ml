@@ -10,10 +10,6 @@
      cached γ-matrix vs a fresh store solving cold at γ′ (grid + matrix
      build included);
    - an r-sweep of result-cache speedups at fixed γ;
-   - shard scaling — the certified merge path of Rrms_serve.Shard at
-     1/2/4 shards vs the unsharded store, each answer's digest recorded
-     as an identity gate (the merge is lossless, so every shard count
-     must produce the same bytes);
    - restart recovery — a fresh store over a --state-dir populated by a
      previous store (the moral equivalent of a restarted daemon) vs the
      cold solve that populated it, with the rehydrated answer's digest
@@ -30,7 +26,6 @@
 
 open Bench_util
 module Store = Rrms_serve.Store
-module Shard = Rrms_serve.Shard
 module Protocol = Rrms_serve.Protocol
 module Json = Rrms_serve.Json
 module Persist = Rrms_serve.Persist
@@ -96,7 +91,7 @@ let json_escape s =
        (List.init (String.length s) (String.get s)))
 
 let write_json path ~n ~m ~gamma ~r ~repeats ~cold_warm ~gamma_rows ~r_rows
-    ~shard_rows ~recovery ~dynamic =
+    ~recovery ~dynamic =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"benchmark\": \"fig_serve\",\n";
@@ -133,13 +128,6 @@ let write_json path ~n ~m ~gamma ~r ~repeats ~cold_warm ~gamma_rows ~r_rows
         "{\"r\": %d, \"cold_seconds\": %.9f, \"warm_seconds\": %.9f, \
          \"speedup\": %.1f}"
         rv cold warm (cold /. warm));
-  Printf.fprintf oc ",\n";
-  section "shard_scaling" shard_rows (fun (shards, cold, single, digest) ->
-      Printf.sprintf
-        "{\"shards\": %d, \"cold_seconds\": %.9f, \
-         \"single_store_seconds\": %.9f, \"merge_overhead_ratio\": %.3f, \
-         \"answer_digest\": \"%s\"}"
-        shards cold single (cold /. single) (json_escape digest));
   Printf.fprintf oc ",\n";
   let cold_s, rehydrated_s, digest, corrupt = recovery in
   Printf.fprintf oc
@@ -260,44 +248,6 @@ let run scale =
           ~time:warm ();
         (rv, cold, warm))
       [ 2; 3; 4; 5; 6 ]
-  in
-  (* Shard scaling: the certified merge path cold at 1/2/4 shards vs an
-     unsharded cold solve.  The answer digest is an identity gate: the
-     merge is lossless, so every shard count must produce the exact
-     bytes of the single store.  Cold each time (fresh Shard.t) — the
-     interesting cost is the fan-out + merge, which a warm repeat would
-     skip entirely via the result cache. *)
-  let shard_rows =
-    let single_store = Store.create () in
-    ignore (Store.load single_store ~name:"bench" hd_csv);
-    let single_out = ref None in
-    let single_s =
-      let o, s = time (fun () -> run_query single_store (q ~gamma ~r "bench")) in
-      single_out := Some o;
-      s
-    in
-    let expect = Json.to_string (Option.get !single_out).Store.result in
-    List.map
-      (fun shards ->
-        let sh = Shard.create ~shards () in
-        ignore (Shard.load sh ~name:"bench" hd_csv);
-        let out = ref None in
-        let cold_s =
-          let o, s =
-            time (fun () ->
-                match Shard.query sh (q ~gamma ~r "bench") with
-                | Ok o -> o
-                | Error _ -> failwith "fig_serve: shard query failed")
-          in
-          out := Some o;
-          s
-        in
-        let got = Json.to_string (Option.get !out).Store.result in
-        assert (got = expect);
-        row fig ~x:(string_of_int shards) ~x_name:"shards" ~series:"shard-cold"
-          ~time:cold_s ();
-        (shards, cold_s, single_s, Digest.to_hex (Digest.string got)))
-      [ 1; 2; 4 ]
   in
   (* Restart recovery: store A solves cold and writes through to a
      state dir; a fresh store B over the same dir — empty memory, the
@@ -454,7 +404,7 @@ let run scale =
       Digest.to_hex (Digest.string inc_str) )
   in
   write_json "BENCH_serve.json" ~n ~m ~gamma ~r ~repeats ~cold_warm ~gamma_rows
-    ~r_rows ~shard_rows ~recovery ~dynamic;
+    ~r_rows ~recovery ~dynamic;
   Array.iter
     (fun f -> try Sys.remove (Filename.concat state_dir f) with Sys_error _ -> ())
     (Sys.readdir state_dir);

@@ -158,63 +158,6 @@ let build ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) ~funcs points =
         distinct = Atomic.make None;
       })
 
-(* ------------------------------------------------------------------ *)
-(* Shard decomposition                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* The matrix decomposes by row: cell (i, f) depends on point i and the
-   database-wide best score of f only.  A dataset partitioned across N
-   shards can therefore build the matrix as N independent row blocks —
-   each shard computes the best scores of its own points, the per-column
-   maxima merge pointwise, and each shard then fills its rows against
-   the merged vector.  The three helpers below are exactly [build]'s two
-   phases taken apart; [import] over a buffer assembled this way is
-   bit-identical to [build] over the union of the points. *)
-
-let best_scores ?domains ~funcs points =
-  let n = Array.length points and k = Array.length funcs in
-  if n = 0 then
-    Rrms_guard.Guard.Error.invalid_input "Regret_matrix.best_scores: no points";
-  if k = 0 then
-    Rrms_guard.Guard.Error.invalid_input
-      "Regret_matrix.best_scores: no functions";
-  let best = Array.make k 0. in
-  Rrms_parallel.parallel_for ?domains ~min_chunk:8 k (fun f ->
-      best.(f) <- Vec.max_score funcs.(f) points);
-  best
-
-let merge_best = function
-  | [] ->
-      Rrms_guard.Guard.Error.invalid_input "Regret_matrix.merge_best: no parts"
-  | first :: rest ->
-      let best = Array.copy first in
-      List.iter
-        (fun part ->
-          if Array.length part <> Array.length best then
-            Rrms_guard.Guard.Error.invalid_input
-              "Regret_matrix.merge_best: column counts differ";
-          (* Same strict [>] as [Vec.max_score]'s scan: the merged value
-             is the maximum over the union, bit for bit, regardless of
-             how the parts were grouped. *)
-          Array.iteri (fun f v -> if v > best.(f) then best.(f) <- v) part)
-        rest;
-      best
-
-let fill_row ~funcs ~best data ~row p =
-  let k = Array.length best in
-  if Array.length funcs <> k then
-    Rrms_guard.Guard.Error.invalid_input
-      "Regret_matrix.fill_row: funcs and best disagree on column count";
-  let off = row * k in
-  if row < 0 || off + k > Array.length data then
-    invalid_arg "Regret_matrix.fill_row: row out of range";
-  for f = 0 to k - 1 do
-    let b = Array.unsafe_get best f in
-    if b > 0. then
-      Array.unsafe_set data (off + f)
-        (Float.max 0. ((b -. Vec.dot funcs.(f) p) /. b))
-  done
-
 let select_cols t cols =
   let k = Array.length t.best in
   Array.iter

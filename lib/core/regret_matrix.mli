@@ -86,45 +86,6 @@ val mask_rows :
     @raise Rrms_guard.Guard.Error.Guard_error as {!update}, and
     [Invalid_input] when [keep] is empty or out of range. *)
 
-val best_scores :
-  ?domains:int ->
-  funcs:Rrms_geom.Vec.t array ->
-  Rrms_geom.Vec.t array ->
-  float array
-(** [best_scores ~funcs points] is phase one of {!build} on its own: the
-    per-column best database score over [points], bit-identical to the
-    scores {!build} would compute on the same points.  A shard computes
-    this over its own tuples; {!merge_best} combines the shards.
-    @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] if either
-    array is empty. *)
-
-val merge_best : float array list -> float array
-(** [merge_best parts] is the pointwise maximum of per-shard best-score
-    vectors.  Because every score is a plain float maximum, the merged
-    vector equals — bit for bit — the best scores {!build} computes over
-    the union of the shards' points, for any grouping of points into
-    shards.
-    @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] on an
-    empty list or mismatched lengths. *)
-
-val fill_row :
-  funcs:Rrms_geom.Vec.t array ->
-  best:float array ->
-  float array ->
-  row:int ->
-  Rrms_geom.Vec.t ->
-  unit
-(** [fill_row ~funcs ~best data ~row p] writes point [p]'s regret cells
-    into rows [row] of the zero-initialized flat buffer [data] (row
-    width = [length best]), using exactly {!build}'s cell kernel.
-    Filling every row of a zero buffer this way and calling {!import}
-    with the {!merge_best}-merged best vector reconstructs {!build}'s
-    matrix over the same points bit-for-bit — this is the shard
-    row-block path of the serving layer.
-    @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when
-    [funcs] and [best] disagree; [Invalid_argument] when [row] is out of
-    range for [data]. *)
-
 val select_cols : t -> int array -> t
 (** [select_cols t cols] is the sub-matrix of the given function
     columns, in the given order — a zero-copy {e view} sharing the

@@ -409,6 +409,12 @@ let cache_key q =
   | Hd_rrms | Hd_greedy -> Printf.sprintf "%s;gamma=%d" base q.gamma
   | A2d | A2d_exact | Sweepline | Greedy | Cube -> base
 
+let budget_of q =
+  match (q.timeout, q.max_cells, q.max_probes) with
+  | None, None, None -> Guard.Budget.unlimited
+  | timeout, max_cells, max_probes ->
+      Guard.Budget.create ?timeout ?max_cells ?max_probes ()
+
 (* [cost] is a response-envelope sibling of [result], never inside it:
    the [result] bytes are what the cache stores and what byte-identity
    tests compare, so provenance must not perturb them. *)

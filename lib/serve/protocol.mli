@@ -170,6 +170,11 @@ val cache_key : query -> string
     algorithms — never budgets or cache flags, so a budgeted request
     can be answered from a cache entry computed without budgets. *)
 
+val budget_of : query -> Rrms_guard.Guard.Budget.t
+(** The solver budget a query's [timeout], [max_cells] and [max_probes]
+    describe ({!Rrms_guard.Guard.Budget.unlimited} when none is set).
+    The timeout clock starts at this call. *)
+
 val ok_response :
   ?cost:Json.t -> id:Json.t -> cached:bool -> elapsed_ms:float -> Json.t ->
   string

@@ -1,12 +1,6 @@
 module Guard = Rrms_guard.Guard
 module Obs = Rrms_obs.Obs
-module Dataset = Rrms_dataset.Dataset
 module Skyline = Rrms_skyline.Skyline
-module Discretize = Rrms_core.Discretize
-module Regret_matrix = Rrms_core.Regret_matrix
-module Hd_rrms = Rrms_core.Hd_rrms
-module Hd_greedy = Rrms_core.Hd_greedy
-module Delta = Rrms_core.Delta
 
 let with_lock m f =
   Mutex.lock m;
@@ -16,29 +10,9 @@ module Metrics = struct
   let c ?(deterministic = true) name help =
     Obs.Counter.make ~deterministic ~help name
 
-  let fanouts =
-    c "rrms_shard_fanout_tasks_total"
-      "per-shard tasks dispatched by shard fan-outs"
-
   let skyline_merges =
     c "rrms_shard_skyline_merges_total"
       "merged skylines assembled from per-shard skylines"
-
-  let matrix_merges =
-    c "rrms_shard_matrix_merges_total"
-      "merged regret matrices assembled from per-shard row blocks"
-
-  let certified =
-    c "rrms_shard_certified_queries_total"
-      "queries answered through the certified (lossless) merge path"
-
-  let union =
-    c "rrms_shard_union_queries_total"
-      "queries answered through the union (bounded-regret) merge path"
-
-  let gather =
-    c "rrms_shard_gather_queries_total"
-      "queries answered by the coordinator alone (non-decomposable algo)"
 
   let worker_redials =
     c ~deterministic:false "rrms_shard_worker_redials_total"
@@ -48,14 +22,6 @@ module Metrics = struct
     c ~deterministic:false "rrms_shard_worker_failures_total"
       "router fan-out legs that failed after the redial retry"
 
-  let mutations =
-    c "rrms_shard_mutations_total"
-      "mutation batches fanned out across the in-process partitions"
-
-  let stale_fallbacks =
-    c ~deterministic:false "rrms_shard_stale_fallbacks_total"
-      "queries answered by the coordinator alone after racing a mutation"
-
   let straggler_gap =
     Obs.Floatc.make ~deterministic:false
       ~help:"accumulated slowest-minus-fastest leg time over router fan-outs"
@@ -63,7 +29,7 @@ module Metrics = struct
 end
 
 (* Annotate an outcome's cost provenance with the merge path that
-   produced it — ["certified"] / ["union"] / ["gather"] — so the
+   produced it — ["certified"] / ["gather"] — so the
    per-answer cost echo and the access log both say how the cluster
    assembled the answer. *)
 let tag_merge path = function
@@ -85,687 +51,6 @@ let partition ~shards n =
   Array.init shards (fun s ->
       let len = max 0 ((n - s + shards - 1) / shards) in
       Array.init len (fun k -> s + (k * shards)))
-
-(* ------------------------------------------------------------------ *)
-(* In-process sharded store                                            *)
-(* ------------------------------------------------------------------ *)
-
-type part = {
-  members : int array array;
-      (* shard → its global row indices, ascending; [members.(s).(l)] is
-         the global index of sub-store row [l] *)
-  sub_keys : string option array;
-      (* per-shard sub-store content key; [None] for an empty slice
-         (n < shards) *)
-}
-
-type t = {
-  shards : int;
-  domains : int;
-  coordinator : Store.t;
-  stores : Store.t array;
-  (* Serializes dataset registration and teardown end-to-end, so the
-     coordinator entry and its N sub-store entries stay in lockstep
-     (exactly one sub reference per resident coordinator entry).  Held
-     across Store calls — safe because no store ever calls back into
-     the shard layer. *)
-  load_lock : Mutex.t;
-  (* Guards [parts] only; never held across a Store call. *)
-  p_lock : Mutex.t;
-  parts : (string, part) Hashtbl.t;
-}
-
-let create ?domains ?max_inflight ?max_queue ?persist ~shards () =
-  if shards < 1 then
-    Guard.Error.invalid_input "Shard.create: shards must be >= 1";
-  let domains =
-    match domains with
-    | Some d when d >= 1 -> d
-    | Some _ -> Guard.Error.invalid_input "Shard.create: domains must be >= 1"
-    | None -> Rrms_parallel.Pool.default_size ()
-  in
-  {
-    shards;
-    domains;
-    coordinator = Store.create ~domains ?max_inflight ?max_queue ?persist ();
-    (* Each sub-store gets its own admission slot: one in-flight artifact
-       build per shard, a small queue for the fan-out threads. *)
-    stores =
-      Array.init shards (fun _ ->
-          Store.create ~domains ~max_inflight:1 ~max_queue:32 ());
-    load_lock = Mutex.create ();
-    p_lock = Mutex.create ();
-    parts = Hashtbl.create 8;
-  }
-
-let store t = t.coordinator
-let shards t = t.shards
-
-let register t ~warnings d =
-  with_lock t.load_lock (fun () ->
-      let l = Store.add t.coordinator d in
-      let key = l.Store.key in
-      let known = with_lock t.p_lock (fun () -> Hashtbl.mem t.parts key) in
-      if not known then begin
-        let members = partition ~shards:t.shards (Dataset.size d) in
-        let sub_keys =
-          Array.mapi
-            (fun s idxs ->
-              if Array.length idxs = 0 then None
-              else
-                Some (Store.add t.stores.(s) (Dataset.select d idxs)).Store.key)
-            members
-        in
-        with_lock t.p_lock (fun () ->
-            Hashtbl.replace t.parts key { members; sub_keys })
-      end;
-      { l with Store.warnings })
-
-let load t ?name ?(normalize = false) ?(lenient = false) path =
-  let mode = if lenient then Dataset.Lenient else Dataset.Strict in
-  let d, warns = Dataset.of_csv_report ?name ~mode path in
-  let d = if normalize then Dataset.normalize d else d in
-  register t ~warnings:(List.length warns) d
-
-let add t d = register t ~warnings:0 d
-
-(* Drop the partition record and its sub-store references — called with
-   [load_lock] held, after the coordinator entry was freed. *)
-let drop_parts t key =
-  let part =
-    with_lock t.p_lock (fun () ->
-        match Hashtbl.find_opt t.parts key with
-        | Some p ->
-            Hashtbl.remove t.parts key;
-            Some p
-        | None -> None)
-  in
-  Option.iter
-    (fun p ->
-      Array.iteri
-        (fun s k ->
-          match k with
-          | Some k -> ignore (Store.release t.stores.(s) k : Store.release)
-          | None -> ())
-        p.sub_keys)
-    part
-
-let release t handle =
-  with_lock t.load_lock (fun () ->
-      match Store.release t.coordinator handle with
-      | Store.Not_loaded -> Store.Not_loaded
-      | Store.Released { key; remaining = _; freed } as res ->
-          if freed then drop_parts t key;
-          res)
-
-(* A pinned query can outlive the last [release]: the coordinator frees
-   the entry at unpin time, and this sweeps the partition record after
-   the fact. *)
-let cleanup_if_freed t key =
-  with_lock t.load_lock (fun () ->
-      if Store.resolve t.coordinator key = None then drop_parts t key)
-
-(* ------------------------------------------------------------------ *)
-(* Fan-out                                                             *)
-(* ------------------------------------------------------------------ *)
-
-exception Sub_overloaded
-exception Deadline
-
-(* The partition record a fan-out is holding was superseded by a racing
-   mutation (sub-store re-keyed, slice lengths changed).  Never an
-   error: the coordinator still holds the full dataset, so the query
-   falls back to the gather path — exact, merely unassisted. *)
-exception Stale_partition
-
-(* One systhread per shard; every task's exception is captured and
-   rethrown after the join (lowest shard first), so a failed leg never
-   leaks a running thread. *)
-let fan_out t f =
-  Obs.Counter.add Metrics.fanouts t.shards;
-  let out = Array.make t.shards None in
-  let threads =
-    Array.init t.shards (fun s ->
-        Thread.create
-          (fun () -> out.(s) <- Some (try Ok (f s) with exn -> Error exn))
-          ())
-  in
-  Array.iter Thread.join threads;
-  Array.map
-    (function
-      | Some r -> r
-      | None -> Error (Failure "Shard.fan_out: task produced no result"))
-    out
-
-let join results =
-  Array.iter (function Ok _ -> () | Error e -> raise e) results;
-  Array.map (function Ok v -> v | Error _ -> assert false) results
-
-let budget_of (q : Protocol.query) =
-  match (q.Protocol.timeout, q.Protocol.max_cells, q.Protocol.max_probes) with
-  | None, None, None -> Guard.Budget.unlimited
-  | timeout, max_cells, max_probes ->
-      Guard.Budget.create ?timeout ?max_cells ?max_probes ()
-
-(* Pass the deadline through honestly: the prep already spent part of
-   the budget, so the store-level solve gets only what remains. *)
-let remaining_query ~guard (q : Protocol.query) =
-  match q.Protocol.timeout with
-  | None -> q
-  | Some _ -> (
-      match Guard.Budget.remaining guard with
-      | Some rem when rem <= 0. -> raise Deadline
-      | Some rem -> { q with Protocol.timeout = Some rem }
-      | None -> q)
-
-(* ------------------------------------------------------------------ *)
-(* Certified merge                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The per-shard half of the fan-out: the sub-store's skyline artifact,
-   mapped back to global indices, under the sub-store's admission
-   slot. *)
-let sub_skyline t part s =
-  match part.sub_keys.(s) with
-  | None -> [||]
-  | Some key -> (
-      let st = t.stores.(s) in
-      match Store.pin st key with
-      | None ->
-          (* Released by a racing mutation's re-partition. *)
-          raise Stale_partition
-      | Some h ->
-          Fun.protect
-            ~finally:(fun () -> Store.unpin st h)
-            (fun () ->
-              match
-                Store.with_admission st (fun () -> Store.skyline_of st h)
-              with
-              | Error `Overloaded -> raise Sub_overloaded
-              | Ok local ->
-                  let idxs = part.members.(s) in
-                  let len = Array.length idxs in
-                  Array.map
-                    (fun l ->
-                      if l < 0 || l >= len then raise Stale_partition;
-                      idxs.(l))
-                    local))
-
-(* Install the merged skyline and the merged γ-matrix into the
-   coordinator entry, so [Store.query_pinned] then takes its ordinary
-   artifact-hit path into [solve_prepared] — the same code path over
-   bit-identical inputs as the unsharded store, hence a byte-identical
-   answer (the Exact merge certificate). *)
-let prepare_certified t h part (q : Protocol.query) ~guard =
-  (* One coherent view of the entry: artifacts computed below describe
-     exactly this generation's rows, and the [expect_generation] guard
-     on both preloads drops them silently if a mutation lands first
-     (the query then solves on the live entry — exact, unassisted). *)
-  let _, generation, _, rows = Store.pinned_snapshot h in
-  let n = Array.length rows in
-  let _, m = Store.pinned_dims h in
-  (* Row → owning shard, from the partition record itself.  Freshly
-     registered datasets are round-robin (global ≡ s mod N) but a
-     mutated partition is not: inserts land on the shard that was
-     shortest at insert time, so membership must be looked up, never
-     recomputed from the arithmetic. *)
-  let owner = Array.make n (-1) in
-  Array.iteri
-    (fun s idxs ->
-      Array.iter (fun g -> if g >= 0 && g < n then owner.(g) <- s) idxs)
-    part.members;
-  let merged =
-    let sky_cached, _ = Store.artifacts_cached h ~gamma:q.Protocol.gamma in
-    if sky_cached then Store.skyline_of t.coordinator h
-    else begin
-      let parts_global = join (fan_out t (fun s -> sub_skyline t part s)) in
-      Obs.Counter.incr Metrics.skyline_merges;
-      let merged =
-        Skyline.merge_partitions ~domains:t.domains rows parts_global
-      in
-      ignore
-        (Store.preload_skyline ~expect_generation:generation t.coordinator h
-           merged
-          : bool);
-      merged
-    end
-  in
-  (match Guard.Budget.deadline_expired guard with
-  | Some _ -> raise Deadline
-  | None -> ());
-  let gamma_used = Store.effective_gamma ~rows:(Array.length merged) ~m q in
-  let _, mat_cached = Store.artifacts_cached h ~gamma:gamma_used in
-  if not mat_cached then begin
-    let funcs = Store.grid_of t.coordinator ~m ~gamma:gamma_used in
-    (* Merged-skyline rows grouped by owning shard: each shard scores
-       and fills exactly the rows it owns, in ascending row order. *)
-    let rows_of = Array.make t.shards [] in
-    let nrows = Array.length merged in
-    for pos = nrows - 1 downto 0 do
-      let gi = merged.(pos) in
-      if gi < 0 || gi >= n || owner.(gi) < 0 then raise Stale_partition;
-      let s = owner.(gi) in
-      rows_of.(s) <- (pos, gi) :: rows_of.(s)
-    done;
-    let bests =
-      join
-        (fan_out t (fun s ->
-             match rows_of.(s) with
-             | [] -> None
-             | l ->
-                 let pts =
-                   Array.of_list (List.map (fun (_, gi) -> rows.(gi)) l)
-                 in
-                 Some (Regret_matrix.best_scores ~domains:t.domains ~funcs pts)))
-    in
-    let best =
-      Regret_matrix.merge_best (List.filter_map Fun.id (Array.to_list bests))
-    in
-    let cells = Array.make (nrows * Array.length funcs) 0. in
-    ignore
-      (join
-         (fan_out t (fun s ->
-              List.iter
-                (fun (pos, gi) ->
-                  Regret_matrix.fill_row ~funcs ~best cells ~row:pos rows.(gi))
-                rows_of.(s))));
-    Obs.Counter.incr Metrics.matrix_merges;
-    ignore
-      (Store.preload_matrix ~expect_generation:generation t.coordinator h
-         ~gamma:gamma_used
-         (Regret_matrix.import ~rows:nrows ~best ~cells)
-        : bool)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Union merge                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let ints arr = Json.Arr (Array.to_list (Array.map Json.int arr))
-
-(* Union (Degraded) merge: every shard solves its own slice against the
-   shared global direction grid, and the union of the selections is
-   returned with a certified regret bound instead of bit-identity.
-
-   Soundness of the bound: for any scoring direction [w], the shard [j]
-   owning the globally best tuple for [w] sees that tuple as its local
-   best, so the union (⊇ S_j) has global regret at [w] bounded by shard
-   [j]'s own continuous regret — at most theorem4_bound(γ_j, m, ε_j).
-   Taking the max over shards therefore bounds every direction at
-   once. *)
-let union_solve t h part (q : Protocol.query) ~guard =
-  let _, m = Store.pinned_dims h in
-  let shard_result s =
-    match part.sub_keys.(s) with
-    | None -> None
-    | Some key -> (
-        let st = t.stores.(s) in
-        match Store.pin st key with
-        | None -> raise Stale_partition
-        | Some hs ->
-            Fun.protect
-              ~finally:(fun () -> Store.unpin st hs)
-              (fun () ->
-                match
-                  Store.with_admission st (fun () ->
-                      let sky = Store.skyline_of st hs in
-                      let gamma_used =
-                        Store.effective_gamma ~rows:(Array.length sky) ~m q
-                      in
-                      let _, matrix =
-                        Store.matrix_of st hs ~gamma:gamma_used ~guard
-                      in
-                      let idxs = part.members.(s) in
-                      let len = Array.length idxs in
-                      let global =
-                        Array.map
-                          (fun l ->
-                            if l < 0 || l >= len then raise Stale_partition;
-                            idxs.(l))
-                          sky
-                      in
-                      match q.Protocol.algo with
-                      | Protocol.Hd_rrms ->
-                          let res =
-                            Hd_rrms.solve_prepared ~domains:t.domains ~guard
-                              ~skyline:global ~gamma_used ~m matrix
-                              ~r:q.Protocol.r
-                          in
-                          ( res.Hd_rrms.selected,
-                            res.Hd_rrms.discretized_regret,
-                            gamma_used,
-                            Array.length global )
-                      | Protocol.Hd_greedy ->
-                          let res =
-                            Hd_greedy.solve_prepared ~domains:t.domains ~guard
-                              ~skyline:global ~gamma_used matrix
-                              ~r:q.Protocol.r
-                          in
-                          ( res.Hd_greedy.selected,
-                            res.Hd_greedy.discretized_regret,
-                            gamma_used,
-                            Array.length global )
-                      | _ -> assert false)
-                with
-                | Error `Overloaded -> raise Sub_overloaded
-                | Ok r -> Some (s, r)))
-  in
-  let per_shard =
-    List.filter_map Fun.id (Array.to_list (join (fan_out t shard_result)))
-  in
-  let selected =
-    Array.of_list
-      (List.sort_uniq Stdlib.compare
-         (List.concat_map
-            (fun (_, (sel, _, _, _)) -> Array.to_list sel)
-            per_shard))
-  in
-  let bound =
-    List.fold_left
-      (fun acc (_, (_, eps, g, _)) ->
-        Float.max acc (Discretize.theorem4_bound ~gamma:g ~m ~eps))
-      0. per_shard
-  in
-  let result =
-    Json.Obj
-      [
-        ("algo", Json.Str (Protocol.algo_to_string q.Protocol.algo));
-        ("merge", Json.Str "union");
-        ("selected", ints selected);
-        ("size", Json.int (Array.length selected));
-        ("regret_bound", Json.float bound);
-        ( "shards",
-          Json.Arr
-            (List.map
-               (fun (s, (sel, eps, g, _)) ->
-                 Json.Obj
-                   [
-                     ("shard", Json.int s);
-                     ("size", Json.int (Array.length sel));
-                     ("discretized_regret", Json.float eps);
-                     ("gamma_used", Json.int g);
-                   ])
-               per_shard) );
-        ("quality", Json.Str "degraded(shard-union-merge)");
-        ("degraded", Json.Bool true);
-      ]
-  in
-  (* Cost provenance: which merge path answered and what each shard
-     contributed — slice skyline size [s], its γ, and the Theorem-4
-     bound it feeds into the certified union bound. *)
-  let cost =
-    [
-      ("source", Json.Str "solve");
-      ("merge", Json.Str "union");
-      ("theorem4_bound", Json.float bound);
-      ( "shards",
-        Json.Arr
-          (List.map
-             (fun (s, (sel, eps, g, ssize)) ->
-               Json.Obj
-                 [
-                   ("shard", Json.int s);
-                   ("s", Json.int ssize);
-                   ("selected", Json.int (Array.length sel));
-                   ("gamma_used", Json.int g);
-                   ( "theorem4_bound",
-                     Json.float (Discretize.theorem4_bound ~gamma:g ~m ~eps) );
-                 ])
-             per_shard) );
-    ]
-  in
-  (* Never cached: the union answer depends on the partition, so serving
-     it to a later unsharded request would break the bit-identity
-     contract of the result cache. *)
-  Ok { Store.result; cached = false; cost }
-
-(* ------------------------------------------------------------------ *)
-(* Query                                                               *)
-(* ------------------------------------------------------------------ *)
-
-type merge = Certified | Union
-
-let query ?(merge = Certified) t (q : Protocol.query) =
-  match Store.pin t.coordinator q.Protocol.dataset with
-  | None -> Error `Unknown_dataset
-  | Some h ->
-      let key = Store.pinned_key h in
-      Fun.protect
-        ~finally:(fun () ->
-          Store.unpin t.coordinator h;
-          cleanup_if_freed t key)
-        (fun () ->
-          let part =
-            with_lock t.p_lock (fun () -> Hashtbl.find_opt t.parts key)
-          in
-          (* A fan-out that raced a mutation's re-partition falls back
-             to the coordinator alone: it holds the full (current)
-             dataset, so the answer stays exact — only the shard assist
-             is lost for this one query. *)
-          let stale_fallback () =
-            Obs.Counter.incr Metrics.stale_fallbacks;
-            tag_merge "gather" (Store.query_pinned t.coordinator h q)
-          in
-          match (part, q.Protocol.algo, merge) with
-          | Some part, (Protocol.Hd_rrms | Protocol.Hd_greedy), Certified -> (
-              Obs.Counter.incr Metrics.certified;
-              let guard = budget_of q in
-              match prepare_certified t h part q ~guard with
-              | () ->
-                  tag_merge "certified"
-                    (Store.query_pinned t.coordinator h
-                       (remaining_query ~guard q))
-              | exception Deadline -> Error `Deadline_exceeded
-              | exception Sub_overloaded -> Error `Overloaded
-              | exception Stale_partition -> stale_fallback ())
-          | Some part, (Protocol.Hd_rrms | Protocol.Hd_greedy), Union -> (
-              Obs.Counter.incr Metrics.union;
-              let guard = budget_of q in
-              match union_solve t h part q ~guard with
-              | r -> r
-              | exception Deadline -> Error `Deadline_exceeded
-              | exception Sub_overloaded -> Error `Overloaded
-              | exception Stale_partition -> stale_fallback ())
-          | _ ->
-              (* Non-decomposable algorithms (and datasets that predate
-                 the partition table): the coordinator holds the full
-                 dataset, so the ordinary path is trivially Exact. *)
-              Obs.Counter.incr Metrics.gather;
-              tag_merge "gather" (Store.query_pinned t.coordinator h q))
-
-(* ------------------------------------------------------------------ *)
-(* Mutation                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Translate the coordinator-validated global op stream into one local
-   stream per shard.
-
-   Simulation invariant: [assign] mirrors the current global row
-   sequence, holding each row's owning shard, so a row's shard-local
-   index is its rank among same-shard rows.  Restricting the global
-   stream to one shard's rows yields a valid local stream, because no
-   op on another shard's rows ever disturbs the relative order of this
-   shard's rows: a delete shifts global indices but preserves order, an
-   insert appends at the global end (which is also every shard's local
-   end).  Existing rows keep their shard; an insert goes to shard
-   [current_length mod shards] — round-robin over the live length, so
-   slices stay balanced without moving resident rows.
-
-   Returns the per-shard streams (in op order) and the new [members]
-   arrays (ascending global indices, matching sub-store row order). *)
-let translate_ops ~shards ~n0 muts =
-  let assign = ref (Array.make (max 16 n0) (-1)) in
-  let len = ref n0 in
-  let ensure_room () =
-    if !len >= Array.length !assign then begin
-      let bigger = Array.make (2 * Array.length !assign) (-1) in
-      Array.blit !assign 0 bigger 0 !len;
-      assign := bigger
-    end
-  in
-  for g = 0 to n0 - 1 do
-    !assign.(g) <- g mod shards
-  done;
-  (* The initial assignment is overwritten below from the partition
-     record itself — a mutated partition is no longer round-robin. *)
-  let streams = Array.make shards [] in
-  let push s op = streams.(s) <- op :: streams.(s) in
-  let rank s i =
-    let c = ref 0 in
-    for j = 0 to i - 1 do
-      if !assign.(j) = s then incr c
-    done;
-    !c
-  in
-  let seed members =
-    Array.iteri
-      (fun s idxs ->
-        Array.iter (fun g -> if g >= 0 && g < n0 then !assign.(g) <- s) idxs)
-      members
-  in
-  let run () =
-    List.iter
-      (fun op ->
-        match op with
-        | Delta.Insert v ->
-            let s = !len mod shards in
-            ensure_room ();
-            !assign.(!len) <- s;
-            incr len;
-            push s (Delta.Insert v)
-        | Delta.Delete i ->
-            let s = !assign.(i) in
-            push s (Delta.Delete (rank s i));
-            Array.blit !assign (i + 1) !assign i (!len - i - 1);
-            decr len
-        | Delta.Upsert (i, v) ->
-            let s = !assign.(i) in
-            push s (Delta.Upsert (rank s i, v)))
-      muts;
-    let lists = Array.make shards [] in
-    for g = !len - 1 downto 0 do
-      lists.(!assign.(g)) <- g :: lists.(!assign.(g))
-    done;
-    ( Array.map (fun l -> List.rev l) streams,
-      Array.map Array.of_list lists )
-  in
-  (seed, run)
-
-(* Re-key the partition record after the coordinator accepted the
-   batch: apply each shard's local stream to its sub-store (or rebuild
-   the slice from the new coordinator dataset when the incremental path
-   is unavailable), and move the record from [key0] to [new_key]. *)
-let repartition t h part ~key0 ~new_key ~base_n muts =
-  let d' = Store.pinned_dataset h in
-  let release_sub s =
-    match part.sub_keys.(s) with
-    | Some k -> ignore (Store.release t.stores.(s) k : Store.release)
-    | None -> ()
-  in
-  let fresh_sub s idxs =
-    if Array.length idxs = 0 then None
-    else Some (Store.add t.stores.(s) (Dataset.select d' idxs)).Store.key
-  in
-  let n0 =
-    Array.fold_left (fun acc a -> acc + Array.length a) 0 part.members
-  in
-  let members', sub_keys' =
-    if n0 <> base_n then begin
-      (* The record disagrees with the entry it claims to partition —
-         only reachable if it was left behind by an earlier defensive
-         rebuild.  Re-slice from scratch; still exact. *)
-      let members' = partition ~shards:t.shards (Dataset.size d') in
-      ( members',
-        Array.mapi
-          (fun s idxs ->
-            release_sub s;
-            fresh_sub s idxs)
-          members' )
-    end
-    else begin
-      let seed, run = translate_ops ~shards:t.shards ~n0 muts in
-      seed part.members;
-      let streams, members' = run () in
-      let sub_keys' =
-        Array.init t.shards (fun s ->
-            let target = members'.(s) in
-            if Array.length target = 0 then begin
-              release_sub s;
-              None
-            end
-            else
-              match (part.sub_keys.(s), streams.(s)) with
-              | Some k, [] -> Some k
-              | Some k, ops -> (
-                  match
-                    Store.mutate ~journal:false t.stores.(s) ~dataset:k ops
-                  with
-                  | Ok rs -> Some rs.Store.new_key
-                  | Error _ ->
-                      release_sub s;
-                      fresh_sub s target
-                  | exception _ ->
-                      release_sub s;
-                      fresh_sub s target)
-              | None, _ -> fresh_sub s target)
-      in
-      (members', sub_keys')
-    end
-  in
-  with_lock t.p_lock (fun () ->
-      Hashtbl.remove t.parts key0;
-      Hashtbl.replace t.parts new_key
-        { members = members'; sub_keys = sub_keys' })
-
-let mutate ?timeout t ~dataset muts =
-  with_lock t.load_lock (fun () ->
-      match Store.pin t.coordinator dataset with
-      | None -> Error `Unknown_dataset
-      | Some h ->
-          Fun.protect
-            ~finally:(fun () -> Store.unpin t.coordinator h)
-            (fun () ->
-              let key0 = Store.pinned_key h in
-              let base_n, _ = Store.pinned_dims h in
-              let part =
-                with_lock t.p_lock (fun () -> Hashtbl.find_opt t.parts key0)
-              in
-              match Store.mutate ?timeout t.coordinator ~dataset muts with
-              | Error _ as e -> e
-              | Ok r ->
-                  Option.iter
-                    (fun part ->
-                      Obs.Counter.incr Metrics.mutations;
-                      repartition t h part ~key0 ~new_key:r.Store.new_key
-                        ~base_n muts)
-                    part;
-                  Ok r))
-
-let stats t =
-  match Store.stats t.coordinator with
-  | Json.Obj fields ->
-      Json.Obj
-        (fields
-        @ [
-            ( "shard",
-              Json.Obj
-                [
-                  ("shards", Json.int t.shards);
-                  ( "sub_stores",
-                    Json.Arr
-                      (Array.to_list
-                         (Array.map
-                            (fun st ->
-                              let inflight, queued = Store.admission_state st in
-                              Json.Obj
-                                [
-                                  ("inflight", Json.int inflight);
-                                  ("queued", Json.int queued);
-                                ])
-                            t.stores)) );
-                ] );
-          ])
-  | j -> j
 
 (* ------------------------------------------------------------------ *)
 (* Router: fan-out over worker processes                               *)
@@ -953,6 +238,19 @@ module Router = struct
 
   (* ------------------------- fan-out merge ------------------------ *)
 
+  exception Deadline
+
+  (* Pass the deadline through honestly: the fan-out already spent part
+     of the budget, so the store-level solve gets only what remains. *)
+  let remaining_query ~guard (q : Protocol.query) =
+    match q.Protocol.timeout with
+    | None -> q
+    | Some _ -> (
+        match Guard.Budget.remaining guard with
+        | Some rem when rem <= 0. -> raise Deadline
+        | Some rem -> { q with Protocol.timeout = Some rem }
+        | None -> q)
+
   let fan_out_workers rt f =
     let n = Array.length rt.workers in
     let out = Array.make n None in
@@ -1096,7 +394,7 @@ module Router = struct
   let run_item rt h (q : Protocol.query) () =
     match q.Protocol.algo with
     | Protocol.Hd_rrms | Protocol.Hd_greedy -> (
-        let guard = budget_of q in
+        let guard = Protocol.budget_of q in
         match ensure_artifacts rt h q ~guard with
         | () ->
             tag_merge "certified"
@@ -1135,6 +433,49 @@ module Router = struct
     in
     with_lock rt.r_lock (fun () ->
         Hashtbl.replace rt.datasets key { load_line })
+
+  let evict_request wkey =
+    Json.to_string
+      (Json.Obj
+         [
+           ("req", Json.Str "evict");
+           ("dataset", Json.Str wkey);
+           ("id", Json.Str "router-evict");
+         ])
+
+  (* Release the worker slices of every dataset the router's store no
+     longer holds, over the connections that loaded them, and forget
+     their load parameters.  A worker that is not connected holds
+     nothing for this router (closing the connection released its
+     slice), and a failed evict leg drops the connection the same way —
+     so a worker never fails the client's evict or teardown. *)
+  let release_freed rt =
+    let gone =
+      with_lock rt.r_lock (fun () ->
+          let gone =
+            Hashtbl.fold
+              (fun key _ acc ->
+                if Store.resolve rt.rt_store key = None then key :: acc
+                else acc)
+              rt.datasets []
+          in
+          List.iter (Hashtbl.remove rt.datasets) gone;
+          gone)
+    in
+    if gone <> [] then
+      Array.iter
+        (fun w ->
+          with_lock w.w_lock (fun () ->
+              let dead, live =
+                List.partition (fun (key, _) -> List.mem key gone) w.w_keys
+              in
+              w.w_keys <- live;
+              List.iter
+                (fun (_, wkey) ->
+                  try ignore (rpc_once w (evict_request wkey) : Json.t)
+                  with Worker_down _ | Worker_error _ -> ())
+                dead))
+        rt.workers
 
   let item_error code message =
     Json.Obj
@@ -1485,13 +826,22 @@ module Router = struct
             "the shard router fans out over read-only worker slices; send \
              mutations to the store that owns the writable state (an \
              rrms-serve instance without --router)"
+      | Ok (Protocol.Evict _) ->
+          let reply = inner.Server.on_line line in
+          release_freed rt;
+          reply
       | Ok (Protocol.Skyline _)
-      | Ok (Protocol.Evict _)
       | Ok Protocol.Metrics | Ok Protocol.Ping | Ok Protocol.Shutdown
       | Error _ ->
           inner.Server.on_line line
     in
-    { Server.on_line; on_close = (fun () -> inner.Server.on_close ()) }
+    (* Session teardown drops this session's loads; a dataset that left
+       the store with them leaves the workers too. *)
+    let on_close () =
+      inner.Server.on_close ();
+      release_freed rt
+    in
+    { Server.on_line; on_close }
 
   let close rt =
     Array.iter (fun w -> with_lock w.w_lock (fun () -> disconnect w)) rt.workers

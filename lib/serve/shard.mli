@@ -1,47 +1,24 @@
 (** Horizontal scale-out for the query service (docs/SERVING.md,
     "Sharding & routing").
 
-    Two deployments share the merge machinery:
+    The shards are worker processes ([rrms-serve --socket]), each
+    holding the round-robin slice {!partition} of every dataset; the
+    {!Router} fans [skyline] requests out to them, merges the partial
+    skylines, and solves locally over the merged artifacts.
 
-    - {e in-process sharding} ({!create}): one coordinator {!Store.t}
-      holding the full dataset plus N sub-stores, each owning the
-      round-robin slice of {!partition} with its own artifact cache and
-      admission slot.  Per-shard skylines (and regret-matrix row
-      blocks) are computed in parallel and merged into the coordinator
-      entry, after which the ordinary {!Store.query_pinned} path
-      answers.
-    - {e router mode} ({!Router}): the shards are worker processes
-      ([rrms-serve --socket]) reached over the Unix-socket protocol;
-      the router fans [skyline] requests out, merges, and solves
-      locally over the merged artifacts.
+    The merge is {e certified}: the skyline of a dataset equals the
+    skyline of the union of per-partition skylines
+    ({!Rrms_skyline.Skyline.merge_partitions}), so the merged skyline is
+    bit-identical to the unsharded one, the router's regret matrix is
+    built from it by the ordinary store path, and every answer is
+    byte-for-byte the single-store answer. *)
 
-    Merge certificates:
-
-    - {e Certified} (the default): the skyline of a dataset equals the
-      skyline of the union of per-partition skylines
-      ({!Rrms_skyline.Skyline.merge_partitions}), and the regret matrix
-      decomposes row-wise once the per-direction best scores are merged
-      ({!Rrms_core.Regret_matrix.merge_best}) — so the merged artifacts
-      are bit-identical to unsharded ones and the answer is {e exact},
-      byte-for-byte the single-store answer.
-    - {e Union}: each shard solves its slice independently and the
-      union of the selections is returned [degraded] with
-      [regret_bound]: for any direction, the shard owning the global
-      best tuple bounds the union's regret by its own Theorem-4
-      guarantee, so [max] over shards of
-      {!Rrms_core.Discretize.theorem4_bound} dominates the true maximum
-      regret ratio.  Cheaper (no merge barrier before the solve) but
-      up to [r·N] tuples and never cached. *)
-
-(** Shard-layer instruments (global {!Rrms_obs.Obs} registry, visible in
+(** Router instruments (global {!Rrms_obs.Obs} registry, visible in
     [stats]). *)
 module Metrics : sig
-  val fanouts : Rrms_obs.Obs.Counter.t
   val skyline_merges : Rrms_obs.Obs.Counter.t
-  val matrix_merges : Rrms_obs.Obs.Counter.t
-  val certified : Rrms_obs.Obs.Counter.t
-  val union : Rrms_obs.Obs.Counter.t
-  val gather : Rrms_obs.Obs.Counter.t
+  (** Merged skylines assembled from per-worker skylines — one per
+      fan-out. *)
 
   val worker_redials : Rrms_obs.Obs.Counter.t
   (** Router reconnections to a worker (non-deterministic). *)
@@ -49,13 +26,6 @@ module Metrics : sig
   val worker_failures : Rrms_obs.Obs.Counter.t
   (** Fan-out legs that failed after the one redial retry
       (non-deterministic). *)
-
-  val mutations : Rrms_obs.Obs.Counter.t
-  (** Mutation batches fanned out across the in-process partitions. *)
-
-  val stale_fallbacks : Rrms_obs.Obs.Counter.t
-  (** Queries that raced a mutation's re-partition and were answered by
-      the coordinator alone — still exact (non-deterministic). *)
 
   val straggler_gap : Rrms_obs.Obs.Floatc.t
   (** Accumulated (slowest − fastest) leg wall-time over router
@@ -67,89 +37,10 @@ val partition : shards:int -> int -> int array array
 (** [partition ~shards n] is the round-robin split of [0..n-1]: member
     [s] owns the ascending global indices ≡ s (mod shards), so
     shard-local row [l] is global row [s + l·shards].  Bit-for-bit the
-    arithmetic of [Store.load ?shard] — a worker process and an
-    in-process shard must agree on the slice.
+    arithmetic of [Store.load ?shard] — the slice a worker process
+    takes.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when
     [shards < 1] or [n < 0]. *)
-
-type t
-(** An in-process sharded store: a coordinator plus N sub-stores. *)
-
-val create :
-  ?domains:int ->
-  ?max_inflight:int ->
-  ?max_queue:int ->
-  ?persist:Persist.t ->
-  shards:int ->
-  unit ->
-  t
-(** The coordinator store gets [max_inflight]/[max_queue]/[persist] as
-    {!Store.create}; each sub-store gets its own single admission slot.
-    @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when
-    [shards < 1]. *)
-
-val store : t -> Store.t
-(** The coordinator store — for [stats], drain integration and direct
-    (unsharded) access. *)
-
-val shards : t -> int
-
-val load :
-  t -> ?name:string -> ?normalize:bool -> ?lenient:bool -> string -> Store.loaded
-(** Load a CSV into the coordinator {e and} slice it across the
-    sub-stores (one parse, N {!Store.add}s).  Same contract as
-    {!Store.load}. *)
-
-val add : t -> Rrms_dataset.Dataset.t -> Store.loaded
-(** {!load} for an in-memory dataset. *)
-
-val release : t -> string -> Store.release
-(** Drop one coordinator reference; when the entry is freed the
-    partition record and the sub-store slices are freed with it. *)
-
-type merge =
-  | Certified  (** lossless merge: byte-identical to unsharded *)
-  | Union  (** per-shard solves, union + certified bound, [degraded] *)
-
-val query :
-  ?merge:merge ->
-  t ->
-  Protocol.query ->
-  ( Store.outcome,
-    [ `Overloaded | `Unknown_dataset | `Deadline_exceeded | `Draining ] )
-  result
-(** Answer one query (default [Certified]).  The HD algorithms fan out
-    per-shard work; the rest run on the coordinator alone (trivially
-    exact).  [`Overloaded] when any sub-store sheds; the query [timeout]
-    is one end-to-end deadline — fan-out time counts against the solve.
-    Error union and exceptions as {!Store.query}. *)
-
-val mutate :
-  ?timeout:float ->
-  t ->
-  dataset:string ->
-  Rrms_core.Delta.mutation list ->
-  ( Store.mutated,
-    [ `Overloaded | `Unknown_dataset | `Deadline_exceeded | `Draining ] )
-  result
-(** Apply one mutation batch to the coordinator {e and} its partitions
-    (docs/DYNAMIC.md).  The coordinator's {!Store.mutate} runs first —
-    it validates, journals and installs the new generation — then the
-    global op stream is translated into one shard-local stream per
-    sub-store: existing rows keep their shard, inserts round-robin over
-    the live length, and each slice is maintained by its own
-    incremental {!Store.mutate} (rebuilt from the new dataset only if
-    that fails).  The partition record moves to the new content key, so
-    subsequent certified merges stay bit-identical to an unsharded
-    solve over the mutated dataset.  Queries racing the re-partition
-    fall back to the coordinator alone (exact; counted by
-    {!Metrics.stale_fallbacks}).  Serialized with loads and releases;
-    datasets registered directly on the coordinator store (no partition
-    record) mutate there alone. *)
-
-val stats : t -> Json.t
-(** Coordinator {!Store.stats} plus a ["shard"] member (shard count,
-    per-sub-store admission state). *)
 
 (** Fan-out router over worker processes speaking the wire protocol. *)
 module Router : sig
@@ -188,7 +79,10 @@ module Router : sig
       server; other algorithms and requests run on the router's store
       directly.  Worker failures answer [shard_failure] (per query or
       per batch item — the session survives); a worker-side deadline
-      expiry propagates as [deadline_exceeded].  Mutation requests are
+      expiry propagates as [deadline_exceeded].  When an [evict] (or
+      the session's teardown) frees a dataset from the router's store,
+      each worker's slice is evicted too, over the connection that
+      loaded it.  Mutation requests are
       rejected with the documented [read_only] code: the workers hold
       read-only slices, so a write accepted here would fork the
       router's copy away from theirs. *)

@@ -317,9 +317,9 @@ let register t ~warnings d =
 (* The rows of partition member [s] of a round-robin split into [count]
    shards: global indices ≡ s (mod count), in ascending order, so a
    shard-local row [l] maps back to global row [s + l·count].  The same
-   arithmetic lives in [Shard.partition]; a worker process loading with
-   [?shard] and an in-process shard slicing the parent dataset must
-   agree on it bit-for-bit. *)
+   arithmetic lives in [Shard.partition]; the router maps a worker's
+   local skyline indices back with it, so the two must agree
+   bit-for-bit. *)
 let shard_slice d = function
   | None -> d
   | Some (s, count) ->
@@ -395,8 +395,8 @@ let resolve t handle =
    increment under one [t.lock] hold, so the entry cannot be freed
    between the lookup and the bump.  The pre-pin code resolved the entry
    and then used it unprotected — a concurrent release (another session,
-   another shard) could free it mid-solve, and with N sub-stores racing
-   their releases the refcount could underflow.  Everything that touches
+   another shard) could free it mid-solve, and with several sessions
+   racing their releases the refcount could underflow.  Everything that touches
    an entry outside [t.lock] must hold a pin for the duration. *)
 type handle = entry
 
@@ -421,8 +421,7 @@ let unpin t (e : handle) =
 
 (* Pinned-entry accessors snapshot under [e_lock]: a concurrent
    mutation rebinds these fields atomically, so one accessor call
-   returns one generation's value (callers that need several fields
-   from the same generation use [pinned_snapshot]). *)
+   returns one generation's value. *)
 let pinned_key (e : handle) = with_lock e.e_lock (fun () -> e.key)
 
 let pinned_dims (e : handle) =
@@ -432,9 +431,6 @@ let pinned_dims (e : handle) =
 let pinned_rows (e : handle) = with_lock e.e_lock (fun () -> e.rows)
 let pinned_dataset (e : handle) = with_lock e.e_lock (fun () -> e.dataset)
 let pinned_generation (e : handle) = with_lock e.e_lock (fun () -> e.generation)
-
-let pinned_snapshot (e : handle) =
-  with_lock e.e_lock (fun () -> (e.key, e.generation, e.dataset, e.rows))
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                          *)
@@ -493,18 +489,11 @@ let admission_state t = with_lock t.lock (fun () -> (t.inflight, t.queued))
    concurrent sessions querying the same dataset serialize the build
    and every one of them reuses the single copy — the whole point.
 
-   Two further rules added with the shard layer:
-
-   - [refs] belongs to [t.lock], not [e_lock] (see the entry type); any
-     use of an entry outside [t.lock] must hold a pin, and frees check
-     physical equality against the resident entry so a re-bound key is
-     never touched.
-   - a coordinator store never calls into a sub-store while holding any
-     of its own locks: the shard fan-out runs pinned but lock-free, so
-     coordinator and sub-store lock orders cannot interleave into a
-     cycle.  (Shard.t relies on this: its own lock is taken only around
-     its partition table, never across a Store call that could block on
-     admission.) *)
+   [refs] belongs to [t.lock], not [e_lock] (see the entry type): any
+   use of an entry outside [t.lock] must hold a pin, and frees check
+   physical equality against the resident entry so a re-bound key is
+   never touched.  The router's worker fan-out runs pinned but outside
+   every store lock. *)
 
 let skyline_locked t e =
   match e.skyline with
@@ -634,90 +623,39 @@ let matrix_locked t e ~sky ~m ~gamma ~guard =
 (* Shard hooks                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The shard layer computes merged artifacts itself (per-shard skylines
-   and matrix row blocks, merged by Skyline.merge_partitions /
-   Regret_matrix.merge_best) and installs them here, so the ordinary
-   [query] path then runs [solve_prepared] over them exactly as it would
-   over its own artifacts — the merged answer is byte-identical to the
-   unsharded one because it literally is the same code path on
-   bit-identical inputs. *)
+(* The router merges its workers' skylines (Skyline.merge_partitions)
+   and installs the result here; the ordinary [query] path then builds
+   the matrix and runs [solve_prepared] exactly as it would over its own
+   skyline — the routed answer is byte-identical to the unsharded one
+   because it literally is the same code path on bit-identical
+   inputs. *)
 
 let skyline_of t (e : handle) = with_lock e.e_lock (fun () -> skyline_locked t e)
-
-let matrix_of t (e : handle) ~gamma ~guard =
-  let m = Dataset.dim e.dataset in
-  with_lock e.e_lock (fun () ->
-      let sky = skyline_locked t e in
-      (sky, matrix_locked t e ~sky ~m ~gamma ~guard))
 
 let artifacts_cached (e : handle) ~gamma =
   with_lock e.e_lock (fun () ->
       (e.skyline <> None, List.mem_assoc gamma e.matrices))
 
-(* [expect_generation] guards against installing an artifact computed
-   against a generation the entry has since mutated away from: the
-   shard layer captures the generation at pin time and the preload is
-   silently dropped on a mismatch (the caller's merged artifact would
-   describe rows that no longer exist). *)
-let preload_skyline ?expect_generation t (e : handle) sky =
+let preload_skyline t (e : handle) sky =
   if Array.length sky = 0 then
     Guard.Error.invalid_input "Store.preload_skyline: empty skyline";
   with_lock e.e_lock (fun () ->
-      if
-        match expect_generation with
-        | Some g -> g <> e.generation
-        | None -> false
-      then false
-      else begin
-        let n = Array.length e.rows in
-        Array.iter
-          (fun i ->
-            if i < 0 || i >= n then
-              Guard.Error.invalid_input
-                "Store.preload_skyline: index out of range")
-          sky;
-        match e.skyline with
-        | Some _ -> false
-        | None ->
-            e.skyline <- Some sky;
-            Option.iter
-              (fun p -> Persist.save_skyline p ~key:e.key sky)
-              t.persist;
-            true
-      end)
-
-let preload_matrix ?expect_generation t (e : handle) ~gamma mat =
-  with_lock e.e_lock (fun () ->
-      if
-        match expect_generation with
-        | Some g -> g <> e.generation
-        | None -> false
-      then false
-      else begin
-        (match e.skyline with
-        | Some sky when Regret_matrix.rows mat <> Array.length sky ->
-            Guard.Error.invalid_input
-              "Store.preload_matrix: row count does not match the skyline"
-        | _ -> ());
-        if List.mem_assoc gamma e.matrices then false
-        else begin
-          e.matrices <- (gamma, mat) :: e.matrices;
-          Option.iter
-            (fun p -> Persist.save_matrix p ~key:e.key ~gamma mat)
-            t.persist;
-          true
-        end
-      end)
+      let n = Array.length e.rows in
+      Array.iter
+        (fun i ->
+          if i < 0 || i >= n then
+            Guard.Error.invalid_input "Store.preload_skyline: index out of range")
+        sky;
+      match e.skyline with
+      | Some _ -> false
+      | None ->
+          e.skyline <- Some sky;
+          Option.iter (fun p -> Persist.save_skyline p ~key:e.key sky) t.persist;
+          true)
 
 (* ------------------------------------------------------------------ *)
 (* Query                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let budget_of (q : Protocol.query) =
-  match (q.timeout, q.max_cells, q.max_probes) with
-  | None, None, None -> Guard.Budget.unlimited
-  | timeout, max_cells, max_probes ->
-      Guard.Budget.create ?timeout ?max_cells ?max_probes ()
 
 let ints arr = Json.Arr (Array.to_list (Array.map Json.int arr))
 
@@ -747,12 +685,6 @@ let shrink_gamma ~max_cells ~rows ~gamma ~m =
             ~what:"regret matrix cells (even at gamma = 1)"
             ~requested:(Discretize.matrix_cells ~rows ~gamma:1 ~m)
             ~limit:cap)
-
-(* The γ the HD path will actually use for [q] over a skyline of [rows]
-   tuples — exposed so the shard layer can build its merged matrix at
-   the same γ the coordinator's query path will then look up. *)
-let effective_gamma ~rows ~m (q : Protocol.query) =
-  fst (shrink_gamma ~max_cells:q.max_cells ~rows ~gamma:q.gamma ~m)
 
 let merge_shrink quality = function
   | None -> quality
@@ -943,7 +875,7 @@ let query_pinned t (e : handle) (q : Protocol.query) =
          probe and the admission wait: the protocol [timeout] is a
          deadline covering queueing, not a solver allowance granted
          afresh once a slot frees up. *)
-      let guard = budget_of q in
+      let guard = Protocol.budget_of q in
       let ckey = Protocol.cache_key q in
       (* Generation and content key captured with the cache probe: a
          solve that races a mutation still answers correctly (it ran on
@@ -1222,9 +1154,8 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
               in
               (List.rev mats', List.rev incs', List.length mats0, 0, !rebased)
           | _ ->
-              (* No materialized skyline to carry from: matrices (which
-                 exist only via preload on sub-stores in that case) are
-                 dropped and rebuild lazily. *)
+              (* No materialized skyline to carry from: any matrices
+                 are dropped and rebuild lazily. *)
               ([], [], 0, List.length mats0, 0)
       in
       (* Delta-scoped result invalidation.  A cached answer survives

@@ -145,8 +145,8 @@ val load :
 val add : t -> Rrms_dataset.Dataset.t -> loaded
 (** [add t d] registers an in-memory dataset exactly as {!load} would
     after reading it from disk — same hashing, aliasing, refcounting and
-    persistence.  The in-process shard layer uses this to populate its
-    sub-stores without N re-reads of the CSV. *)
+    persistence.  WAL replay and the tests use it to register rows that
+    never existed as a CSV. *)
 
 type release =
   | Not_loaded
@@ -304,22 +304,16 @@ val pinned_dims : handle -> int * int
 
 val pinned_rows : handle -> Rrms_geom.Vec.t array
 (** The pinned entry's tuples (post-transform, in load order) — shared,
-    not copied: callers must not mutate.  The shard layer merges
-    per-shard skylines against these rows.  Mutations replace the array
+    not copied: callers must not mutate.  The router merges per-worker
+    skylines against these rows.  Mutations replace the array
     wholesale (never in place), so a snapshot stays internally
     consistent even if the entry mutates afterwards. *)
 
 val pinned_dataset : handle -> Rrms_dataset.Dataset.t
-(** The pinned entry's current dataset — the shard layer slices it to
-    re-seed sub-stores after a mutation. *)
+(** The pinned entry's current dataset. *)
 
 val pinned_generation : handle -> int
 (** The entry's mutation generation (0 at load). *)
-
-val pinned_snapshot :
-  handle -> string * int * Rrms_dataset.Dataset.t * Rrms_geom.Vec.t array
-(** [(key, generation, dataset, rows)] captured atomically — the
-    coherent multi-field read the shard fan-out needs. *)
 
 val query_pinned :
   t ->
@@ -334,67 +328,25 @@ val query_pinned :
 
 (** {2 Shard hooks}
 
-    The shard layer computes merged artifacts out-of-store — per-shard
-    skylines merged by {!Rrms_skyline.Skyline.merge_partitions}, matrix
-    row blocks filled by {!Rrms_core.Regret_matrix.fill_row} against
-    {!Rrms_core.Regret_matrix.merge_best}-merged best scores — and
-    installs them here.  A subsequent {!query_pinned} then takes the
-    ordinary artifact-hit path into [solve_prepared], so the merged
-    answer is byte-identical to the unsharded one: same code path,
+    The router ({!Shard.Router}) merges its workers' skylines with
+    {!Rrms_skyline.Skyline.merge_partitions} and installs the result
+    here.  A subsequent {!query_pinned} then builds the regret matrix
+    and runs [solve_prepared] on the ordinary path, so the routed answer
+    is byte-identical to the unsharded one: same code path,
     bit-identical inputs. *)
 
 val skyline_of : t -> handle -> int array
 (** The entry's skyline artifact, computing (and persisting) it on
-    first use — the per-shard half of the fan-out. *)
-
-val matrix_of :
-  t ->
-  handle ->
-  gamma:int ->
-  guard:Rrms_guard.Guard.Budget.t ->
-  int array * Rrms_core.Regret_matrix.t
-(** [(skyline, matrix-at-γ)] for the entry, through the full preference
-    chain (cached → derived by column selection → rehydrated → built).
-    The union merge path runs this against each sub-store so per-shard
-    matrices land in the per-shard artifact caches. *)
+    first use — what a worker answers a [skyline] request with. *)
 
 val artifacts_cached : handle -> gamma:int -> bool * bool
-(** [(skyline_cached, matrix_cached_at_gamma)] — lets the shard layer
-    skip the fan-out when the coordinator already holds the merged
-    artifacts. *)
+(** [(skyline_cached, matrix_cached_at_gamma)] — lets the router skip
+    the fan-out when its store already holds the merged skyline. *)
 
-val preload_skyline : ?expect_generation:int -> t -> handle -> int array -> bool
+val preload_skyline : t -> handle -> int array -> bool
 (** Install a merged skyline as the entry's artifact ([false] if one is
     already present — first writer wins, later writers must have
     produced the identical array by the merge contract).  Writes through
-    to persistence like a computed skyline.  [expect_generation] makes
-    the install conditional: if the entry has mutated past that
-    generation the artifact is silently dropped ([false]) — it
-    describes rows that no longer exist.
+    to persistence like a computed skyline.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] on an
     empty or out-of-range index set. *)
-
-val preload_matrix :
-  ?expect_generation:int ->
-  t ->
-  handle ->
-  gamma:int ->
-  Rrms_core.Regret_matrix.t ->
-  bool
-(** Install a merged regret matrix as the entry's γ-artifact (same
-    first-writer-wins and [expect_generation] contracts).
-    @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when the
-    row count disagrees with an installed skyline. *)
-
-val grid_of : t -> m:int -> gamma:int -> Rrms_geom.Vec.t array
-(** The store-wide direction grid at [(m, γ)] (cached, persisted) — the
-    shard layer builds its row blocks against the same grid object the
-    coordinator's solve will use. *)
-
-val effective_gamma : rows:int -> m:int -> Protocol.query -> int
-(** The γ the HD query path will actually use for [q] over a skyline of
-    [rows] tuples — [q.gamma] unless the query's cell cap forces the
-    solvers' auto-shrink.  The shard layer must build its merged matrix
-    at this γ for {!query_pinned} to find it.
-    @raise Rrms_guard.Guard.Error.Guard_error [Resource_limit] when even
-    γ = 1 exceeds the cap. *)

@@ -58,8 +58,8 @@ type request = {
           store (the field is then omitted from access-log lines, so
           pre-shard log consumers see unchanged records) *)
   merge : string;
-      (** the answer's merge path — ["certified"] / ["union"] /
-          ["gather"] for sharded answers, [""] otherwise (omitted from
+      (** the answer's merge path through a router — ["certified"] or
+          ["gather"] — and [""] for an unsharded answer (omitted from
           access-log lines) *)
 }
 

@@ -3,9 +3,9 @@
    The load-bearing contract, asserted bitwise throughout: after ANY
    mutation sequence, every incremental maintenance path — skyline
    remap/merge, regret-matrix carry-over, MRST probe rebase, carried
-   result-cache entries, shard re-partitioning, WAL replay — must
-   answer byte-identically to a fresh store loaded with the
-   from-scratch mutated dataset, at 1/2/4 domains and 1/2/4 shards. *)
+   result-cache entries, WAL replay — must answer byte-identically to a
+   fresh store loaded with the from-scratch mutated dataset, at 1/2/4
+   domains. *)
 
 module Serve = Rrms_serve
 module Json = Serve.Json
@@ -37,7 +37,7 @@ let dataset_of ?(name = "mut") rows =
 
 (* A random mutation schedule that never empties the table.  Mixing all
    three op kinds in one batch exercises the index-shift semantics of
-   Delta.apply and the per-shard stream translation. *)
+   Delta.apply. *)
 let random_ops rng ~m ~len0 k =
   let len = ref len0 in
   List.init k (fun _ ->
@@ -128,51 +128,6 @@ let test_store_bit_identity_2d () =
       bit_identity_rounds ~domains ~m:2
         ~algos:[ Protocol.A2d; Protocol.A2d_exact; Protocol.Sweepline ]
         ~seed:(50 + domains) ())
-    [ 1; 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
-(* Sharded bit-identity                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Shard.mutate re-keys the partition and maintains every sub-store
-   slice; the certified merge over the mutated partition must stay
-   byte-identical to an unsharded solve of the mutated dataset. *)
-let test_shard_bit_identity () =
-  List.iter
-    (fun shards ->
-      let m = 3 in
-      let rows0 = synth ~n:55 ~m ~seed:70 in
-      let sh = Shard.create ~domains:2 ~shards () in
-      ignore (Shard.add sh (dataset_of rows0) : Store.loaded);
-      let rng = Rng.create (71 + shards) in
-      let rows = ref rows0 in
-      for round = 1 to 2 do
-        (* Warm the merged artifacts so the mutation supersedes them. *)
-        ignore
-          (answer_of "warm"
-             (Shard.query sh (query ~algo:Protocol.Hd_rrms ~r:3 "mut")));
-        let muts = random_ops rng ~m ~len0:(Array.length !rows) 10 in
-        ignore
-          (must_mutate "shard" (Shard.mutate sh ~dataset:"mut" muts)
-            : Store.mutated);
-        rows := apply_all ~m !rows muts;
-        let fresh = Store.create ~domains:2 () in
-        ignore (Store.add fresh (dataset_of !rows) : Store.loaded);
-        List.iter
-          (fun algo ->
-            let got, _ =
-              answer_of "sharded" (Shard.query sh (query ~algo ~r:3 "mut"))
-            in
-            let want, _ =
-              answer_of "fresh" (Store.query fresh (query ~algo ~r:3 "mut"))
-            in
-            Alcotest.(check string)
-              (Printf.sprintf "shards=%d round %d: %s certified ≡ unsharded"
-                 shards round
-                 (Protocol.algo_to_string algo))
-              want got)
-          [ Protocol.Hd_rrms; Protocol.Hd_greedy ]
-      done)
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -619,7 +574,6 @@ let suite =
       test_store_bit_identity_hd;
     Alcotest.test_case "store bit-identity (2d family)" `Quick
       test_store_bit_identity_2d;
-    Alcotest.test_case "shard bit-identity" `Quick test_shard_bit_identity;
     Alcotest.test_case "delta-scoped cache survival" `Quick
       test_cache_survival;
     Alcotest.test_case "invalid batches rejected" `Quick

@@ -1,12 +1,11 @@
 (* The shard layer end to end: partition arithmetic (and its agreement
    with Store.load ?shard), skyline decomposability over arbitrary
-   partitions, the certified merge path (bit-identical to the unsharded
-   store for every algorithm, shard count and domain count), the union
-   merge path (degraded, with a certified regret bound dominating the
-   true regret), the batch request (one dataset resolve amortized over
+   partitions, the batch request (one dataset resolve amortized over
    many queries), a pin/release hammer for the refcount race, and the
-   fan-out router over real worker sockets and scripted stub workers
-   (crash mid-request, deadline propagation). *)
+   fan-out router over real worker sockets and scripted stub workers:
+   certified-merge bit-identity against a single store for every
+   algorithm, worker count and domain count, evict releasing the worker
+   slices, crash mid-request, deadline propagation and tracing. *)
 
 module Serve = Rrms_serve
 module Json = Serve.Json
@@ -17,7 +16,6 @@ module Shard = Serve.Shard
 module Obs = Rrms_obs.Obs
 module Dataset = Rrms_dataset.Dataset
 module Skyline = Rrms_skyline.Skyline
-module Regret = Rrms_core.Regret
 module Guard = Rrms_guard.Guard
 
 let contains = Astring_contains.contains
@@ -30,17 +28,6 @@ let parse_json line =
   match Json.parse line with
   | Ok j -> j
   | Error e -> Alcotest.fail (Printf.sprintf "unparseable %s: %s" line e)
-
-let int_array = function
-  | Some (Json.Arr l) ->
-      Array.of_list
-        (List.map
-           (fun j ->
-             match Json.int_ j with
-             | Some i -> i
-             | None -> Alcotest.fail "non-integer index")
-           l)
-  | _ -> Alcotest.fail "missing index array"
 
 (* ------------------------------------------------------------------ *)
 (* Partition arithmetic                                               *)
@@ -154,197 +141,6 @@ let test_skyline_decomposability () =
                buckets))
         [ 1; 2; 3; 8 ])
     [ 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
-(* Certified merge: bit-identity                                      *)
-(* ------------------------------------------------------------------ *)
-
-let all_algos =
-  [
-    Protocol.A2d;
-    Protocol.A2d_exact;
-    Protocol.Sweepline;
-    Protocol.Hd_rrms;
-    Protocol.Hd_greedy;
-    Protocol.Greedy;
-    Protocol.Cube;
-  ]
-
-(* Every served algorithm, at every shard count × domain count in the
-   acceptance grid, answers byte-identically to an unsharded store over
-   the same dataset; and the warm repeat is a cache hit with the same
-   bytes. *)
-let test_certified_bit_identity () =
-  with_csv ~n:220 ~m:2 ~seed:3 (fun csv ->
-      List.iter
-        (fun domains ->
-          let base = Store.create ~domains () in
-          let bl = Store.load base csv in
-          List.iter
-            (fun shards ->
-              let sh = Shard.create ~domains ~shards () in
-              let l = Shard.load sh csv in
-              Alcotest.(check string) "same content key" bl.Store.key
-                l.Store.key;
-              List.iter
-                (fun algo ->
-                  let q = query ~algo ~r:3 ~gamma:4 l.Store.key in
-                  let expect, _ = Test_serve.result_string base q in
-                  let label =
-                    Printf.sprintf "%s shards=%d domains=%d"
-                      (Protocol.algo_to_string algo)
-                      shards domains
-                  in
-                  match Shard.query sh q with
-                  | Ok { Store.result; cached; _ } ->
-                      Alcotest.(check bool)
-                        ("cold not cached: " ^ label)
-                        false cached;
-                      Alcotest.(check string)
-                        ("bit-identical: " ^ label)
-                        expect (Json.to_string result);
-                      (match Shard.query sh q with
-                      | Ok { Store.result = r2; cached = c2; _ } ->
-                          Alcotest.(check bool)
-                            ("warm is a hit: " ^ label)
-                            true c2;
-                          Alcotest.(check string)
-                            ("warm bytes: " ^ label)
-                            expect (Json.to_string r2)
-                      | Error _ -> Alcotest.fail ("warm failed: " ^ label))
-                  | Error _ -> Alcotest.fail ("shard query failed: " ^ label))
-                all_algos)
-            [ 1; 2; 4 ])
-        [ 1; 2; 4 ])
-
-(* The HD algorithms again in higher dimension, across γ — the regret
-   matrix row blocks must merge bit-identically too — plus a cell-cap
-   query, whose auto-shrunk γ the shard layer must reproduce. *)
-let test_certified_bit_identity_hd () =
-  with_csv ~n:300 ~m:4 ~seed:9 (fun csv ->
-      let base = Store.create ~domains:2 () in
-      let bl = Store.load base csv in
-      List.iter
-        (fun shards ->
-          let sh = Shard.create ~domains:2 ~shards () in
-          ignore (Shard.load sh csv : Store.loaded);
-          let check q label =
-            let expect, _ = Test_serve.result_string base q in
-            match Shard.query sh q with
-            | Ok { Store.result; _ } ->
-                Alcotest.(check string)
-                  (Printf.sprintf "%s shards=%d" label shards)
-                  expect (Json.to_string result)
-            | Error _ -> Alcotest.fail (label ^ ": shard query failed")
-          in
-          List.iter
-            (fun algo ->
-              List.iter
-                (fun gamma ->
-                  check
-                    (query ~algo ~r:4 ~gamma bl.Store.key)
-                    (Printf.sprintf "m=4 %s gamma=%d"
-                       (Protocol.algo_to_string algo)
-                       gamma))
-                [ 3; 5 ])
-            [ Protocol.Hd_rrms; Protocol.Hd_greedy ];
-          check
-            (query ~algo:Protocol.Hd_rrms ~r:3 ~gamma:6 ~max_cells:400 ~cache:false
-               bl.Store.key)
-            "m=4 hd-rrms cell-capped")
-        [ 1; 2; 4 ])
-
-let test_shard_metrics_and_release () =
-  with_counters (fun () ->
-      with_csv ~n:120 ~m:3 (fun csv ->
-          let sh = Shard.create ~domains:1 ~shards:3 () in
-          let l = Shard.load sh csv in
-          let q = query ~algo:Protocol.Hd_rrms ~r:3 l.Store.key in
-          (match Shard.query sh q with
-          | Ok _ -> ()
-          | Error _ -> Alcotest.fail "cold shard query failed");
-          Alcotest.(check int) "certified path counted" 1
-            (counter Shard.Metrics.certified);
-          Alcotest.(check int) "one skyline merge" 1
-            (counter Shard.Metrics.skyline_merges);
-          Alcotest.(check int) "one matrix merge" 1
-            (counter Shard.Metrics.matrix_merges);
-          (* skyline + best-score + row-fill fan-outs, 3 tasks each *)
-          Alcotest.(check int) "fan-out tasks" 9
-            (counter Shard.Metrics.fanouts);
-          (match Shard.query sh q with
-          | Ok { Store.cached = true; _ } -> ()
-          | _ -> Alcotest.fail "warm shard query must hit the cache");
-          Alcotest.(check int) "warm query never fans out" 9
-            (counter Shard.Metrics.fanouts);
-          let s = Json.to_string (Shard.stats sh) in
-          Alcotest.(check bool) "stats reports the topology" true
-            (contains s "\"shards\":3");
-          Alcotest.(check bool) "stats reports sub-store admission" true
-            (contains s "\"sub_stores\"");
-          match Shard.release sh l.Store.key with
-          | Store.Released { freed = true; _ } -> (
-              match Shard.query sh q with
-              | Error `Unknown_dataset -> ()
-              | _ -> Alcotest.fail "freed dataset must be unknown")
-          | _ -> Alcotest.fail "release must free the only reference"))
-
-(* ------------------------------------------------------------------ *)
-(* Union merge: the certified bound                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_union_bound () =
-  with_csv ~n:200 ~m:3 ~seed:13 (fun csv ->
-      let rows = Dataset.rows (Dataset.of_csv csv) in
-      let sh = Shard.create ~domains:2 ~shards:3 () in
-      let l = Shard.load sh csv in
-      List.iter
-        (fun algo ->
-          let q = query ~algo ~r:3 ~gamma:6 l.Store.key in
-          match Shard.query ~merge:Shard.Union sh q with
-          | Error _ -> Alcotest.fail "union query failed"
-          | Ok { Store.result; cached; _ } ->
-              Alcotest.(check bool) "union answers are never cached" false
-                cached;
-              let s = Json.to_string result in
-              Alcotest.(check bool) "flagged degraded" true
-                (contains s "\"degraded\":true");
-              Alcotest.(check bool) "tagged as union merge" true
-                (contains s "\"merge\":\"union\"");
-              let selected = int_array (Json.member "selected" result) in
-              Alcotest.(check bool) "selected non-empty" true
-                (Array.length selected > 0);
-              Alcotest.(check bool) "at most r·N tuples" true
-                (Array.length selected <= 3 * 3);
-              Array.iteri
-                (fun i g ->
-                  Alcotest.(check bool) "global index in range" true
-                    (g >= 0 && g < Array.length rows);
-                  if i > 0 then
-                    Alcotest.(check bool) "ascending, duplicate-free" true
-                      (selected.(i - 1) < g))
-                selected;
-              let bound =
-                match Json.member "regret_bound" result with
-                | Some (Json.Num v) -> v
-                | _ -> Alcotest.fail "regret_bound missing"
-              in
-              let true_regret = Regret.exact_lp ~selected rows in
-              Alcotest.(check bool)
-                (Printf.sprintf "bound %.6f dominates true regret %.6f" bound
-                   true_regret)
-                true
-                (bound +. 1e-9 >= true_regret);
-              (match Shard.query ~merge:Shard.Union sh q with
-              | Ok { Store.cached = false; _ } -> ()
-              | _ -> Alcotest.fail "repeated union answer must stay uncached");
-              (* ... and must not have polluted the exact-result cache *)
-              (match Shard.query sh q with
-              | Ok { Store.result = r; cached = false; _ } ->
-                  Alcotest.(check bool) "certified after union is exact" false
-                    (contains (Json.to_string r) "\"merge\":\"union\"")
-              | _ -> Alcotest.fail "certified query after union failed"))
-        [ Protocol.Hd_rrms; Protocol.Hd_greedy ])
 
 (* ------------------------------------------------------------------ *)
 (* Sessions over pipes                                                *)
@@ -620,6 +416,226 @@ let test_router_batch_e2e () =
                     (contains st "\"connected\":true")));
           Alcotest.(check bool) "worker sockets removed" false
             (Sys.file_exists sock_a || Sys.file_exists sock_b)))
+
+(* ------------------------------------------------------------------ *)
+(* Router: certified merge bit-identity                               *)
+(* ------------------------------------------------------------------ *)
+
+let all_algos =
+  [
+    Protocol.A2d;
+    Protocol.A2d_exact;
+    Protocol.Sweepline;
+    Protocol.Hd_rrms;
+    Protocol.Hd_greedy;
+    Protocol.Greedy;
+    Protocol.Cube;
+  ]
+
+(* [k] in-process worker daemons on fresh sockets; [f] gets the socket
+   paths and the worker stores. *)
+let with_workers k f =
+  let socks = List.init k (fun i -> temp_socket (Printf.sprintf "w%d" i)) in
+  let stores = List.map (fun _ -> Store.create ()) socks in
+  let servers =
+    List.map2 (fun st sock -> Server.start st ~socket:sock) stores socks
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun sv ->
+          Server.stop sv;
+          Server.wait sv)
+        servers)
+    (fun () -> f socks stores)
+
+(* One session on a fresh router over [workers]. *)
+let with_router ?domains workers f =
+  let rt = Shard.Router.create ?domains ~workers () in
+  Fun.protect
+    ~finally:(fun () -> Shard.Router.close rt)
+    (fun () ->
+      let rpc, close = open_session (Shard.Router.handler rt) in
+      Fun.protect ~finally:close (fun () -> f rpc))
+
+let load_line csv = Printf.sprintf "{\"req\":\"load\",\"path\":%S,\"name\":\"d\"}" csv
+
+let query_line ?(extra = []) (q : Protocol.query) =
+  Json.to_string
+    (Json.Obj
+       ([
+          ("req", Json.Str "query");
+          ("dataset", Json.Str q.Protocol.dataset);
+          ("algo", Json.Str (Protocol.algo_to_string q.Protocol.algo));
+          ("r", Json.int q.Protocol.r);
+          ("gamma", Json.int q.Protocol.gamma);
+          ("cache", Json.Bool q.Protocol.use_cache);
+        ]
+       @ (match q.Protocol.max_cells with
+         | Some c -> [ ("max_cells", Json.int c) ]
+         | None -> [])
+       @ extra))
+
+(* A routed query's [result] bytes and whether it was a cache hit. *)
+let routed ?extra rpc q =
+  let reply = rpc (query_line ?extra q) in
+  match Test_serve.member_string "result" reply with
+  | Some r -> (r, contains reply "\"cached\":true")
+  | None -> Alcotest.fail ("routed query failed: " ^ reply)
+
+let loaded_key load =
+  match Option.bind (Json.member "result" (parse_json load)) (Json.member "key") with
+  | Some (Json.Str k) -> k
+  | _ -> Alcotest.fail ("load failed: " ^ load)
+
+(* Every served algorithm, at every worker count × router domain count
+   in the acceptance grid, answers byte-identically to a single store
+   over the same dataset; and the warm repeat is a cache hit with the
+   same bytes. *)
+let test_certified_bit_identity () =
+  with_csv ~n:220 ~m:2 ~seed:3 (fun csv ->
+      List.iter
+        (fun workers ->
+          with_workers workers (fun socks _ ->
+              List.iter
+                (fun domains ->
+                  let base = Store.create ~domains () in
+                  let bl = Store.load base ~name:"d" csv in
+                  with_router ~domains socks (fun rpc ->
+                      Alcotest.(check string) "same content key" bl.Store.key
+                        (loaded_key (rpc (load_line csv)));
+                      List.iter
+                        (fun algo ->
+                          let q = query ~algo ~r:3 ~gamma:4 "d" in
+                          let expect, _ = Test_serve.result_string base q in
+                          let label =
+                            Printf.sprintf "%s workers=%d domains=%d"
+                              (Protocol.algo_to_string algo)
+                              workers domains
+                          in
+                          let cold, cold_hit = routed rpc q in
+                          Alcotest.(check bool)
+                            ("cold not cached: " ^ label)
+                            false cold_hit;
+                          Alcotest.(check string)
+                            ("bit-identical: " ^ label)
+                            expect cold;
+                          let warm, warm_hit = routed rpc q in
+                          Alcotest.(check bool)
+                            ("warm is a hit: " ^ label)
+                            true warm_hit;
+                          Alcotest.(check string)
+                            ("warm bytes: " ^ label)
+                            expect warm)
+                        all_algos))
+                [ 1; 2; 4 ]))
+        [ 1; 2; 4 ])
+
+(* The HD algorithms again in higher dimension, across γ, plus a
+   cell-capped query whose auto-shrunk γ the router's store must
+   reproduce over the merged skyline. *)
+let test_certified_bit_identity_hd () =
+  with_csv ~n:300 ~m:4 ~seed:9 (fun csv ->
+      let base = Store.create ~domains:2 () in
+      ignore (Store.load base ~name:"d" csv : Store.loaded);
+      List.iter
+        (fun workers ->
+          with_workers workers (fun socks _ ->
+              with_router ~domains:2 socks (fun rpc ->
+                  ignore (loaded_key (rpc (load_line csv)) : string);
+                  let check q label =
+                    let expect, _ = Test_serve.result_string base q in
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s workers=%d" label workers)
+                      expect
+                      (fst (routed rpc q))
+                  in
+                  List.iter
+                    (fun algo ->
+                      List.iter
+                        (fun gamma ->
+                          check
+                            (query ~algo ~r:4 ~gamma "d")
+                            (Printf.sprintf "m=4 %s gamma=%d"
+                               (Protocol.algo_to_string algo)
+                               gamma))
+                        [ 3; 5 ])
+                    [ Protocol.Hd_rrms; Protocol.Hd_greedy ];
+                  check
+                    (query ~algo:Protocol.Hd_rrms ~r:3 ~gamma:6 ~max_cells:400
+                       ~cache:false "d")
+                    "m=4 hd-rrms cell-capped")))
+        [ 1; 2; 4 ])
+
+let datasets_of stats =
+  match Json.member "datasets" stats with
+  | Some (Json.Arr l) -> l
+  | _ -> Alcotest.fail "stats without a datasets member"
+
+(* Evicting a dataset through the router frees the workers' slices too —
+   the router's worker connections each hold one reference per slice,
+   and nothing else would ever drop it while the router runs.  A reload
+   after the evict fans out afresh; a session teardown that frees the
+   entry releases the slices the same way; and a worker that is down by
+   the time of the evict must not fail it. *)
+let test_router_evict_releases_slices () =
+  with_csv ~n:150 ~m:3 ~seed:19 (fun csv ->
+      let base = Store.create () in
+      ignore (Store.load base ~name:"d" csv : Store.loaded);
+      let q = query ~algo:Protocol.Hd_rrms ~r:3 "d" in
+      let expect, _ = Test_serve.result_string base q in
+      let resident label n stores =
+        List.iteri
+          (fun i st ->
+            Alcotest.(check int)
+              (Printf.sprintf "worker %d: %s" i label)
+              n
+              (List.length (datasets_of (Store.stats st))))
+          stores
+      in
+      with_workers 2 (fun socks stores ->
+          let rt = Shard.Router.create ~workers:socks () in
+          Fun.protect
+            ~finally:(fun () -> Shard.Router.close rt)
+            (fun () ->
+              let rpc, close = open_session (Shard.Router.handler rt) in
+              ignore (loaded_key (rpc (load_line csv)) : string);
+              Alcotest.(check string) "routed answer" expect
+                (fst (routed rpc q));
+              resident "slice resident" 1 stores;
+              let ev = rpc "{\"req\":\"evict\",\"dataset\":\"d\"}" in
+              Alcotest.(check bool) "router evict frees" true
+                (contains ev "\"freed\":true");
+              resident "slice released by evict" 0 stores;
+              (* reload: the workers are sent their slices again *)
+              ignore (loaded_key (rpc (load_line csv)) : string);
+              Alcotest.(check string) "answer after reload" expect
+                (fst (routed rpc { q with Protocol.use_cache = false }));
+              resident "slice reloaded" 1 stores;
+              close ();
+              (* the router (and its worker connections) live on *)
+              resident "slice released at session teardown" 0 stores));
+      (* one worker gone before the evict *)
+      let sock_a = temp_socket "eva" and sock_b = temp_socket "evb" in
+      let sa = Store.create () and sb = Store.create () in
+      let wa = Server.start sa ~socket:sock_a in
+      let wb = Server.start sb ~socket:sock_b in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter
+            (fun w ->
+              Server.stop w;
+              Server.wait w)
+            [ wa; wb ])
+        (fun () ->
+          with_router [ sock_a; sock_b ] (fun rpc ->
+              ignore (loaded_key (rpc (load_line csv)) : string);
+              ignore (routed rpc q : string * bool);
+              Server.drain ~grace:0. wb sb;
+              let ev = rpc "{\"req\":\"evict\",\"dataset\":\"d\"}" in
+              Alcotest.(check bool) "evict succeeds with a worker down" true
+                (contains ev "\"ok\":true" && contains ev "\"freed\":true");
+              resident "live slice released" 0 [ sa ])))
 
 (* A stub worker that accepts, reads one line and slams the connection
    shut — the crash-mid-request shape.  Returns its kill switch. *)
@@ -1012,13 +1028,14 @@ let test_router_merged_trace () =
                   Alcotest.(check bool) "cluster reports skew" true
                     (contains st "\"straggler_gap_seconds\":")))))
 
-(* Answers are bit-identical with tracing off (Disabled) and fully on
-   (Full + a traced, span-capturing context) at 1 / 2 / 4 shards. *)
+(* Routed answers are bit-identical with tracing off (Disabled) and
+   fully on (Full + a client trace envelope, so every fan-out leg is
+   traced and its worker spans spliced in) at 1 / 2 / 4 workers. *)
 let test_trace_onoff_bit_identity () =
   with_csv ~n:180 ~m:3 ~seed:41 (fun csv ->
       List.iter
-        (fun shards ->
-          let solve level traced =
+        (fun workers ->
+          let solve level extra =
             let prev = Obs.level () in
             Fun.protect
               ~finally:(fun () ->
@@ -1027,29 +1044,26 @@ let test_trace_onoff_bit_identity () =
               (fun () ->
                 Obs.set_level level;
                 Obs.reset ();
-                let sh = Shard.create ~shards () in
-                let l = Shard.load sh csv in
-                let q =
-                  query ~algo:Protocol.Hd_rrms ~r:3 ~gamma:4 l.Store.key
-                in
-                let run () =
-                  match Shard.query sh q with
-                  | Ok { Store.result; _ } -> Json.to_string result
-                  | Error _ -> Alcotest.fail "shard query failed"
-                in
-                if traced then
-                  let ctx =
-                    Obs.Ctx.create ~request_id:"rq" ~session_id:"s"
-                      ~capture_spans:true ~trace_id:"t-bits" ()
-                  in
-                  Obs.Ctx.with_ctx ctx run
-                else run ())
+                with_workers workers (fun socks _ ->
+                    with_router socks (fun rpc ->
+                        ignore (loaded_key (rpc (load_line csv)) : string);
+                        fst
+                          (routed ~extra rpc
+                             (query ~algo:Protocol.Hd_rrms ~r:3 ~gamma:4 "d")))))
           in
-          let off = solve Obs.Disabled false in
-          let on = solve Obs.Full true in
+          let off = solve Obs.Disabled [] in
+          let on =
+            solve Obs.Full
+              [
+                ( "trace",
+                  Json.Obj
+                    [ ("id", Json.Str "t-bits"); ("request_id", Json.Str "rq") ]
+                );
+              ]
+          in
           Alcotest.(check string)
-            (Printf.sprintf "bytes identical traced vs untraced, %d shards"
-               shards)
+            (Printf.sprintf "bytes identical traced vs untraced, %d workers"
+               workers)
             off on)
         [ 1; 2; 4 ])
 
@@ -1171,13 +1185,11 @@ let suite =
       test_certified_bit_identity;
     Alcotest.test_case "certified merge bit-identity (HD, m=4)" `Quick
       test_certified_bit_identity_hd;
-    Alcotest.test_case "shard metrics and release" `Quick
-      test_shard_metrics_and_release;
-    Alcotest.test_case "union merge bound dominates true regret" `Quick
-      test_union_bound;
     Alcotest.test_case "batch protocol" `Quick test_batch_protocol;
     Alcotest.test_case "pin/release hammer" `Quick test_pin_release_hammer;
     Alcotest.test_case "router batch end to end" `Quick test_router_batch_e2e;
+    Alcotest.test_case "router evict releases worker slices" `Quick
+      test_router_evict_releases_slices;
     Alcotest.test_case "router worker crash" `Quick test_router_worker_crash;
     Alcotest.test_case "router deadline propagation" `Quick
       test_router_deadline_propagation;
