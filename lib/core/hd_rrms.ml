@@ -54,20 +54,14 @@ type search = {
 (* Algorithm 4: binary search over the sorted distinct cell values; each
    probe asks MRST whether some row set of size <= max_size satisfies
    the threshold (max_size = r for the §6.1 rule; r·H(|F|) for §4.4.3's
-   alternative).  Probes go through Mrst.Incremental, and threshold work
-   is batched: the midpoints the next [batch_depth] search steps can
-   visit are known ahead of time (they form the implicit search tree on
-   [low, high]), so one [advance_many] pass resolves the whole
-   candidate schedule per row and each probe then slides bitsets to a
-   precomputed position without re-comparing cell values.  The visited
-   probe sequence, the per-threshold answers, and the cache behaviour
-   are exactly those of the plain adaptive binary search.
+   alternative).  Each probe is one Mrst.Incremental.solve, which slides
+   the per-row prefix pointers to the new threshold; a per-threshold
+   cache answers repeated thresholds (the degraded fallback's top probe)
+   without a solve.
 
    The guard is consulted at probe boundaries only, so a degraded
    search is deterministic for a fixed probe count: the probe sequence
    depends only on the matrix, never on the pool size or timing. *)
-let batch_depth = 4
-
 let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     ?max_size ?inc matrix ~r =
   let max_size = match max_size with Some s -> s | None -> r in
@@ -78,7 +72,10 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
        matrix; probe state may be anywhere — every slide is
        bidirectional from the current position. *)
     match inc with
-    | Some i when Mrst.Incremental.rows i = Regret_matrix.rows matrix -> i
+    | Some i
+      when Mrst.Incremental.rows i = Regret_matrix.rows matrix
+           && Mrst.Incremental.cols i = Regret_matrix.cols matrix ->
+        i
     | Some _ ->
         Guard.Error.invalid_input
           "Hd_rrms.search_on_matrix: incremental state does not match the \
@@ -86,9 +83,6 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     | None -> Mrst.Incremental.create ?domains matrix
   in
   let cache : (int, int array option) Hashtbl.t = Hashtbl.create 16 in
-  (* Per-row prefix positions for the current batch's candidate
-     midpoints, keyed by value index; rebuilt once per batch. *)
-  let positions : (int, int array) Hashtbl.t = Hashtbl.create 16 in
   let fresh = ref 0 in
   let cached = ref 0 in
   let probe mid =
@@ -101,39 +95,10 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
         Obs.Counter.incr Metrics.cache_misses;
         incr fresh;
         let answer =
-          match Hashtbl.find_opt positions mid with
-          | Some pos -> Mrst.Incremental.solve_at ?solver ?domains inc ~pos
-          | None ->
-              (* Off-schedule threshold (the degraded fallback's top
-                 probe): pay the value-comparing slide. *)
-              Mrst.Incremental.solve ?solver ?domains inc ~eps:values.(mid)
+          Mrst.Incremental.solve ?solver ?domains inc ~eps:values.(mid)
         in
         Hashtbl.add cache mid answer;
         answer
-  in
-  let prepare_batch lo hi =
-    Hashtbl.reset positions;
-    let mids = ref [] in
-    (* Both branches of every step, [batch_depth] levels deep: each
-       interval's midpoint is distinct, and every midpoint the adaptive
-       walk can reach within the batch is among them. *)
-    let rec collect lo hi d =
-      if d > 0 && lo <= hi then begin
-        let mid = (lo + hi) / 2 in
-        if not (Hashtbl.mem cache mid) then mids := mid :: !mids;
-        collect lo (mid - 1) (d - 1);
-        collect (mid + 1) hi (d - 1)
-      end
-    in
-    collect lo hi batch_depth;
-    match !mids with
-    | [] -> ()
-    | l ->
-        let mids = Array.of_list l in
-        Array.sort Stdlib.compare mids;
-        let schedule = Array.map (fun m -> values.(m)) mids in
-        let pos = Mrst.Incremental.advance_many ?domains inc ~eps:schedule in
-        Array.iteri (fun j m -> Hashtbl.add positions m pos.(j)) mids
   in
   let best = ref None in
   let stopped = ref None in
@@ -146,25 +111,15 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
            stopped := Some reason;
            raise Exit
        | None -> ());
-       prepare_batch !low !high;
-       let steps = ref 0 in
-       while !low <= !high && !steps < batch_depth do
-         (match Guard.Budget.stop_reason guard with
-         | Some reason ->
-             stopped := Some reason;
-             raise Exit
-         | None -> ());
-         Guard.Budget.note_probe guard;
-         incr probes;
-         incr steps;
-         Obs.Counter.incr Metrics.probes;
-         let mid = (!low + !high) / 2 in
-         match probe mid with
-         | Some rows when Array.length rows <= max_size ->
-             best := Some (rows, values.(mid));
-             high := mid - 1
-         | Some _ | None -> low := mid + 1
-       done
+       Guard.Budget.note_probe guard;
+       incr probes;
+       Obs.Counter.incr Metrics.probes;
+       let mid = (!low + !high) / 2 in
+       match probe mid with
+       | Some rows when Array.length rows <= max_size ->
+           best := Some (rows, values.(mid));
+           high := mid - 1
+       | Some _ | None -> low := mid + 1
      done
    with Exit -> ());
   (* Anytime fallback: if the budget stopped the search before any
@@ -190,9 +145,6 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     probes_cached = !cached;
     stopped = !stopped;
   }
-
-let solve_on_matrix ?solver ?domains ?max_size matrix ~r =
-  (search_on_matrix ?solver ?domains ?max_size matrix ~r).found
 
 (* Pick the discretization that fits the guard's cell cap: the largest
    gamma' <= gamma with s·(gamma'+1)^(m-1) cells under the cap.  Raises

@@ -127,31 +127,22 @@ val search_on_matrix :
   r:int ->
   search
 (** The core binary search of Algorithm 4 over an arbitrary matrix,
-    accepting covers of size at most [max_size] (default [r]).  Probes
-    run through {!Mrst.Incremental} (prefix-sliced bitsets plus a
-    per-threshold probe cache) and return exactly what from-scratch
-    {!Mrst.solve} probes would.  [inc] supplies a ready
-    {!Mrst.Incremental.t} for this matrix (e.g. pooled across queries,
-    or {!Mrst.Incremental.rebase}d across a mutation), skipping the
-    per-row sort setup; any starting probe state is fine because every
-    slide is bidirectional.  The search mutates it and leaves it at the
-    last probed threshold.  The [guard] is checked before every
+    accepting covers of size at most [max_size] (default [r]).  Each
+    probe is one {!Mrst.Incremental.solve} at the midpoint's distinct
+    value (prefix-sliced bitsets, plus a per-threshold probe cache) and
+    returns exactly what a from-scratch {!Mrst.solve} probe would.
+    [inc] supplies a ready {!Mrst.Incremental.t} for this matrix (e.g.
+    pooled across queries, or {!Mrst.Incremental.rebase}d across a
+    mutation), skipping the per-row sort setup; any starting probe
+    state is fine because every slide is bidirectional.  The search
+    mutates it and leaves it at the last probed threshold.  The
+    [guard] is checked before every
     probe; on stop, if no threshold was accepted yet, one fallback
     probe at the largest distinct value recovers a certified
     single-row answer (so [found = None] with a stopped budget implies
     an empty or degenerate matrix).
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when
-    [inc]'s row count does not match [matrix]. *)
-
-val solve_on_matrix :
-  ?solver:Mrst.solver ->
-  ?domains:int ->
-  ?max_size:int ->
-  Regret_matrix.t ->
-  r:int ->
-  (int array * float) option
-(** [search_on_matrix] without a budget, returning just [found] —
-    the pre-guard interface, kept for tests and benchmarks. *)
+    [inc]'s row or column count does not match [matrix]. *)
 
 val solve_prepared :
   ?solver:Mrst.solver ->

@@ -101,6 +101,7 @@ module Incremental = struct
     }
 
   let rows t = Array.length t.bits
+  let cols t = t.universe
 
   (* After a mutation, most skyline rows survive with bitwise-identical
      matrix cells (Regret_matrix.update reports this as an empty
@@ -109,8 +110,7 @@ module Incremental = struct
      over by reference — create() never mutates order/sorted after
      construction — and only genuinely new rows pay a sort.  Bitsets and
      prefix positions always restart empty: they are probe state, and
-     the next advance/advance_many moves bidirectionally from any
-     starting point. *)
+     the next probe slides bidirectionally from any starting point. *)
   let rebase ?domains old matrix ~carried =
     let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
     if old.universe <> k then
@@ -195,66 +195,5 @@ module Incremental = struct
   let solve ?solver ?domains t ~eps =
     Obs.Counter.incr Metrics.incremental_solves;
     advance ?domains t ~eps;
-    cover_of_bitsets ?solver ~universe:t.universe t.bits
-
-  (* Batched probing: resolve a whole ascending threshold schedule with
-     one pass over each row's sorted values.  Positions are pure
-     functions of (row values, threshold) — identical to what a
-     sequence of [advance] calls would compute — and the bits are slid
-     once, directly to the last (largest) threshold. *)
-  let advance_many ?domains t ~eps =
-    let j_count = Array.length eps in
-    if j_count = 0 then
-      invalid_arg "Mrst.Incremental.advance_many: empty schedule";
-    for j = 1 to j_count - 1 do
-      if Float.compare eps.(j - 1) eps.(j) > 0 then
-        invalid_arg "Mrst.Incremental.advance_many: schedule not ascending"
-    done;
-    let n = rows t in
-    let res = Array.init j_count (fun _ -> Array.make n 0) in
-    Rrms_parallel.parallel_for ?domains ~min_chunk:64 n (fun i ->
-        let vals = t.sorted.(i) in
-        let k = Array.length vals in
-        let p0 = t.pos.(i) in
-        let p = ref p0 in
-        let crossed = ref 0 in
-        (* First threshold: the pointer may move either way from the
-           current state; every later one only advances. *)
-        let e0 = eps.(0) in
-        while !p < k && Array.unsafe_get vals !p <= e0 do
-          incr p
-        done;
-        while !p > 0 && Array.unsafe_get vals (!p - 1) > e0 do
-          decr p
-        done;
-        crossed := abs (!p - p0);
-        (Array.unsafe_get res 0).(i) <- !p;
-        for j = 1 to j_count - 1 do
-          let e = Array.unsafe_get eps j in
-          let before = !p in
-          while !p < k && Array.unsafe_get vals !p <= e do
-            incr p
-          done;
-          crossed := !crossed + (!p - before);
-          (Array.unsafe_get res j).(i) <- !p
-        done;
-        slide_row_bits t i !p;
-        (* Same total as an ascending sequence of [advance] calls:
-           |first move| plus the forward deltas. *)
-        Obs.Counter.add Metrics.cells_crossed !crossed);
-    res
-
-  let solve_at ?solver ?domains t ~pos =
-    if Array.length pos <> rows t then
-      invalid_arg "Mrst.Incremental.solve_at: position array length mismatch";
-    Obs.Counter.incr Metrics.incremental_solves;
-    let n = rows t in
-    Rrms_parallel.parallel_for ?domains ~min_chunk:64 n (fun i ->
-        let target = pos.(i) in
-        if target < 0 || target > Array.length t.order.(i) then
-          invalid_arg "Mrst.Incremental.solve_at: position out of range";
-        let p0 = t.pos.(i) in
-        slide_row_bits t i target;
-        Obs.Counter.add Metrics.cells_crossed (abs (target - p0)));
     cover_of_bitsets ?solver ~universe:t.universe t.bits
 end

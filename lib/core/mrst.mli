@@ -41,6 +41,9 @@ module Incremental : sig
 
   val rows : t -> int
 
+  val cols : t -> int
+  (** The column count of the matrix [t] was created (or rebased) from. *)
+
   val rebase : ?domains:int -> t -> Regret_matrix.t -> carried:int array -> t
   (** [rebase old matrix ~carried] is [create matrix] at reduced cost:
       [carried.(i)] names the row of [old] whose matrix cells are
@@ -53,33 +56,7 @@ module Incremental : sig
       changed-column list.
       @raise Invalid_argument on a column-count or [carried] mismatch. *)
 
-  val advance : ?domains:int -> t -> eps:float -> unit
-  (** Slide every row's prefix pointer to the new threshold without
-      solving; exposed for tests and custom probe loops. *)
-
   val solve : ?solver:solver -> ?domains:int -> t -> eps:float -> int array option
   (** [solve t ~eps] = [Mrst.solve matrix ~eps] for the matrix [t] was
       created from, at incremental cost. *)
-
-  val advance_many : ?domains:int -> t -> eps:float array -> int array array
-  (** [advance_many t ~eps] resolves the whole ascending threshold
-      schedule [eps] in a single pass over each row's sorted values:
-      result[j].(i) is row [i]'s prefix length at threshold [eps.(j)] —
-      bit-identical to the [t.pos] states a sequence of
-      [advance ~eps:eps.(j)] calls would traverse.  The structure is
-      left at the last (largest) threshold, with its bitsets slid there
-      directly.  Feed the recorded positions to {!solve_at} to probe
-      any schedule entry without re-comparing cell values — one
-      row-touch per batch instead of one per probe.
-      @raise Invalid_argument if [eps] is empty or not ascending (in
-      [Float.compare] order). *)
-
-  val solve_at :
-    ?solver:solver -> ?domains:int -> t -> pos:int array -> int array option
-  (** [solve_at t ~pos] slides every row's bitset to the recorded prefix
-      length [pos.(i)] (no value comparisons) and solves the cover:
-      equal to [solve t ~eps] for the threshold that produced [pos] via
-      {!advance_many}.
-      @raise Invalid_argument if [pos] has the wrong length or an entry
-      outside [0, cols]. *)
 end

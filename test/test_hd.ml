@@ -42,7 +42,7 @@ let test_hd_rrms_exact_solver_opt_on_grid () =
     let sky = Rrms_skyline.Skyline.sfs pts in
     let sky_pts = Array.map (fun i -> pts.(i)) sky in
     let matrix = Regret_matrix.build ~funcs sky_pts in
-    match Hd_rrms.solve_on_matrix ~solver:Mrst.Exact matrix ~r with
+    match (Hd_rrms.search_on_matrix ~solver:Mrst.Exact matrix ~r).found with
     | None -> Alcotest.fail "must find a solution"
     | Some (_, eps_min) ->
         (* Brute force all pairs of skyline rows. *)

@@ -43,8 +43,9 @@ let () =
       ("cli", Test_cli.suite);
       ("robustness", Test_robustness.suite);
       ("edge-cases", Test_edge_cases.suite);
-      ("dynamic2d", Test_dynamic2d.suite);
-      ("dynamic-hd", Test_dynamic_hd.suite);
+      (* Live maintenance through Store.mutate, in 2D and m-D. *)
+      ("dynamic2d", Test_maintenance.suite_2d);
+      ("dynamic-hd", Test_maintenance.suite_hd);
       ("examples", Test_examples.suite);
       ("properties", Test_properties.suite);
       ("parallel", Test_parallel.suite);

@@ -127,7 +127,7 @@ let test_incremental_matches_scratch_after_threshold_changes () =
     let nv = Array.length values in
     (* A deliberately oscillating probe schedule: up to the top, down to
        the bottom, then binary-search-like jumps, plus exact cell values
-       (threshold equality is the edgiest comparison in [advance]). *)
+       (threshold equality is the edgiest comparison in a probe). *)
     let schedule =
       [
         values.(nv - 1);

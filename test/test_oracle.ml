@@ -185,7 +185,7 @@ let test_hd_grid_regret_agrees () =
 (* ------------------------------------------------------------------ *)
 (* Every algorithm the query service exposes (Protocol.algo) must be
    bit-identical however wide the default domain pool is — the flat
-   matrix layout, the batched binary search and the adaptive chunking
+   matrix layout, the incremental MRST probes and the adaptive chunking
    must never leak into a result.                                      *)
 
 let test_served_algos_domain_invariant () =

@@ -201,9 +201,12 @@ let test_incremental_parallel_deterministic () =
         (Mrst.Incremental.solve ~domains:4 inc4 ~eps))
     values
 
-let test_solve_on_matrix_uses_incremental () =
+let test_search_on_matrix_uses_incremental () =
   (* The binary search must agree with a hand-rolled search that only
-     uses from-scratch probes — on matrices small enough to enumerate. *)
+     uses from-scratch probes — on matrices small enough to enumerate —
+     in answer and in probe count.  A second search over the same
+     probe state, left at the first search's last threshold (the
+     pooled-state reuse of the serve layer), must repeat it exactly. *)
   let rng = Rrms_rng.Rng.create 4242 in
   for _ = 1 to 6 do
     let n = 10 + Rrms_rng.Rng.int rng 40 in
@@ -213,20 +216,30 @@ let test_solve_on_matrix_uses_incremental () =
     let r = 1 + Rrms_rng.Rng.int rng 3 in
     let values = Regret_matrix.distinct_values matrix in
     let scratch_best = ref None in
+    let scratch_probes = ref 0 in
     let low = ref 0 and high = ref (Array.length values - 1) in
     while !low <= !high do
       let mid = (!low + !high) / 2 in
+      incr scratch_probes;
       (match Mrst.solve matrix ~eps:values.(mid) with
       | Some rows when Array.length rows <= r ->
           scratch_best := Some (rows, values.(mid));
           high := mid - 1
       | Some _ | None -> low := mid + 1)
     done;
-    let incremental = Hd_rrms.solve_on_matrix matrix ~r in
-    Alcotest.check
-      Alcotest.(option (pair (array int) (float 0.)))
+    let inc = Mrst.Incremental.create matrix in
+    let first = Hd_rrms.search_on_matrix ~inc matrix ~r in
+    let answer = Alcotest.(option (pair (array int) (float 0.))) in
+    Alcotest.check answer
       "binary search: incremental probes = from-scratch probes"
-      !scratch_best incremental
+      !scratch_best first.found;
+    Alcotest.(check int) "probe count = from-scratch loop" !scratch_probes
+      first.probes;
+    let again = Hd_rrms.search_on_matrix ~inc matrix ~r in
+    Alcotest.check answer "reused probe state: same answer" first.found
+      again.found;
+    Alcotest.(check int) "reused probe state: same probe count" first.probes
+      again.probes
   done
 
 (* --- flat layout vs boxed reference ---------------------------------- *)
@@ -415,68 +428,6 @@ let test_fsort_pairs_matches_reference () =
          (Array.init n Fun.id))
   done
 
-(* --- batched threshold schedules -------------------------------------- *)
-
-(* advance_many must resolve an ascending schedule to exactly the
-   positions a sequence of single advances would reach, from any
-   starting state, and solve_at at those positions must return exactly
-   what per-threshold solves (and from-scratch solves) return. *)
-let test_advance_many_matches_advance_sequence () =
-  let rng = Rrms_rng.Rng.create 90210 in
-  for trial = 1 to 8 do
-    let n = 15 + Rrms_rng.Rng.int rng 60 in
-    let m = 2 + Rrms_rng.Rng.int rng 2 in
-    let pts = random_points rng ~n ~m in
-    let funcs = Discretize.grid ~gamma:(2 + Rrms_rng.Rng.int rng 2) ~m in
-    let matrix = Regret_matrix.build ~funcs pts in
-    let values = Regret_matrix.distinct_values matrix in
-    let nv = Array.length values in
-    let batched = Mrst.Incremental.create matrix in
-    let stepped = Mrst.Incremental.create matrix in
-    (* Random shared starting state: the first schedule entry must move
-       pointers in both directions. *)
-    let start = values.(Rrms_rng.Rng.int rng nv) in
-    Mrst.Incremental.advance batched ~eps:start;
-    Mrst.Incremental.advance stepped ~eps:start;
-    let len = 1 + Rrms_rng.Rng.int rng 6 in
-    let schedule =
-      Array.init len (fun _ ->
-          let v = values.(Rrms_rng.Rng.int rng nv) in
-          match Rrms_rng.Rng.int rng 3 with
-          | 0 -> v +. 1e-9
-          | 1 -> Float.max 0. (v -. 1e-9)
-          | _ -> v)
-    in
-    Array.sort Float.compare schedule;
-    let res = Mrst.Incremental.advance_many batched ~eps:schedule in
-    Array.iteri
-      (fun j eps ->
-        let from_batch = Mrst.Incremental.solve_at batched ~pos:res.(j) in
-        let from_steps = Mrst.Incremental.solve stepped ~eps in
-        let scratch = Mrst.solve matrix ~eps in
-        let check msg = Alcotest.check Alcotest.(option (array int)) msg in
-        check
-          (Printf.sprintf "trial %d step %d: batched = stepped" trial j)
-          from_steps from_batch;
-        check
-          (Printf.sprintf "trial %d step %d: batched = scratch" trial j)
-          scratch from_batch)
-      schedule
-  done;
-  let matrix =
-    Regret_matrix.build
-      ~funcs:(Discretize.grid ~gamma:2 ~m:2)
-      (random_points rng ~n:10 ~m:2)
-  in
-  let inc = Mrst.Incremental.create matrix in
-  Alcotest.check_raises "empty schedule rejected"
-    (Invalid_argument "Mrst.Incremental.advance_many: empty schedule")
-    (fun () -> ignore (Mrst.Incremental.advance_many inc ~eps:[||]));
-  Alcotest.check_raises "descending schedule rejected"
-    (Invalid_argument "Mrst.Incremental.advance_many: schedule not ascending")
-    (fun () ->
-      ignore (Mrst.Incremental.advance_many inc ~eps:[| 0.5; 0.2 |]))
-
 (* --- satellite regressions ------------------------------------------- *)
 
 let test_bitset_inter_count () =
@@ -490,6 +441,34 @@ let test_bitset_inter_count () =
     (Bitset.inter_count a b + Bitset.diff_count a ~minus:b);
   Alcotest.(check int) "empty inter" 0
     (Bitset.inter_count (Bitset.create 200) b)
+
+(* A probe state must belong to the matrix it searches.  States built
+   for the γ=6 and γ=2 matrices over one skyline have the same row count;
+   a search once accepted the γ=6 state for the γ=2 matrix and returned
+   a worse answer still marked Exact. *)
+let test_search_rejects_foreign_inc () =
+  let rng = Rrms_rng.Rng.create 77 in
+  let pts = anti_points rng ~n:400 ~m:3 in
+  let sky = Rrms_skyline.Skyline.sfs pts in
+  let sky_pts = Array.map (fun i -> pts.(i)) sky in
+  let matrix gamma =
+    Regret_matrix.build ~funcs:(Discretize.grid ~gamma ~m:3) sky_pts
+  in
+  let m6 = matrix 6 and m2 = matrix 2 in
+  let inc6 = Mrst.Incremental.create m6 in
+  ignore (Hd_rrms.search_on_matrix ~inc:inc6 m6 ~r:4 : Hd_rrms.search);
+  (match Hd_rrms.search_on_matrix ~inc:inc6 m2 ~r:4 with
+  | (_ : Hd_rrms.search) ->
+      Alcotest.fail "a γ=6 probe state was accepted for the γ=2 matrix"
+  | exception
+      Rrms_guard.Guard.Error.Guard_error
+        (Rrms_guard.Guard.Error.Invalid_input _) ->
+      ());
+  let inc2 = Mrst.Incremental.create m2 in
+  Alcotest.(check (option (pair (array int) (float 0.))))
+    "a matching probe state gives the fresh answer"
+    (Hd_rrms.search_on_matrix m2 ~r:4).found
+    (Hd_rrms.search_on_matrix ~inc:inc2 m2 ~r:4).found
 
 let test_distinct_values_duplicates () =
   (* A duplicate-heavy matrix: every point tied, so one distinct value
@@ -532,8 +511,10 @@ let suite =
       test_incremental_matches_scratch;
     Alcotest.test_case "incremental: domains 1 = domains 4" `Quick
       test_incremental_parallel_deterministic;
-    Alcotest.test_case "solve_on_matrix = scratch binary search" `Quick
-      test_solve_on_matrix_uses_incremental;
+    Alcotest.test_case "search_on_matrix = scratch search" `Quick
+      test_search_on_matrix_uses_incremental;
+    Alcotest.test_case "search_on_matrix rejects a foreign inc" `Quick
+      test_search_rejects_foreign_inc;
     Alcotest.test_case "bitset inter_count" `Quick test_bitset_inter_count;
     Alcotest.test_case "distinct_values on duplicate-heavy matrix" `Quick
       test_distinct_values_duplicates;
@@ -545,6 +526,4 @@ let suite =
       test_fsort_matches_reference;
     Alcotest.test_case "fsort pairs = comparator sort" `Quick
       test_fsort_pairs_matches_reference;
-    Alcotest.test_case "advance_many = sequence of advances" `Quick
-      test_advance_many_matches_advance_sequence;
   ]

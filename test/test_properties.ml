@@ -202,19 +202,28 @@ let prop_theorem4_bound_shape =
 
 (* --------------------- maintenance / serving ---------------------- *)
 
-let prop_dynamic2d_equals_scratch =
+let prop_store_2d_equals_scratch =
   QCheck.Test.make ~count:30
-    ~name:"Dynamic2d insert stream matches from-scratch solve"
+    ~name:"Store.mutate 2d-exact = scratch"
     (QCheck.make
        QCheck.Gen.(
          let* pts = points_gen ~min_n:3 ~max_n:40 2 in
          let* r = int_range 1 3 in
          return (pts, r)))
     (fun (pts, r) ->
-      let dyn = Dynamic2d.create ~r [||] in
-      Array.iter (fun p -> ignore (Dynamic2d.insert dyn p)) pts;
+      let open Test_maintenance in
+      let store = open_table [| pts.(0) |] in
+      Array.iteri
+        (fun i p ->
+          if i > 0 then begin
+            (* A warm answer before each insert, so every batch runs the
+               maintenance path against cached artifacts. *)
+            ignore (ask store ~r : Rrms_serve.Store.outcome);
+            ignore (mutate store [ Delta.Insert p ] : Rrms_serve.Store.mutated)
+          end)
+        pts;
       let scratch = (Rrms2d.solve_exact pts ~r).Rrms2d.regret in
-      Float.abs (Dynamic2d.regret dyn -. scratch) <= 1e-9)
+      Float.abs (regret_of (ask store ~r) -. scratch) <= 1e-9)
 
 let prop_onion_top1_exact =
   QCheck.Test.make ~count:50 ~name:"Onion top-1 equals the true maximum"
@@ -263,7 +272,7 @@ let suite =
       prop_point_regret_lp_bounds;
       prop_grid_directions_unit_nonneg;
       prop_theorem4_bound_shape;
-      prop_dynamic2d_equals_scratch;
+      prop_store_2d_equals_scratch;
       prop_onion_top1_exact;
       prop_kernel_zero_on_grid;
     ]
