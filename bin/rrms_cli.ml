@@ -226,7 +226,9 @@ let skyline_cmd =
     Arg.(
       value & opt string "sfs"
       & info [ "algo" ] ~docv:"ALGO"
-          ~doc:"Skyline algorithm: bnl | sfs | dnc | 2d.")
+          ~doc:
+            "Skyline algorithm: sfs (the served path) | bnl (reference) | 2d \
+             (2-D sweep; the input must have exactly two attributes).")
   in
   let print_arg =
     Arg.(value & flag & info [ "print" ] ~doc:"Print the skyline row indices.")
@@ -238,12 +240,13 @@ let skyline_cmd =
     let d = load input normalize in
     let rows = Rrms_dataset.Dataset.rows d in
     let result =
-      match algo with
-      | "bnl" -> Ok (Rrms_skyline.Skyline.bnl rows)
-      | "sfs" -> Ok (Rrms_skyline.Skyline.sfs rows)
-      | "dnc" -> Ok (Rrms_skyline.Skyline.divide_and_conquer rows)
-      | "2d" -> Ok (Rrms_skyline.Skyline.two_d rows)
-      | other -> Error (Printf.sprintf "unknown skyline algorithm %S" other)
+      try
+        match algo with
+        | "bnl" -> Ok (Rrms_skyline.Skyline.bnl rows)
+        | "sfs" -> Ok (Rrms_skyline.Skyline.sfs rows)
+        | "2d" -> Ok (Rrms_skyline.Skyline.two_d rows)
+        | other -> Error (Printf.sprintf "unknown skyline algorithm %S" other)
+      with Invalid_argument msg -> Error msg
     in
     match result with
     | Error msg -> `Error (false, msg)

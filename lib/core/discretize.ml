@@ -234,10 +234,6 @@ let theorem4_alpha' ~gamma ~m =
 let c_of_coverage delta =
   cos delta *. cos (Float.pi /. 4.) /. cos ((Float.pi /. 4.) -. delta)
 
-let bound_for_coverage ~coverage ~eps =
-  let c = c_of_coverage coverage in
-  (c *. eps) +. (1. -. c)
-
 let theorem4_c ~gamma ~m = c_of_coverage (theorem4_alpha' ~gamma ~m /. 2.)
 
 let theorem4_bound ~gamma ~m ~eps =

@@ -18,11 +18,6 @@ val grid : gamma:int -> m:int -> Rrms_geom.Vec.t array
     [gamma < 1] or [m < 2], and [Resource_limit] when the grid would
     exceed the 2M-direction hard cap. *)
 
-val grid_size : gamma:int -> m:int -> int
-(** [(γ+1)^(m-1)], the number of directions {!grid} would produce, with
-    the same validation and hard cap (raised as structured errors) but
-    without materializing anything. *)
-
 val matrix_cells : rows:int -> gamma:int -> m:int -> int
 (** [rows · (γ+1)^(m-1)] — the regret-matrix size a solve would
     allocate — computed with saturating arithmetic (never overflows,
@@ -84,18 +79,6 @@ val theorem4_alpha' : gamma:int -> m:int -> float
 (** Equation 19: the worst angular distance [α'] between a ranking
     function and the discretized grid,
     [α' = 2·asin(√((1 - cos^(m-1) α) / 2))]. *)
-
-val c_of_coverage : float -> float
-(** Theorem 4's contraction constant for an arbitrary covering radius δ
-    (the grid's is [α'/2]): [c = cos δ · cos(π/4) / cos(π/4 − δ)].
-    Drives the §5.2 alternative discretizations, whose covering radius
-    is estimated rather than derived. *)
-
-val bound_for_coverage : coverage:float -> eps:float -> float
-(** [c·eps + (1 − c)] for [c = c_of_coverage coverage]: the Theorem-4
-    regret bound of a direction sample with the given (estimated)
-    covering radius — §5.2's "expected bound".  Pair with
-    {!max_coverage_angle}. *)
 
 val theorem4_c : gamma:int -> m:int -> float
 (** The contraction constant of Theorem 4:

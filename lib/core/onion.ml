@@ -54,7 +54,6 @@ let build ?max_layers points =
 
 let depth t = Array.length t.layers
 let layer t i = Array.copy t.layers.(i)
-let layer_sizes t = Array.map Array.length t.layers
 
 let size_upto t k =
   let acc = ref 0 in

@@ -29,8 +29,6 @@ val layer : t -> int -> int array
 (** [layer t i] = members of the i-th layer (0-based), as indices into
     the original input, in chain order.  Fresh copy. *)
 
-val layer_sizes : t -> int array
-
 val size_upto : t -> int -> int
 (** [size_upto t k] = total tuples in the first [k] layers — the index
     footprint needed to guarantee exact top-[k]. *)

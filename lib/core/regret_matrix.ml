@@ -357,37 +357,6 @@ let update ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) t ~funcs
         },
         Array.of_list !changed ))
 
-let append_rows ?domains ?guard t ~funcs ~points fresh =
-  if Array.length points <> rows t then
-    Rrms_guard.Guard.Error.invalid_input
-      "Regret_matrix.append_rows: points do not match the matrix rows";
-  if Array.length fresh = 0 then
-    Rrms_guard.Guard.Error.invalid_input "Regret_matrix.append_rows: no rows";
-  let nold = Array.length points in
-  let all = Array.append points fresh in
-  let carried =
-    Array.init (Array.length all) (fun i -> if i < nold then i else -1)
-  in
-  update ?domains ?guard t ~funcs ~points:all ~carried
-
-let mask_rows ?domains ?guard t ~funcs ~points ~keep =
-  if Array.length points <> rows t then
-    Rrms_guard.Guard.Error.invalid_input
-      "Regret_matrix.mask_rows: points do not match the matrix rows";
-  if Array.length keep = 0 then
-    Rrms_guard.Guard.Error.invalid_input
-      "Regret_matrix.mask_rows: empty row set";
-  let pts =
-    Array.map
-      (fun j ->
-        if j < 0 || j >= rows t then
-          Rrms_guard.Guard.Error.invalid_input
-            "Regret_matrix.mask_rows: row index out of range"
-        else points.(j))
-      keep
-  in
-  update ?domains ?guard t ~funcs ~points:pts ~carried:(Array.copy keep)
-
 let export t =
   let m = materialize t in
   (Array.copy m.best, Array.copy m.data)

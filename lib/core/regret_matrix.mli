@@ -56,36 +56,6 @@ val update :
     points, a funcs/width mismatch, or a bad [carried] spec;
     [Resource_limit] past the guard's cell cap. *)
 
-val append_rows :
-  ?domains:int ->
-  ?guard:Rrms_guard.Guard.Budget.t ->
-  t ->
-  funcs:Rrms_geom.Vec.t array ->
-  points:Rrms_geom.Vec.t array ->
-  Rrms_geom.Vec.t array ->
-  t * int array
-(** [append_rows t ~funcs ~points fresh] extends the matrix with new
-    bottom rows: [points] are [t]'s current rows (in order), [fresh]
-    the appended points.  Equivalent to
-    [update ~points:(points ⧺ fresh) ~carried:[|0;…;n-1;-1;…|]].
-    @raise Rrms_guard.Guard.Error.Guard_error as {!update}, and
-    [Invalid_input] when [fresh] is empty or [points] does not match
-    [rows t]. *)
-
-val mask_rows :
-  ?domains:int ->
-  ?guard:Rrms_guard.Guard.Budget.t ->
-  t ->
-  funcs:Rrms_geom.Vec.t array ->
-  points:Rrms_geom.Vec.t array ->
-  keep:int array ->
-  t * int array
-(** [mask_rows t ~funcs ~points ~keep] retires rows: the result has
-    exactly the rows [keep] (old indices, in the given order), i.e.
-    [update ~points:(points.(keep.(0)), …) ~carried:keep].
-    @raise Rrms_guard.Guard.Error.Guard_error as {!update}, and
-    [Invalid_input] when [keep] is empty or out of range. *)
-
 val select_cols : t -> int array -> t
 (** [select_cols t cols] is the sub-matrix of the given function
     columns, in the given order — a zero-copy {e view} sharing the

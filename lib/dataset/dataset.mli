@@ -50,9 +50,6 @@ val normalize : t -> t
     under per-dataset uniform scaling but not per-attribute scaling, so
     experiments normalize first, as is standard for this literature. *)
 
-val attribute_max : t -> int -> float
-(** Maximum of a column. *)
-
 val to_csv : t -> string -> unit
 (** [to_csv d path] writes a header line with attribute names and one
     comma-separated line per tuple. *)

@@ -61,8 +61,6 @@ module Error = struct
   let invalid_input ?line ?column what =
     raise_error (Invalid_input { what; line; column })
 
-  let timeout ~elapsed ~limit = raise_error (Timeout { elapsed; limit })
-
   let resource_limit ~what ~requested ~limit =
     raise_error (Resource_limit { what; requested; limit })
 
@@ -156,8 +154,6 @@ module Budget = struct
     Obs.Counter.incr Metrics.probes;
     incr t.probes
 
-  let probes_used t = !(t.probes)
-
   let stop_reason t =
     let r =
       match deadline_expired t with
@@ -175,10 +171,5 @@ module Budget = struct
     match t.max_cells with
     | Some limit when cells > limit ->
         Error.resource_limit ~what ~requested:cells ~limit
-    | Some _ | None -> ()
-
-  let check_deadline_exn t =
-    match deadline_expired t with
-    | Some (Deadline { elapsed; limit }) -> Error.timeout ~elapsed ~limit
     | Some _ | None -> ()
 end

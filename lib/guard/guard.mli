@@ -48,7 +48,6 @@ module Error : sig
   val invalid_input : ?line:int -> ?column:string -> string -> 'a
   (** Raise [Guard_error (Invalid_input …)]. *)
 
-  val timeout : elapsed:float -> limit:float -> 'a
   val resource_limit : what:string -> requested:int -> limit:int -> 'a
   val numerical : string -> 'a
 end
@@ -72,8 +71,6 @@ type quality =
       (** anytime result: still carries a certified bound, but a budget
           or numerical guard weakened it.  The list is non-empty and in
           occurrence order. *)
-
-val describe_reason : reason -> string
 
 val describe : quality -> string
 (** ["exact"] or ["degraded(reason; …)"] — the CLI's [degraded:] line. *)
@@ -120,16 +117,10 @@ module Budget : sig
   val note_probe : t -> unit
   (** Count one probe / iteration against [max_probes]. *)
 
-  val probes_used : t -> int
-
   val stop_reason : t -> reason option
   (** Deadline first, then probe cap: the reason to stop now, if any. *)
 
   val check_cells : t -> what:string -> int -> unit
   (** @raise Error.Guard_error [Resource_limit] when the cell count
       exceeds [max_cells]. *)
-
-  val check_deadline_exn : t -> unit
-  (** @raise Error.Guard_error [Timeout] on expiry — for call sites
-      that have no degraded answer to offer (e.g. dataset loading). *)
 end

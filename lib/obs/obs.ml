@@ -38,6 +38,140 @@ let enabled () = Atomic.get level_cell > 0
 let spans_enabled () = Atomic.get level_cell > 1
 
 (* ------------------------------------------------------------------ *)
+(* Latency histograms                                                  *)
+
+(* A bare [Hist] is not registered: the serving layer owns a keyed
+   family of them — (algo, cache outcome, status) — and folds them into
+   its own [stats] response.  A registered [Timer] is a [Hist] plus its
+   registry entry.  Everything about the estimator is deterministic
+   given the multiset of observations: fixed bucket boundaries,
+   rank-based quantiles answered as bucket upper bounds, and a merge
+   that adds bucket counts (exactly associative; the float [sum] is
+   added pairwise, so it is associative whenever the inputs are, e.g.
+   dyadic test values). *)
+module Hist = struct
+  (* Five buckets per decade from 1 µs to 1000 s, plus implicit +Inf. *)
+  let bounds =
+    Array.init 46 (fun i -> 10. ** ((float_of_int i /. 5.) -. 6.))
+
+  type t = {
+    h_mutex : Mutex.t;
+    mutable h_count : int;
+    mutable h_sum : float;
+    mutable h_max : float;
+    h_buckets : int array; (* one slot per [bounds] entry + +Inf *)
+  }
+
+  let create () =
+    {
+      h_mutex = Mutex.create ();
+      h_count = 0;
+      h_sum = 0.;
+      h_max = 0.;
+      h_buckets = Array.make (Array.length bounds + 1) 0;
+    }
+
+  (* Smallest i with dur <= bounds.(i); the overflow slot otherwise. *)
+  let slot_of dur =
+    let nb = Array.length bounds in
+    if dur <= bounds.(0) then 0
+    else if dur > bounds.(nb - 1) then nb
+    else begin
+      let lo = ref 0 and hi = ref (nb - 1) in
+      (* invariant: bounds.(lo) < dur <= bounds.(hi) *)
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if dur <= bounds.(mid) then hi := mid else lo := mid
+      done;
+      !hi
+    end
+
+  let observe t dur =
+    Mutex.lock t.h_mutex;
+    t.h_count <- t.h_count + 1;
+    t.h_sum <- t.h_sum +. dur;
+    if dur > t.h_max then t.h_max <- dur;
+    let s = slot_of dur in
+    t.h_buckets.(s) <- t.h_buckets.(s) + 1;
+    Mutex.unlock t.h_mutex
+
+  let with_lock t f =
+    Mutex.lock t.h_mutex;
+    let v = f () in
+    Mutex.unlock t.h_mutex;
+    v
+
+  let count t = with_lock t (fun () -> t.h_count)
+  let sum t = with_lock t (fun () -> t.h_sum)
+  let max_value t = with_lock t (fun () -> t.h_max)
+  let buckets t = with_lock t (fun () -> Array.copy t.h_buckets)
+
+  let reset t =
+    with_lock t (fun () ->
+        t.h_count <- 0;
+        t.h_sum <- 0.;
+        t.h_max <- 0.;
+        Array.fill t.h_buckets 0 (Array.length t.h_buckets) 0)
+
+  let merge a b =
+    let t = create () in
+    let absorb src =
+      Mutex.lock src.h_mutex;
+      t.h_count <- t.h_count + src.h_count;
+      t.h_sum <- t.h_sum +. src.h_sum;
+      if src.h_max > t.h_max then t.h_max <- src.h_max;
+      Array.iteri
+        (fun i v -> t.h_buckets.(i) <- t.h_buckets.(i) + v)
+        src.h_buckets;
+      Mutex.unlock src.h_mutex
+    in
+    absorb a;
+    absorb b;
+    t
+
+  (* Rebuild a histogram from exported raw parts (the [metrics] wire
+     op): a shorter bucket array is accepted and zero-padded, so a
+     reader with more buckets than the writer still merges. *)
+  let import ~count ~sum ~max_value ~buckets =
+    let t = create () in
+    t.h_count <- count;
+    t.h_sum <- sum;
+    t.h_max <- max_value;
+    let n = Stdlib.min (Array.length buckets) (Array.length t.h_buckets) in
+    Array.blit buckets 0 t.h_buckets 0 n;
+    t
+
+  (* Rank-based: the answer for quantile q over n observations is the
+     upper bound of the bucket holding the ceil(q·n)-th smallest one
+     (clamped by the observed max; the +Inf bucket answers the max).
+     Deterministic in the observation multiset — observation order and
+     merge shape cannot change it. *)
+  let quantile t q =
+    Mutex.lock t.h_mutex;
+    let n = t.h_count in
+    let hmax = t.h_max in
+    let bks = Array.copy t.h_buckets in
+    Mutex.unlock t.h_mutex;
+    if n = 0 then 0.
+    else begin
+      let q = if q < 0. then 0. else if q > 1. then 1. else q in
+      let rank = max 1 (min n (int_of_float (ceil (q *. float_of_int n)))) in
+      let acc = ref 0 in
+      let ans = ref hmax in
+      (try
+         for i = 0 to Array.length bounds - 1 do
+           acc := !acc + bks.(i);
+           if !acc >= rank then begin
+             ans := min bounds.(i) hmax;
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      !ans
+    end
+end
+
+(* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 
 type kind = Kcounter | Kfloat_counter | Kgauge | Ktimer
@@ -52,20 +186,7 @@ type meta = {
 type cell =
   | Int_cell of int Atomic.t
   | Float_cell of float Atomic.t
-  | Timer_cell of timer_state
-
-and timer_state = {
-  t_mutex : Mutex.t;
-  mutable t_count : int;
-  mutable t_sum : float;
-  mutable t_max : float;
-  t_buckets : int array; (* one slot per [bucket_bounds] entry + +Inf *)
-}
-
-(* Log-spaced bounds from 10 µs to 10 s; the last implicit bucket is
-   +Inf, so every observation lands somewhere. *)
-let bucket_bounds =
-  [| 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 0.25; 0.5; 1.; 2.5; 5.; 10. |]
+  | Timer_cell of Hist.t
 
 type metric = { meta : meta; cell : cell }
 
@@ -421,41 +542,14 @@ module Gauge = struct
 end
 
 module Timer = struct
-  type t = { s : timer_state; _m : metric }
+  type t = { h : Hist.t; _m : metric }
 
   let make ?(deterministic = false) ?(help = "") name =
-    let s =
-      {
-        t_mutex = Mutex.create ();
-        t_count = 0;
-        t_sum = 0.;
-        t_max = 0.;
-        t_buckets = Array.make (Array.length bucket_bounds + 1) 0;
-      }
-    in
-    let m = register { name; help; kind = Ktimer; deterministic } (Timer_cell s) in
-    { s; _m = m }
+    let h = Hist.create () in
+    let m = register { name; help; kind = Ktimer; deterministic } (Timer_cell h) in
+    { h; _m = m }
 
-  let observe t dur =
-    if Atomic.get level_cell > 0 then begin
-      let s = t.s in
-      Mutex.lock s.t_mutex;
-      s.t_count <- s.t_count + 1;
-      s.t_sum <- s.t_sum +. dur;
-      if dur > s.t_max then s.t_max <- dur;
-      let nb = Array.length bucket_bounds in
-      let slot = ref nb in
-      (try
-         for i = 0 to nb - 1 do
-           if dur <= bucket_bounds.(i) then begin
-             slot := i;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      s.t_buckets.(!slot) <- s.t_buckets.(!slot) + 1;
-      Mutex.unlock s.t_mutex
-    end
+  let observe t dur = if Atomic.get level_cell > 0 then Hist.observe t.h dur
 
   let time t f =
     if Atomic.get level_cell = 0 then f ()
@@ -464,134 +558,8 @@ module Timer = struct
       Fun.protect ~finally:(fun () -> observe t (Unix.gettimeofday () -. t0)) f
     end
 
-  let count t = t.s.t_count
-  let sum t = t.s.t_sum
-end
-
-(* ------------------------------------------------------------------ *)
-(* Standalone latency histograms                                       *)
-
-(* Unlike [Timer], a [Hist] is not registered: the serving layer owns a
-   keyed family of them — (algo, cache outcome, status) — and folds
-   them into its own [stats] response.  Everything about the estimator
-   is deterministic given the multiset of observations: fixed bucket
-   boundaries, rank-based quantiles answered as bucket upper bounds,
-   and a merge that adds bucket counts (exactly associative; the float
-   [sum] is added pairwise, so it is associative whenever the inputs
-   are, e.g. dyadic test values). *)
-module Hist = struct
-  (* Five buckets per decade from 1 µs to 1000 s, plus implicit +Inf. *)
-  let bounds =
-    Array.init 46 (fun i -> 10. ** ((float_of_int i /. 5.) -. 6.))
-
-  type t = {
-    h_mutex : Mutex.t;
-    mutable h_count : int;
-    mutable h_sum : float;
-    mutable h_max : float;
-    h_buckets : int array; (* one slot per [bounds] entry + +Inf *)
-  }
-
-  let create () =
-    {
-      h_mutex = Mutex.create ();
-      h_count = 0;
-      h_sum = 0.;
-      h_max = 0.;
-      h_buckets = Array.make (Array.length bounds + 1) 0;
-    }
-
-  (* Smallest i with dur <= bounds.(i); the overflow slot otherwise. *)
-  let slot_of dur =
-    let nb = Array.length bounds in
-    if dur <= bounds.(0) then 0
-    else if dur > bounds.(nb - 1) then nb
-    else begin
-      let lo = ref 0 and hi = ref (nb - 1) in
-      (* invariant: bounds.(lo) < dur <= bounds.(hi) *)
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if dur <= bounds.(mid) then hi := mid else lo := mid
-      done;
-      !hi
-    end
-
-  let observe t dur =
-    Mutex.lock t.h_mutex;
-    t.h_count <- t.h_count + 1;
-    t.h_sum <- t.h_sum +. dur;
-    if dur > t.h_max then t.h_max <- dur;
-    let s = slot_of dur in
-    t.h_buckets.(s) <- t.h_buckets.(s) + 1;
-    Mutex.unlock t.h_mutex
-
-  let with_lock t f =
-    Mutex.lock t.h_mutex;
-    let v = f () in
-    Mutex.unlock t.h_mutex;
-    v
-
-  let count t = with_lock t (fun () -> t.h_count)
-  let sum t = with_lock t (fun () -> t.h_sum)
-  let max_value t = with_lock t (fun () -> t.h_max)
-  let buckets t = with_lock t (fun () -> Array.copy t.h_buckets)
-
-  let merge a b =
-    let t = create () in
-    let absorb src =
-      Mutex.lock src.h_mutex;
-      t.h_count <- t.h_count + src.h_count;
-      t.h_sum <- t.h_sum +. src.h_sum;
-      if src.h_max > t.h_max then t.h_max <- src.h_max;
-      Array.iteri
-        (fun i v -> t.h_buckets.(i) <- t.h_buckets.(i) + v)
-        src.h_buckets;
-      Mutex.unlock src.h_mutex
-    in
-    absorb a;
-    absorb b;
-    t
-
-  (* Rebuild a histogram from exported raw parts (the [metrics] wire
-     op): a shorter bucket array is accepted and zero-padded, so a
-     reader with more buckets than the writer still merges. *)
-  let import ~count ~sum ~max_value ~buckets =
-    let t = create () in
-    t.h_count <- count;
-    t.h_sum <- sum;
-    t.h_max <- max_value;
-    let n = Stdlib.min (Array.length buckets) (Array.length t.h_buckets) in
-    Array.blit buckets 0 t.h_buckets 0 n;
-    t
-
-  (* Rank-based: the answer for quantile q over n observations is the
-     upper bound of the bucket holding the ceil(q·n)-th smallest one
-     (clamped by the observed max; the +Inf bucket answers the max).
-     Deterministic in the observation multiset — observation order and
-     merge shape cannot change it. *)
-  let quantile t q =
-    Mutex.lock t.h_mutex;
-    let n = t.h_count in
-    let hmax = t.h_max in
-    let bks = Array.copy t.h_buckets in
-    Mutex.unlock t.h_mutex;
-    if n = 0 then 0.
-    else begin
-      let q = if q < 0. then 0. else if q > 1. then 1. else q in
-      let rank = max 1 (min n (int_of_float (ceil (q *. float_of_int n)))) in
-      let acc = ref 0 in
-      let ans = ref hmax in
-      (try
-         for i = 0 to Array.length bounds - 1 do
-           acc := !acc + bks.(i);
-           if !acc >= rank then begin
-             ans := min bounds.(i) hmax;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !ans
-    end
+  let count t = Hist.count t.h
+  let sum t = Hist.sum t.h
 end
 
 (* ------------------------------------------------------------------ *)
@@ -763,13 +731,7 @@ let reset () =
       match m.cell with
       | Int_cell c -> Atomic.set c 0
       | Float_cell c -> Atomic.set c 0.
-      | Timer_cell s ->
-          Mutex.lock s.t_mutex;
-          s.t_count <- 0;
-          s.t_sum <- 0.;
-          s.t_max <- 0.;
-          Array.fill s.t_buckets 0 (Array.length s.t_buckets) 0;
-          Mutex.unlock s.t_mutex)
+      | Timer_cell h -> Hist.reset h)
     (metrics_sorted ());
   Trace.clear ()
 
@@ -777,7 +739,7 @@ let metric_value m =
   match m.cell with
   | Int_cell c -> float_of_int (Atomic.get c)
   | Float_cell c -> Atomic.get c
-  | Timer_cell s -> s.t_sum
+  | Timer_cell h -> Hist.sum h
 
 let snapshot () =
   List.map (fun m -> (m.meta.name, metric_value m)) (metrics_sorted ())
@@ -807,10 +769,10 @@ let summary () =
       | Float_cell c ->
           Buffer.add_string buf
             (Printf.sprintf "  %-*s %g\n" width m.meta.name (Atomic.get c))
-      | Timer_cell s ->
+      | Timer_cell h ->
           Buffer.add_string buf
             (Printf.sprintf "  %-*s count=%d sum=%.6fs max=%.6fs\n" width
-               m.meta.name s.t_count s.t_sum s.t_max))
+               m.meta.name (Hist.count h) (Hist.sum h) (Hist.max_value h)))
     nonzero;
   if nonzero = [] then Buffer.add_string buf "  (no metrics recorded)\n";
   Buffer.contents buf
@@ -853,25 +815,31 @@ let prometheus () =
       | Float_cell c ->
           Buffer.add_string buf
             (Printf.sprintf "%s %.9g\n" m.meta.name (Atomic.get c))
-      | Timer_cell s ->
+      | Timer_cell h ->
           let strip_braces l =
             (* "{span=\"x\"}" -> "span=\"x\"," for merging with le *)
             if l = "" then ""
             else String.sub l 1 (String.length l - 2) ^ ","
           in
           let inner = strip_braces l in
+          (* One locked read, so _count equals the +Inf bucket even
+             while other threads observe. *)
+          let count, sum, buckets =
+            Hist.with_lock h (fun () ->
+                (h.h_count, h.h_sum, Array.copy h.h_buckets))
+          in
           let acc = ref 0 in
           Array.iteri
             (fun i bound ->
-              acc := !acc + s.t_buckets.(i);
+              acc := !acc + buckets.(i);
               Buffer.add_string buf
                 (Printf.sprintf "%s_bucket{%sle=\"%g\"} %d\n" b inner bound !acc))
-            bucket_bounds;
-          let total = !acc + s.t_buckets.(Array.length bucket_bounds) in
+            Hist.bounds;
+          let total = !acc + buckets.(Array.length Hist.bounds) in
           Buffer.add_string buf
             (Printf.sprintf "%s_bucket{%sle=\"+Inf\"} %d\n" b inner total);
-          Buffer.add_string buf (Printf.sprintf "%s_sum%s %.9f\n" b l s.t_sum);
-          Buffer.add_string buf (Printf.sprintf "%s_count%s %d\n" b l s.t_count))
+          Buffer.add_string buf (Printf.sprintf "%s_sum%s %.9f\n" b l sum);
+          Buffer.add_string buf (Printf.sprintf "%s_count%s %d\n" b l count))
     (metrics_sorted ());
   Buffer.contents buf
 

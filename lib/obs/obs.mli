@@ -64,7 +64,8 @@ module Gauge : sig
   val value : t -> float
 end
 
-(** Histogram timers: log-spaced duration buckets plus count/sum/max. *)
+(** Histogram timers: a registered {!Hist} (same bucket bounds), exposed
+    by {!prometheus} as [_bucket]/[_sum]/[_count]. *)
 module Timer : sig
   type t
 
@@ -229,9 +230,9 @@ module Ctx : sig
   val spans_dropped : t -> int
 end
 
-(** Standalone log-bucketed latency histograms with deterministic
-    quantile estimation.  Not registered in the global registry: the
-    serving layer owns a keyed family of these — (algo, cache outcome,
+(** Log-bucketed latency histograms with deterministic quantile
+    estimation; every {!Timer} is backed by one.  A bare [Hist] is not
+    registered in the global registry: the serving layer owns a keyed family of these — (algo, cache outcome,
     status) — and folds them into its [stats] response.  Bucket
     boundaries are fixed (five per decade, 1 µs … 1000 s), quantiles
     are rank-based bucket upper bounds clamped by the observed max, and

@@ -407,16 +407,6 @@ let parallel_for ?domains ?min_chunk n f =
   parallel_for_with ?domains ?min_chunk ~scratch:(fun () -> ()) n
     (fun () i -> f i)
 
-let map_array ?domains ?min_chunk f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (f a.(0)) in
-    parallel_for ?domains ?min_chunk (n - 1) (fun i ->
-        out.(i + 1) <- f a.(i + 1));
-    out
-  end
-
 let reduce ?domains ?(min_chunk = 64) ~neutral ~combine n f =
   if min_chunk < 1 then invalid_arg "reduce: min_chunk must be >= 1";
   if n <= 0 then neutral

@@ -9,10 +9,10 @@
 
     Determinism contract: every combinator here produces results that
     are {e bit-identical} for every pool size, including the serial
-    fallback.  [parallel_for] and [map_array] only ever write disjoint
-    indices, and [reduce] derives its chunk layout from the iteration
-    count alone (never from the pool size), combining partial results in
-    ascending chunk order — so even non-associative floating-point
+    fallback.  [parallel_for] bodies only ever write disjoint indices,
+    and [reduce] derives its chunk layout from the iteration count alone
+    (never from the pool size), combining partial results in ascending
+    chunk order — so even non-associative floating-point
     combines see the same association for 1 domain and for 8.
 
     Bodies passed to these combinators must be thread-safe: they run
@@ -76,19 +76,14 @@ module Pool : sig
   val set_default_size : int -> unit
   (** Override the default parallelism (clamped to [>= 1]). *)
 
-  val parallel_cap : unit -> int
-  (** The effective parallelism ceiling.  A loop on a pool of size [s]
-      uses [min s (parallel_cap ())] participants — requesting 8
-      domains on a 1-core container runs serially instead of thrashing.
-      Defaults to [Domain.recommended_domain_count ()].  Results are
-      unaffected (the determinism contract holds at every width); an
-      armed {!Fault} bypasses the cap so injection tests always reach
-      their spawned workers. *)
-
   val set_parallel_cap : int -> unit
-  (** Override the cap ([0] restores the automatic hardware value).
-      Tests use this to exercise real multi-domain execution on
-      single-core machines. *)
+  (** Override the parallelism ceiling ([0] restores the automatic
+      value, [Domain.recommended_domain_count ()]).  A loop on a pool of
+      size [s] uses [min s cap] participants, so requesting 8 domains on
+      a 1-core container runs serially instead of thrashing; results are
+      unaffected, and an armed {!Fault} bypasses the cap.  Tests use
+      this to exercise real multi-domain execution on single-core
+      machines. *)
 
   val configure_from_env : unit -> unit
   (** Read [RRMS_DOMAINS] (positive integer: the default size) and
@@ -122,10 +117,6 @@ val parallel_for_with :
     domain-local and still write only index-[i]-owned shared state;
     results must not depend on how iterations share a scratch value
     (write-before-read per iteration keeps the determinism contract). *)
-
-val map_array : ?domains:int -> ?min_chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array f a] = [Array.map f a], parallelised over chunks.  [f] is
-    applied exactly once per element, in unspecified order. *)
 
 val reduce :
   ?domains:int ->

@@ -272,6 +272,5 @@ let int_ = function
       Some (int_of_float v)
   | _ -> None
 
-let bool_ = function Bool b -> Some b | _ -> None
 let int i = Num (float_of_int i)
 let float v = Num v

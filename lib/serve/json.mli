@@ -44,8 +44,6 @@ val num : t -> float option
 val int_ : t -> int option
 (** [Num v] when [v] is integral and fits an [int]. *)
 
-val bool_ : t -> bool option
-
 (** {2 Constructors} *)
 
 val int : int -> t

@@ -6,14 +6,6 @@
     context with the same telemetry/error-code discipline as the query
     path, and drives write-ahead-log replay at startup. *)
 
-val ops_of_protocol :
-  Protocol.mutation_op array -> Rrms_core.Delta.mutation list
-
-val summary_json : Store.mutated -> Json.t
-(** The deterministic [result] member of a successful mutation
-    response: new/old content key, generation, row count, the skyline
-    maintenance path taken, and the artifact/cache carry-over tallies. *)
-
 val run :
   ?trace:Protocol.trace ->
   telemetry:Telemetry.t ->

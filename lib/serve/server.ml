@@ -518,8 +518,6 @@ let run_handler_session (h : handler) ic oc =
 let run_session ?telemetry store ic oc =
   run_handler_session (store_handler ?telemetry store) ic oc
 
-let serve_stdio ?telemetry store = run_session ?telemetry store stdin stdout
-
 (* ------------------------------------------------------------------ *)
 (* Unix-domain-socket daemon                                          *)
 (* ------------------------------------------------------------------ *)

@@ -12,8 +12,9 @@
 
     Two transports share the session code:
 
-    - {!serve_stdio}: one session over stdin/stdout — the test- and
-      script-friendly mode ([rrms_serve --stdio]).
+    - {!run_handler_session}: one session over any channel pair — the
+      test- and script-friendly mode ([rrms_serve --stdio] runs it over
+      stdin/stdout).
     - {!start}/{!wait}: a Unix-domain-socket daemon with one systhread
       per connection; sessions share the one {!Store.t}, which is what
       makes concurrent artifact sharing (and the admission gate) real. *)
@@ -74,8 +75,8 @@ type handler = unit -> session_handler
     provides its own. *)
 
 val store_handler : ?telemetry:Telemetry.t -> Store.t -> handler
-(** The store-backed protocol handler used by {!run_session},
-    {!serve_stdio} and {!start}. *)
+(** The store-backed protocol handler used by {!run_session} and
+    {!start}. *)
 
 val run_handler_session :
   handler -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
@@ -91,9 +92,6 @@ val run_session :
   [ `Eof | `Shutdown ]
 (** {!run_handler_session} over {!store_handler}: pump one store-backed
     session.  Session [load] references are released on the way out. *)
-
-val serve_stdio : ?telemetry:Telemetry.t -> Store.t -> [ `Eof | `Shutdown ]
-(** [run_session] over stdin/stdout. *)
 
 type t
 

@@ -48,13 +48,6 @@ let default = create ()
 let capture_spans t = t.slow_ms <> None
 let close t = match t.access with Some oc -> close_out_noerr oc | None -> ()
 
-let reset t =
-  Mutex.lock t.mutex;
-  Hashtbl.reset t.hists;
-  t.access_lines <- 0;
-  t.slow_queries <- 0;
-  Mutex.unlock t.mutex
-
 type request = {
   request_id : string;
   session_id : string;

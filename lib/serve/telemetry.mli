@@ -35,9 +35,6 @@ val capture_spans : t -> bool
 val close : t -> unit
 (** Close the access-log channel, if any. *)
 
-val reset : t -> unit
-(** Drop every histogram and zero the line counters (tests). *)
-
 (** Everything the server knows about one finished query request. *)
 type request = {
   request_id : string;

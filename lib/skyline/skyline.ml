@@ -311,104 +311,3 @@ let is_skyline_point points i =
   loop 0
 
 let size_of points = Array.length (sfs points)
-
-(* Divide and conquer on the first attribute: tuples in the high half
-   can never be dominated by the low half (they win on A₁ up to ties,
-   which the cross-pruning handles), so only the low half's local
-   skyline needs pruning against the high half's. *)
-let divide_and_conquer points =
-  let rec solve (idx : int array) =
-    let n = Array.length idx in
-    if n <= 8 then
-      (* Small base case: quadratic scan. *)
-      Array.of_seq
-        (Seq.filter
-           (fun i ->
-             Array.for_all
-               (fun j ->
-                 j = i
-                 ||
-                 match Dominance.compare points.(j) points.(i) with
-                 | `Left -> false
-                 | `Equal -> j > i (* keep the first duplicate only *)
-                 | `Right | `Incomparable -> true)
-               idx)
-           (Array.to_seq idx))
-    else begin
-      let sorted = Array.copy idx in
-      Array.sort
-        (fun a b ->
-          let c = Float.compare points.(b).(0) points.(a).(0) in
-          if c <> 0 then c else compare a b)
-        sorted;
-      (* The split must not separate an A₁ tie group: with equal A₁ a
-         "low" tuple could dominate a "high" one on the remaining
-         attributes, breaking the merge's one-sided pruning. *)
-      let mid = ref (n / 2) in
-      while
-        !mid < n && points.(sorted.(!mid - 1)).(0) = points.(sorted.(!mid)).(0)
-      do
-        incr mid
-      done;
-      if !mid >= n then
-        (* Every tuple ties on A₁; no valid split, quadratic scan. *)
-        Array.of_seq
-          (Seq.filter
-             (fun i ->
-               Array.for_all
-                 (fun j ->
-                   j = i
-                   ||
-                   match Dominance.compare points.(j) points.(i) with
-                   | `Left -> false
-                   | `Equal -> j > i
-                   | `Right | `Incomparable -> true)
-                 idx)
-             (Array.to_seq idx))
-      else begin
-      let mid = !mid in
-      let high = solve (Array.sub sorted 0 mid) in
-      let low = solve (Array.sub sorted mid (n - mid)) in
-      (* Prune the low survivors against the high survivors; the high
-         survivors are all final. *)
-      let kept_low =
-        Array.of_seq
-          (Seq.filter
-             (fun i ->
-               Array.for_all
-                 (fun j ->
-                   match Dominance.compare points.(j) points.(i) with
-                   | `Left | `Equal -> false
-                   | `Right | `Incomparable -> true)
-                 high)
-             (Array.to_seq low))
-      in
-      Array.append high kept_low
-      end
-    end
-  in
-  solve (Array.init (Array.length points) (fun i -> i))
-
-let skyband ~k points =
-  if k < 1 then invalid_arg "Skyline.skyband: k must be >= 1";
-  let n = Array.length points in
-  let result = ref [] in
-  for i = n - 1 downto 0 do
-    let p = points.(i) in
-    (* Count dominators; duplicates tie-break by index so only k copies
-       of a repeated point survive. *)
-    let dominators = ref 0 in
-    (try
-       for j = 0 to n - 1 do
-         if j <> i then begin
-           match Dominance.compare points.(j) p with
-           | `Left -> incr dominators
-           | `Equal -> if j < i then incr dominators
-           | `Right | `Incomparable -> ()
-         end;
-         if !dominators >= k then raise Exit
-       done
-     with Exit -> ());
-    if !dominators < k then result := i :: !result
-  done;
-  Array.of_list !result

@@ -10,7 +10,6 @@
       algorithm the paper uses for its 2D pipeline; `O(n·s)` worst case.
     - {!sfs}: Sort-Filter-Skyline — presorts by attribute sum so every
       kept tuple is final; usually much faster in high dimensions.
-    - {!divide_and_conquer}: Börzsönyi et al.'s other algorithm.
     - {!two_d}: `O(n log n)` sort-and-sweep, exact for [m = 2].
 
     All return {e indices into the input} of one representative per
@@ -65,25 +64,9 @@ val merge_partitions :
     layer.
     @raise Invalid_argument on an out-of-range index. *)
 
-val divide_and_conquer : Rrms_geom.Vec.t array -> int array
-(** Divide-and-conquer skyline [Börzsönyi et al., §5]: split on the
-    median of the first attribute, solve both halves recursively, then
-    prune the low half's survivors against the high half's.  The merge
-    is a plain dominance scan, so the worst case matches {!bnl}'s
-    O(n·s), but the divide step keeps the scans short on most data. *)
-
 val two_d : Rrms_geom.Vec.t array -> int array
 (** 2D sweep skyline, sorted top-left → bottom-right.
     @raise Invalid_argument if points are not 2-dimensional. *)
-
-val skyband : k:int -> Rrms_geom.Vec.t array -> int array
-(** The k-skyband: tuples dominated by fewer than [k] others (the
-    skyline is the 1-skyband).  Every top-[k] answer of every monotone
-    ranking function lies in the k-skyband, so it is the natural
-    candidate set for the Top-k extension (§5.1).  Duplicates count as
-    dominators of each other here, so repeated points beyond the k-th
-    copy are excluded.  O(n²·m).
-    @raise Invalid_argument if [k < 1]. *)
 
 val is_skyline_point : Rrms_geom.Vec.t array -> int -> bool
 (** [is_skyline_point points i] checks by linear scan whether point [i]

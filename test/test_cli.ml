@@ -4,8 +4,8 @@
 
 let cli = "../bin/rrms_cli.exe"
 
-let run_capture cmd =
-  let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+let read_process cmd =
+  let ic = Unix.open_process_in cmd in
   let buf = Buffer.create 256 in
   (try
      while true do
@@ -18,6 +18,11 @@ let run_capture cmd =
    with Exit -> ());
   let status = Unix.close_process_in ic in
   (status, Buffer.contents buf)
+
+let run_capture cmd = read_process (cmd ^ " 2>/dev/null")
+
+(* Like [run_capture], but keeps stderr in the output. *)
+let run_capture_all cmd = read_process (cmd ^ " 2>&1")
 
 let check_exit_ok msg status =
   match status with
@@ -46,22 +51,27 @@ let test_generate_and_skyline () =
         (Astring_contains.contains out "skyline="))
 
 let test_skyline_algorithms_agree_via_cli () =
-  with_temp_csv (fun csv ->
-      let status, _ =
-        run_capture
-          (Printf.sprintf "%s generate --kind independent -n 300 -m 3 --seed 9 -o %s" cli csv)
-      in
-      check_exit_ok "generate" status;
-      let size algo =
-        let status, out =
-          run_capture (Printf.sprintf "%s skyline -i %s --algo %s" cli csv algo)
+  let agree ~m a b =
+    with_temp_csv (fun csv ->
+        let status, _ =
+          run_capture
+            (Printf.sprintf
+               "%s generate --kind independent -n 300 -m %d --seed 9 -o %s" cli
+               m csv)
         in
-        check_exit_ok ("skyline " ^ algo) status;
-        Scanf.sscanf (String.trim out) "n=%d skyline=%d" (fun _ s -> s)
-      in
-      let bnl = size "bnl" and sfs = size "sfs" and dnc = size "dnc" in
-      Alcotest.(check int) "bnl = sfs" bnl sfs;
-      Alcotest.(check int) "bnl = dnc" bnl dnc)
+        check_exit_ok "generate" status;
+        let size algo =
+          let status, out =
+            run_capture (Printf.sprintf "%s skyline -i %s --algo %s" cli csv algo)
+          in
+          check_exit_ok ("skyline " ^ algo) status;
+          Scanf.sscanf (String.trim out) "n=%d skyline=%d" (fun _ s -> s)
+        in
+        Alcotest.(check int) (Printf.sprintf "%s = %s (m=%d)" a b m) (size a)
+          (size b))
+  in
+  agree ~m:3 "bnl" "sfs";
+  agree ~m:2 "sfs" "2d"
 
 let test_solve_and_eval_roundtrip () =
   with_temp_csv (fun csv ->
@@ -139,6 +149,32 @@ let check_exit msg expected status =
       Alcotest.fail (Printf.sprintf "%s: exit code %d, expected %d" msg c expected)
   | _ -> Alcotest.fail (msg ^ ": killed/stopped")
 
+let test_skyline_input_errors () =
+  with_temp_csv (fun csv ->
+      let status, _ =
+        run_capture
+          (Printf.sprintf
+             "%s generate --kind anticorrelated -n 200 -m 3 --seed 5 -o %s" cli
+             csv)
+      in
+      check_exit_ok "generate" status;
+      (* The 2-D sweep on a 3-D table is invalid input, reported like
+         [solve --algo 2d] does: a usage error, not an internal one. *)
+      let status, out =
+        run_capture_all (Printf.sprintf "%s skyline -i %s --algo 2d" cli csv)
+      in
+      check_exit "skyline 2d on 3-D data" 124 status;
+      Alcotest.(check bool) "names the dimension" true
+        (Astring_contains.contains out "dimension <> 2");
+      Alcotest.(check bool) "not an internal error" false
+        (Astring_contains.contains out "internal error");
+      let status, out =
+        run_capture_all (Printf.sprintf "%s skyline -i %s --algo dnc" cli csv)
+      in
+      check_exit "skyline dnc" 124 status;
+      Alcotest.(check bool) "dnc is unknown" true
+        (Astring_contains.contains out "unknown skyline algorithm"))
+
 let test_guard_exit_codes () =
   with_temp_csv (fun csv ->
       let status, _ =
@@ -210,6 +246,7 @@ let suite =
     Alcotest.test_case "solve/eval roundtrip" `Quick test_solve_and_eval_roundtrip;
     Alcotest.test_case "topk" `Quick test_topk_cli;
     Alcotest.test_case "error reporting" `Quick test_error_reporting;
+    Alcotest.test_case "skyline input errors" `Quick test_skyline_input_errors;
     Alcotest.test_case "guard exit codes" `Quick test_guard_exit_codes;
     Alcotest.test_case "strict/lenient loading" `Quick test_strict_lenient_cli;
   ]

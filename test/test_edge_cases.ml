@@ -73,12 +73,6 @@ let test_r_equals_skyline () =
   let res = Rrms2d.solve_exact points ~r:s in
   feq "r = s: whole skyline, zero regret" 0. res.Rrms2d.regret
 
-let test_kregret_k_equals_n () =
-  let points = [| [| 1.; 0. |]; [| 0.; 1. |] |] in
-  (* k = n: the target is the worst tuple; any selection wins. *)
-  feq "k = n regret 0" 0.
-    (Kregret.for_function ~k:2 ~points ~selected:[| 0 |] [| 1.; 0.5 |])
-
 let test_setcover_single_set_covers_all () =
   let open Rrms_setcover in
   let s = Bitset.full 5 in
@@ -137,7 +131,6 @@ let suite =
     Alcotest.test_case "all-zero tuples" `Quick test_all_zero_tuple;
     Alcotest.test_case "gamma = 1 grid" `Quick test_gamma_one_grid;
     Alcotest.test_case "r = skyline size" `Quick test_r_equals_skyline;
-    Alcotest.test_case "k-regret k = n" `Quick test_kregret_k_equals_n;
     Alcotest.test_case "set cover single set" `Quick
       test_setcover_single_set_covers_all;
     Alcotest.test_case "tiny coordinates" `Quick test_tiny_coordinate_scales;

@@ -37,7 +37,6 @@ let () =
       ("greedy-seeds", Test_hd.seed_suite);
       ("extras", Test_extras.suite);
       ("onion", Test_onion.suite);
-      ("kregret", Test_kregret.suite);
       ("eps-kernel", Test_eps_kernel.suite);
       ("report", Test_report.suite);
       ("cli", Test_cli.suite);

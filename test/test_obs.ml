@@ -218,6 +218,98 @@ let test_sinks () =
           Alcotest.(check bool) "trace ends with a metric snapshot" true
             (List.exists (fun l -> contains l "\"type\":\"metric\"") lines)))
 
+(* Every [*_seconds] timer series in the Prometheus text: its [le]
+   labels are exactly [Obs.Hist.bounds] then +Inf, its cumulative
+   buckets never decrease, and the +Inf bucket equals [_count]. *)
+let test_timer_exposition () =
+  with_level Obs.Full (fun () ->
+      ignore (workload ());
+      let t = Obs.Timer.make "rrms_test_exposition_seconds" in
+      (* Below the first bound, on a bound, mid-range, past the last. *)
+      List.iter (Obs.Timer.observe t) [ 0.; 1e-6; 0.5; 5000. ];
+      let prom = Obs.prometheus () in
+      let lines = String.split_on_char '\n' prom in
+      let split_on sub s =
+        let ns = String.length s and nb = String.length sub in
+        let rec go i =
+          if i + nb > ns then None
+          else if String.sub s i nb = sub then
+            Some (String.sub s 0 i, String.sub s (i + nb) (ns - i - nb))
+          else go (i + 1)
+        in
+        go 0
+      in
+      (* (base, labels before le) -> (le, cumulative count) in order. *)
+      let series = Hashtbl.create 16 and order = ref [] in
+      List.iter
+        (fun line ->
+          match split_on "_seconds_bucket{" line with
+          | None -> ()
+          | Some (stem, rest) -> (
+              match split_on "le=\"" rest with
+              | None -> Alcotest.fail ("bucket without le: " ^ line)
+              | Some (inner, tail) ->
+                  let le, count =
+                    Scanf.sscanf tail "%[^\"]\"} %d" (fun le c -> (le, c))
+                  in
+                  let key = (stem ^ "_seconds", inner) in
+                  if not (Hashtbl.mem series key) then order := key :: !order;
+                  Hashtbl.replace series key
+                    ((le, count)
+                    :: Option.value ~default:[] (Hashtbl.find_opt series key))))
+        lines;
+      let keys = List.rev !order in
+      Alcotest.(check bool) "span timers exposed" true
+        (List.exists (fun (b, _) -> b = "rrms_span_seconds") keys);
+      Alcotest.(check bool) "test timer exposed" true
+        (List.mem ("rrms_test_exposition_seconds", "") keys);
+      let expected_le =
+        Array.to_list (Array.map (Printf.sprintf "%g") Obs.Hist.bounds)
+        @ [ "+Inf" ]
+      in
+      List.iter
+        (fun ((base, inner) as key) ->
+          let name = base ^ "{" ^ inner ^ "}" in
+          let buckets = List.rev (Hashtbl.find series key) in
+          Alcotest.(check (list string))
+            (name ^ ": le = Hist.bounds + +Inf")
+            expected_le (List.map fst buckets);
+          ignore
+            (List.fold_left
+               (fun prev (le, c) ->
+                 Alcotest.(check bool)
+                   (Printf.sprintf "%s: bucket le=%s is cumulative" name le)
+                   true (c >= prev);
+                 c)
+               0 buckets);
+          let inf = snd (List.nth buckets (List.length buckets - 1)) in
+          let labels =
+            if inner = "" then ""
+            else "{" ^ String.sub inner 0 (String.length inner - 1) ^ "}"
+          in
+          let count_prefix = base ^ "_count" ^ labels ^ " " in
+          let count =
+            List.find_map
+              (fun l ->
+                if String.starts_with ~prefix:count_prefix l then
+                  int_of_string_opt
+                    (String.sub l (String.length count_prefix)
+                       (String.length l - String.length count_prefix))
+                else None)
+              lines
+          in
+          Alcotest.(check (option int))
+            (name ^ ": +Inf bucket = _count")
+            (Some inf) count)
+        keys;
+      let test_buckets =
+        List.rev (Hashtbl.find series ("rrms_test_exposition_seconds", ""))
+      in
+      Alcotest.(check int) "first bucket holds 0 and 1e-6" 2
+        (snd (List.hd test_buckets));
+      Alcotest.(check int) "+Inf holds all four" 4
+        (snd (List.nth test_buckets (List.length test_buckets - 1))))
+
 let test_probe_cache_counters () =
   (* Two probes at the same threshold index: the second must be a cache
      hit, with exactly one MRST solve issued. *)
@@ -614,6 +706,8 @@ let suite =
     Alcotest.test_case "results bit-identical on/off" `Quick
       test_results_bit_identical;
     Alcotest.test_case "sinks (prometheus, summary, trace)" `Quick test_sinks;
+    Alcotest.test_case "timer histogram exposition" `Quick
+      test_timer_exposition;
     Alcotest.test_case "probe cache counters consistent" `Quick
       test_probe_cache_counters;
     Alcotest.test_case "hist bounds deterministic" `Quick test_hist_bounds;

@@ -32,18 +32,26 @@ let test_parallel_for_covers () =
         (Array.for_all (fun h -> h = 1) hits))
     [ 1; 2; 4 ]
 
-let test_map_array_matches_serial () =
-  let a = Array.init 777 (fun i -> i) in
-  let expected = Array.map (fun x -> (x * 7919) mod 1013) a in
+let test_parallel_for_with_matches_serial () =
+  (* Each iteration fills a domain-local scratch row before reading it,
+     so the result must not depend on how iterations share a row. *)
+  let n = 777 in
+  let row i buf =
+    for j = 0 to Array.length buf - 1 do
+      buf.(j) <- (i * 7919 + j) mod 1013
+    done;
+    Array.fold_left ( + ) 0 buf
+  in
+  let expected = Array.init n (fun i -> row i (Array.make 8 0)) in
   List.iter
     (fun domains ->
-      let got =
-        Rrms_parallel.map_array ~domains ~min_chunk:16
-          (fun x -> (x * 7919) mod 1013)
-          a
-      in
+      let got = Array.make n (-1) in
+      Rrms_parallel.parallel_for_with ~domains ~min_chunk:16
+        ~scratch:(fun () -> Array.make 8 0)
+        n
+        (fun buf i -> got.(i) <- row i buf);
       Alcotest.(check (array int))
-        (Printf.sprintf "map_array (domains=%d)" domains)
+        (Printf.sprintf "parallel_for_with (domains=%d)" domains)
         expected got)
     [ 1; 4 ]
 
@@ -491,8 +499,8 @@ let suite =
   [
     Alcotest.test_case "parallel_for covers every index" `Quick
       test_parallel_for_covers;
-    Alcotest.test_case "map_array matches serial" `Quick
-      test_map_array_matches_serial;
+    Alcotest.test_case "parallel_for_with matches serial" `Quick
+      test_parallel_for_with_matches_serial;
     Alcotest.test_case "reduce is pool-size independent" `Quick
       test_reduce_deterministic_floats;
     Alcotest.test_case "pool propagates exceptions" `Quick

@@ -190,13 +190,18 @@ let test_large_2d_pipeline () =
   Alcotest.(check bool) "within budget" true
     (Array.length res.Rrms_core.Rrms2d.selected <= 8)
 
-let test_large_dnc_skyline () =
+let test_large_sfs_skyline () =
   let rng = Rrms_rng.Rng.create 194 in
   let d = Synthetic.independent rng ~n:100_000 ~m:3 in
   let points = Dataset.rows d in
-  let dc = Rrms_skyline.Skyline.divide_and_conquer points in
-  let sfs = Rrms_skyline.Skyline.sfs points in
-  Alcotest.(check int) "d&c = sfs at scale" (Array.length sfs) (Array.length dc)
+  let sorted a =
+    let a = Array.copy a in
+    Array.sort compare a;
+    a
+  in
+  let bnl = sorted (Rrms_skyline.Skyline.bnl points) in
+  let sfs = sorted (Rrms_skyline.Skyline.sfs points) in
+  Alcotest.(check (array int)) "sfs = bnl at scale" bnl sfs
 
 let test_deep_onion () =
   (* Fully peeling a few thousand points must terminate and partition. *)
@@ -217,6 +222,6 @@ let suite =
     Alcotest.test_case "simplex 3-var vs brute force" `Slow
       test_simplex_3var_vs_brute_force;
     Alcotest.test_case "large 2D pipeline" `Slow test_large_2d_pipeline;
-    Alcotest.test_case "large d&c skyline" `Slow test_large_dnc_skyline;
+    Alcotest.test_case "large sfs skyline" `Slow test_large_sfs_skyline;
     Alcotest.test_case "deep onion" `Slow test_deep_onion;
   ]

@@ -78,9 +78,7 @@ let test_duplicates_collapse () =
   let pts = [| [| 1.; 1. |]; [| 1.; 1. |]; [| 0.; 0. |] |] in
   Alcotest.(check int) "bnl collapses duplicates" 1 (Array.length (Skyline.bnl pts));
   Alcotest.(check int) "sfs collapses duplicates" 1 (Array.length (Skyline.sfs pts));
-  Alcotest.(check int) "two_d collapses duplicates" 1 (Array.length (Skyline.two_d pts));
-  Alcotest.(check int) "d&c collapses duplicates" 1
-    (Array.length (Skyline.divide_and_conquer pts))
+  Alcotest.(check int) "two_d collapses duplicates" 1 (Array.length (Skyline.two_d pts))
 
 let test_empty_and_single () =
   Alcotest.(check (array int)) "bnl empty" [||] (Skyline.bnl [||]);
@@ -103,12 +101,10 @@ let test_algorithms_agree_2d () =
           |])
     in
     let b = Skyline.bnl pts and s = Skyline.sfs pts and t = Skyline.two_d pts in
-    let dc = Skyline.divide_and_conquer pts in
     let key i = (pts.(i).(0), pts.(i).(1)) in
     let keys a = sorted (Array.map key a) in
     Alcotest.(check bool) "bnl = sfs (as point sets)" true (keys b = keys s);
     Alcotest.(check bool) "bnl = two_d (as point sets)" true (keys b = keys t);
-    Alcotest.(check bool) "bnl = d&c (as point sets)" true (keys b = keys dc);
     Array.iter
       (fun i ->
         Alcotest.(check bool) "member is non-dominated" true
@@ -125,9 +121,7 @@ let test_algorithms_agree_hd () =
       Array.init n (fun _ -> Array.init m (fun _ -> Rrms_rng.Rng.float rng 1.))
     in
     let b = sorted (Skyline.bnl pts) and s = sorted (Skyline.sfs pts) in
-    let dc = sorted (Skyline.divide_and_conquer pts) in
     Alcotest.(check (array int)) "bnl = sfs in HD" b s;
-    Alcotest.(check (array int)) "bnl = d&c in HD" b dc;
     Array.iter
       (fun i ->
         Alcotest.(check bool) "member is non-dominated" true
@@ -214,54 +208,6 @@ let test_extend_matches_sfs () =
       (Skyline.extend pts ~sky:sky_p ~extra:q)
   done
 
-let test_skyband () =
-  let rng = Rrms_rng.Rng.create 59 in
-  for _ = 1 to 20 do
-    let n = 5 + Rrms_rng.Rng.int rng 80 in
-    let pts =
-      Array.init n (fun _ ->
-          Array.init 3 (fun _ -> float_of_int (Rrms_rng.Rng.int rng 8)))
-    in
-    (* 1-skyband = skyline (same duplicate handling: one representative). *)
-    let band1 = sorted (Skyline.skyband ~k:1 pts) in
-    let sky = sorted (Skyline.sfs pts) in
-    Alcotest.(check (array int)) "1-skyband = skyline" sky band1;
-    (* Monotone in k and eventually everything. *)
-    let prev = ref 0 in
-    for k = 1 to 4 do
-      let b = Array.length (Skyline.skyband ~k pts) in
-      Alcotest.(check bool) "skyband grows with k" true (b >= !prev);
-      prev := b
-    done;
-    Alcotest.(check int) "n-skyband is everything" n
-      (Array.length (Skyline.skyband ~k:n pts))
-  done
-
-let test_skyband_contains_topk () =
-  (* Every top-k answer of every linear function lies in the k-skyband. *)
-  let rng = Rrms_rng.Rng.create 60 in
-  let pts =
-    Array.init 120 (fun _ ->
-        Array.init 3 (fun _ -> Rrms_rng.Rng.float rng 1.))
-  in
-  let k = 3 in
-  let band = Skyline.skyband ~k pts in
-  let in_band i = Array.mem i band in
-  for _ = 1 to 40 do
-    let w = Array.init 3 (fun _ -> Rrms_rng.Rng.float rng 1.) in
-    let order = Array.init 120 Fun.id in
-    Array.sort
-      (fun a b ->
-        Float.compare (Rrms_geom.Vec.dot w pts.(b)) (Rrms_geom.Vec.dot w pts.(a)))
-      order;
-    for rank = 0 to k - 1 do
-      Alcotest.(check bool)
-        (Printf.sprintf "rank-%d answer in %d-skyband" (rank + 1) k)
-        true
-        (in_band order.(rank))
-    done
-  done
-
 let test_kdom_skyline () =
   (* With k = m the k-dominant skyline is the ordinary skyline. *)
   let rng = Rrms_rng.Rng.create 55 in
@@ -326,8 +272,6 @@ let suite =
     Alcotest.test_case "completeness" `Quick test_completeness;
     Alcotest.test_case "sfs float-sum tie" `Quick test_sfs_float_sum_tie;
     Alcotest.test_case "extend = sfs" `Quick test_extend_matches_sfs;
-    Alcotest.test_case "skyband" `Quick test_skyband;
-    Alcotest.test_case "skyband contains top-k" `Quick test_skyband_contains_topk;
     Alcotest.test_case "k-dom = skyline at k=m" `Quick test_kdom_skyline;
     Alcotest.test_case "k-dom shrinks" `Quick test_kdom_shrinks;
     Alcotest.test_case "k-dom collapses empty" `Quick test_kdom_collapse_to_empty;
