@@ -70,6 +70,11 @@ let to_string t =
 
 exception Bad of string
 
+(* Recursive descent uses one stack frame per nesting level: a line of
+   300 000 '[' overflowed the stack and killed the process.  No request
+   nests deeper than a handful of levels. *)
+let max_depth = 512
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -195,12 +200,17 @@ let parse s =
     | Some v -> Num v
     | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
+    let nest () =
+      if depth >= max_depth then
+        fail (Printf.sprintf "nesting deeper than %d levels" max_depth);
+      advance ()
+    in
     match peek () with
     | None -> fail "unexpected end of input"
     | Some '{' ->
-        advance ();
+        nest ();
         skip_ws ();
         if peek () = Some '}' then begin advance (); Obj [] end
         else begin
@@ -210,7 +220,7 @@ let parse s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             fields := (k, v) :: !fields;
             skip_ws ();
             match peek () with
@@ -222,13 +232,13 @@ let parse s =
           Obj (List.rev !fields)
         end
     | Some '[' ->
-        advance ();
+        nest ();
         skip_ws ();
         if peek () = Some ']' then begin advance (); Arr [] end
         else begin
           let items = ref [] in
           let rec elements () =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             items := v :: !items;
             skip_ws ();
             match peek () with
@@ -247,7 +257,7 @@ let parse s =
     | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage after document";
     v

@@ -21,12 +21,17 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+val max_depth : int
+(** Deepest array/object nesting {!parse} accepts (512). *)
+
 val parse : string -> (t, string) result
 (** Parse one JSON document.  Trailing garbage after the document, and
     any syntax error, yield [Error message]; the parser accepts the
     full JSON grammar (nesting, escapes, [\uXXXX], exponents) but — by
     design for a line-delimited protocol — no literal newlines inside
-    strings (they cannot appear in one line anyway). *)
+    strings (they cannot appear in one line anyway).  A document nested
+    deeper than {!max_depth} is an [Error] too, so a hostile line cannot
+    overflow the stack. *)
 
 val to_string : t -> string
 (** Deterministic single-line serialization (see preamble).  Non-finite

@@ -1,4 +1,3 @@
-module Obs = Rrms_obs.Obs
 module Delta = Rrms_core.Delta
 
 let ops_of_protocol ops =
@@ -30,85 +29,6 @@ let summary_json (r : Store.mutated) =
         ("results_kept", Json.int r.Store.results_kept);
         ("results_evicted", Json.int r.Store.results_evicted);
       ])
-
-(* One mutation request under its own request context, mirroring
-   [Server.run_query]: same error codes, same access-log record shape
-   (algo = "mutate", r = op count), so mutation traffic shows up in the
-   same telemetry pipeline as query traffic. *)
-let run ?trace ~telemetry ~session_id ~request_id ~dataset_key ~elapsed_ms
-    ~timeout store ~dataset ops =
-  let trace_id, parent_span =
-    match trace with
-    | Some t -> (t.Protocol.trace_id, t.Protocol.parent_span)
-    | None -> ("", "")
-  in
-  let ctx =
-    Obs.Ctx.create ~request_id ~session_id
-      ~capture_spans:(Telemetry.capture_spans telemetry || trace_id <> "")
-      ~trace_id ~parent_span ()
-  in
-  let merge_path = ref "" in
-  let outcome =
-    Obs.Ctx.with_ctx ctx (fun () ->
-        Obs.Span.with_ "serve.mutate"
-          ~attrs:[ ("dataset", dataset_key) ]
-        @@ fun () ->
-        match Store.mutate ?timeout store ~dataset (ops_of_protocol ops) with
-        | Ok r ->
-            (merge_path :=
-               match r.Store.skyline_path with Some p -> p | None -> "");
-            Ok (summary_json r)
-        | Error `Unknown_dataset ->
-            Error
-              ( "unknown_dataset",
-                Printf.sprintf
-                  "no loaded dataset %S (load it first, then mutate by key \
-                   or name)"
-                  dataset )
-        | Error `Overloaded ->
-            Error
-              ( "overloaded",
-                "admission queue is full; the mutation was shed — retry later"
-              )
-        | Error `Deadline_exceeded ->
-            Error
-              ( "deadline_exceeded",
-                "the mutation's deadline expired before it started \
-                 (admission queue wait counts against the timeout)" )
-        | Error `Draining ->
-            Error
-              ( "draining",
-                "the server is draining for shutdown and admits no new \
-                 mutations — retry against the restarted instance" )
-        | exception (Stdlib.Exit | Sys.Break) -> Error ("internal", "interrupted")
-        | exception exn -> (
-            match Protocol.error_of_exn exn with
-            | Some e -> Error e
-            | None -> Error ("internal", Printexc.to_string exn)))
-  in
-  let status = match outcome with Error _ -> "error" | Ok _ -> "ok" in
-  Telemetry.record telemetry
-    {
-      Telemetry.request_id;
-      session_id;
-      algo = "mutate";
-      dataset = dataset_key;
-      r = Array.length ops;
-      gamma = 0;
-      cache = "miss";
-      status;
-      error_code =
-        (match outcome with Error (code, _) -> Some code | Ok _ -> None);
-      queue_wait_ms =
-        1000. *. Obs.Ctx.value ctx "rrms_serve_queue_wait_seconds_total";
-      elapsed_ms = elapsed_ms ();
-      probes = Obs.Ctx.value ctx "rrms_hd_rrms_probes_total";
-      cells = Obs.Ctx.value ctx "rrms_matrix_cells_total";
-      shards = 0;
-      merge = !merge_path;
-    }
-    ~spans:(Obs.Ctx.spans ctx);
-  outcome
 
 (* ------------------------------------------------------------------ *)
 (* WAL replay                                                          *)

@@ -2,29 +2,19 @@
     (docs/DYNAMIC.md).
 
     Translates the wire-level {!Protocol.mutation_op}s into
-    {!Rrms_core.Delta.mutation}s, runs {!Store.mutate} under a request
-    context with the same telemetry/error-code discipline as the query
-    path, and drives write-ahead-log replay at startup. *)
+    {!Rrms_core.Delta.mutation}s, renders a {!Store.mutated} as the
+    response's [result], and drives write-ahead-log replay at startup.
+    The request itself runs through {!Server}'s one per-request runner,
+    like a query. *)
 
-val run :
-  ?trace:Protocol.trace ->
-  telemetry:Telemetry.t ->
-  session_id:string ->
-  request_id:string ->
-  dataset_key:string ->
-  elapsed_ms:(unit -> float) ->
-  timeout:float option ->
-  Store.t ->
-  dataset:string ->
-  Protocol.mutation_op array ->
-  (Json.t, string * string) result
-(** Execute one mutation request.  Total: every failure — unknown
-    dataset, shedding, deadline, malformed batch, solver guard error —
-    becomes the documented [(code, message)] pair.  Records an
-    access-log line with [algo = "mutate"] and [r] = op count; with a
-    [trace] envelope the work runs under a ["serve.mutate"] span bound
-    to the originating trace, and the access record carries the
-    skyline maintenance path as its [merge] field. *)
+val ops_of_protocol :
+  Protocol.mutation_op array -> Rrms_core.Delta.mutation list
+(** The wire ops as {!Rrms_core.Delta} mutations, in order. *)
+
+val summary_json : Store.mutated -> Json.t
+(** The [result] of a successful mutation: new and old content key,
+    generation, dimensions, ops applied, the skyline maintenance path
+    (when a skyline was materialized) and the artifact upkeep counts. *)
 
 type replayed = {
   records : int;  (** valid WAL records scanned *)

@@ -68,14 +68,16 @@ type mutation_op =
   | Op_delete of int
   | Op_upsert of int * float array
 
+type load = {
+  path : string;
+  name : string option;
+  normalize : bool;
+  lenient : bool;
+  shard : (int * int) option;
+}
+
 type request =
-  | Load of {
-      path : string;
-      name : string option;
-      normalize : bool;
-      lenient : bool;
-      shard : (int * int) option;
-    }
+  | Load of load
   | Query of query
   | Batch of { dataset : string; items : (query, string * string) result array }
   | Mutate of {

@@ -72,17 +72,19 @@ type mutation_op =
   | Op_upsert of int * float array
       (** replace the tuple at this index (["upsert"]) *)
 
+type load = {
+  path : string;
+  name : string option;  (** alias for later [query] requests *)
+  normalize : bool;
+  lenient : bool;  (** CSV {!Rrms_dataset.Dataset.load_mode} *)
+  shard : (int * int) option;
+      (** [(shard_index, shard_count)]: keep only the round-robin
+          partition member — what a shard worker loads (see
+          {!Store.load}) *)
+}
+
 type request =
-  | Load of {
-      path : string;
-      name : string option;  (** alias for later [query] requests *)
-      normalize : bool;
-      lenient : bool;  (** CSV {!Rrms_dataset.Dataset.load_mode} *)
-      shard : (int * int) option;
-          (** [(shard_index, shard_count)]: keep only the round-robin
-              partition member — what a shard worker loads (see
-              {!Store.load}) *)
-    }
+  | Load of load
   | Query of query
   | Batch of { dataset : string; items : (query, string * string) result array }
       (** One dataset resolve amortized over many queries.  Items are

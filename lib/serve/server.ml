@@ -48,13 +48,70 @@ let new_session_id () = Printf.sprintf "s%d" (1 + Atomic.fetch_and_add session_s
 
 let ints arr = Json.Arr (Array.to_list (Array.map Json.int arr))
 
-(* Run one query under its own request context and record its telemetry;
-   [run] produces the store outcome (a plain [Store.query], a pinned
-   batch item, or the router's merged fan-out).  Shared by the
-   single-query path, every batch item and the shard router, so all
-   three produce identical error codes and access-log records. *)
-let run_query ?trace ~telemetry ~session_id ~request_id ~dataset_key ~shards
-    ~elapsed_ms (q : Protocol.query) run =
+(* What a shard router changes about answering a request.  Everything
+   else — parsing, counters, request contexts, refusals, telemetry,
+   reference bookkeeping — is [dispatch]'s, for both kinds of server. *)
+type router = {
+  query_pinned :
+    Store.handle -> Protocol.query -> (Store.outcome, Store.refusal) result;
+  shards : int;
+  after_load : key:string -> Protocol.load -> unit;
+  after_release : unit -> unit;
+  stats_extra : unit -> (string * Json.t) list;
+}
+
+(* The one refusal-to-wire-code mapping.  The messages name the refused
+   work: a query's solve, a mutation, a worker's skyline leg, or an
+   evict. *)
+let refusal work dataset (r : Store.refusal) =
+  let mutation = work = `Mutate in
+  match r with
+  | `Unknown_dataset ->
+      ( "unknown_dataset",
+        match work with
+        | `Query | `Mutate ->
+            Printf.sprintf
+              "no loaded dataset %S (load it first, then %s by key or name)"
+              dataset
+              (if mutation then "mutate" else "query")
+        | `Skyline | `Evict -> Printf.sprintf "no loaded dataset %S" dataset )
+  | `Overloaded ->
+      ( "overloaded",
+        Printf.sprintf "admission queue is full; the %s was shed — retry later"
+          (if mutation then "mutation" else "request") )
+  | `Deadline_exceeded ->
+      ( "deadline_exceeded",
+        match work with
+        | `Query ->
+            "the request's deadline expired before the solver started \
+             (admission queue wait counts against the timeout) — raise the \
+             timeout or retry when the server is less loaded"
+        | `Mutate ->
+            "the mutation's deadline expired before it started (admission \
+             queue wait counts against the timeout)"
+        | `Skyline | `Evict ->
+            "the request's deadline expired before the skyline computation \
+             started" )
+  | `Draining ->
+      ( "draining",
+        Printf.sprintf
+          "the server is draining for shutdown and admits no new %s — retry \
+           against the restarted instance"
+          (if mutation then "mutations" else "solves") )
+
+let error_of_exn = function
+  | Stdlib.Exit | Sys.Break -> ("internal", "interrupted")
+  | exn -> (
+      match Protocol.error_of_exn exn with
+      | Some e -> e
+      | None -> ("internal", Printexc.to_string exn))
+
+(* The one per-request runner: a single query, a batch item or a
+   mutation runs [f] under its own request context and span, a refusal
+   or exception becomes the wire [(code, message)], and one telemetry
+   record (access log, latency histogram) is written. *)
+let run_request ?trace ~telemetry ~session_id ~request_id ~dataset
+    ~dataset_key ~shards ~elapsed_ms work f =
   (* A trace envelope binds the request into the caller's distributed
      trace: spans minted here carry its trace id and hang from the
      caller's span (the cross-process edge), and span capture turns on
@@ -70,77 +127,51 @@ let run_query ?trace ~telemetry ~session_id ~request_id ~dataset_key ~shards
       ~capture_spans:(Telemetry.capture_spans telemetry || trace_id <> "")
       ~trace_id ~parent_span ()
   in
-  let cache_outcome = ref "miss" in
-  let degraded = ref false in
-  let cost = ref [] in
+  let span, attrs, algo, r, gamma, kind =
+    match work with
+    | `Query (q : Protocol.query) ->
+        let algo = Protocol.algo_to_string q.Protocol.algo in
+        ( "serve.query",
+          [ ("algo", algo); ("dataset", dataset_key) ],
+          algo,
+          q.Protocol.r,
+          q.Protocol.gamma,
+          `Query )
+    | `Mutate ops ->
+        let attrs = [ ("dataset", dataset_key) ] in
+        ("serve.mutate", attrs, "mutate", ops, 0, `Mutate)
+  in
   let outcome =
     Obs.Ctx.with_ctx ctx (fun () ->
-        match
-          Obs.Span.with_ "serve.query"
-            ~attrs:
-              [
-                ("algo", Protocol.algo_to_string q.Protocol.algo);
-                ("dataset", dataset_key);
-              ]
-            run
-        with
-        | Ok { Store.result; cached; cost = c } ->
-            cost := c;
-            (if cached then cache_outcome := "hit"
-             else if Obs.Ctx.value ctx "rrms_serve_matrix_derived_total" > 0.
-             then cache_outcome := "derived");
-            (match Json.member "degraded" result with
-            | Some (Json.Bool true) -> degraded := true
-            | _ -> ());
-            Ok (result, cached)
-        | Error `Unknown_dataset ->
-            Error
-              ( "unknown_dataset",
-                Printf.sprintf
-                  "no loaded dataset %S (load it first, then query by key or \
-                   name)"
-                  q.Protocol.dataset )
-        | Error `Overloaded ->
-            Error
-              ( "overloaded",
-                "admission queue is full; the request was shed — retry later"
-              )
-        | Error `Deadline_exceeded ->
-            Error
-              ( "deadline_exceeded",
-                "the request's deadline expired before the solver started \
-                 (admission queue wait counts against the timeout) — raise \
-                 the timeout or retry when the server is less loaded" )
-        | Error `Draining ->
-            Error
-              ( "draining",
-                "the server is draining for shutdown and admits no new \
-                 solves — retry against the restarted instance" )
-        | exception (Stdlib.Exit | Sys.Break) -> Error ("internal", "interrupted")
-        | exception exn -> (
-            match Protocol.error_of_exn exn with
-            | Some e -> Error e
-            | None -> Error ("internal", Printexc.to_string exn)))
+        match Obs.Span.with_ span ~attrs f with
+        | Ok o -> Ok o
+        | Error r -> Error (refusal kind dataset r)
+        | exception exn -> Error (error_of_exn exn))
   in
-  let status =
+  let cache, status, merge =
     match outcome with
-    | Error _ -> "error"
-    | Ok _ -> if !degraded then "degraded" else "ok"
-  in
-  let merge_path =
-    match List.assoc_opt "merge" !cost with
-    | Some (Json.Str s) -> s
-    | _ -> ""
+    | Error _ -> ("miss", "error", "")
+    | Ok { Store.result; cached; cost } ->
+        ( (if cached then "hit"
+           else if Obs.Ctx.value ctx "rrms_serve_matrix_derived_total" > 0.
+           then "derived"
+           else "miss"),
+          (match Json.member "degraded" result with
+          | Some (Json.Bool true) -> "degraded"
+          | _ -> "ok"),
+          match List.assoc_opt "merge" cost with
+          | Some (Json.Str s) -> s
+          | _ -> "" )
   in
   Telemetry.record telemetry
     {
       Telemetry.request_id;
       session_id;
-      algo = Protocol.algo_to_string q.Protocol.algo;
+      algo;
       dataset = dataset_key;
-      r = q.Protocol.r;
-      gamma = q.Protocol.gamma;
-      cache = !cache_outcome;
+      r;
+      gamma;
+      cache;
       status;
       error_code =
         (match outcome with Error (code, _) -> Some code | Ok _ -> None);
@@ -150,319 +181,343 @@ let run_query ?trace ~telemetry ~session_id ~request_id ~dataset_key ~shards
       probes = Obs.Ctx.value ctx "rrms_hd_rrms_probes_total";
       cells = Obs.Ctx.value ctx "rrms_matrix_cells_total";
       shards;
-      merge = merge_path;
+      merge;
     }
     ~spans:(Obs.Ctx.spans ctx);
-  match outcome with
-  | Error _ as e -> e
-  | Ok (result, cached) ->
-      let cost_echo =
-        if q.Protocol.explain then Some (Json.Obj !cost) else None
-      in
-      Ok (result, cached, cost_echo)
+  outcome
+
+(* A mutation summary in the runner's outcome shape; the skyline
+   maintenance path is the access record's [merge] field. *)
+let mutation_outcome (r : Store.mutated) =
+  {
+    Store.result = Mutate.summary_json r;
+    cached = false;
+    cost =
+      (match r.Store.skyline_path with
+      | Some p -> [ ("merge", Json.Str p) ]
+      | None -> []);
+  }
+
+let batch_item = function
+  | Ok ((o : Store.outcome), cost) ->
+      Json.Obj
+        ([
+           ("ok", Json.Bool true);
+           ("cached", Json.Bool o.Store.cached);
+           ("result", o.Store.result);
+         ]
+        @ match cost with Some c -> [ ("cost", c) ] | None -> [])
+  | Error (code, message) ->
+      Json.Obj
+        [
+          ("ok", Json.Bool false);
+          ( "error",
+            Json.Obj [ ("code", Json.Str code); ("message", Json.Str message) ]
+          );
+        ]
 
 (* One request line → one response.  [session] collects the dataset
-   references this connection holds, for teardown.  Total: every
-   exception — structured guard errors, solver [Invalid_argument]s,
-   injected worker faults — becomes an error response. *)
-let dispatch ~telemetry ~session_id ~reqno store session line =
+   references this connection holds, for teardown; [router] is [None]
+   for a plain store.  Total: parsing included, every exception —
+   structured guard errors, solver [Invalid_argument]s, injected worker
+   faults — becomes an error response. *)
+let dispatch ~telemetry ~router ~session_id ~reqno store session line =
   let t0 = Unix.gettimeofday () in
-  let { Protocol.id; req; trace } = Protocol.parse_request line in
   Obs.Counter.incr Metrics.requests;
   let elapsed_ms () = (Unix.gettimeofday () -. t0) *. 1000. in
+  let id = ref Json.Null in
   let ok ?(cached = false) ?cost result =
     `Reply
-      (Protocol.ok_response ?cost ~id ~cached ~elapsed_ms:(elapsed_ms ())
+      (Protocol.ok_response ?cost ~id:!id ~cached ~elapsed_ms:(elapsed_ms ())
          result)
   in
-  let error_code = ref None in
-  let error code message =
+  let error (code, message) =
     Obs.Counter.incr Metrics.errors;
-    error_code := Some code;
-    `Reply (Protocol.error_response ~id ~code ~message)
+    `Reply (Protocol.error_response ~id:!id ~code ~message)
   in
-  let safe f =
-    try f () with
-    | Stdlib.Exit | Sys.Break -> error "internal" "interrupted"
-    | exn -> (
-        match Protocol.error_of_exn exn with
-        | Some (code, message) -> error code message
-        | None -> error "internal" (Printexc.to_string exn))
+  let next_request_id () =
+    incr reqno;
+    Printf.sprintf "%s-r%d" session_id !reqno
   in
-  let reply =
+  let resolved dataset =
+    Option.value ~default:dataset (Store.resolve store dataset)
+  in
+  let with_pin dataset f =
+    match Store.pin store dataset with
+    | None -> Error `Unknown_dataset
+    | Some h ->
+        Fun.protect ~finally:(fun () -> Store.unpin store h) (fun () -> f h)
+  in
+  let answer h q =
+    match router with
+    | Some rt -> rt.query_pinned h q
+    | None -> Store.query_pinned store h q
+  in
+  let shards = match router with Some rt -> rt.shards | None -> 0 in
+  let handle { Protocol.id = rid; req; trace } =
+    id := rid;
+    (* The router is a trace origin as well as a propagator: a client
+       envelope is forwarded as-is; with none, global tracing (Full)
+       mints one per query, so every routed query yields a merged
+       cross-process trace. *)
+    let trace_for request_id =
+      match trace with
+      | None when Option.is_some router && Obs.spans_enabled () ->
+          Some
+            {
+              Protocol.trace_id = "t-" ^ request_id;
+              parent_span = "";
+              origin_request = request_id;
+              origin_session = session_id;
+              deadline = None;
+            }
+      | _ -> trace
+    in
+    (* The body of one query, a single one or a batch item: the whole
+       query — result-cache probe, admission wait, solver, pool chunks —
+       runs under one request context, giving the access log its
+       per-request cost attribution. *)
+    let query ~request_id ~dataset_key ~elapsed_ms (q : Protocol.query) f =
+      Result.map
+        (fun (o : Store.outcome) ->
+          let cost = Json.Obj o.Store.cost in
+          (o, if q.Protocol.explain then Some cost else None))
+        (run_request ?trace:(trace_for request_id) ~telemetry ~session_id
+           ~request_id ~dataset:q.Protocol.dataset ~dataset_key ~shards
+           ~elapsed_ms (`Query q) f)
+    in
     match req with
-    | Error (code, message) -> error code message
-    | Ok (Protocol.Load { path; name; normalize; lenient; shard }) ->
-        safe (fun () ->
-            let l = Store.load store ?name ~normalize ~lenient ?shard path in
-            session := l.Store.key :: !session;
-            ok
-              (Json.Obj
-                 [
-                   ("key", Json.Str l.Store.key);
-                   ("name", Json.Str l.Store.dataset_name);
-                   ("n", Json.int l.Store.n);
-                   ("m", Json.int l.Store.m);
-                   ("refs", Json.int l.Store.refs);
-                   ("already_loaded", Json.Bool l.Store.already_loaded);
-                   ("warnings", Json.int l.Store.warnings);
-                 ]))
-    | Ok (Protocol.Query q) ->
-        (* The whole query — result-cache probe, admission wait, solver,
-           pool chunks — runs under one request context; every counter
-           delta and span lands there as well as in the global
-           registry, giving the access log its per-request cost
-           attribution. *)
-        incr reqno;
-        let request_id = Printf.sprintf "%s-r%d" session_id !reqno in
-        let dataset_key =
-          match Store.resolve store q.Protocol.dataset with
-          | Some key -> key
-          | None -> q.Protocol.dataset
+    | Error e -> error e
+    | Ok (Protocol.Load l) ->
+        let ld =
+          Store.load store ?name:l.Protocol.name
+            ~normalize:l.Protocol.normalize ~lenient:l.Protocol.lenient
+            ?shard:l.Protocol.shard l.Protocol.path
         in
-        (match
-           run_query ?trace ~telemetry ~session_id ~request_id ~dataset_key
-             ~shards:0 ~elapsed_ms q (fun () -> Store.query store q)
-         with
-        | Ok (result, cached, cost) -> ok ~cached ?cost result
-        | Error (code, message) -> error code message)
-    | Ok (Protocol.Batch { dataset; items }) ->
+        session := ld.Store.key :: !session;
+        Option.iter (fun rt -> rt.after_load ~key:ld.Store.key l) router;
+        ok
+          (Json.Obj
+             [
+               ("key", Json.Str ld.Store.key);
+               ("name", Json.Str ld.Store.dataset_name);
+               ("n", Json.int ld.Store.n);
+               ("m", Json.int ld.Store.m);
+               ("refs", Json.int ld.Store.refs);
+               ("already_loaded", Json.Bool ld.Store.already_loaded);
+               ("warnings", Json.int ld.Store.warnings);
+             ])
+    | Ok (Protocol.Query q) -> (
+        (* A batch item on a handle pinned for this one query. *)
+        let request_id = next_request_id () in
+        match
+          query ~request_id ~dataset_key:(resolved q.Protocol.dataset)
+            ~elapsed_ms q (fun () ->
+              with_pin q.Protocol.dataset (fun h -> answer h q))
+        with
+        | Ok (o, cost) -> ok ~cached:o.Store.cached ?cost o.Store.result
+        | Error e -> error e)
+    | Ok (Protocol.Batch { dataset; items }) -> (
         (* One resolve, many items: the dataset is pinned once and every
            item runs against the pinned handle; items answer in order,
            each with its own [ok]/[error] status, its own request
            context ("s1-r2.0", "s1-r2.1", …) and its own access-log
            line, so a failed item never hides or aborts the others. *)
-        incr reqno;
-        let base_id = Printf.sprintf "%s-r%d" session_id !reqno in
+        let base_id = next_request_id () in
         Obs.Counter.incr Metrics.batch_requests;
         Obs.Counter.add Metrics.batch_items (Array.length items);
-        safe (fun () ->
-            match Store.pin store dataset with
-            | None ->
-                error "unknown_dataset"
-                  (Printf.sprintf
-                     "no loaded dataset %S (load it first, then query by key \
-                      or name)"
-                     dataset)
-            | Some h ->
-                Fun.protect
-                  ~finally:(fun () -> Store.unpin store h)
-                  (fun () ->
-                    let key = Store.pinned_key h in
-                    let item_error code message =
-                      Json.Obj
-                        [
-                          ("ok", Json.Bool false);
-                          ( "error",
-                            Json.Obj
-                              [
-                                ("code", Json.Str code);
-                                ("message", Json.Str message);
-                              ] );
-                        ]
-                    in
-                    let results =
-                      Array.to_list
-                        (Array.mapi
-                           (fun i item ->
-                             match item with
-                             | Error (code, message) -> item_error code message
-                             | Ok q -> (
-                                 let t0i = Unix.gettimeofday () in
-                                 let item_ms () =
-                                   (Unix.gettimeofday () -. t0i) *. 1000.
-                                 in
-                                 match
-                                   run_query ?trace ~telemetry ~session_id
-                                     ~request_id:
-                                       (Printf.sprintf "%s.%d" base_id i)
-                                     ~dataset_key:key ~shards:0
-                                     ~elapsed_ms:item_ms q (fun () ->
-                                       Store.query_pinned store h q)
-                                 with
-                                 | Ok (result, cached, cost) ->
-                                     Json.Obj
-                                       ([
-                                          ("ok", Json.Bool true);
-                                          ("cached", Json.Bool cached);
-                                          ("result", result);
-                                        ]
-                                       @
-                                       match cost with
-                                       | Some c -> [ ("cost", c) ]
-                                       | None -> [])
-                                 | Error (code, message) ->
-                                     item_error code message))
-                           items)
-                    in
-                    ok
-                      (Json.Obj
-                         [
-                           ("dataset", Json.Str key);
-                           ("count", Json.int (List.length results));
-                           ("results", Json.Arr results);
-                         ])))
-    | Ok (Protocol.Mutate { dataset; ops; timeout }) ->
+        match
+          with_pin dataset (fun h ->
+              let key = Store.pinned_key h in
+              let results =
+                Array.mapi
+                  (fun i item ->
+                    batch_item
+                      (match item with
+                      | Error e -> Error e
+                      | Ok q ->
+                          let t0i = Unix.gettimeofday () in
+                          query
+                            ~request_id:(Printf.sprintf "%s.%d" base_id i)
+                            ~dataset_key:key
+                            ~elapsed_ms:(fun () ->
+                              (Unix.gettimeofday () -. t0i) *. 1000.)
+                            q
+                            (fun () -> answer h q)))
+                  items
+              in
+              Ok
+                (Json.Obj
+                   [
+                     ("dataset", Json.Str key);
+                     ("count", Json.int (Array.length results));
+                     ("results", Json.Arr (Array.to_list results));
+                   ]))
+        with
+        | Ok j -> ok j
+        | Error r -> error (refusal `Query dataset r))
+    | Ok (Protocol.Mutate _) when Option.is_some router ->
+        (* The router's workers each hold a read-only slice of every
+           dataset; accepting a write here would silently fork the
+           router's copy away from theirs. *)
+        error
+          ( "read_only",
+            "the shard router fans out over read-only worker slices; send \
+             mutations to the store that owns the writable state (an \
+             rrms-serve instance without --router)" )
+    | Ok (Protocol.Mutate { dataset; ops; timeout }) -> (
         (* Mutations follow the query discipline: one request context,
            admission-gated inside the store, end-to-end deadline, one
-           access-log line (algo = "mutate"). *)
-        incr reqno;
-        let request_id = Printf.sprintf "%s-r%d" session_id !reqno in
-        let dataset_key =
-          match Store.resolve store dataset with
-          | Some key -> key
-          | None -> dataset
-        in
-        (match
-           Mutate.run ?trace ~telemetry ~session_id ~request_id ~dataset_key
-             ~elapsed_ms ~timeout store ~dataset ops
-         with
-        | Ok result -> ok result
-        | Error (code, message) -> error code message)
-    | Ok (Protocol.Skyline { dataset; timeout }) ->
+           access-log line (algo = "mutate", r = op count). *)
+        let request_id = next_request_id () in
+        match
+          run_request ?trace ~telemetry ~session_id ~request_id ~dataset
+            ~dataset_key:(resolved dataset) ~shards ~elapsed_ms
+            (`Mutate (Array.length ops)) (fun () ->
+              Result.map mutation_outcome
+                (Store.mutate ?timeout store ~dataset
+                   (Mutate.ops_of_protocol ops)))
+        with
+        | Ok o -> ok o.Store.result
+        | Error e -> error e)
+    | Ok (Protocol.Skyline { dataset; timeout }) -> (
         (* The per-shard half of the router fan-out: compute (or fetch)
            the dataset's skyline artifact under admission, honouring the
            forwarded remaining deadline.  With a trace envelope, the
            work runs under a context bound to the originating trace and
            the reply carries this worker's span dump, so the router can
            splice it into one merged cluster trace. *)
-        safe (fun () ->
-            let budget =
-              match timeout with
-              | None -> Guard.Budget.unlimited
-              | Some t -> Guard.Budget.create ~timeout:t ()
+        let budget =
+          match timeout with
+          | None -> Guard.Budget.unlimited
+          | Some t -> Guard.Budget.create ~timeout:t ()
+        in
+        let ctx =
+          Option.map
+            (fun t ->
+              let request_id = next_request_id () in
+              Obs.Ctx.create
+                ~request_id:
+                  (if t.Protocol.origin_request <> "" then
+                     t.Protocol.origin_request
+                   else request_id)
+                ~session_id ~capture_spans:true ~trace_id:t.Protocol.trace_id
+                ~parent_span:t.Protocol.parent_span ())
+            trace
+        in
+        let outcome =
+          with_pin dataset (fun h ->
+              match
+                Obs.Ctx.scoped ctx (fun () ->
+                    Obs.Span.with_ "serve.skyline"
+                      ~attrs:[ ("dataset", dataset) ]
+                      (fun () ->
+                        Store.with_admission store (fun () ->
+                            match Guard.Budget.deadline_expired budget with
+                            | Some _ -> None
+                            | None -> Some (Store.skyline_of store h))))
+              with
+              | Error `Overloaded -> Error `Overloaded
+              | Ok None -> Error `Deadline_exceeded
+              | Ok (Some sky) ->
+                  let n, m = Store.pinned_dims h in
+                  Ok (Store.pinned_key h, n, m, sky))
+        in
+        match outcome with
+        | Error r -> error (refusal `Skyline dataset r)
+        | Ok (key, n, m, sky) ->
+            let span_dump =
+              match ctx with
+              | None -> []
+              | Some c ->
+                  [
+                    ( "spans",
+                      Json.Arr (List.map Telemetry.span_json (Obs.Ctx.spans c))
+                    );
+                  ]
             in
-            let ctx =
-              match trace with
-              | Some t ->
-                  incr reqno;
-                  Some
-                    (Obs.Ctx.create
-                       ~request_id:
-                         (if t.Protocol.origin_request <> "" then
-                            t.Protocol.origin_request
-                          else Printf.sprintf "%s-r%d" session_id !reqno)
-                       ~session_id ~capture_spans:true
-                       ~trace_id:t.Protocol.trace_id
-                       ~parent_span:t.Protocol.parent_span ())
-              | None -> None
-            in
-            match Store.pin store dataset with
-            | None ->
-                error "unknown_dataset"
-                  (Printf.sprintf "no loaded dataset %S" dataset)
-            | Some h ->
-                Fun.protect
-                  ~finally:(fun () -> Store.unpin store h)
-                  (fun () ->
-                    let outcome =
-                      Obs.Ctx.scoped ctx (fun () ->
-                          Obs.Span.with_ "serve.skyline"
-                            ~attrs:[ ("dataset", dataset) ] (fun () ->
-                              Store.with_admission store (fun () ->
-                                  match
-                                    Guard.Budget.deadline_expired budget
-                                  with
-                                  | Some _ -> `Deadline
-                                  | None -> `Sky (Store.skyline_of store h))))
-                    in
-                    match outcome with
-                    | Error `Overloaded ->
-                        error "overloaded"
-                          "admission queue is full; the request was shed — \
-                           retry later"
-                    | Ok `Deadline ->
-                        error "deadline_exceeded"
-                          "the request's deadline expired before the skyline \
-                           computation started"
-                    | Ok (`Sky sky) ->
-                        let n, m = Store.pinned_dims h in
-                        let span_dump =
-                          match ctx with
-                          | None -> []
-                          | Some c ->
-                              [
-                                ( "spans",
-                                  Json.Arr
-                                    (List.map Telemetry.span_json
-                                       (Obs.Ctx.spans c)) );
-                              ]
-                        in
-                        ok
-                          (Json.Obj
-                             ([
-                                ("key", Json.Str (Store.pinned_key h));
-                                ("n", Json.int n);
-                                ("m", Json.int m);
-                                ("size", Json.int (Array.length sky));
-                                ("indices", ints sky);
-                              ]
-                             @ span_dump))))
-    | Ok (Protocol.Evict { dataset }) ->
-        safe (fun () ->
-            match Store.release store dataset with
-            | Store.Not_loaded ->
-                error "unknown_dataset"
-                  (Printf.sprintf "no loaded dataset %S" dataset)
-            | Store.Released { key; remaining; freed } ->
-                session := remove_one key !session;
-                ok
-                  (Json.Obj
-                     [
-                       ("key", Json.Str key);
-                       ("remaining_refs", Json.int remaining);
-                       ("freed", Json.Bool freed);
-                     ]))
-    | Ok Protocol.Stats ->
-        safe (fun () ->
-            (* Restart count travels via the environment: the supervisor
-               parent sets RRMS_SERVE_RESTARTS before each fork, so the
-               serving child can report its own incarnation number. *)
-            let restarts =
-              match Sys.getenv_opt "RRMS_SERVE_RESTARTS" with
-              | Some s -> Option.value ~default:0 (int_of_string_opt s)
-              | None -> 0
-            in
-            match Store.stats store with
-            | Json.Obj fields ->
-                ok
-                  (Json.Obj
-                     (fields
-                     @ [
-                         ("latency", Telemetry.to_json telemetry);
-                         ( "supervisor",
-                           Json.Obj [ ("restarts", Json.int restarts) ] );
-                       ]))
-            | j -> ok j)
+            ok
+              (Json.Obj
+                 ([
+                    ("key", Json.Str key);
+                    ("n", Json.int n);
+                    ("m", Json.int m);
+                    ("size", Json.int (Array.length sky));
+                    ("indices", ints sky);
+                  ]
+                 @ span_dump)))
+    | Ok (Protocol.Evict { dataset }) -> (
+        let released = Store.release store dataset in
+        (* Whatever left the store — by this evict or an earlier unpin —
+           leaves the router's workers too. *)
+        Option.iter (fun rt -> rt.after_release ()) router;
+        match released with
+        | Store.Not_loaded -> error (refusal `Evict dataset `Unknown_dataset)
+        | Store.Released { key; remaining; freed } ->
+            session := remove_one key !session;
+            ok
+              (Json.Obj
+                 [
+                   ("key", Json.Str key);
+                   ("remaining_refs", Json.int remaining);
+                   ("freed", Json.Bool freed);
+                 ]))
+    | Ok Protocol.Stats -> (
+        (* Restart count travels via the environment: the supervisor
+           parent sets RRMS_SERVE_RESTARTS before each fork, so the
+           serving child can report its own incarnation number. *)
+        let restarts =
+          match Sys.getenv_opt "RRMS_SERVE_RESTARTS" with
+          | Some s -> Option.value ~default:0 (int_of_string_opt s)
+          | None -> 0
+        in
+        match Store.stats store with
+        | Json.Obj fields ->
+            ok
+              (Json.Obj
+                 (fields
+                 @ [
+                     ("latency", Telemetry.to_json telemetry);
+                     ( "supervisor",
+                       Json.Obj [ ("restarts", Json.int restarts) ] );
+                   ]
+                 @
+                 match router with
+                 | Some rt -> rt.stats_extra ()
+                 | None -> []))
+        | j -> ok j)
     | Ok Protocol.Metrics ->
         (* The raw, mergeable half of cluster observability: the global
            counter snapshot plus the latency histograms as raw bucket
            counts (seconds).  A router fans this out and merges the
            exports — counters sum, histograms merge associatively — so
            [stats] against a router reports cluster-wide quantiles. *)
-        safe (fun () ->
-            ok
-              (Json.Obj
-                 [
-                   ( "metrics",
-                     Json.Obj
-                       (List.map
-                          (fun (name, v) -> (name, Json.float v))
-                          (Obs.snapshot ())) );
-                   ("latency_raw", Telemetry.export_json telemetry);
-                 ]))
+        ok
+          (Json.Obj
+             [
+               ( "metrics",
+                 Json.Obj
+                   (List.map
+                      (fun (name, v) -> (name, Json.float v))
+                      (Obs.snapshot ())) );
+               ("latency_raw", Telemetry.export_json telemetry);
+             ])
     | Ok Protocol.Ping -> ok (Json.Obj [ ("pong", Json.Bool true) ])
     | Ok Protocol.Shutdown ->
         `Shutdown
-          (Protocol.ok_response ~id ~cached:false ~elapsed_ms:(elapsed_ms ())
+          (Protocol.ok_response ~id:!id ~cached:false
+             ~elapsed_ms:(elapsed_ms ())
              (Json.Obj [ ("stopping", Json.Bool true) ]))
+  in
+  let reply =
+    try handle (Protocol.parse_request line) with exn -> error (error_of_exn exn)
   in
   Obs.Timer.observe Metrics.request_seconds (Unix.gettimeofday () -. t0);
   reply
 
 let handle_line ?(telemetry = Telemetry.default) store line =
-  dispatch ~telemetry ~session_id:(new_session_id ()) ~reqno:(ref 0) store
-    (ref []) line
+  dispatch ~telemetry ~router:None ~session_id:(new_session_id ())
+    ~reqno:(ref 0) store (ref []) line
 
 (* A transport-agnostic session: the line pump and the socket daemon
    below work for any per-connection handler, so the shard router (a
@@ -476,14 +531,18 @@ type session_handler = {
 
 type handler = unit -> session_handler
 
-let store_handler ?(telemetry = Telemetry.default) store () =
+let store_handler ?(telemetry = Telemetry.default) ?router store () =
   let session = ref [] in
   let session_id = new_session_id () in
   let reqno = ref 0 in
   {
     on_line =
-      (fun line -> dispatch ~telemetry ~session_id ~reqno store session line);
-    on_close = (fun () -> Store.session_release_all store !session);
+      (fun line ->
+        dispatch ~telemetry ~router ~session_id ~reqno store session line);
+    on_close =
+      (fun () ->
+        Store.session_release_all store !session;
+        Option.iter (fun rt -> rt.after_release ()) router);
   }
 
 let run_handler_session (h : handler) ic oc =

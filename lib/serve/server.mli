@@ -29,37 +29,36 @@ val handle_line :
     [`Shutdown line] is the positive response to a [shutdown] request —
     the caller sends it, then stops.  Never raises.
 
-    Every query request runs under a fresh {!Rrms_obs.Obs.Ctx} tagged
-    with process-unique session/request ids ([s3-r7]); its latency,
-    cache outcome and per-request counters land in [telemetry]
-    (default {!Telemetry.default}), and the [stats] request folds that
+    Every query, batch item and mutation runs through one per-request
+    runner, under a fresh {!Rrms_obs.Obs.Ctx} tagged with
+    process-unique session/request ids ([s3-r7]); its latency, cache
+    outcome and per-request counters land in [telemetry] (default
+    {!Telemetry.default}), and the [stats] request folds that
     instance's histograms into its response as a ["latency"] member. *)
 
-val run_query :
-  ?trace:Protocol.trace ->
-  telemetry:Telemetry.t ->
-  session_id:string ->
-  request_id:string ->
-  dataset_key:string ->
-  shards:int ->
-  elapsed_ms:(unit -> float) ->
-  Protocol.query ->
-  (unit ->
-  ( Store.outcome,
-    [ `Overloaded | `Unknown_dataset | `Deadline_exceeded | `Draining ] )
-  result) ->
-  (Json.t * bool * Json.t option, string * string) result
-(** Run one query thunk under a fresh request context and record its
-    telemetry (access-log line, latency histogram, cache outcome,
-    per-request counters).  Returns the result, its cached flag, and —
-    when the query asked [explain: true] — the cost-provenance object
-    to echo beside the result; or the wire [(code, message)] —
-    exceptions included, via {!Protocol.error_of_exn}.  With a [trace]
-    envelope the whole run executes under a ["serve.query"] span bound
-    to the caller's trace id and parent span (the cross-process edge).
-    Shared by the single-query path, every batch item and the shard
-    router, so all three report identically; [shards] is the fan-out
-    width recorded in the access log (0 = unsharded). *)
+type router = {
+  query_pinned :
+    Store.handle -> Protocol.query -> (Store.outcome, Store.refusal) result;
+      (** Answer a query (single, or one batch item) on a pinned handle —
+          the router fans the HD algorithms out to its workers, merges,
+          then calls {!Store.query_pinned}.  Refusals and exceptions
+          are mapped to wire codes by the caller, as for a plain
+          store. *)
+  shards : int;  (** fan-out width recorded in the access log *)
+  after_load : key:string -> Protocol.load -> unit;
+      (** Runs after a successful [load] with the loaded content key:
+          the router records the workers' load parameters. *)
+  after_release : unit -> unit;
+      (** Runs after every [evict] and at session teardown: the router
+          evicts the worker slices of datasets that left its store. *)
+  stats_extra : unit -> (string * Json.t) list;
+      (** Members appended to the [stats] result (the router's
+          [router] and [cluster] views). *)
+}
+(** What a shard router changes about answering a request; everything
+    else is the one dispatcher's.  With a router, [mutate] requests
+    answer [read_only], and when spans are on a query without a trace
+    envelope gets a trace id minted for it ([t-<request id>]). *)
 
 type session_handler = {
   on_line : string -> [ `Reply of string | `Shutdown of string ];
@@ -71,12 +70,16 @@ type session_handler = {
 
 type handler = unit -> session_handler
 (** A per-connection session factory — what the transports below pump.
-    {!store_handler} is the standard store-backed one; the shard router
-    provides its own. *)
+    {!store_handler} builds it for a plain store and for the shard
+    router alike. *)
 
-val store_handler : ?telemetry:Telemetry.t -> Store.t -> handler
+val store_handler :
+  ?telemetry:Telemetry.t -> ?router:router -> Store.t -> handler
 (** The store-backed protocol handler used by {!run_session} and
-    {!start}. *)
+    {!start}: each line is answered by {!handle_line}'s dispatcher,
+    under a session id [s<N>] shared with every other session of the
+    process.  [router] turns it into the shard router's handler
+    ({!Shard.Router.handler}). *)
 
 val run_handler_session :
   handler -> in_channel -> out_channel -> [ `Eof | `Shutdown ]

@@ -80,15 +80,14 @@ module Router = struct
     workers : worker array;
     r_lock : Mutex.t;
     datasets : (string, ds_info) Hashtbl.t;
-    sessions : int Atomic.t;
   }
 
   let create ?(telemetry = Telemetry.default) ?domains ?max_inflight ?max_queue
-      ?persist ~workers () =
+      ~workers () =
     if workers = [] then
       Guard.Error.invalid_input "Shard.Router.create: no worker sockets";
     {
-      rt_store = Store.create ?domains ?max_inflight ?max_queue ?persist ();
+      rt_store = Store.create ?domains ?max_inflight ?max_queue ();
       telemetry;
       domains;
       workers =
@@ -105,7 +104,6 @@ module Router = struct
              workers);
       r_lock = Mutex.create ();
       datasets = Hashtbl.create 8;
-      sessions = Atomic.make 0;
     }
 
   let store rt = rt.rt_store
@@ -391,7 +389,7 @@ module Router = struct
      algorithms; worker failures become [shard_failure] responses
      (never a dropped session), a worker-side deadline propagates as
      [deadline_exceeded]. *)
-  let run_item rt h (q : Protocol.query) () =
+  let query_pinned rt h (q : Protocol.query) =
     match q.Protocol.algo with
     | Protocol.Hd_rrms | Protocol.Hd_greedy -> (
         let guard = Protocol.budget_of q in
@@ -414,18 +412,20 @@ module Router = struct
                  (Printf.sprintf "worker %s unreachable: %s" p msg)))
     | _ -> tag_merge "gather" (Store.query_pinned rt.rt_store h q)
 
-  let register_dataset rt ~key ~path ~name ~normalize ~lenient =
+  (* Record a dataset's load parameters, so the workers can be sent
+     their slices on first fan-out (and again after a redial). *)
+  let register_dataset rt ~key (l : Protocol.load) =
     let count = Array.length rt.workers in
     let load_line s =
       Json.to_string
         (Json.Obj
-           ([ ("req", Json.Str "load"); ("path", Json.Str path) ]
-           @ (match name with
+           ([ ("req", Json.Str "load"); ("path", Json.Str l.Protocol.path) ]
+           @ (match l.Protocol.name with
              | Some nm -> [ ("name", Json.Str nm) ]
              | None -> [])
            @ [
-               ("normalize", Json.Bool normalize);
-               ("lenient", Json.Bool lenient);
+               ("normalize", Json.Bool l.Protocol.normalize);
+               ("lenient", Json.Bool l.Protocol.lenient);
                ("shard_index", Json.int s);
                ("shard_count", Json.int count);
                ("id", Json.Str (Printf.sprintf "router-load-%d" s));
@@ -476,15 +476,6 @@ module Router = struct
                   with Worker_down _ | Worker_error _ -> ())
                 dead))
         rt.workers
-
-  let item_error code message =
-    Json.Obj
-      [
-        ("ok", Json.Bool false);
-        ( "error",
-          Json.Obj [ ("code", Json.Str code); ("message", Json.Str message) ]
-        );
-      ]
 
   (* ----------------------- cluster aggregation -------------------- *)
 
@@ -633,215 +624,43 @@ module Router = struct
             ] );
       ]
 
-  (* The router's protocol handler: [load], [query] and [batch] get the
-     fan-out treatment; everything else — stats, skyline, evict, ping,
-     shutdown, malformed lines — delegates to an ordinary store-backed
-     session over the router's own (full-dataset) store, so reference
-     bookkeeping and teardown stay the server's. *)
+  (* The router's protocol handler is the store's: [Server.dispatch]
+     answers every request over the router's own (full-dataset) store,
+     so reference bookkeeping, counters and telemetry stay the server's.
+     The router supplies only the fan-out answer and its hooks. *)
   let handler rt : Server.handler =
-   fun () ->
-    let inner = Server.store_handler ~telemetry:rt.telemetry rt.rt_store () in
-    let session_id =
-      Printf.sprintf "rs%d" (1 + Atomic.fetch_and_add rt.sessions 1)
-    in
-    let reqno = ref 0 in
-    let shards = Array.length rt.workers in
-    let on_line line =
-      let { Protocol.id; req; trace } = Protocol.parse_request line in
-      let t0 = Unix.gettimeofday () in
-      let elapsed_ms () = (Unix.gettimeofday () -. t0) *. 1000. in
-      let error code message =
-        `Reply (Protocol.error_response ~id ~code ~message)
-      in
-      (* The router is a trace origin as well as a propagator: a client
-         envelope is forwarded as-is; with none, global tracing (Full)
-         mints one per request, so every routed query yields a merged
-         cross-process trace. *)
-      let traced request_id =
-        match trace with
-        | Some _ -> trace
-        | None when Obs.spans_enabled () ->
-            Some
-              {
-                Protocol.trace_id = "t-" ^ request_id;
-                parent_span = "";
-                origin_request = request_id;
-                origin_session = session_id;
-                deadline = None;
-              }
-        | None -> None
-      in
-      match req with
-      | Ok (Protocol.Load { path; name; normalize; lenient; shard = _ }) -> (
-          (* The inner session loads the full dataset (and owns the
-             reference); the router records the load parameters so the
-             workers can be sent their slices on first fan-out. *)
-          match inner.Server.on_line line with
-          | `Reply r as reply ->
-              (match Json.parse r with
-              | Ok j when Json.member "ok" j = Some (Json.Bool true) -> (
-                  match reply_field j "key" with
-                  | Some (Json.Str key) ->
-                      register_dataset rt ~key ~path ~name ~normalize ~lenient
-                  | _ -> ())
-              | _ -> ());
-              reply
-          | x -> x)
-      | Ok (Protocol.Query q) -> (
-          incr reqno;
-          let request_id = Printf.sprintf "%s-r%d" session_id !reqno in
-          let dataset_key =
-            match Store.resolve rt.rt_store q.Protocol.dataset with
-            | Some key -> key
-            | None -> q.Protocol.dataset
-          in
-          match
-            Server.run_query ?trace:(traced request_id) ~telemetry:rt.telemetry
-              ~session_id ~request_id ~dataset_key ~shards ~elapsed_ms q
-              (fun () ->
-                match Store.pin rt.rt_store q.Protocol.dataset with
-                | None -> Error `Unknown_dataset
-                | Some h ->
-                    Fun.protect
-                      ~finally:(fun () -> Store.unpin rt.rt_store h)
-                      (run_item rt h q))
-          with
-          | Ok (result, cached, cost) ->
-              `Reply
-                (Protocol.ok_response ?cost ~id ~cached
-                   ~elapsed_ms:(elapsed_ms ()) result)
-          | Error (code, message) -> error code message)
-      | Ok (Protocol.Batch { dataset; items }) -> (
-          incr reqno;
-          let base_id = Printf.sprintf "%s-r%d" session_id !reqno in
-          match Store.pin rt.rt_store dataset with
-          | None ->
-              error "unknown_dataset"
-                (Printf.sprintf
-                   "no loaded dataset %S (load it first, then query by key or \
-                    name)"
-                   dataset)
-          | Some h ->
-              Fun.protect
-                ~finally:(fun () -> Store.unpin rt.rt_store h)
-                (fun () ->
-                  let key = Store.pinned_key h in
-                  let results =
-                    Array.to_list
-                      (Array.mapi
-                         (fun i item ->
-                           match item with
-                           | Error (code, message) -> item_error code message
-                           | Ok q -> (
-                               let t0i = Unix.gettimeofday () in
-                               let item_ms () =
-                                 (Unix.gettimeofday () -. t0i) *. 1000.
-                               in
-                               let item_id =
-                                 Printf.sprintf "%s.%d" base_id i
-                               in
-                               match
-                                 Server.run_query ?trace:(traced item_id)
-                                   ~telemetry:rt.telemetry ~session_id
-                                   ~request_id:item_id ~dataset_key:key ~shards
-                                   ~elapsed_ms:item_ms q (run_item rt h q)
-                               with
-                               | Ok (result, cached, cost) ->
-                                   Json.Obj
-                                     ([
-                                        ("ok", Json.Bool true);
-                                        ("cached", Json.Bool cached);
-                                        ("result", result);
-                                      ]
-                                     @
-                                     match cost with
-                                     | Some c -> [ ("cost", c) ]
-                                     | None -> [])
-                               | Error (code, message) ->
-                                   item_error code message))
-                         items)
-                  in
-                  `Reply
-                    (Protocol.ok_response ~id ~cached:false
-                       ~elapsed_ms:(elapsed_ms ())
-                       (Json.Obj
-                          [
-                            ("dataset", Json.Str key);
-                            ("count", Json.int (List.length results));
-                            ("results", Json.Arr results);
-                          ]))))
-      | Ok Protocol.Stats -> (
-          match inner.Server.on_line line with
-          | `Reply r as reply -> (
-              match Json.parse r with
-              | Ok (Json.Obj top)
-                when List.assoc_opt "ok" top = Some (Json.Bool true) -> (
-                  match List.assoc_opt "result" top with
-                  | Some (Json.Obj fields) ->
-                      let router =
-                        Json.Obj
-                          [
-                            ( "workers",
-                              Json.Arr
-                                (Array.to_list
-                                   (Array.map
-                                      (fun w ->
-                                        Json.Obj
-                                          [
-                                            ("path", Json.Str w.w_path);
-                                            ( "connected",
-                                              Json.Bool
-                                                (with_lock w.w_lock (fun () ->
-                                                     match w.conn with
-                                                     | Some _ -> true
-                                                     | None -> false)) );
-                                          ])
-                                      rt.workers)) );
-                          ]
-                      in
-                      let cluster = cluster_stats rt in
-                      `Reply
-                        (Json.to_string
-                           (Json.Obj
-                              (List.map
-                                 (fun (k, v) ->
-                                   if k = "result" then
-                                     ( k,
-                                       Json.Obj
-                                         (fields
-                                         @ [
-                                             ("router", router);
-                                             ("cluster", cluster);
-                                           ]) )
-                                   else (k, v))
-                                 top)))
-                  | _ -> reply)
-              | _ -> reply)
-          | x -> x)
-      | Ok (Protocol.Mutate _) ->
-          (* The router's workers each hold a read-only slice of every
-             dataset; accepting a write here would silently fork the
-             router's copy away from theirs.  Documented wire code. *)
-          error "read_only"
-            "the shard router fans out over read-only worker slices; send \
-             mutations to the store that owns the writable state (an \
-             rrms-serve instance without --router)"
-      | Ok (Protocol.Evict _) ->
-          let reply = inner.Server.on_line line in
-          release_freed rt;
-          reply
-      | Ok (Protocol.Skyline _)
-      | Ok Protocol.Metrics | Ok Protocol.Ping | Ok Protocol.Shutdown
-      | Error _ ->
-          inner.Server.on_line line
-    in
-    (* Session teardown drops this session's loads; a dataset that left
-       the store with them leaves the workers too. *)
-    let on_close () =
-      inner.Server.on_close ();
-      release_freed rt
-    in
-    { Server.on_line; on_close }
+    Server.store_handler ~telemetry:rt.telemetry
+      ~router:
+        {
+          Server.query_pinned = query_pinned rt;
+          shards = width rt;
+          after_load = register_dataset rt;
+          after_release = (fun () -> release_freed rt);
+          stats_extra =
+            (fun () ->
+              [
+                ( "router",
+                  Json.Obj
+                    [
+                      ( "workers",
+                        Json.Arr
+                          (Array.to_list
+                             (Array.map
+                                (fun w ->
+                                  Json.Obj
+                                    [
+                                      ("path", Json.Str w.w_path);
+                                      ( "connected",
+                                        Json.Bool
+                                          (with_lock w.w_lock (fun () ->
+                                               Option.is_some w.conn)) );
+                                    ])
+                                rt.workers)) );
+                    ] );
+                ("cluster", cluster_stats rt);
+              ]);
+        }
+      rt.rt_store
 
   let close rt =
     Array.iter (fun w -> with_lock w.w_lock (fun () -> disconnect w)) rt.workers

@@ -51,7 +51,6 @@ module Router : sig
     ?domains:int ->
     ?max_inflight:int ->
     ?max_queue:int ->
-    ?persist:Persist.t ->
     workers:string list ->
     unit ->
     t
@@ -73,19 +72,25 @@ module Router : sig
 
   val handler : t -> Server.handler
   (** The protocol handler: plug into {!Server.start_handler} (socket
-      daemon) or {!Server.run_handler_session} (stdio).  [query] and
-      [batch] over the HD algorithms fan out [skyline] requests and
-      answer from merged artifacts — byte-identical to a single-process
-      server; other algorithms and requests run on the router's store
-      directly.  Worker failures answer [shard_failure] (per query or
-      per batch item — the session survives); a worker-side deadline
-      expiry propagates as [deadline_exceeded].  When an [evict] (or
-      the session's teardown) frees a dataset from the router's store,
-      each worker's slice is evicted too, over the connection that
-      loaded it.  Mutation requests are
-      rejected with the documented [read_only] code: the workers hold
-      read-only slices, so a write accepted here would fork the
-      router's copy away from theirs. *)
+      daemon) or {!Server.run_handler_session} (stdio).  It is
+      {!Server.store_handler} over the router's store — the one
+      dispatcher answers every request, counts it and logs it — with
+      the router's {!Server.router} hooks:
+      - [query] and [batch] items over the HD algorithms fan out
+        [skyline] requests and answer from merged artifacts —
+        byte-identical to a single-process server; other algorithms
+        run on the router's store directly.  Worker failures answer
+        [shard_failure] (per query or per batch item — the session
+        survives); a worker-side deadline expiry propagates as
+        [deadline_exceeded].
+      - a [load] records the workers' load parameters;
+      - when an [evict] (or the session's teardown) frees a dataset from
+        the router's store, each worker's slice is evicted too, over the
+        connection that loaded it;
+      - [stats] gains the [router] and [cluster] members.
+      Mutation requests are rejected with the documented [read_only]
+      code: the workers hold read-only slices, so a write accepted here
+      would fork the router's copy away from theirs. *)
 
   val close : t -> unit
   (** Drop all worker connections (the workers themselves keep

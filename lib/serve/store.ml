@@ -866,6 +866,9 @@ type outcome = {
   cost : (string * Json.t) list;
 }
 
+type refusal =
+  [ `Overloaded | `Unknown_dataset | `Deadline_exceeded | `Draining ]
+
 let set_draining t = Atomic.set t.draining true
 let draining t = Atomic.get t.draining
 

@@ -170,12 +170,17 @@ type outcome = {
           so the answer bytes never depend on provenance. *)
 }
 
+type refusal =
+  [ `Overloaded | `Unknown_dataset | `Deadline_exceeded | `Draining ]
+(** Why the store declined to run a query or mutation: no such dataset,
+    the admission queue is full, the deadline expired while queued, or
+    the store is draining for shutdown.  [Server] maps each to its wire
+    error code. *)
+
 val query :
   t ->
   Protocol.query ->
-  ( outcome,
-    [ `Overloaded | `Unknown_dataset | `Deadline_exceeded | `Draining ] )
-  result
+  (outcome, refusal) result
 (** Answer one query: result cache → persisted result → admission →
     artifacts → solver.  The protocol [timeout] is an end-to-end
     deadline stamped on entry: a request that exhausts it waiting for
@@ -236,9 +241,7 @@ val mutate :
   t ->
   dataset:string ->
   Rrms_core.Delta.mutation list ->
-  ( mutated,
-    [ `Overloaded | `Unknown_dataset | `Deadline_exceeded | `Draining ] )
-  result
+  (mutated, refusal) result
 (** Apply one mutation batch (admission-gated like a solve; [timeout]
     is the same end-to-end deadline a query gets).  On any failure —
     bad index, dimension mismatch, emptied dataset, budget expiry —
@@ -319,9 +322,7 @@ val query_pinned :
   t ->
   handle ->
   Protocol.query ->
-  ( outcome,
-    [ `Overloaded | `Unknown_dataset | `Deadline_exceeded | `Draining ] )
-  result
+  (outcome, refusal) result
 (** {!query} against an already-pinned entry (the query's [dataset]
     field is ignored).  Never answers [`Unknown_dataset]; the union
     matches {!query} so callers can share error handling. *)

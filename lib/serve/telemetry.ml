@@ -185,46 +185,6 @@ let record t (r : request) ~spans =
 
 let quantile_ms h q = 1000. *. Obs.Hist.quantile h q
 
-let to_json t =
-  Mutex.lock t.mutex;
-  let entries =
-    Hashtbl.fold
-      (fun k h acc ->
-        ( k,
-          Json.Obj
-            [
-              ("algo", Json.Str k.k_algo);
-              ("cache", Json.Str k.k_cache);
-              ("status", Json.Str k.k_status);
-              ("count", Json.int (Obs.Hist.count h));
-              ("p50_ms", Json.float (quantile_ms h 0.5));
-              ("p95_ms", Json.float (quantile_ms h 0.95));
-              ("p99_ms", Json.float (quantile_ms h 0.99));
-              ("max_ms", Json.float (1000. *. Obs.Hist.max_value h));
-              ("sum_ms", Json.float (1000. *. Obs.Hist.sum h));
-            ] )
-        :: acc)
-      t.hists []
-  in
-  let access_lines = t.access_lines and slow_queries = t.slow_queries in
-  Mutex.unlock t.mutex;
-  let entries =
-    List.sort
-      (fun ((a : key), _) (b, _) ->
-        compare (a.k_algo, a.k_cache, a.k_status) (b.k_algo, b.k_cache, b.k_status))
-      entries
-  in
-  Json.Obj
-    ([
-       ("histograms", Json.Arr (List.map snd entries));
-       ("access_log_lines", Json.int access_lines);
-       ("slow_queries", Json.int slow_queries);
-     ]
-    @
-    match t.access_path with
-    | Some p -> [ ("access_log", Json.Str p) ]
-    | None -> [])
-
 (* ------------------------------------------------------------------ *)
 (* Raw (mergeable) export and the cluster merge — the two halves of the
    wire [metrics] op.  Export carries seconds and raw bucket counts, so
@@ -235,12 +195,8 @@ let sorted_entries t =
   Mutex.lock t.mutex;
   let entries = Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.hists [] in
   Mutex.unlock t.mutex;
-  List.sort
-    (fun ((a : key), _) (b, _) ->
-      compare
-        (a.k_algo, a.k_cache, a.k_status)
-        (b.k_algo, b.k_cache, b.k_status))
-    entries
+  (* [compare] on keys orders by algo, then cache, then status. *)
+  List.sort (fun ((a : key), _) (b, _) -> compare a b) entries
 
 let key_fields k =
   [
@@ -291,18 +247,38 @@ let hist_of_export j =
     Obs.Hist.import ~count:(int "count") ~sum:(num "sum")
       ~max_value:(num "max") ~buckets )
 
-let summary_row ~shard k h =
+(* One histogram's quantile row, as [stats] reports it. *)
+let row_fields k h =
+  key_fields k
+  @ [
+      ("count", Json.int (Obs.Hist.count h));
+      ("p50_ms", Json.float (quantile_ms h 0.5));
+      ("p95_ms", Json.float (quantile_ms h 0.95));
+      ("p99_ms", Json.float (quantile_ms h 0.99));
+      ("max_ms", Json.float (1000. *. Obs.Hist.max_value h));
+      ("sum_ms", Json.float (1000. *. Obs.Hist.sum h));
+    ]
+
+let to_json t =
+  let rows =
+    List.map (fun (k, h) -> Json.Obj (row_fields k h)) (sorted_entries t)
+  in
+  Mutex.lock t.mutex;
+  let access_lines = t.access_lines and slow_queries = t.slow_queries in
+  Mutex.unlock t.mutex;
   Json.Obj
-    (("shard", Json.Str shard)
-    :: key_fields k
-    @ [
-        ("count", Json.int (Obs.Hist.count h));
-        ("p50_ms", Json.float (quantile_ms h 0.5));
-        ("p95_ms", Json.float (quantile_ms h 0.95));
-        ("p99_ms", Json.float (quantile_ms h 0.99));
-        ("max_ms", Json.float (1000. *. Obs.Hist.max_value h));
-        ("sum_ms", Json.float (1000. *. Obs.Hist.sum h));
-      ])
+    ([
+       ("histograms", Json.Arr rows);
+       ("access_log_lines", Json.int access_lines);
+       ("slow_queries", Json.int slow_queries);
+     ]
+    @
+    match t.access_path with
+    | Some p -> [ ("access_log", Json.Str p) ]
+    | None -> [])
+
+let summary_row ~shard k h =
+  Json.Obj (("shard", Json.Str shard) :: row_fields k h)
 
 (* Merge per-process exports into the cluster latency view: one
    ["all"]-labelled row per key (histograms merged across processes,
@@ -326,14 +302,7 @@ let merge_exports labeled =
           Hashtbl.replace merged k h;
           order := k :: !order)
     per_shard;
-  let keys =
-    List.sort
-      (fun (a : key) b ->
-        compare
-          (a.k_algo, a.k_cache, a.k_status)
-          (b.k_algo, b.k_cache, b.k_status))
-      (List.rev !order)
-  in
+  let keys = List.sort (fun (a : key) b -> compare a b) (List.rev !order) in
   let all_rows =
     List.map (fun k -> summary_row ~shard:"all" k (Hashtbl.find merged k)) keys
   in

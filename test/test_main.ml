@@ -43,8 +43,8 @@ let () =
       ("robustness", Test_robustness.suite);
       ("edge-cases", Test_edge_cases.suite);
       (* Live maintenance through Store.mutate, in 2D and m-D. *)
-      ("dynamic2d", Test_maintenance.suite_2d);
-      ("dynamic-hd", Test_maintenance.suite_hd);
+      ("maintain-2d", Test_maintenance.suite_2d);
+      ("maintain-hd", Test_maintenance.suite_hd);
       ("examples", Test_examples.suite);
       ("properties", Test_properties.suite);
       ("parallel", Test_parallel.suite);

@@ -786,9 +786,9 @@ let test_bit_identical_with_telemetry () =
 
 let serve_exe = "../bin/rrms_serve_bin.exe"
 
-let run_stdio_session requests =
+let run_stdio_session ?(env = "") requests =
   let ic, oc =
-    Unix.open_process (Printf.sprintf "%s --stdio 2>/dev/null" serve_exe)
+    Unix.open_process (Printf.sprintf "%s%s --stdio 2>/dev/null" env serve_exe)
   in
   List.iter
     (fun r ->
@@ -867,6 +867,38 @@ let test_stdio_end_to_end () =
       Alcotest.(check bool) "shutdown acknowledged" true
         (Astring_contains.contains (line 9) "\"stopping\":true"))
 
+(* The parser's nesting cap: depth [max_depth] parses, one more is a
+   [parse] error — never a stack overflow. *)
+let test_json_depth_cap () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  (match Json.parse (nested Json.max_depth) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("depth = cap rejected: " ^ e));
+  (match Json.parse (nested (Json.max_depth + 1)) with
+  | Ok _ -> Alcotest.fail "depth = cap + 1 accepted"
+  | Error _ -> ());
+  match (Protocol.parse_request (nested (Json.max_depth + 1))).Protocol.req with
+  | Error (code, _) -> Alcotest.(check string) "wire code" "parse" code
+  | Ok _ -> Alcotest.fail "over-deep request parsed"
+
+(* One hostile line of 300 000 '[' under a 1M-word stack must answer
+   [parse] and leave the session serving: the next line's ping is
+   answered. *)
+let test_stdio_deep_nesting () =
+  let status, lines =
+    run_stdio_session ~env:"OCAMLRUNPARAM=l=1M "
+      [ String.make 300_000 '['; "{\"id\":2,\"req\":\"ping\"}" ]
+  in
+  (match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED c -> Alcotest.failf "rrms-serve exited %d" c
+  | _ -> Alcotest.fail "rrms-serve killed");
+  Alcotest.(check int) "one response per request" 2 (List.length lines);
+  Alcotest.(check bool) "deep line answers parse" true
+    (Astring_contains.contains (List.nth lines 0) "\"code\":\"parse\"");
+  Alcotest.(check bool) "next line answered" true
+    (Astring_contains.contains (List.nth lines 1) "\"pong\":true")
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -894,4 +926,7 @@ let suite =
     Alcotest.test_case "bit-identical with telemetry on/off" `Quick
       test_bit_identical_with_telemetry;
     Alcotest.test_case "stdio end to end" `Quick test_stdio_end_to_end;
+    Alcotest.test_case "json nesting depth cap" `Quick test_json_depth_cap;
+    Alcotest.test_case "stdio survives deep nesting" `Quick
+      test_stdio_deep_nesting;
   ]

@@ -1163,6 +1163,103 @@ let test_trace_propagation_batch_mutation () =
                     (e.span_id <> ""))
                 spans)))
 
+(* The router answers through the same dispatcher as a plain store, so
+   its own request, error and batch counters move exactly as a plain
+   store's do for the same lines: load, an HD query, a query on an
+   unknown dataset, a 2-item batch, stats.  The in-process workers share
+   the counter registry, so the lines they receive (slice loads,
+   skyline legs, the stats fan-out) are counted and taken off. *)
+let test_router_counts_like_store () =
+  with_counters (fun () ->
+      with_csv ~n:120 ~m:3 ~seed:47 (fun csv ->
+          let lines =
+            [
+              load_line csv;
+              "{\"req\":\"query\",\"dataset\":\"d\",\"algo\":\"hd-rrms\",\"r\":3,\"gamma\":4}";
+              "{\"req\":\"query\",\"dataset\":\"ghost\",\"algo\":\"cube\",\"r\":3}";
+              "{\"req\":\"batch\",\"dataset\":\"d\",\"items\":[{\"algo\":\"hd-rrms\",\"r\":4,\"gamma\":4},{\"algo\":\"cube\",\"r\":3}]}";
+              "{\"req\":\"stats\"}";
+            ]
+          in
+          let names =
+            [
+              "rrms_serve_requests_total";
+              "rrms_serve_errors_total";
+              "rrms_serve_batch_requests_total";
+              "rrms_serve_batch_items_total";
+            ]
+          in
+          let snapshot () =
+            let snap = Obs.snapshot () in
+            List.map
+              (fun n -> Option.value ~default:0. (List.assoc_opt n snap))
+              names
+          in
+          (* Counter deltas over one session's lines, less [offset]
+             requests answered elsewhere in the process. *)
+          let deltas handler ~offset =
+            let before = snapshot () in
+            let rpc, close = open_session handler in
+            Fun.protect ~finally:close (fun () ->
+                List.iter (fun l -> ignore (rpc l : string)) lines);
+            List.map2
+              (fun n (b, a) ->
+                let d = int_of_float (a -. b) in
+                if n = "rrms_serve_requests_total" then d - offset () else d)
+              names
+              (List.combine before (snapshot ()))
+          in
+          let plain =
+            deltas
+              (Server.store_handler (Store.create ()))
+              ~offset:(fun () -> 0)
+          in
+          let socks =
+            List.init 2 (fun i -> temp_socket (Printf.sprintf "cnt%d" i))
+          in
+          let worker_lines = Atomic.make 0 in
+          let counting h () =
+            let s = h () in
+            {
+              s with
+              Server.on_line =
+                (fun l ->
+                  Atomic.incr worker_lines;
+                  s.Server.on_line l);
+            }
+          in
+          let servers =
+            List.map
+              (fun sock ->
+                Server.start_handler
+                  (counting (Server.store_handler (Store.create ())))
+                  ~socket:sock)
+              socks
+          in
+          let routed =
+            Fun.protect
+              ~finally:(fun () ->
+                List.iter
+                  (fun sv ->
+                    Server.stop sv;
+                    Server.wait sv)
+                  servers)
+              (fun () ->
+                let rt = Shard.Router.create ~workers:socks () in
+                Fun.protect
+                  ~finally:(fun () -> Shard.Router.close rt)
+                  (fun () ->
+                    deltas (Shard.Router.handler rt) ~offset:(fun () ->
+                        Atomic.get worker_lines)))
+          in
+          Alcotest.(check bool) "the workers were reached" true
+            (Atomic.get worker_lines > 0);
+          Alcotest.(check (list int))
+            "plain store counts" [ 5; 1; 1; 2 ] plain;
+          List.iter2
+            (fun n (p, r) -> Alcotest.(check int) ("router " ^ n) p r)
+            names (List.combine plain routed)))
+
 (* The binary refuses inconsistent router flags. *)
 let test_router_flag_validation () =
   let dev_null = " >/dev/null 2>&1" in
@@ -1201,4 +1298,6 @@ let suite =
       test_trace_onoff_bit_identity;
     Alcotest.test_case "trace propagation: batch and mutation" `Quick
       test_trace_propagation_batch_mutation;
+    Alcotest.test_case "router counts requests like a plain store" `Quick
+      test_router_counts_like_store;
   ]
