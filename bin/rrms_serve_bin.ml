@@ -629,10 +629,12 @@ let cmd =
       & opt (some string) None
       & info [ "state-dir" ] ~docv:"DIR"
           ~doc:
-            "Durable artifact cache: spill skylines, direction grids, \
-             regret matrices and Exact results to content-addressed blobs \
-             under $(docv) (created if absent), and rehydrate them on \
-             demand after a restart.  Mutations are journaled to a \
+            "Durable artifact cache: spill datasets, skylines and Exact \
+             results to write-once, content-addressed blobs under \
+             $(docv) (created if absent), and rehydrate them on demand \
+             after a restart; regret matrices and direction grids are \
+             rebuilt from the skyline, which is faster than reading them \
+             back.  Mutations are journaled to a \
              checksummed write-ahead log in the same directory and \
              replayed at startup.  Torn or corrupt blobs are detected by \
              checksum, discarded and counted, never served.  Incompatible \

@@ -60,6 +60,24 @@ let fit_gamma ~rows ~max_cells ~gamma ~m =
   in
   down gamma
 
+let shrink_gamma ~max_cells ~rows ~gamma ~m =
+  match max_cells with
+  | None -> (gamma, None)
+  | Some cap -> (
+      match fit_gamma ~rows ~max_cells:cap ~gamma ~m with
+      | Some g when g = gamma -> (gamma, None)
+      | Some g ->
+          let requested = matrix_cells ~rows ~gamma ~m in
+          ( g,
+            Some
+              (Rrms_guard.Guard.Cell_cap
+                 { requested; cap; gamma_from = gamma; gamma_to = g }) )
+      | None ->
+          Rrms_guard.Guard.Error.resource_limit
+            ~what:"regret matrix cells (even at gamma = 1)"
+            ~requested:(matrix_cells ~rows ~gamma:1 ~m)
+            ~limit:cap)
+
 let grid ~gamma ~m =
   let total = grid_size ~gamma ~m in
   Obs.Counter.incr Metrics.grid_builds;

@@ -24,11 +24,20 @@ val matrix_cells : rows:int -> gamma:int -> m:int -> int
     never raises; a saturated value still compares correctly against
     any cap below [max_int / 2]). *)
 
-val fit_gamma : rows:int -> max_cells:int -> gamma:int -> m:int -> int option
-(** [fit_gamma ~rows ~max_cells ~gamma ~m] is the largest [γ' ≤ gamma]
-    (at least 1) whose regret matrix fits the cell cap, or [None] when
-    even [γ' = 1] does not — the auto-shrink rule of the budgeted HD
-    solvers. *)
+val shrink_gamma :
+  max_cells:int option ->
+  rows:int ->
+  gamma:int ->
+  m:int ->
+  int * Rrms_guard.Guard.reason option
+(** [shrink_gamma ~max_cells ~rows ~gamma ~m] is the auto-shrink rule of
+    the budgeted HD solvers: the largest [γ' ≤ gamma] (at least 1) whose
+    regret matrix fits the cell cap, with the [Cell_cap] reason when
+    [γ' < gamma].  [(gamma, None)] without a cap or when [gamma]
+    already fits.  The solvers and the query service both call it, so a
+    capped served query uses the matrix a cold solve would build.
+    @raise Rrms_guard.Guard.Error.Guard_error [Resource_limit] when even
+    [γ' = 1] does not fit. *)
 
 val subgrid_indices : gamma_sub:int -> gamma:int -> m:int -> int array option
 (** [subgrid_indices ~gamma_sub ~gamma ~m] maps the γ'-grid into the

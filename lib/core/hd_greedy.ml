@@ -19,24 +19,6 @@ type result = {
   steps : int;
 }
 
-let shrink_gamma ~guard ~rows ~gamma ~m =
-  match Guard.Budget.max_cells guard with
-  | None -> (gamma, None)
-  | Some cap -> (
-      match Discretize.fit_gamma ~rows ~max_cells:cap ~gamma ~m with
-      | Some g when g = gamma -> (gamma, None)
-      | Some g ->
-          let requested = Discretize.matrix_cells ~rows ~gamma ~m in
-          ( g,
-            Some
-              (Guard.Cell_cap
-                 { requested; cap; gamma_from = gamma; gamma_to = g }) )
-      | None ->
-          Guard.Error.resource_limit
-            ~what:"regret matrix cells (even at gamma = 1)"
-            ~requested:(Discretize.matrix_cells ~rows ~gamma:1 ~m)
-            ~limit:cap)
-
 (* The greedy loop itself, on a precomputed matrix + skyline map — the
    shared back half of [solve] and the resident query server's warm
    path, so both produce bit-identical selections. *)
@@ -119,7 +101,10 @@ let solve ?(gamma = 4) ?funcs ?domains ?(guard = Guard.Budget.unlimited)
           (s * Array.length f);
         (gamma, f, None)
     | None ->
-        let g, reason = shrink_gamma ~guard ~rows:s ~gamma ~m in
+        let g, reason =
+          Discretize.shrink_gamma ~max_cells:(Guard.Budget.max_cells guard)
+            ~rows:s ~gamma ~m
+        in
         (g, Discretize.grid ~gamma:g ~m, reason)
   in
   let sky_points = Array.map (fun i -> points.(i)) sky in
@@ -127,13 +112,4 @@ let solve ?(gamma = 4) ?funcs ?domains ?(guard = Guard.Budget.unlimited)
   let res =
     solve_prepared ?domains ~guard ~skyline:sky ~gamma_used matrix ~r
   in
-  match shrink_reason with
-  | None -> res
-  | Some c ->
-      {
-        res with
-        quality =
-          (match res.quality with
-          | Guard.Exact -> Guard.Degraded [ c ]
-          | Guard.Degraded rs -> Guard.Degraded (c :: rs));
-      })
+  { res with quality = Guard.degrade_first res.quality shrink_reason })

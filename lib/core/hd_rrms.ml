@@ -146,27 +146,6 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     stopped = !stopped;
   }
 
-(* Pick the discretization that fits the guard's cell cap: the largest
-   gamma' <= gamma with s·(gamma'+1)^(m-1) cells under the cap.  Raises
-   Resource_limit when even gamma' = 1 does not fit. *)
-let shrink_gamma ~guard ~rows ~gamma ~m =
-  match Guard.Budget.max_cells guard with
-  | None -> (gamma, None)
-  | Some cap -> (
-      match Discretize.fit_gamma ~rows ~max_cells:cap ~gamma ~m with
-      | Some g when g = gamma -> (gamma, None)
-      | Some g ->
-          let requested = Discretize.matrix_cells ~rows ~gamma ~m in
-          ( g,
-            Some
-              (Guard.Cell_cap
-                 { requested; cap; gamma_from = gamma; gamma_to = g }) )
-      | None ->
-          Guard.Error.resource_limit
-            ~what:"regret matrix cells (even at gamma = 1)"
-            ~requested:(Discretize.matrix_cells ~rows ~gamma:1 ~m)
-            ~limit:cap)
-
 (* The back half of Algorithm 4, starting from precomputed artifacts: a
    regret matrix over the skyline rows plus the skyline index map.  Both
    [solve] and the resident query server (lib/serve) end up here, so a
@@ -252,7 +231,10 @@ let solve ?(gamma = 4) ?solver ?(budget = Strict) ?funcs ?domains
           (s * Array.length f);
         (gamma, f, None)
     | None ->
-        let g, reason = shrink_gamma ~guard ~rows:s ~gamma ~m in
+        let g, reason =
+          Discretize.shrink_gamma ~max_cells:(Guard.Budget.max_cells guard)
+            ~rows:s ~gamma ~m
+        in
         (g, Discretize.grid ~gamma:g ~m, reason)
   in
   let sky_points = Array.map (fun i -> points.(i)) sky in
@@ -264,13 +246,4 @@ let solve ?(gamma = 4) ?solver ?(budget = Strict) ?funcs ?domains
     solve_prepared ?solver ~budget ?domains ~guard ~skyline:sky ~gamma_used
       ~m matrix ~r
   in
-  match shrink_reason with
-  | None -> res
-  | Some c ->
-      {
-        res with
-        quality =
-          (match res.quality with
-          | Guard.Exact -> Guard.Degraded [ c ]
-          | Guard.Degraded rs -> Guard.Degraded (c :: rs));
-      })
+  { res with quality = Guard.degrade_first res.quality shrink_reason })

@@ -28,36 +28,32 @@ module Metrics = struct
 end
 
 (* One flat row-major buffer instead of [float array array]: a cell read
-   is one bounds check and one load, rows are contiguous for streaming
-   scans, and a column-subset "matrix" is just the same buffer seen
-   through a [colmap] — no copy.  [stride] is the physical row width of
-   [data]; [colmap] maps a logical column to its physical offset within
-   a row ([colmap] = identity and [stride] = cols for built or
-   materialized matrices, flagged by [contiguous] so hot loops can take
-   the blit/stride-1 path).  Matrices are immutable after construction,
-   so the sorted distinct-cell array is computed once and cached;
-   [Atomic] gives the cache a publication barrier — matrices are shared
-   across serve sessions running on different domains. *)
+   is one load with no row pointer to chase, and rows are contiguous for
+   streaming scans and single-[Array.blit] copies.  Matrices are
+   immutable after construction, so the sorted distinct-cell array is
+   computed once and cached; [Atomic] gives the cache a publication
+   barrier — matrices are shared across serve sessions running on
+   different domains. *)
 type t = {
-  data : float array;
-  stride : int;
+  data : float array; (* nrows × cols, row-major *)
   nrows : int;
-  colmap : int array;
-  contiguous : bool;
-  best : float array; (* per logical column: best database score *)
+  best : float array; (* per column: best database score *)
   distinct : float array option Atomic.t;
 }
 
 let rows t = t.nrows
 let cols t = Array.length t.best
 
-(* [colmap.(f)] performs the logical-column bounds check; the flat index
-   of any in-range row then lies inside [data] by construction, and an
-   out-of-range row lands outside [0, nrows·stride) because a physical
-   column never exceeds [stride - 1]. *)
-let get t i f = t.data.((i * t.stride) + t.colmap.(f))
+let make ~data ~nrows ~best = { data; nrows; best; distinct = Atomic.make None }
+
+(* The explicit column check keeps an out-of-range column from reading
+   a neighbouring row's cell; an out-of-range row then lands outside
+   [data] and the array access raises. *)
+let get t i f =
+  if f < 0 || f >= cols t then invalid_arg "index out of bounds";
+  t.data.((i * cols t) + f)
+
 let column_best_score t f = t.best.(f)
-let is_view t = not t.contiguous
 
 let check_row t i =
   if i < 0 || i >= t.nrows then invalid_arg "index out of bounds"
@@ -67,56 +63,32 @@ let blit_row t i dst =
   let k = cols t in
   if Array.length dst < k then
     invalid_arg "Regret_matrix.blit_row: destination too short";
-  let off = i * t.stride in
-  if t.contiguous then Array.blit t.data off dst 0 k
-  else
-    for f = 0 to k - 1 do
-      Array.unsafe_set dst f
-        (Array.unsafe_get t.data (off + Array.unsafe_get t.colmap f))
-    done
+  Array.blit t.data (i * k) dst 0 k
 
 let row_update_mins t i mins =
   check_row t i;
   let k = cols t in
   if Array.length mins < k then
     invalid_arg "Regret_matrix.row_update_mins: mins too short";
-  let off = i * t.stride in
-  if t.contiguous then
-    for f = 0 to k - 1 do
-      let v = Array.unsafe_get t.data (off + f) in
-      if v < Array.unsafe_get mins f then Array.unsafe_set mins f v
-    done
-  else
-    for f = 0 to k - 1 do
-      let v = Array.unsafe_get t.data (off + Array.unsafe_get t.colmap f) in
-      if v < Array.unsafe_get mins f then Array.unsafe_set mins f v
-    done
+  let off = i * k in
+  for f = 0 to k - 1 do
+    let v = Array.unsafe_get t.data (off + f) in
+    if v < Array.unsafe_get mins f then Array.unsafe_set mins f v
+  done
 
 let row_worst_against t i current =
   check_row t i;
   let k = cols t in
   if Array.length current < k then
     invalid_arg "Regret_matrix.row_worst_against: current too short";
-  let off = i * t.stride in
+  let off = i * k in
   let worst = ref neg_infinity in
-  if t.contiguous then
-    for f = 0 to k - 1 do
-      let v =
-        Float.min
-          (Array.unsafe_get current f)
-          (Array.unsafe_get t.data (off + f))
-      in
-      if v > !worst then worst := v
-    done
-  else
-    for f = 0 to k - 1 do
-      let v =
-        Float.min
-          (Array.unsafe_get current f)
-          (Array.unsafe_get t.data (off + Array.unsafe_get t.colmap f))
-      in
-      if v > !worst then worst := v
-    done;
+  for f = 0 to k - 1 do
+    let v =
+      Float.min (Array.unsafe_get current f) (Array.unsafe_get t.data (off + f))
+    in
+    if v > !worst then worst := v
+  done;
   !worst
 
 let build ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) ~funcs points =
@@ -148,15 +120,7 @@ let build ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) ~funcs points =
               Array.unsafe_set data (off + f)
                 (Float.max 0. ((b -. Vec.dot funcs.(f) p) /. b))
           done);
-      {
-        data;
-        stride = k;
-        nrows = n;
-        colmap = Array.init k (fun f -> f);
-        contiguous = true;
-        best;
-        distinct = Atomic.make None;
-      })
+      make ~data ~nrows:n ~best)
 
 let select_cols t cols =
   let k = Array.length t.best in
@@ -168,51 +132,18 @@ let select_cols t cols =
     cols;
   if Array.length cols = 0 then
     Rrms_guard.Guard.Error.invalid_input "Regret_matrix.select_cols: no columns";
-  (* A view: the flat buffer is shared and only the logical→physical
-     column map changes (composed through the parent's, so a view of a
-     view stays one indirection deep). *)
-  let colmap = Array.map (fun f -> t.colmap.(f)) cols in
-  let contiguous =
-    t.nrows * Array.length cols = Array.length t.data
-    && Array.length cols = t.stride
-    && (let id = ref true in
-        Array.iteri (fun i pc -> if pc <> i then id := false) colmap;
-        !id)
-  in
-  {
-    data = t.data;
-    stride = t.stride;
-    nrows = t.nrows;
-    colmap;
-    contiguous;
-    best = Array.map (fun f -> t.best.(f)) cols;
-    distinct = Atomic.make None;
-  }
+  let k' = Array.length cols in
+  let data = Array.make (t.nrows * k') 0. in
+  for i = 0 to t.nrows - 1 do
+    let src = i * k and dst = i * k' in
+    for f = 0 to k' - 1 do
+      Array.unsafe_set data (dst + f)
+        (Array.unsafe_get t.data (src + Array.unsafe_get cols f))
+    done
+  done;
+  make ~data ~nrows:t.nrows ~best:(Array.map (fun f -> t.best.(f)) cols)
 
-let materialize t =
-  if t.contiguous then t
-  else begin
-    let k = cols t in
-    let data = Array.make (t.nrows * k) 0. in
-    for i = 0 to t.nrows - 1 do
-      let src = i * t.stride and dst = i * k in
-      for f = 0 to k - 1 do
-        Array.unsafe_set data (dst + f)
-          (Array.unsafe_get t.data (src + Array.unsafe_get t.colmap f))
-      done
-    done;
-    {
-      data;
-      stride = k;
-      nrows = t.nrows;
-      colmap = Array.init k (fun f -> f);
-      contiguous = true;
-      best = Array.copy t.best;
-      (* Cell values are unchanged by the gather, so an already-computed
-         distinct cache carries over. *)
-      distinct = Atomic.make (Atomic.get t.distinct);
-    }
-  end
+let materialize t = t
 
 (* ------------------------------------------------------------------ *)
 (* Incremental maintenance                                             *)
@@ -260,7 +191,6 @@ let update ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) t ~funcs
   Obs.Counter.incr Metrics.updates;
   Obs.Counter.add Metrics.cells (n * k);
   Obs.Span.with_ "regret_matrix.update" (fun () ->
-      let t = materialize t in
       let old = t.data and old_best = t.best in
       (* Fresh rows need a dot product in every column no matter what;
          compute them once up front so the per-column decision and the
@@ -346,58 +276,10 @@ let update ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) t ~funcs
       for f = k - 1 downto 0 do
         if best.(f) <> old_best.(f) then changed := f :: !changed
       done;
-      ( {
-          data;
-          stride = k;
-          nrows = n;
-          colmap = Array.init k (fun f -> f);
-          contiguous = true;
-          best;
-          distinct = Atomic.make None;
-        },
-        Array.of_list !changed ))
-
-let export t =
-  let m = materialize t in
-  (Array.copy m.best, Array.copy m.data)
-
-let import ~rows ~best ~cells =
-  let k = Array.length best in
-  if rows < 1 || k < 1 then
-    Rrms_guard.Guard.Error.invalid_input
-      "Regret_matrix.import: empty matrix";
-  if Array.length cells <> rows * k then
-    Rrms_guard.Guard.Error.invalid_input
-      "Regret_matrix.import: cells length does not match rows x cols";
-  {
-    data = cells;
-    stride = k;
-    nrows = rows;
-    colmap = Array.init k (fun f -> f);
-    contiguous = true;
-    best;
-    (* The distinct cache is recomputed on demand; it is a pure
-       function of the (bit-identical) cells, so rehydrated matrices
-       solve identically to the originals. *)
-    distinct = Atomic.make None;
-  }
+      (make ~data ~nrows:n ~best, Array.of_list !changed))
 
 let compute_distinct t =
-  let n = rows t and k = cols t in
-  let all =
-    if t.contiguous then Array.copy t.data
-    else begin
-      let all = Array.make (n * k) 0. in
-      for i = 0 to n - 1 do
-        let src = i * t.stride and dst = i * k in
-        for f = 0 to k - 1 do
-          Array.unsafe_set all (dst + f)
-            (Array.unsafe_get t.data (src + Array.unsafe_get t.colmap f))
-        done
-      done;
-      all
-    end
-  in
+  let all = Array.copy t.data in
   Fsort.sort all;
   (* Dedup in place in one scan: [j] entries are emitted, and the next
      candidate only needs comparing against the last emitted value. *)

@@ -5,9 +5,9 @@
     regret ratio a user of function [f] suffers if tuple [i] alone is
     kept.  HD-RRMS and HD-GREEDY both operate on this matrix.
 
-    The storage is a single flat row-major unboxed float buffer; column
-    subsets ({!select_cols}) are zero-copy views onto the same buffer.
-    Matrices are immutable after {!build}. *)
+    The storage is a single flat row-major unboxed float buffer, so row
+    scans are stride-1 and a row copy is one [Array.blit].  Matrices are
+    immutable after {!build}. *)
 
 type t
 
@@ -58,27 +58,20 @@ val update :
 
 val select_cols : t -> int array -> t
 (** [select_cols t cols] is the sub-matrix of the given function
-    columns, in the given order — a zero-copy {e view} sharing the
-    parent's flat buffer through a column map (a view of a view composes
-    the maps, staying one indirection deep).  Cell values and per-column
-    best scores are the parent's verbatim, so solving on the sub-matrix
-    is bit-identical to solving on a matrix built from the corresponding
-    function subset.  Pairs with {!Discretize.subgrid_indices} to serve
-    a γ'-grid query from a cached γ-grid matrix; use {!materialize}
-    when the result is kept long-term (e.g. stored as an artifact).
+    columns, in the given order, copied into a fresh contiguous buffer.
+    Cell values and per-column best scores are the parent's verbatim
+    (the distinct-value cache starts empty), so solving on the
+    sub-matrix is bit-identical to solving on a matrix built from the
+    corresponding function subset.  Pairs with
+    {!Discretize.subgrid_indices} to serve a γ'-grid query from a cached
+    γ-grid matrix.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] on a bad
     column index or when [cols] is empty. *)
 
 val materialize : t -> t
-(** [materialize t] is [t] with its cells gathered into a fresh
-    contiguous buffer (a no-op, returning [t] itself, when [t] is
-    already contiguous).  Use after {!select_cols} when the view will
-    outlive the parent matrix or be scanned many times: a materialized
-    matrix drops the parent buffer reference and reads stride-1. *)
-
-val is_view : t -> bool
-(** [is_view t] is [true] iff [t] reads through a non-trivial column
-    map, i.e. {!materialize} would gather. *)
+(** The identity: every matrix is contiguous.  Kept only for the
+    benchmark replay in [perfbench/trace.ml], which calls it after
+    {!select_cols}. *)
 
 val rows : t -> int
 val cols : t -> int
@@ -92,8 +85,7 @@ val column_best_score : t -> int -> float
 
 val blit_row : t -> int -> float array -> unit
 (** [blit_row t i dst] copies row [i]'s [cols t] cells into
-    [dst.(0 .. cols t - 1)] — a single [Array.blit] on contiguous
-    matrices, a gather on views.
+    [dst.(0 .. cols t - 1)] with a single [Array.blit].
     @raise Invalid_argument if [i] is out of range or [dst] is shorter
     than [cols t]. *)
 
@@ -107,21 +99,6 @@ val row_worst_against : t -> int -> float array -> float
     [max_f (Float.min current.(f) M[i,f])]: the maximum regret of a set
     whose per-column minima are [current] after adding row [i].  The
     inner HD-GREEDY sweep, one contiguous row scan per candidate. *)
-
-val export : t -> float array * float array
-(** [export t] is [(best, cells)]: the per-column best scores and the
-    row-major cells of the materialized matrix — everything a durable
-    artifact store needs to reconstruct [t] byte-for-byte with
-    {!import}.  Both arrays are fresh copies. *)
-
-val import : rows:int -> best:float array -> cells:float array -> t
-(** [import ~rows ~best ~cells] rebuilds a contiguous matrix from an
-    {!export}.  The cells array is adopted (not copied); the distinct
-    cache starts empty and is recomputed deterministically from the
-    cells, so a rehydrated matrix is observationally identical to the
-    one exported.
-    @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when the
-    dimensions are empty or [cells] is not [rows × length best]. *)
 
 val distinct_values : t -> float array
 (** All distinct cell values, sorted ascending — the binary-search

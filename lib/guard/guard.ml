@@ -100,6 +100,13 @@ let degrade q reason =
   | Exact -> Degraded [ reason ]
   | Degraded rs -> Degraded (rs @ [ reason ])
 
+let degrade_first q = function
+  | None -> q
+  | Some reason -> (
+      match q with
+      | Exact -> Degraded [ reason ]
+      | Degraded rs -> Degraded (reason :: rs))
+
 let is_exact = function Exact -> true | Degraded _ -> false
 
 module Budget = struct

@@ -78,6 +78,11 @@ val describe : quality -> string
 val degrade : quality -> reason -> quality
 (** Append one reason (keeps occurrence order). *)
 
+val degrade_first : quality -> reason option -> quality
+(** Put one reason, if any, {e before} the existing ones — the HD
+    solvers' cell-cap γ shrink, which happens before the solve whose
+    own reasons it precedes. *)
+
 val is_exact : quality -> bool
 
 module Budget : sig

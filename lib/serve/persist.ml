@@ -1,14 +1,15 @@
 module Guard = Rrms_guard.Guard
 module Obs = Rrms_obs.Obs
 module Dataset = Rrms_dataset.Dataset
-module Regret_matrix = Rrms_core.Regret_matrix
 
 module Metrics = struct
   (* Everything here depends on what an earlier process left on disk,
      never on the workload alone. *)
   let c name help = Obs.Counter.make ~deterministic:false ~help name
 
-  let writes = c "rrms_serve_persist_writes_total" "artifact blobs persisted"
+  let writes =
+    c "rrms_serve_persist_writes_total"
+      "artifact blobs written (write-once saves of an existing blob excluded)"
 
   let write_errors =
     c "rrms_serve_persist_write_errors_total"
@@ -113,27 +114,21 @@ let magic = "RRMB"
 let version = 1
 let header_len = 22
 
-type kind =
-  | Dataset_blob
-  | Skyline_blob
-  | Grid_blob
-  | Matrix_blob
-  | Result_blob
-  | Wal_record
+(* Kind bytes 3 and 4 held direction grids and regret matrices, which
+   are cheaper to recompute than to read back; they are never reused,
+   so such a blob left by an older build fails validation as an unknown
+   kind and is discarded once. *)
+type kind = Dataset_blob | Skyline_blob | Result_blob | Wal_record
 
 let kind_byte = function
   | Dataset_blob -> 1
   | Skyline_blob -> 2
-  | Grid_blob -> 3
-  | Matrix_blob -> 4
   | Result_blob -> 5
   | Wal_record -> 6
 
 let kind_of_byte = function
   | 1 -> Some Dataset_blob
   | 2 -> Some Skyline_blob
-  | 3 -> Some Grid_blob
-  | 4 -> Some Matrix_blob
   | 5 -> Some Result_blob
   | 6 -> Some Wal_record
   | _ -> None
@@ -236,11 +231,12 @@ let is_tmp name =
   let rec scan i = i + m <= n && (String.sub name i m = tmp_marker || scan (i + 1)) in
   scan 0
 
-(* Read and validate one blob file.  [Ok payload] when every header
-   field and the checksum hold; [Error `Missing] when the file does not
-   exist; [Error `Corrupt] for anything else — short file, bad magic,
-   unknown version or kind, length or checksum mismatch. *)
-let read_blob ~kind path =
+(* Read and validate one blob file.  [Ok (kind, payload)] when every
+   header field and the checksum hold; [Error `Missing] when the file
+   does not exist; [Error `Corrupt] for anything else — short file, bad
+   magic, unknown version or kind, length or checksum mismatch.  Both
+   the startup scan and every load go through here. *)
+let read_blob path =
   match open_in_bin path with
   | exception Sys_error _ -> Error `Missing
   | ic ->
@@ -254,42 +250,18 @@ let read_blob ~kind path =
               let h = really_input_string ic header_len in
               let plen = Int64.to_int (String.get_int64_le h 6) in
               let sum = String.get_int64_le h 14 in
-              if
-                String.sub h 0 4 <> magic
-                || String.get_uint8 h 4 <> version
-                || kind_of_byte (String.get_uint8 h 5) <> Some kind
-                || plen < 0
-                || size <> header_len + plen
-              then Error `Corrupt
-              else
-                let payload = really_input_string ic plen in
-                if checksum payload <> sum then Error `Corrupt
-                else Ok payload
+              match kind_of_byte (String.get_uint8 h 5) with
+              | Some kind
+                when String.sub h 0 4 = magic
+                     && String.get_uint8 h 4 = version
+                     && plen >= 0
+                     && size = header_len + plen ->
+                  let payload = really_input_string ic plen in
+                  if checksum payload <> sum then Error `Corrupt
+                  else Ok (kind, payload)
+              | _ -> Error `Corrupt
             end
           with End_of_file | Sys_error _ -> Error `Corrupt)
-
-(* Validation for the startup scan: same checks, kind only needs to be
-   known, payload is not decoded. *)
-let blob_valid path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try
-            let size = in_channel_length ic in
-            size >= header_len
-            &&
-            let h = really_input_string ic header_len in
-            let plen = Int64.to_int (String.get_int64_le h 6) in
-            String.sub h 0 4 = magic
-            && String.get_uint8 h 4 = version
-            && kind_of_byte (String.get_uint8 h 5) <> None
-            && plen >= 0
-            && size = header_len + plen
-            && checksum (really_input_string ic plen) = String.get_int64_le h 14
-          with End_of_file | Sys_error _ -> false)
 
 let scan_dir root =
   let names = try Sys.readdir root with Sys_error _ -> [||] in
@@ -305,7 +277,7 @@ let scan_dir root =
       end
       else if Filename.check_suffix name ".blob" then begin
         Obs.Counter.incr Metrics.blobs_scanned;
-        if blob_valid path then
+        if Result.is_ok (read_blob path) then
           tally := { !tally with valid = !tally.valid + 1 }
         else begin
           (try Sys.remove path with Sys_error _ -> ());
@@ -362,37 +334,48 @@ let write_raw ~fsync path (chunks : string list) =
 let half s = String.sub s 0 (String.length s / 2)
 
 (* The one write path: temp file in the same directory, fsync, atomic
-   rename over the final name, directory fsync.  The injected faults
+   rename over the final name, directory fsync.  Blobs are write-once:
+   every name is a content hash, so a blob already under its final name
+   holds the same bytes (and every load validates them anyway).  Such a
+   save is skipped before [encode] fills the payload, and is neither
+   counted as a write nor given a fault ordinal.  The injected faults
    land here — [Write_crash] dies with SIGKILL's exit code leaving only
    temp litter, [Write_torn] renames a truncated payload into place so
    the final name holds a checksummed-as-full but short blob. *)
-let write_blob t ~kind ~name payload =
+let write_blob t ~kind ~name encode =
   let final = Filename.concat t.root name in
-  let tmp =
-    Printf.sprintf "%s%s%d-%d" final tmp_marker (Unix.getpid ())
-      (Atomic.fetch_and_add tmp_seq 1)
-  in
-  let hdr = header ~kind payload in
-  match Fault.on_write () with
-  | Fault.Write_crash ->
-      (* Half-written temp file, then die as if SIGKILLed: no rename, no
-         cleanup, no at_exit — the startup scan must cope. *)
-      (try write_raw ~fsync:true tmp [ hdr; half payload ]
-       with Unix.Unix_error _ -> ());
-      Unix._exit 137
-  | (Fault.Write_ok | Fault.Write_torn) as action -> (
-      let body =
-        if action = Fault.Write_torn then [ hdr; half payload ]
-        else [ hdr; payload ]
-      in
-      try
-        write_raw ~fsync:true tmp body;
-        Unix.rename tmp final;
-        fsync_dir t.root;
-        Obs.Counter.incr Metrics.writes
-      with Unix.Unix_error _ | Sys_error _ ->
-        Obs.Counter.incr Metrics.write_errors;
-        try Sys.remove tmp with Sys_error _ -> ())
+  if not (Sys.file_exists final) then begin
+    let tmp =
+      Printf.sprintf "%s%s%d-%d" final tmp_marker (Unix.getpid ())
+        (Atomic.fetch_and_add tmp_seq 1)
+    in
+    let payload =
+      let buf = Buffer.create 4096 in
+      encode buf;
+      Buffer.contents buf
+    in
+    let hdr = header ~kind payload in
+    match Fault.on_write () with
+    | Fault.Write_crash ->
+        (* Half-written temp file, then die as if SIGKILLed: no rename,
+           no cleanup, no at_exit — the startup scan must cope. *)
+        (try write_raw ~fsync:true tmp [ hdr; half payload ]
+         with Unix.Unix_error _ -> ());
+        Unix._exit 137
+    | (Fault.Write_ok | Fault.Write_torn) as action -> (
+        let body =
+          if action = Fault.Write_torn then [ hdr; half payload ]
+          else [ hdr; payload ]
+        in
+        try
+          write_raw ~fsync:true tmp body;
+          Unix.rename tmp final;
+          fsync_dir t.root;
+          Obs.Counter.incr Metrics.writes
+        with Unix.Unix_error _ | Sys_error _ ->
+          Obs.Counter.incr Metrics.write_errors;
+          try Sys.remove tmp with Sys_error _ -> ())
+  end
 
 (* Load one blob and decode it.  A blob that exists but fails any check
    — header, checksum, or decode — is unlinked and counted corrupt, and
@@ -400,21 +383,20 @@ let write_blob t ~kind ~name payload =
 let load_blob t ~kind ~name decode =
   Obs.Timer.time Metrics.rehydrate_seconds (fun () ->
       let path = Filename.concat t.root name in
-      match read_blob ~kind path with
+      let discard () =
+        Obs.Counter.incr Metrics.corrupt;
+        (try Sys.remove path with Sys_error _ -> ());
+        None
+      in
+      match read_blob path with
       | Error `Missing -> None
-      | Error `Corrupt ->
-          Obs.Counter.incr Metrics.corrupt;
-          (try Sys.remove path with Sys_error _ -> ());
-          None
-      | Ok payload -> (
+      | Ok (k, payload) when k = kind -> (
           match decode (Codec.reader payload) with
           | v ->
               Obs.Counter.incr Metrics.rehydrated;
               Some v
-          | exception _ ->
-              Obs.Counter.incr Metrics.corrupt;
-              (try Sys.remove path with Sys_error _ -> ());
-              None))
+          | exception _ -> discard ())
+      | Ok _ | Error `Corrupt -> discard ())
 
 (* ------------------------------------------------------------------ *)
 (* Artifact codecs                                                    *)
@@ -422,8 +404,6 @@ let load_blob t ~kind ~name decode =
 
 let dataset_name key = Printf.sprintf "dataset-%s.blob" key
 let skyline_name key = Printf.sprintf "skyline-%s.blob" key
-let matrix_name key gamma = Printf.sprintf "matrix-%s-g%d.blob" key gamma
-let grid_name m gamma = Printf.sprintf "grid-m%d-g%d.blob" m gamma
 
 (* The result file name carries only a hash of the cache key; the full
    key lives in the payload and is compared on load, so a hash collision
@@ -432,21 +412,19 @@ let result_name key ckey =
   Printf.sprintf "result-%s-%016Lx.blob" key (checksum ckey)
 
 let save_dataset t ~key d =
-  let buf = Buffer.create 4096 in
-  Codec.str buf (Dataset.name d);
-  let attrs = Dataset.attributes d in
-  Codec.u64 buf (Array.length attrs);
-  Array.iter (Codec.str buf) attrs;
-  let n = Dataset.size d and m = Dataset.dim d in
-  Codec.u64 buf n;
-  Codec.u64 buf m;
-  for i = 0 to n - 1 do
-    for j = 0 to m - 1 do
-      Codec.f64 buf (Dataset.value d i j)
-    done
-  done;
-  write_blob t ~kind:Dataset_blob ~name:(dataset_name key)
-    (Buffer.contents buf)
+  write_blob t ~kind:Dataset_blob ~name:(dataset_name key) (fun buf ->
+      Codec.str buf (Dataset.name d);
+      let attrs = Dataset.attributes d in
+      Codec.u64 buf (Array.length attrs);
+      Array.iter (Codec.str buf) attrs;
+      let n = Dataset.size d and m = Dataset.dim d in
+      Codec.u64 buf n;
+      Codec.u64 buf m;
+      for i = 0 to n - 1 do
+        for j = 0 to m - 1 do
+          Codec.f64 buf (Dataset.value d i j)
+        done
+      done)
 
 let load_dataset t ~key =
   load_blob t ~kind:Dataset_blob ~name:(dataset_name key) (fun r ->
@@ -464,11 +442,9 @@ let load_dataset t ~key =
       Dataset.create ~name ~attributes:attrs rows)
 
 let save_skyline t ~key sky =
-  let buf = Buffer.create 256 in
-  Codec.u64 buf (Array.length sky);
-  Array.iter (Codec.u64 buf) sky;
-  write_blob t ~kind:Skyline_blob ~name:(skyline_name key)
-    (Buffer.contents buf)
+  write_blob t ~kind:Skyline_blob ~name:(skyline_name key) (fun buf ->
+      Codec.u64 buf (Array.length sky);
+      Array.iter (Codec.u64 buf) sky)
 
 let load_skyline t ~key =
   load_blob t ~kind:Skyline_blob ~name:(skyline_name key) (fun r ->
@@ -478,46 +454,10 @@ let load_skyline t ~key =
       if not (Codec.finished r) then raise Codec.Truncated;
       sky)
 
-let save_matrix t ~key ~gamma mat =
-  let best, cells = Regret_matrix.export mat in
-  let buf = Buffer.create (8 * (Array.length cells + Array.length best + 2)) in
-  Codec.u64 buf (Regret_matrix.rows mat);
-  Codec.floats buf best;
-  Codec.floats buf cells;
-  write_blob t ~kind:Matrix_blob ~name:(matrix_name key gamma)
-    (Buffer.contents buf)
-
-let load_matrix t ~key ~gamma =
-  load_blob t ~kind:Matrix_blob ~name:(matrix_name key gamma) (fun r ->
-      let rows = Codec.ru64 r in
-      let best = Codec.rfloats r in
-      let cells = Codec.rfloats r in
-      if not (Codec.finished r) then raise Codec.Truncated;
-      Regret_matrix.import ~rows ~best ~cells)
-
-let save_grid t ~m ~gamma grid =
-  let buf = Buffer.create 4096 in
-  Codec.u64 buf (Array.length grid);
-  Codec.u64 buf m;
-  Array.iter (fun v -> Array.iter (Codec.f64 buf) v) grid;
-  write_blob t ~kind:Grid_blob ~name:(grid_name m gamma) (Buffer.contents buf)
-
-let load_grid t ~m ~gamma =
-  load_blob t ~kind:Grid_blob ~name:(grid_name m gamma) (fun r ->
-      let n = Codec.ru64 r in
-      let m' = Codec.ru64 r in
-      if m' <> m then raise Codec.Truncated;
-      Codec.need r (n * m * 8);
-      let g = Array.init n (fun _ -> Array.init m (fun _ -> Codec.rf64 r)) in
-      if not (Codec.finished r) then raise Codec.Truncated;
-      g)
-
 let save_result t ~key ~cache_key result =
-  let buf = Buffer.create 512 in
-  Codec.str buf cache_key;
-  Codec.str buf (Json.to_string result);
-  write_blob t ~kind:Result_blob ~name:(result_name key cache_key)
-    (Buffer.contents buf)
+  write_blob t ~kind:Result_blob ~name:(result_name key cache_key) (fun buf ->
+      Codec.str buf cache_key;
+      Codec.str buf (Json.to_string result))
 
 let load_result t ~key ~cache_key =
   Option.join

@@ -5,17 +5,24 @@
 
     - [dataset-<key>.blob] — the loaded (post-transform) tuples,
     - [skyline-<key>.blob] — the skyline index set,
-    - [matrix-<key>-g<γ>.blob] — a regret matrix at γ,
-    - [grid-m<m>-g<γ>.blob] — a direction grid (dataset-independent),
     - [result-<key>-<h>.blob] — one serialized [Exact] answer,
 
     where [<key>] is the store's 16-hex-digit FNV-1a content hash, so a
     blob written by one process is addressable by any later one that
-    loads the same dataset content.
+    loads the same dataset content.  Only artifacts that are cheaper to
+    read back than to recompute are kept: regret matrices and direction
+    grids are rebuilt from a rehydrated skyline (one O(s·|F|·m) pass),
+    which is faster than decoding them.  Their former kind bytes (3 and
+    4) are retired, so such a blob left by an older build is discarded
+    and counted corrupt once, by the first startup scan.
 
-    {b Write protocol.}  Every save writes a private temp file in the
-    same directory, [fsync]s it, atomically renames it over the final
-    name, then [fsync]s the directory.  A crash — including SIGKILL —
+    {b Write protocol.}  Blobs are write-once: a save whose final name
+    already exists does nothing — the name is a content hash, so the
+    bytes would be identical — and is neither counted in
+    [rrms_serve_persist_writes_total] nor given a {!Fault} write
+    ordinal.  Any other save writes a private temp file in the same
+    directory, [fsync]s it, atomically renames it over the final name,
+    then [fsync]s the directory.  A crash — including SIGKILL —
     can therefore leave only (a) the complete old state, (b) the
     complete new state, or (c) a leftover temp file, never a
     half-written blob under the final name.  Saves never raise: a full
@@ -35,7 +42,8 @@
     deletes leftover temp files (crash litter from an interrupted
     write), and validates every [*.blob] header + checksum, unlinking
     and counting the corrupt ones.  Artifacts are {e not} decoded at
-    scan time — rehydration stays lazy, on first demand.
+    scan time — rehydration stays lazy, on first demand.  The scan and
+    every load share one header + checksum validator.
 
     Rehydrated artifacts are decoded from the exact bytes the original
     process serialized (IEEE bits for every float), so answers served
@@ -46,6 +54,9 @@ type t
 
 module Metrics : sig
   val writes : Rrms_obs.Obs.Counter.t
+  (** Blobs actually written; a write-once save skipped because the
+      blob already exists does not count. *)
+
   val write_errors : Rrms_obs.Obs.Counter.t
 
   val rehydrated : Rrms_obs.Obs.Counter.t
@@ -85,7 +96,8 @@ end
 module Fault : sig
   type mode =
     | Crash of int
-        (** [crash@N]: on the Nth blob write of the process, persist
+        (** [crash@N]: on the Nth blob write of the process (saves
+            skipped as write-once do not count), persist
             half the payload to the temp file and [_exit 137] — the
             SIGKILL-mid-write scenario. *)
     | Torn of int option
@@ -126,23 +138,14 @@ val last_scan : t -> scan
 (** The startup scan's tallies — surfaced in the [stats] response so a
     chaos drill can assert "zero corrupt blobs loaded" from outside. *)
 
-(** {2 Artifact codecs} — every [save_*] is atomic and non-raising;
-    every [load_*] returns [None] for missing {e or} corrupt (counted,
+(** {2 Artifact codecs} — every [save_*] is atomic, write-once and
+    non-raising; every [load_*] returns [None] for missing {e or} corrupt (counted,
     unlinked) blobs. *)
 
 val save_dataset : t -> key:string -> Rrms_dataset.Dataset.t -> unit
 val load_dataset : t -> key:string -> Rrms_dataset.Dataset.t option
 val save_skyline : t -> key:string -> int array -> unit
 val load_skyline : t -> key:string -> int array option
-
-val save_matrix :
-  t -> key:string -> gamma:int -> Rrms_core.Regret_matrix.t -> unit
-
-val load_matrix :
-  t -> key:string -> gamma:int -> Rrms_core.Regret_matrix.t option
-
-val save_grid : t -> m:int -> gamma:int -> Rrms_geom.Vec.t array -> unit
-val load_grid : t -> m:int -> gamma:int -> Rrms_geom.Vec.t array option
 
 val save_result : t -> key:string -> cache_key:string -> Json.t -> unit
 (** The blob embeds [cache_key] itself (the file name only carries its

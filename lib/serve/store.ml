@@ -540,84 +540,45 @@ let grid_of t ~m ~gamma =
           Obs.Counter.incr Metrics.grid_hits;
           g
       | None ->
-          let g =
-            let rehydrated =
-              match t.persist with
-              | Some p -> Persist.load_grid p ~m ~gamma
-              | None -> None
-            in
-            match rehydrated with
-            | Some g -> g
-            | None ->
-                Obs.Counter.incr Metrics.grid_misses;
-                let g = Discretize.grid ~gamma ~m in
-                Option.iter (fun p -> Persist.save_grid p ~m ~gamma g) t.persist;
-                g
-          in
+          Obs.Counter.incr Metrics.grid_misses;
+          let g = Discretize.grid ~gamma ~m in
           Hashtbl.replace t.grids (m, gamma) g;
           g)
 
 (* The γ-matrix for [e], in preference order: cached at γ → derived by
    column selection from a cached γ' > γ whose shared angles are
-   bit-identical (Discretize.subgrid_indices) → built from scratch. *)
+   bit-identical (Discretize.subgrid_indices) → built from scratch.
+   Matrices are never persisted: rebuilding one from the (persisted)
+   skyline is cheaper than reading it back. *)
 let matrix_locked t e ~sky ~m ~gamma ~guard =
   match List.assoc_opt gamma e.matrices with
   | Some mat ->
       Obs.Counter.incr Metrics.matrix_hits;
       mat
-  | None -> (
+  | None ->
       let derived =
-        List.fold_left
-          (fun acc (g, mat) ->
-            match acc with
-            | Some _ -> acc
-            | None when g > gamma -> (
-                match Discretize.subgrid_indices ~gamma_sub:gamma ~gamma:g ~m with
-                | Some idx ->
-                    (* The derived matrix is stored as an artifact and
-                       scanned by every query at this γ: materialize the
-                       column view so those scans read stride-1 and the
-                       entry does not pin the wider γ' buffer. *)
-                    Some
-                      (Regret_matrix.materialize
-                         (Regret_matrix.select_cols mat idx))
-                | None -> None)
-            | None -> None)
-          None e.matrices
+        List.find_map
+          (fun (g, mat) ->
+            if g <= gamma then None
+            else
+              Option.map
+                (Regret_matrix.select_cols mat)
+                (Discretize.subgrid_indices ~gamma_sub:gamma ~gamma:g ~m))
+          e.matrices
       in
-      match derived with
-      | Some mat ->
-          Obs.Counter.incr Metrics.matrix_derived;
-          e.matrices <- (gamma, mat) :: e.matrices;
-          (* The derived matrix is a first-class artifact at this γ:
-             spilled so a restart rehydrates it directly, without
-             needing the wider parent it was cut from. *)
-          Option.iter
-            (fun p -> Persist.save_matrix p ~key:e.key ~gamma mat)
-            t.persist;
-          mat
-      | None -> (
-          let rehydrated =
-            match t.persist with
-            | Some p -> Persist.load_matrix p ~key:e.key ~gamma
-            | None -> None
-          in
-          match rehydrated with
-          | Some mat ->
-              e.matrices <- (gamma, mat) :: e.matrices;
-              mat
-          | None ->
-              Obs.Counter.incr Metrics.matrix_misses;
-              let funcs = grid_of t ~m ~gamma in
-              let sky_points = Array.map (fun i -> e.rows.(i)) sky in
-              let mat =
-                Regret_matrix.build ~domains:t.domains ~guard ~funcs sky_points
-              in
-              e.matrices <- (gamma, mat) :: e.matrices;
-              Option.iter
-                (fun p -> Persist.save_matrix p ~key:e.key ~gamma mat)
-                t.persist;
-              mat))
+      let mat =
+        match derived with
+        | Some mat ->
+            Obs.Counter.incr Metrics.matrix_derived;
+            mat
+        | None ->
+            Obs.Counter.incr Metrics.matrix_misses;
+            let funcs = grid_of t ~m ~gamma in
+            let sky_points = Array.map (fun i -> e.rows.(i)) sky in
+            Regret_matrix.build ~domains:t.domains ~guard ~funcs sky_points
+      in
+      e.matrices <- (gamma, mat) :: e.matrices;
+      mat
 
 (* ------------------------------------------------------------------ *)
 (* Shard hooks                                                        *)
@@ -665,34 +626,6 @@ let quality_fields q =
     ("degraded", Json.Bool (not (Guard.is_exact q)));
   ]
 
-(* Mirror of the solvers' own cell-cap auto-shrink (Hd_rrms.shrink_gamma),
-   run before the matrix artifact is chosen so a capped query fetches /
-   builds the matrix it would have built cold. *)
-let shrink_gamma ~max_cells ~rows ~gamma ~m =
-  match max_cells with
-  | None -> (gamma, None)
-  | Some cap -> (
-      match Discretize.fit_gamma ~rows ~max_cells:cap ~gamma ~m with
-      | Some g when g = gamma -> (gamma, None)
-      | Some g ->
-          let requested = Discretize.matrix_cells ~rows ~gamma ~m in
-          ( g,
-            Some
-              (Guard.Cell_cap
-                 { requested; cap; gamma_from = gamma; gamma_to = g }) )
-      | None ->
-          Guard.Error.resource_limit
-            ~what:"regret matrix cells (even at gamma = 1)"
-            ~requested:(Discretize.matrix_cells ~rows ~gamma:1 ~m)
-            ~limit:cap)
-
-let merge_shrink quality = function
-  | None -> quality
-  | Some c -> (
-      match quality with
-      | Guard.Exact -> Guard.Degraded [ c ]
-      | Guard.Degraded rs -> Guard.Degraded (c :: rs))
-
 let solve_query t e ~guard (q : Protocol.query) =
   let m = Dataset.dim e.dataset in
   match q.algo with
@@ -701,8 +634,8 @@ let solve_query t e ~guard (q : Protocol.query) =
         with_lock e.e_lock (fun () ->
             let sky = skyline_locked t e in
             let gamma_used, shrink =
-              shrink_gamma ~max_cells:q.max_cells ~rows:(Array.length sky)
-                ~gamma:q.gamma ~m
+              Discretize.shrink_gamma ~max_cells:q.max_cells
+                ~rows:(Array.length sky) ~gamma:q.gamma ~m
             in
             let matrix = matrix_locked t e ~sky ~m ~gamma:gamma_used ~guard in
             (* Check out the pooled probe state for this matrix, if any:
@@ -737,7 +670,7 @@ let solve_query t e ~guard (q : Protocol.query) =
           e.incs <-
             (gamma_used, { inc; for_matrix = matrix })
             :: List.remove_assoc gamma_used e.incs);
-      let quality = merge_shrink res.Hd_rrms.quality shrink in
+      let quality = Guard.degrade_first res.Hd_rrms.quality shrink in
       ( Json.Obj
           ([
              ("algo", Json.Str "hd-rrms");
@@ -766,8 +699,8 @@ let solve_query t e ~guard (q : Protocol.query) =
         with_lock e.e_lock (fun () ->
             let sky = skyline_locked t e in
             let gamma_used, shrink =
-              shrink_gamma ~max_cells:q.max_cells ~rows:(Array.length sky)
-                ~gamma:q.gamma ~m
+              Discretize.shrink_gamma ~max_cells:q.max_cells
+                ~rows:(Array.length sky) ~gamma:q.gamma ~m
             in
             let matrix = matrix_locked t e ~sky ~m ~gamma:gamma_used ~guard in
             (sky, matrix, gamma_used, shrink))
@@ -776,7 +709,7 @@ let solve_query t e ~guard (q : Protocol.query) =
         Hd_greedy.solve_prepared ~domains:t.domains ~guard ~skyline:sky
           ~gamma_used matrix ~r:q.r
       in
-      let quality = merge_shrink res.Hd_greedy.quality shrink in
+      let quality = Guard.degrade_first res.Hd_greedy.quality shrink in
       ( Json.Obj
           ([
              ("algo", Json.Str "hd-greedy");
@@ -1262,14 +1195,12 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
       Obs.Counter.add Metrics.incs_rebased rebased;
       (* Spill the new generation's artifacts outside all locks, so a
          restart rehydrates them without replaying (the WAL record is
-         then a no-op integrity check). *)
+         then a no-op integrity check).  On replay these blobs already
+         exist, and the write-once saves skip them. *)
       Option.iter
         (fun p ->
           Persist.save_dataset p ~key:new_key d';
           Option.iter (fun s -> Persist.save_skyline p ~key:new_key s) sky';
-          List.iter
-            (fun (gamma, mat) -> Persist.save_matrix p ~key:new_key ~gamma mat)
-            mats';
           List.iter
             (fun (ck, r) -> Persist.save_result p ~key:new_key ~cache_key:ck r)
             survivors)

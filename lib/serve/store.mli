@@ -105,9 +105,11 @@ val create :
     {!Rrms_parallel.Pool.default_size} at call time, so [RRMS_DOMAINS]
     applies).  [max_inflight] defaults to [4]; [max_queue] to [16].
     [persist] attaches a durable artifact cache ({!Persist.open_dir}):
-    skylines, grids, regret matrices and Exact results are written
-    through to it and rehydrated on demand, so a store created over the
-    same directory answers warm — bit-identically — after a restart. *)
+    datasets, skylines and Exact results are written through to it and
+    rehydrated on demand, so a store created over the same directory
+    answers warm — bit-identically — after a restart.  Regret matrices
+    and direction grids stay memory-only: they are rebuilt from the
+    rehydrated skyline, which is cheaper than reading them back. *)
 
 type loaded = {
   key : string;  (** 16-hex-digit content hash — the canonical handle *)
@@ -215,7 +217,8 @@ val query :
     When the store is persistent, the batch is journaled to the
     write-ahead log ({!Persist.Wal}) before the install, so a crash at
     any point is recoverable by replay ([journal:false] marks a replay
-    itself).  The entry stays resident under its {e new} content hash;
+    itself; its blobs already exist, so the write-once saves skip
+    them).  The entry stays resident under its {e new} content hash;
     the old hash and all name aliases re-point to it. *)
 
 type mutated = {

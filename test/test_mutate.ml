@@ -20,6 +20,7 @@ module Dataset = Rrms_dataset.Dataset
 module Guard = Rrms_guard.Guard
 module Rng = Rrms_rng.Rng
 module Skyline = Rrms_skyline.Skyline
+module Obs = Rrms_obs.Obs
 
 let contains = Astring_contains.contains
 let query = Test_serve.query
@@ -409,22 +410,28 @@ let test_wal_replay () =
       let muts2 = random_ops rng ~m ~len0:(Array.length rows1) 8 in
       let r2 = must_mutate "second" (Store.mutate s1 ~dataset:"mut" muts2) in
       let want, _ = answer_of "original" (Store.query s1 q) in
-      (* "New process": fresh store over the same directory. *)
-      let p2 = Persist.open_dir dir in
-      let s2 = Store.create ~persist:p2 () in
-      let rep = Mutate.replay s2 p2 in
-      Alcotest.(check int) "two records scanned" 2 rep.Mutate.records;
-      Alcotest.(check int) "two records applied" 2 rep.Mutate.applied;
-      Alcotest.(check int) "none skipped" 0 rep.Mutate.skipped;
-      (match Store.resolve s2 r2.Store.new_key with
-      | Some key ->
-          Alcotest.(check string) "final content key restored"
-            r2.Store.new_key key
-      | None -> Alcotest.fail "replayed key not resident");
-      ignore (r1 : Store.mutated);
-      let got, _ = answer_of "replayed" (Store.query s2 q) in
-      Alcotest.(check string) "replayed state answers bit-identically" want
-        got)
+      (* "New process": fresh store over the same directory.  Every
+         blob the replay and the replayed query need is already on
+         disk, so neither writes one. *)
+      Test_persist.with_counters (fun () ->
+          let p2 = Persist.open_dir dir in
+          let s2 = Store.create ~persist:p2 () in
+          let w0 = Obs.Counter.value Persist.Metrics.writes in
+          let rep = Mutate.replay s2 p2 in
+          Alcotest.(check int) "two records scanned" 2 rep.Mutate.records;
+          Alcotest.(check int) "two records applied" 2 rep.Mutate.applied;
+          Alcotest.(check int) "none skipped" 0 rep.Mutate.skipped;
+          (match Store.resolve s2 r2.Store.new_key with
+          | Some key ->
+              Alcotest.(check string) "final content key restored"
+                r2.Store.new_key key
+          | None -> Alcotest.fail "replayed key not resident");
+          ignore (r1 : Store.mutated);
+          let got, _ = answer_of "replayed" (Store.query s2 q) in
+          Alcotest.(check string) "replayed state answers bit-identically"
+            want got;
+          Alcotest.(check int) "replay and query write no blob" 0
+            (Obs.Counter.value Persist.Metrics.writes - w0)))
 
 (* A torn tail (half-written last record) is detected by checksum,
    skipped on replay, and repaired by the next append. *)

@@ -308,14 +308,10 @@ let test_flat_matrix_matches_boxed () =
   in
   Alcotest.(check (array (float 0.)))
     "row_update_mins = boxed reference" expected_mins updated;
-  (* A permuted column-subset view, and its materialized copy. *)
+  (* A permuted column subset, and its materialized copy. *)
   let cols = [| k - 1; 0; k / 2 |] in
   let view = Regret_matrix.select_cols matrix cols in
-  Alcotest.(check bool) "select_cols is a view" true
-    (Regret_matrix.is_view view);
   let mat = Regret_matrix.materialize view in
-  Alcotest.(check bool) "materialize is not a view" false
-    (Regret_matrix.is_view mat);
   let view_ok = ref true in
   for i = 0 to s - 1 do
     Array.iteri

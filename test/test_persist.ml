@@ -104,29 +104,6 @@ let test_blob_roundtrip () =
       (match Persist.load_skyline p ~key with
       | Some got -> Alcotest.(check (array int)) "skyline" sky got
       | None -> Alcotest.fail "skyline did not roundtrip");
-      (* Grid: IEEE bits must survive exactly. *)
-      let grid =
-        [| [| 0.1; 0.2; 0.7 |]; [| 1e-300; 0.999999999999; 4.5e12 |] |]
-      in
-      Persist.save_grid p ~m:3 ~gamma:5 grid;
-      (match Persist.load_grid p ~m:3 ~gamma:5 with
-      | Some got ->
-          Alcotest.(check int) "grid size" 2 (Array.length got);
-          Array.iteri
-            (fun i v ->
-              Array.iteri
-                (fun j x ->
-                    Alcotest.(check bool)
-                      (Printf.sprintf "grid bit-identity %d %d" i j)
-                      true
-                      (Int64.equal (Int64.bits_of_float x)
-                         (Int64.bits_of_float grid.(i).(j))))
-                v)
-            got
-      | None -> Alcotest.fail "grid did not roundtrip");
-      (* Missing gamma is a miss, not an error. *)
-      Alcotest.(check bool) "absent grid" true
-        (Persist.load_grid p ~m:3 ~gamma:9 = None);
       (* Dataset. *)
       let rng = Rrms_rng.Rng.create 3 in
       let rows =
@@ -150,28 +127,6 @@ let test_blob_roundtrip () =
             done
           done
       | None -> Alcotest.fail "dataset did not roundtrip");
-      (* Matrix: export/import through the blob must preserve solver
-         observables. *)
-      let module RM = Rrms_core.Regret_matrix in
-      let funcs = Rrms_core.Discretize.grid ~gamma:3 ~m:3 in
-      let mat = RM.build ~funcs (Dataset.rows d) in
-      Persist.save_matrix p ~key ~gamma:3 mat;
-      (match Persist.load_matrix p ~key ~gamma:3 with
-      | Some got ->
-          Alcotest.(check int) "matrix rows" (RM.rows mat) (RM.rows got);
-          Alcotest.(check int) "matrix cols" (RM.cols mat) (RM.cols got);
-          for i = 0 to RM.rows mat - 1 do
-            for f = 0 to RM.cols mat - 1 do
-              Alcotest.(check bool) "matrix cell bits" true
-                (Int64.equal
-                   (Int64.bits_of_float (RM.get got i f))
-                   (Int64.bits_of_float (RM.get mat i f)))
-            done
-          done;
-          Alcotest.(check (array (float 0.)))
-            "distinct values identical" (RM.distinct_values mat)
-            (RM.distinct_values got)
-      | None -> Alcotest.fail "matrix did not roundtrip");
       (* Result, including the embedded cache-key guard. *)
       let r = Json.Obj [ ("algo", Json.Str "cube"); ("size", Json.int 3) ] in
       Persist.save_result p ~key ~cache_key:"algo=cube;r=3" r;
@@ -238,6 +193,14 @@ let test_corrupt_blob_corpus () =
             "half a blob";
           (* 6. Shorter than the header. *)
           write_file (blob "7777777777777777") "RRMB";
+          (* 7. Well-formed but of kind 4, the retired regret-matrix
+             kind: header and checksum hold, the kind is unknown. *)
+          let retire_kind path =
+            let b = Bytes.of_string (read_file path) in
+            Bytes.set b 5 '\x04';
+            write_file path (Bytes.to_string b)
+          in
+          retire_kind (seed "aaaaaaaaaaaaaaaa");
           (* Load-time detection: each corrupt blob is a miss, unlinked
              and counted; the valid one still reads. *)
           let c0 = counter Persist.Metrics.corrupt in
@@ -249,9 +212,9 @@ let test_corrupt_blob_corpus () =
                 (Persist.load_skyline p ~key = None))
             [
               "2222222222222222"; "3333333333333333"; "4444444444444444";
-              "5555555555555555"; "7777777777777777";
+              "5555555555555555"; "7777777777777777"; "aaaaaaaaaaaaaaaa";
             ];
-          Alcotest.(check int) "each counted once" 5
+          Alcotest.(check int) "each counted once" 6
             (counter Persist.Metrics.corrupt - c0);
           List.iter
             (fun key ->
@@ -259,7 +222,10 @@ let test_corrupt_blob_corpus () =
                 (Printf.sprintf "corrupt %s unlinked" key)
                 false
                 (Sys.file_exists (blob key)))
-            [ "2222222222222222"; "3333333333333333"; "4444444444444444" ];
+            [
+              "2222222222222222"; "3333333333333333"; "4444444444444444";
+              "aaaaaaaaaaaaaaaa";
+            ];
           (match Persist.load_skyline p ~key:keep with
           | Some got -> Alcotest.(check (array int)) "survivor" [| 1; 2; 3 |] got
           | None -> Alcotest.fail "valid blob must survive the corpus");
@@ -272,11 +238,22 @@ let test_corrupt_blob_corpus () =
           write_file
             (Filename.concat dir "skyline-9999999999999999.blob.tmp-2-0")
             "torn";
+          (* A regret-matrix blob as an older build wrote it. *)
+          let old_matrix =
+            Filename.concat dir "matrix-bbbbbbbbbbbbbbbb-g4.blob"
+          in
+          Sys.rename (seed "bbbbbbbbbbbbbbbb") old_matrix;
+          retire_kind old_matrix;
+          let c1 = counter Persist.Metrics.corrupt in
           let p2 = Persist.open_dir dir in
           let s = Persist.last_scan p2 in
           Alcotest.(check int) "scan keeps the valid blob" 1 s.Persist.valid;
-          Alcotest.(check int) "scan discards the torn blob" 1
+          Alcotest.(check int) "scan discards the torn and kind-4 blobs" 2
             s.Persist.corrupt;
+          Alcotest.(check int) "scan counts both" 2
+            (counter Persist.Metrics.corrupt - c1);
+          Alcotest.(check bool) "kind-4 blob gone from disk" false
+            (Sys.file_exists old_matrix);
           (* Two leftovers: the fabricated one from case 5 above and the
              fresh one planted just before this reopen. *)
           Alcotest.(check int) "scan sweeps temp litter" 2 s.Persist.partial;
@@ -338,7 +315,13 @@ let test_restart_warm_bit_identical () =
                   let store =
                     Store.create ~domains ~persist:(Persist.open_dir dir) ()
                   in
+                  let w0 = counter Persist.Metrics.writes in
                   let l = Store.load store csv in
+                  Alcotest.(check int)
+                    (Printf.sprintf "reload writes no blob at %d domains"
+                       domains)
+                    0
+                    (counter Persist.Metrics.writes - w0);
                   let warm, cached = result_string store (query l.Store.key) in
                   Alcotest.(check bool)
                     (Printf.sprintf "rehydrated hit at %d domains" domains)
@@ -352,8 +335,9 @@ let test_restart_warm_bit_identical () =
                     (counter Store.Metrics.matrix_misses);
                   Alcotest.(check int) "no grid rebuild" 0
                     (counter Store.Metrics.grid_misses);
-                  (* And with the result blob gone, the artifacts alone
-                     must still reproduce the same bytes. *)
+                  (* And with the result blob gone, the rehydrated
+                     skyline alone (the matrix is rebuilt from it) must
+                     still reproduce the same bytes. *)
                   Array.iter
                     (fun f ->
                       if
