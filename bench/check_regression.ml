@@ -21,6 +21,14 @@
      gates object) and quality detail fields — printed, never failed
      on, because absolute times do not transfer between machines.
 
+   - bounded: a field that must not exceed a sibling field of the same
+     fresh object, whatever the baseline says — "wal_replay_seconds"
+     against "rebuild_seconds" (WAL replay re-applies the journaled
+     batches through the incremental path, so it must never cost more
+     than rebuilding the final table from scratch).  A ratio of two
+     times taken in one run on one machine, so it holds on any
+     hardware and --tolerant does not loosen it.
+
    "speedup_vs_1" and the gate seconds additionally depend on the
    machine (core count / absolute speed), so they are skipped (not
    failed) whenever the two files disagree on "cpu_cores_available" —
@@ -138,9 +146,31 @@ let check_metric ~cores_match path key baseline fresh =
           (Printf.sprintf "baseline %s, fresh %s" (num_str baseline)
              (num_str fresh))
 
+(* (a, b): in any fresh object holding both, field [a] <= field [b]. *)
+let bounded_by = [ ("wal_replay_seconds", "rebuild_seconds") ]
+
+let check_bounds path fields =
+  List.iter
+    (fun (a, b) ->
+      match (List.assoc_opt a fields, List.assoc_opt b fields) with
+      | Some (Json.Num x), Some (Json.Num y) ->
+          totals.checked <- totals.checked + 1;
+          let sub = if path = "" then a else path ^ "." ^ a in
+          let detail =
+            Printf.sprintf "fresh %s, bound %s = %s" (num_str x) b (num_str y)
+          in
+          if x > y then begin
+            totals.regressions <- totals.regressions + 1;
+            report "REGRESS" sub detail
+          end
+          else report "ok" sub detail
+      | _ -> ())
+    bounded_by
+
 let rec walk ~cores_match path (baseline : Json.t) (fresh : Json.t) =
   match (baseline, fresh) with
   | Json.Obj bfields, Json.Obj ffields ->
+      check_bounds path ffields;
       List.iter
         (fun (key, bv) ->
           let sub = if path = "" then key else path ^ "." ^ key in

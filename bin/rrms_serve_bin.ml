@@ -445,6 +445,13 @@ let run stdio connect top_path socket router shard_sockets domains
       let store = Store.create ~max_inflight ~max_queue ?persist:p () in
       Option.iter
         (fun p ->
+          let stale = (Persist.last_scan p).Persist.stale in
+          if stale > 0 then
+            Printf.eprintf
+              "rrms-serve: discarded %d state files of another format \
+               version from %s; their artifacts are rebuilt on demand\n\
+               %!"
+              stale (Persist.root p);
           let { Rrms_serve.Mutate.records; applied; skipped } =
             Rrms_serve.Mutate.replay store p
           in

@@ -10,25 +10,30 @@ let bad_value v =
   else if v < 0. then Some "negative"
   else None
 
-let create ?(name = "dataset") ~attributes data =
+let check_row ~attributes i row =
   let m = Array.length attributes in
-  if m = 0 then Rrms_guard.Guard.Error.invalid_input "Dataset.create: no attributes";
+  if Array.length row <> m then
+    Rrms_guard.Guard.Error.invalid_input
+      (Printf.sprintf "Dataset.create: row %d has %d values, expected %d" i
+         (Array.length row) m);
   Array.iteri
-    (fun i row ->
-      if Array.length row <> m then
-        Rrms_guard.Guard.Error.invalid_input
-          (Printf.sprintf "Dataset.create: row %d has %d values, expected %d" i
-             (Array.length row) m);
-      Array.iteri
-        (fun j v ->
-          match bad_value v with
-          | Some what ->
-              Rrms_guard.Guard.Error.invalid_input ~column:attributes.(j)
-                (Printf.sprintf "Dataset.create: row %d has a %s value" i what)
-          | None -> ())
-        row)
-    data;
+    (fun j v ->
+      match bad_value v with
+      | Some what ->
+          Rrms_guard.Guard.Error.invalid_input ~column:attributes.(j)
+            (Printf.sprintf "Dataset.create: row %d has a %s value" i what)
+      | None -> ())
+    row
+
+let create ?(name = "dataset") ~attributes data =
+  if Array.length attributes = 0 then
+    Rrms_guard.Guard.Error.invalid_input "Dataset.create: no attributes";
+  Array.iteri (check_row ~attributes) data;
   { name; attributes; data }
+
+let with_rows t ~fresh data =
+  Array.iter (fun i -> check_row ~attributes:t.attributes i data.(i)) fresh;
+  { t with data }
 
 let name t = t.name
 let attributes t = Array.copy t.attributes
@@ -36,6 +41,7 @@ let size t = Array.length t.data
 let dim t = Array.length t.attributes
 let row t i = t.data.(i)
 let rows t = Array.copy t.data
+let shared_rows t = t.data
 let value t i j = t.data.(i).(j)
 
 let project t cols =

@@ -16,6 +16,17 @@ val create : ?name:string -> attributes:string array -> Rrms_geom.Vec.t array ->
     offending row and attribute) otherwise, or if there are no
     attributes. *)
 
+val with_rows : t -> fresh:int array -> Rrms_geom.Vec.t array -> t
+(** [with_rows d ~fresh rows] is a dataset with [d]'s name and
+    attributes over [rows] (not copied), validating only the rows at the
+    positions [fresh] exactly as {!create} validates every row.  Every
+    other row must be one that an existing dataset with the same
+    attributes already holds: it passed validation when it entered, so
+    checking it again would re-read cells that cannot have changed.
+    The store builds each mutated generation this way.
+    @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] as
+    {!create}, for a bad fresh row. *)
+
 val name : t -> string
 val attributes : t -> string array
 val size : t -> int
@@ -29,6 +40,11 @@ val row : t -> int -> Rrms_geom.Vec.t
 
 val rows : t -> Rrms_geom.Vec.t array
 (** All rows; the outer array is fresh, the rows are shared. *)
+
+val shared_rows : t -> Rrms_geom.Vec.t array
+(** All rows in the dataset's own outer array, not copied: callers must
+    not mutate it.  For holders that keep the dataset resident and
+    should not pay for a second outer array. *)
 
 val value : t -> int -> int -> float
 (** [value d i j] is attribute [j] of tuple [i]. *)

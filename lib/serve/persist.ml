@@ -111,7 +111,12 @@ end
    floats travel as their IEEE bits, so decode is bit-exact. *)
 
 let magic = "RRMB"
-let version = 1
+
+(* Version 2: content keys became a chain of per-row digests, so every
+   key a version-1 directory names is a key no current store computes.
+   Such a directory is discarded whole as stale — never half-replayed
+   under keys that no longer mean its content. *)
+let version = 2
 let header_len = 22
 
 (* Kind bytes 3 and 4 held direction grids and regret matrices, which
@@ -208,7 +213,7 @@ end
 (* Store                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type scan = { valid : int; corrupt : int; partial : int }
+type scan = { valid : int; corrupt : int; stale : int; partial : int }
 
 type t = {
   root : string;
@@ -231,11 +236,19 @@ let is_tmp name =
   let rec scan i = i + m <= n && (String.sub name i m = tmp_marker || scan (i + 1)) in
   scan 0
 
+(* Our magic with another format version: written by an older or newer
+   build, not damaged. *)
+let stale_header h =
+  String.length h >= 5
+  && String.sub h 0 4 = magic
+  && String.get_uint8 h 4 <> version
+
 (* Read and validate one blob file.  [Ok (kind, payload)] when every
    header field and the checksum hold; [Error `Missing] when the file
-   does not exist; [Error `Corrupt] for anything else — short file, bad
-   magic, unknown version or kind, length or checksum mismatch.  Both
-   the startup scan and every load go through here. *)
+   does not exist; [Error `Stale] for another format version;
+   [Error `Corrupt] for anything else — short file, bad magic, unknown
+   kind, length or checksum mismatch.  Both the startup scan and every
+   load go through here. *)
 let read_blob path =
   match open_in_bin path with
   | exception Sys_error _ -> Error `Missing
@@ -250,23 +263,43 @@ let read_blob path =
               let h = really_input_string ic header_len in
               let plen = Int64.to_int (String.get_int64_le h 6) in
               let sum = String.get_int64_le h 14 in
-              match kind_of_byte (String.get_uint8 h 5) with
-              | Some kind
-                when String.sub h 0 4 = magic
-                     && String.get_uint8 h 4 = version
-                     && plen >= 0
-                     && size = header_len + plen ->
-                  let payload = really_input_string ic plen in
-                  if checksum payload <> sum then Error `Corrupt
-                  else Ok (kind, payload)
-              | _ -> Error `Corrupt
+              if stale_header h then Error `Stale
+              else
+                match kind_of_byte (String.get_uint8 h 5) with
+                | Some kind
+                  when String.sub h 0 4 = magic
+                       && plen >= 0
+                       && size = header_len + plen ->
+                    let payload = really_input_string ic plen in
+                    if checksum payload <> sum then Error `Corrupt
+                    else Ok (kind, payload)
+                | _ -> Error `Corrupt
             end
           with End_of_file | Sys_error _ -> Error `Corrupt)
+
+let wal_file = "mutations.wal"
+
+(* The log's first record header decides: the log is only ever appended
+   at its validated end, so all of it shares one format version. *)
+let wal_stale path =
+  match open_in_bin path with
+  | exception Sys_error _ -> false
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match really_input_string ic 5 with
+          | h -> stale_header h
+          | exception End_of_file -> false)
 
 let scan_dir root =
   let names = try Sys.readdir root with Sys_error _ -> [||] in
   Array.sort compare names;
-  let tally = ref { valid = 0; corrupt = 0; partial = 0 } in
+  let tally = ref { valid = 0; corrupt = 0; stale = 0; partial = 0 } in
+  let discard path =
+    (try Sys.remove path with Sys_error _ -> ());
+    Obs.Counter.incr Metrics.corrupt
+  in
   Array.iter
     (fun name ->
       let path = Filename.concat root name in
@@ -277,13 +310,18 @@ let scan_dir root =
       end
       else if Filename.check_suffix name ".blob" then begin
         Obs.Counter.incr Metrics.blobs_scanned;
-        if Result.is_ok (read_blob path) then
-          tally := { !tally with valid = !tally.valid + 1 }
-        else begin
-          (try Sys.remove path with Sys_error _ -> ());
-          Obs.Counter.incr Metrics.corrupt;
-          tally := { !tally with corrupt = !tally.corrupt + 1 }
-        end
+        match read_blob path with
+        | Ok _ -> tally := { !tally with valid = !tally.valid + 1 }
+        | Error `Stale ->
+            discard path;
+            tally := { !tally with stale = !tally.stale + 1 }
+        | Error (`Corrupt | `Missing) ->
+            discard path;
+            tally := { !tally with corrupt = !tally.corrupt + 1 }
+      end
+      else if name = wal_file && wal_stale path then begin
+        discard path;
+        tally := { !tally with stale = !tally.stale + 1 }
       end)
     names;
   !tally
@@ -396,7 +434,7 @@ let load_blob t ~kind ~name decode =
               Obs.Counter.incr Metrics.rehydrated;
               Some v
           | exception _ -> discard ())
-      | Ok _ | Error `Corrupt -> discard ())
+      | Ok _ | Error (`Corrupt | `Stale) -> discard ())
 
 (* ------------------------------------------------------------------ *)
 (* Artifact codecs                                                    *)
@@ -476,7 +514,7 @@ let load_result t ~key ~cache_key =
 (* ------------------------------------------------------------------ *)
 
 module Wal = struct
-  let file = "mutations.wal"
+  let file = wal_file
 
   type record = {
     base_key : string;

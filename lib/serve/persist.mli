@@ -7,9 +7,13 @@
     - [skyline-<key>.blob] — the skyline index set,
     - [result-<key>-<h>.blob] — one serialized [Exact] answer,
 
-    where [<key>] is the store's 16-hex-digit FNV-1a content hash, so a
-    blob written by one process is addressable by any later one that
-    loads the same dataset content.  Only artifacts that are cheaper to
+    where [<key>] is the store's 16-hex-digit content hash (an FNV-1a
+    header chained with per-row digests), so a blob written by one
+    process is addressable by any later one that loads the same dataset
+    content.  A change to how keys are computed bumps the blob format
+    version, so a directory written under the old keys is discarded
+    whole (counted in {!scan.stale}) instead of being rehydrated or
+    replayed under keys that no longer name its content.  Only artifacts that are cheaper to
     read back than to recompute are kept: regret matrices and direction
     grids are rebuilt from a rehydrated skyline (one O(s·|F|·m) pass),
     which is faster than decoding them.  Their former kind bytes (3 and
@@ -122,7 +126,13 @@ end
 
 type scan = {
   valid : int;  (** blobs that passed header + checksum validation *)
-  corrupt : int;  (** blobs discarded (and unlinked) by the scan *)
+  corrupt : int;  (** damaged blobs discarded (and unlinked) by the scan *)
+  stale : int;
+      (** blobs, and a write-ahead log, of another format version,
+          discarded (and unlinked) by the scan.  The content key is part
+          of every file name, so a directory written by a build that
+          keyed content differently is dropped whole and rebuilt on
+          demand; [rrms-serve] reports the count at startup. *)
   partial : int;  (** leftover temp files removed *)
 }
 

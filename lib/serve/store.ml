@@ -111,9 +111,9 @@ end
 (* FNV-1a, 64-bit: cheap, dependency-free and stable across runs —
    exactly what a content-addressed cache key needs (it is not
    collision-resistant against adversaries; the store serves trusted
-   local clients).  Hashed: m, n, attribute names, then the raw IEEE
-   bits of every cell, so any observable dataset difference — including
-   a normalize or lenient-drop difference — changes the key. *)
+   local clients).  Hashed: m, n, attribute names, then the content, so
+   any observable dataset difference — including a normalize or
+   lenient-drop difference — changes the key. *)
 let fnv_prime = 0x100000001b3L
 
 let hash_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
@@ -129,30 +129,50 @@ let hash_string h s =
   let h = String.fold_left (fun h c -> hash_byte h (Char.code c)) h s in
   hash_byte h 0xff
 
-(* The cell loop runs on native ints: per-byte FNV boxes an Int64
-   multiply per byte, which at ~1M boxed operations per rehash puts
-   milliseconds on every mutation of a large table (the content rehash
-   is the dominant maintenance cost there).  Two multiply-xor rounds
-   per cell over the IEEE bits give the same guarantees the comment
-   above promises — deterministic, stable across runs on 64-bit
-   platforms, not adversarial-proof — at a fraction of the cost. *)
-let mix_cell h bits =
-  let lo = Int64.to_int bits in
-  let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
-  let h = (h lxor lo) * 0x2545F4914F6CDD1D in
-  let h = (h lxor hi) * 0x2545F4914F6CDD1D in
+(* Rows are mixed on native ints: per-byte FNV boxes an Int64 multiply
+   per byte, which at ~1M boxed operations per table would put
+   milliseconds on every load.  A multiply-xor round gives the same
+   guarantees the comment above promises — deterministic, stable across
+   runs on 64-bit platforms, not adversarial-proof — at a fraction of
+   the cost.  It is a bijection in [h] for a fixed [x] and does not
+   commute, so a chain of rounds is order-sensitive. *)
+let[@inline] mix h x =
+  let h = (h lxor x) * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
 
-let hash_dataset d =
+(* A row's digest: two rounds per cell over its IEEE bits. *)
+let row_digest (p : Rrms_geom.Vec.t) =
+  let h = ref 0x27D4EB2F165667C5 in
+  for j = 0 to Array.length p - 1 do
+    let bits = Int64.bits_of_float (Array.unsafe_get p j) in
+    h :=
+      mix
+        (mix !h (Int64.to_int bits))
+        (Int64.to_int (Int64.shift_right_logical bits 32))
+  done;
+  !h
+
+let digests_of rows =
+  let n = Array.length rows in
+  let dg = Array.make n 0 in
+  for i = 0 to n - 1 do
+    dg.(i) <- row_digest rows.(i)
+  done;
+  dg
+
+(* The content key: the FNV header, then the row digests chained in row
+   order.  A pure function of the rows in order, so a mutated table
+   whose digests were carried (only fresh rows digested) keys exactly
+   like the same rows loaded from scratch — cached answers cite row
+   indices, so the key must be order-sensitive. *)
+let key_of_digests ~attributes (digests : int array) =
   let h = ref 0xcbf29ce484222325L in
-  h := hash_int64 !h (Int64.of_int (Dataset.dim d));
-  h := hash_int64 !h (Int64.of_int (Dataset.size d));
-  Array.iter (fun a -> h := hash_string !h a) (Dataset.attributes d);
+  h := hash_int64 !h (Int64.of_int (Array.length attributes));
+  h := hash_int64 !h (Int64.of_int (Array.length digests));
+  Array.iter (fun a -> h := hash_string !h a) attributes;
   let acc = ref (Int64.to_int !h) in
-  for i = 0 to Dataset.size d - 1 do
-    for j = 0 to Dataset.dim d - 1 do
-      acc := mix_cell !acc (Int64.bits_of_float (Dataset.value d i j))
-    done
+  for i = 0 to Array.length digests - 1 do
+    acc := mix !acc (Array.unsafe_get digests i)
   done;
   Printf.sprintf "%016Lx" (Int64.of_int !acc)
 
@@ -166,13 +186,13 @@ let hash_dataset d =
 type inc_slot = { inc : Mrst.Incremental.t; for_matrix : Regret_matrix.t }
 
 type entry = {
-  (* [key]/[dataset]/[rows] are rebound wholesale by [mutate] (the row
-     array itself is never mutated in place), under [t.lock] + [e_lock];
-     readers outside [t.lock] snapshot them under [e_lock] so a solve
-     works on one consistent generation throughout. *)
+  (* [key]/[dataset]/[digests] are rebound wholesale by [mutate] (the
+     row array itself is never mutated in place), under [t.lock] +
+     [e_lock]; readers outside [t.lock] snapshot them under [e_lock] so
+     a solve works on one consistent generation throughout. *)
   mutable key : string;
-  mutable dataset : Dataset.t;
-  mutable rows : Rrms_geom.Vec.t array;
+  mutable dataset : Dataset.t;  (* its row array is the entry's only one *)
+  mutable digests : int array;  (* [row_digest] of each row, row order *)
   e_lock : Mutex.t;  (* guards the artifact fields below *)
   mu_lock : Mutex.t;
       (* serializes mutations on this entry; taken before [t.lock] /
@@ -258,7 +278,8 @@ type loaded = {
    content hash is already resident, create one otherwise.  [load] and
    [add] are both thin wrappers over this. *)
 let register t ~warnings d =
-  let key = hash_dataset d in
+  let digests = digests_of (Dataset.shared_rows d) in
+  let key = key_of_digests ~attributes:(Dataset.attributes d) digests in
   let r =
     with_lock t.lock (fun () ->
       match Hashtbl.find_opt t.entries key with
@@ -282,7 +303,7 @@ let register t ~warnings d =
             {
               key;
               dataset = d;
-              rows = Dataset.rows d;
+              digests;
               e_lock = Mutex.create ();
               mu_lock = Mutex.create ();
               generation = 0;
@@ -428,7 +449,8 @@ let pinned_dims (e : handle) =
   with_lock e.e_lock (fun () ->
       (Dataset.size e.dataset, Dataset.dim e.dataset))
 
-let pinned_rows (e : handle) = with_lock e.e_lock (fun () -> e.rows)
+let rows_of (e : entry) = Dataset.shared_rows e.dataset
+let pinned_rows (e : handle) = with_lock e.e_lock (fun () -> rows_of e)
 let pinned_dataset (e : handle) = with_lock e.e_lock (fun () -> e.dataset)
 let pinned_generation (e : handle) = with_lock e.e_lock (fun () -> e.generation)
 
@@ -517,7 +539,7 @@ let skyline_locked t e =
           sky
       | None ->
           Obs.Counter.incr Metrics.skyline_misses;
-          let sky = Skyline.sfs ~domains:t.domains e.rows in
+          let sky = Skyline.sfs ~domains:t.domains (rows_of e) in
           e.skyline <- Some sky;
           Option.iter (fun p -> Persist.save_skyline p ~key:e.key sky) t.persist;
           sky)
@@ -529,7 +551,7 @@ let hull_locked e =
       ctx
   | None ->
       Obs.Counter.incr Metrics.hull_misses;
-      let ctx = Rrms2d.make_ctx e.rows in
+      let ctx = Rrms2d.make_ctx (rows_of e) in
       e.hull <- Some ctx;
       ctx
 
@@ -574,7 +596,8 @@ let matrix_locked t e ~sky ~m ~gamma ~guard =
         | None ->
             Obs.Counter.incr Metrics.matrix_misses;
             let funcs = grid_of t ~m ~gamma in
-            let sky_points = Array.map (fun i -> e.rows.(i)) sky in
+            let rows = rows_of e in
+            let sky_points = Array.map (fun i -> rows.(i)) sky in
             Regret_matrix.build ~domains:t.domains ~guard ~funcs sky_points
       in
       e.matrices <- (gamma, mat) :: e.matrices;
@@ -601,7 +624,7 @@ let preload_skyline t (e : handle) sky =
   if Array.length sky = 0 then
     Guard.Error.invalid_input "Store.preload_skyline: empty skyline";
   with_lock e.e_lock (fun () ->
-      let n = Array.length e.rows in
+      let n = Dataset.size e.dataset in
       Array.iter
         (fun i ->
           if i < 0 || i >= n then
@@ -729,9 +752,12 @@ let solve_query t e ~guard (q : Protocol.query) =
           ("steps", Json.int res.Hd_greedy.steps);
         ] )
   | Protocol.A2d | Protocol.A2d_exact ->
-      (* ctx and rows from one lock hold: a mutation replaces [e.rows]
-         wholesale, so the pair must come from the same generation. *)
-      let ctx, rows = with_lock e.e_lock (fun () -> (hull_locked e, e.rows)) in
+      (* ctx and rows from one lock hold: a mutation replaces the
+         dataset wholesale, so the pair must come from the same
+         generation. *)
+      let ctx, rows =
+        with_lock e.e_lock (fun () -> (hull_locked e, rows_of e))
+      in
       let res =
         match q.algo with
         | Protocol.A2d -> Rrms2d.solve ~ctx rows ~r:q.r
@@ -749,7 +775,7 @@ let solve_query t e ~guard (q : Protocol.query) =
         true,
         [] )
   | Protocol.Sweepline ->
-      let rows = with_lock e.e_lock (fun () -> e.rows) in
+      let rows = pinned_rows e in
       let res = Sweepline.solve rows ~r:q.r in
       ( Json.Obj
           [
@@ -762,7 +788,7 @@ let solve_query t e ~guard (q : Protocol.query) =
         true,
         [] )
   | Protocol.Greedy ->
-      let rows = with_lock e.e_lock (fun () -> e.rows) in
+      let rows = pinned_rows e in
       let res = Greedy.solve ~guard rows ~r:q.r in
       ( Json.Obj
           ([
@@ -776,7 +802,7 @@ let solve_query t e ~guard (q : Protocol.query) =
         Guard.is_exact res.Greedy.quality,
         [ ("skipped_lps", Json.int res.Greedy.skipped_lps) ] )
   | Protocol.Cube ->
-      let rows = with_lock e.e_lock (fun () -> e.rows) in
+      let rows = pinned_rows e in
       let res = Cube.solve rows ~r:q.r in
       ( Json.Obj
           [
@@ -1012,33 +1038,53 @@ let sky_values_unique rows sky =
    paths keep running against the old generation until the install. *)
 let mutate_pinned ~journal ~guard t (e : handle) muts =
   with_lock e.mu_lock (fun () ->
-      let key0, gen0, d0, rows0, sky0, mats0, incs0, results0 =
+      let key0, gen0, d0, digests0, sky0, mats0, incs0, results0 =
         with_lock e.e_lock (fun () ->
             ( e.key,
               e.generation,
               e.dataset,
-              e.rows,
+              e.digests,
               e.skyline,
               e.matrices,
               e.incs,
               Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.results [] ))
       in
       let m = Dataset.dim d0 in
-      let plan = Delta.apply ~dim:m rows0 muts in
+      let plan =
+        Obs.Span.with_ "delta.apply" (fun () ->
+            Delta.apply ~dim:m (Dataset.shared_rows d0) muts)
+      in
       if Array.length plan.Delta.rows = 0 then
         Guard.Error.invalid_input
           "Store.mutate: mutation would empty the dataset";
+      (* No pass over the whole table: a carried row was validated and
+         digested when it entered, so only [plan.fresh] rows are read
+         (Delta.apply has already checked them with the same predicate;
+         [with_rows] checks them again as the dataset's own guard). *)
       let d' =
-        Dataset.create ~name:(Dataset.name d0)
-          ~attributes:(Dataset.attributes d0) plan.Delta.rows
+        Obs.Span.with_ "dataset.with_rows" (fun () ->
+            Dataset.with_rows d0 ~fresh:plan.Delta.fresh plan.Delta.rows)
       in
-      let new_key = hash_dataset d' in
+      let digests', new_key =
+        Obs.Span.with_ "store.content_key" (fun () ->
+            let n = Array.length plan.Delta.rows in
+            let dg = Array.make n 0 in
+            for j = 0 to n - 1 do
+              let o = plan.Delta.new_to_old.(j) in
+              if o >= 0 then dg.(j) <- digests0.(o)
+            done;
+            Array.iter
+              (fun j -> dg.(j) <- row_digest plan.Delta.rows.(j))
+              plan.Delta.fresh;
+            (dg, key_of_digests ~attributes:(Dataset.attributes d0) dg))
+      in
       let sky', path =
         match sky0 with
         | None -> (None, None)
         | Some sky ->
             let s, p =
-              Delta.update_skyline ~domains:t.domains plan ~old_sky:sky
+              Obs.Span.with_ "delta.update_skyline" (fun () ->
+                  Delta.update_skyline ~domains:t.domains plan ~old_sky:sky)
             in
             (Some s, Some p)
       in
@@ -1180,7 +1226,7 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
           with_lock e.e_lock (fun () ->
               e.key <- new_key;
               e.dataset <- d';
-              e.rows <- plan.Delta.rows;
+              e.digests <- digests';
               e.generation <- gen0 + 1;
               e.skyline <- sky';
               e.hull <- None;
@@ -1304,6 +1350,7 @@ let stats t =
             ("state_dir", Json.Str (Persist.root p));
             ("scan_valid", Json.int s.Persist.valid);
             ("scan_corrupt", Json.int s.Persist.corrupt);
+            ("scan_stale", Json.int s.Persist.stale);
             ("scan_partial", Json.int s.Persist.partial);
           ]
   in

@@ -3,9 +3,12 @@
     The store owns every expensive intermediate of the RRMS pipeline and
     shares it across concurrent sessions:
 
-    - {e datasets}, keyed by a 64-bit FNV-1a content hash of the loaded
+    - {e datasets}, keyed by a 64-bit content hash of the loaded
       (post-transform) tuples — two sessions loading the same file, or
-      two files with identical content, share one entry.  Entries are
+      two files with identical content, share one entry.  The hash is
+      an FNV-1a header (m, n, attribute names) chained with one digest
+      per row, in row order; each entry keeps its rows' digests, so a
+      mutation carries them and digests only its fresh rows.  Entries are
       refcounted: each successful [load] takes a reference, [release]
       (the [evict] request, and session teardown) drops one, and the
       entry with all its artifacts is freed when the count reaches zero.
@@ -207,6 +210,10 @@ val query :
     one critical section, bumping the entry's {e generation}.  Queries
     racing a mutation keep answering against the old generation (a
     valid linearization) and never pollute the new generation's caches.
+    The pass reads no cell of a row the batch did not change: carried
+    rows keep the validation and digest they got when they entered, so
+    only fresh rows are validated and digested, and the new content key
+    still equals the key the same rows would get from a fresh {!add}.
 
     Every artifact the pass produces is {e bit-identical} to a
     from-scratch build over the mutated rows (test/test_mutate.ml

@@ -2,7 +2,7 @@
    (generate → skyline → hull → solve → eval → topk) through a shell,
    checking exit codes and parsing its output. *)
 
-let cli = "../bin/rrms_cli.exe"
+let cli = Built.cli_exe
 
 let read_process cmd =
   let ic = Unix.open_process_in cmd in

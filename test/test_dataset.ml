@@ -34,6 +34,21 @@ let test_create_validation () =
   expect_invalid_input "nan" (fun () ->
       Dataset.create ~attributes:[| "x" |] [| [| Float.nan |] |])
 
+(* [with_rows] applies [create]'s check to the fresh positions only and
+   keeps the given array as the dataset's own. *)
+let test_with_rows () =
+  let d = mk () in
+  let rows = [| [| 1.; 2. |]; [| 7.; 8. |]; [| 5.; 0. |] |] in
+  let d' = Dataset.with_rows d ~fresh:[| 1 |] rows in
+  Alcotest.(check string) "name kept" "t" (Dataset.name d');
+  Alcotest.(check (array string)) "attributes kept" [| "x"; "y" |]
+    (Dataset.attributes d');
+  Alcotest.(check bool) "rows not copied" true (Dataset.shared_rows d' == rows);
+  expect_invalid_input "fresh nan" (fun () ->
+      Dataset.with_rows d ~fresh:[| 0 |] [| [| Float.nan; 1. |] |]);
+  expect_invalid_input "fresh row-length" (fun () ->
+      Dataset.with_rows d ~fresh:[| 1 |] [| [| 1.; 2. |]; [| 1. |] |])
+
 let test_project () =
   let d = mk () in
   let p = Dataset.project d [| 1 |] in
@@ -95,6 +110,7 @@ let suite =
   [
     Alcotest.test_case "accessors" `Quick test_accessors;
     Alcotest.test_case "create validation" `Quick test_create_validation;
+    Alcotest.test_case "with_rows validates fresh rows" `Quick test_with_rows;
     Alcotest.test_case "project" `Quick test_project;
     Alcotest.test_case "take/select" `Quick test_take_select;
     Alcotest.test_case "normalize" `Quick test_normalize;

@@ -2,7 +2,7 @@
    its headline output (guards the examples against bit-rot). *)
 
 let run_example name expect =
-  let cmd = Printf.sprintf "../examples/%s.exe 2>&1" name in
+  let cmd = Built.example_exe name ^ " 2>&1" in
   let ic = Unix.open_process_in cmd in
   let buf = Buffer.create 1024 in
   (try

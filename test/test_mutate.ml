@@ -97,7 +97,10 @@ let bit_identity_rounds ~domains ~m ~algos ~seed () =
       (Printf.sprintf "round %d: size" round)
       (Array.length !rows) r.Store.n;
     let fresh = Store.create ~domains () in
-    ignore (Store.add fresh (dataset_of !rows) : Store.loaded);
+    let scratch = Store.add fresh (dataset_of !rows) in
+    Alcotest.(check string)
+      (Printf.sprintf "round %d: carried key = from-scratch key" round)
+      scratch.Store.key r.Store.new_key;
     List.iter
       (fun algo ->
         let got, _ =
@@ -389,6 +392,67 @@ let prop_update_skyline_matches_sfs =
       got = Skyline.sfs plan.Delta.rows && path = want_path)
 
 (* ------------------------------------------------------------------ *)
+(* Carried content key against a from-scratch one                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A mutation digests only its fresh rows and carries the rest, so the
+   batches aim where the carry bookkeeping is easiest to get wrong: the
+   last row, and rows this very batch appended.  Values come from a
+   three-level alphabet, so equal rows (equal digests) at different
+   positions are common. *)
+let key_case_gen st =
+  let open QCheck.Gen in
+  let m = int_range 1 4 st in
+  let value () = Array.init m (fun _ -> float_of_int (int_bound 2 st) /. 2.) in
+  let rows = Array.init (int_range 1 12 st) (fun _ -> value ()) in
+  let len = ref (Array.length rows) in
+  let batches =
+    List.init (int_range 1 3 st) (fun _ ->
+        let appended = ref 0 in
+        List.init (int_range 1 6 st) (fun _ ->
+            let target () =
+              match int_bound 2 st with
+              | 0 -> !len - 1
+              | 1 when !appended > 0 -> !len - 1 - int_bound (!appended - 1) st
+              | _ -> int_bound (!len - 1) st
+            in
+            match int_bound 2 st with
+            | 1 when !len > 1 ->
+                let i = target () in
+                if i >= !len - !appended then decr appended;
+                decr len;
+                Delta.Delete i
+            | 2 -> Delta.Upsert (target (), value ())
+            | _ ->
+                incr len;
+                incr appended;
+                Delta.Insert (value ())))
+  in
+  (m, rows, batches)
+
+let prop_carried_key_matches_scratch =
+  QCheck.Test.make ~count:300
+    ~name:"carried content key ≡ from-scratch Store.add key"
+    (QCheck.make
+       ~print:(fun (m, rows, batches) ->
+         String.concat " | "
+           (List.map (fun ops -> print_batch (m, rows, ops)) batches))
+       key_case_gen)
+    (fun (m, rows, batches) ->
+      let live = Store.create ~domains:1 () in
+      ignore (Store.add live (dataset_of rows) : Store.loaded);
+      let cur = ref rows in
+      List.for_all
+        (fun ops ->
+          let r = must_mutate "live" (Store.mutate live ~dataset:"mut" ops) in
+          cur := apply_all ~m !cur ops;
+          let scratch =
+            Store.add (Store.create ~domains:1 ()) (dataset_of !cur)
+          in
+          r.Store.new_key = scratch.Store.key)
+        batches)
+
+(* ------------------------------------------------------------------ *)
 (* Write-ahead log                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -473,7 +537,7 @@ let test_wal_torn_tail () =
 (* Protocol                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let serve_exe = "../bin/rrms_serve_bin.exe"
+let serve_exe = Built.serve_exe
 
 let run_stdio_session requests =
   let ic, oc =
@@ -587,6 +651,7 @@ let suite =
       test_empty_and_invalid_rejected;
     QCheck_alcotest.to_alcotest prop_apply_matches_reference;
     QCheck_alcotest.to_alcotest prop_update_skyline_matches_sfs;
+    QCheck_alcotest.to_alcotest prop_carried_key_matches_scratch;
     Alcotest.test_case "wal replay" `Quick test_wal_replay;
     Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
     Alcotest.test_case "protocol session" `Quick test_protocol_session;

@@ -361,12 +361,13 @@ let test_restart_warm_bit_identical () =
 (* crash@N: the process dies mid-write (SIGKILL semantics, temp litter
    on disk); a restart over the same directory scans clean, loads no
    corrupt blob, and still answers correctly. *)
-let serve_exe = "../bin/rrms_serve_bin.exe"
+let serve_exe = Built.serve_exe
 
-let run_stdio ?(env = "") ?(args = "") requests =
+let run_stdio ?(env = "") ?(args = "") ?(stderr = "/dev/null") requests =
   let ic, oc =
     Unix.open_process
-      (Printf.sprintf "%s %s --stdio %s 2>/dev/null" env serve_exe args)
+      (Printf.sprintf "%s %s --stdio %s 2>%s" env serve_exe args
+         (Filename.quote stderr))
   in
   List.iter
     (fun r ->
@@ -472,6 +473,101 @@ let test_crash_mid_write_recovery () =
                 (Astring_contains.contains stats "\"scan_partial\":1"
                 || Astring_contains.contains stats "\"scan_partial\":0")
           | None -> Alcotest.fail "no stats line"))
+
+(* A state dir written by the previous format version (whose content
+   keys were a flat hash over every cell) must be discarded whole at
+   startup: every blob and the write-ahead log are counted stale and
+   unlinked, no record is replayed, and nothing is installed or
+   rehydrated under a key that no longer means its content.  The old
+   directory is made by writing a real one and stamping every header
+   with format version 1. *)
+let stamp_version_1 path =
+  let b = Bytes.of_string (read_file path) in
+  (* A blob is one header; the log is a sequence of header + payload
+     records. *)
+  let rec stamp pos =
+    if pos + 22 <= Bytes.length b then begin
+      Bytes.set b (pos + 4) '\x01';
+      stamp (pos + 22 + Int64.to_int (Bytes.get_int64_le b (pos + 6)))
+    end
+  in
+  stamp 0;
+  write_file path (Bytes.to_string b)
+
+let test_stale_state_dir_discarded () =
+  with_counters (fun () ->
+      with_csv ~n:80 ~m:3 ~seed:41 (fun csv ->
+          with_state_dir (fun dir ->
+              let s1 = Store.create ~persist:(Persist.open_dir dir) () in
+              let ld = Store.load s1 ~name:"d" csv in
+              ignore (result_string s1 (query "d"));
+              let mutated =
+                match
+                  Store.mutate s1 ~dataset:"d"
+                    [ Rrms_core.Delta.Insert [| 0.5; 0.5; 0.5 |] ]
+                with
+                | Ok r -> r
+                | Error _ -> Alcotest.fail "mutation refused"
+              in
+              let files = Sys.readdir dir in
+              let blobs =
+                List.filter
+                  (fun f -> Filename.check_suffix f ".blob")
+                  (Array.to_list files)
+              in
+              Alcotest.(check bool) "wrote blobs and a log" true
+                (List.length blobs >= 3
+                && Array.mem Persist.Wal.file files);
+              Array.iter
+                (fun f -> stamp_version_1 (Filename.concat dir f))
+                files;
+              let r0 = counter Persist.Metrics.rehydrated in
+              let p2 = Persist.open_dir dir in
+              let scan = Persist.last_scan p2 in
+              Alcotest.(check int) "every file counted stale"
+                (List.length blobs + 1) scan.Persist.stale;
+              Alcotest.(check int) "none valid" 0 scan.Persist.valid;
+              Alcotest.(check int) "none corrupt" 0 scan.Persist.corrupt;
+              Alcotest.(check int) "all unlinked" 0
+                (Array.length (Sys.readdir dir));
+              let s2 = Store.create ~persist:p2 () in
+              let rep = Serve.Mutate.replay s2 p2 in
+              Alcotest.(check int) "no record replayed" 0
+                rep.Serve.Mutate.records;
+              List.iter
+                (fun key ->
+                  Alcotest.(check (option string)) "no state installed" None
+                    (Store.resolve s2 key))
+                [ ld.Store.key; mutated.Store.new_key ];
+              let ld2 = Store.load s2 ~name:"d" csv in
+              Alcotest.(check string) "reload keys the same content alike"
+                ld.Store.key ld2.Store.key;
+              let _, cached = result_string s2 (query "d") in
+              Alcotest.(check bool) "answer recomputed" false cached;
+              Alcotest.(check int) "nothing rehydrated" 0
+                (counter Persist.Metrics.rehydrated - r0);
+              (* The daemon says so at startup. *)
+              Array.iter
+                (fun f -> stamp_version_1 (Filename.concat dir f))
+                (Sys.readdir dir);
+              let err = Filename.temp_file "rrms_stale" ".err" in
+              Fun.protect
+                ~finally:(fun () -> Sys.remove err)
+                (fun () ->
+                  let _, lines =
+                    run_stdio ~stderr:err
+                      ~args:
+                        (Printf.sprintf "--state-dir %s" (Filename.quote dir))
+                      [ "{\"id\":1,\"req\":\"stats\"}" ]
+                  in
+                  Alcotest.(check bool) "startup reports the stale files" true
+                    (Astring_contains.contains (read_file err)
+                       "of another format version");
+                  match lines with
+                  | [ stats ] ->
+                      Alcotest.(check bool) "stats counts them" false
+                        (Astring_contains.contains stats "\"scan_stale\":0")
+                  | _ -> Alcotest.fail "no stats line"))))
 
 (* ------------------------------------------------------------------ *)
 (* Deadline propagation                                               *)
@@ -681,6 +777,8 @@ let suite =
       `Quick test_restart_warm_bit_identical;
     Alcotest.test_case "crash mid-write recovery" `Quick
       test_crash_mid_write_recovery;
+    Alcotest.test_case "stale-format state dir discarded" `Quick
+      test_stale_state_dir_discarded;
     Alcotest.test_case "deadline covers queue wait" `Quick
       test_deadline_covers_queue_wait;
     Alcotest.test_case "drain refuses new solves" `Quick

@@ -784,7 +784,7 @@ let test_bit_identical_with_telemetry () =
 (* The binary, over --stdio                                           *)
 (* ------------------------------------------------------------------ *)
 
-let serve_exe = "../bin/rrms_serve_bin.exe"
+let serve_exe = Built.serve_exe
 
 let run_stdio_session ?(env = "") requests =
   let ic, oc =

@@ -1161,7 +1161,17 @@ let test_trace_propagation_batch_mutation () =
                     e.trace_id;
                   Alcotest.(check bool) "mutate span has an id" true
                     (e.span_id <> ""))
-                spans)))
+                spans;
+              (* The write path's own layers hang under the same trace. *)
+              List.iter
+                (fun name ->
+                  Alcotest.(check bool)
+                    (name ^ " span under the mutation's trace") true
+                    (List.exists
+                       (fun (e : Obs.Trace.event) ->
+                         e.name = name && e.trace_id = "t-mut")
+                       (Obs.Trace.events ())))
+                [ "delta.apply"; "dataset.with_rows"; "store.content_key" ])))
 
 (* The router answers through the same dispatcher as a plain store, so
    its own request, error and batch counters move exactly as a plain
