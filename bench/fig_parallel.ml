@@ -192,7 +192,9 @@ let run scale =
         for _ = 1 to sweep_repeats do
           for i = 0 to s - 1 do
             acc :=
-              !acc +. Rrms_core.Regret_matrix.row_worst_against matrix1 i current
+              !acc
+              +. fst
+                   (Rrms_core.Regret_matrix.row_worst_against matrix1 i current)
           done
         done;
         !acc)

@@ -17,6 +17,7 @@ type result = {
   gamma_used : int;
   quality : Guard.quality;
   steps : int;
+  cells_read : int;
 }
 
 (* The greedy loop itself, on a precomputed matrix + skyline map — the
@@ -40,10 +41,14 @@ let solve_prepared ?domains ?(guard = Guard.Budget.unlimited) ~skyline
   let selected = ref [] in
   let stopped = ref None in
   let steps = min r s in
+  let cells_read = ref 0 in
   (* Argmin with strict < and left preference is insensitive to the
      chunked reduction order, so the parallel scan picks exactly the
-     row the serial loop would. *)
-  let better (v1, i1) (v2, i2) = if v2 < v1 then (v2, i2) else (v1, i1) in
+     row the serial loop would.  The third component counts the cells
+     read. *)
+  let better (v1, i1, c1) (v2, i2, c2) =
+    if v2 < v1 then (v2, i2, c1 + c2) else (v1, i1, c1 + c2)
+  in
   (try
      for step = 1 to steps do
        (* Step 1 runs unconditionally so the result is never empty;
@@ -60,14 +65,30 @@ let solve_prepared ?domains ?(guard = Guard.Budget.unlimited) ~skyline
        Guard.Budget.note_probe guard;
        Obs.Counter.incr Metrics.steps;
        (* Pick the row minimizing the resulting max over columns of the
-          min of current coverage and the row's cells — one contiguous
-          row scan per candidate on the flat matrix. *)
-       let _, best_row =
-         Rrms_parallel.reduce ?domains ~min_chunk:32 ~neutral:(infinity, -1)
-           ~combine:better s (fun i ->
-             if chosen.(i) then (infinity, -1)
-             else (Regret_matrix.row_worst_against matrix i current, i))
+          min of current coverage and the row's cells.  A row's value is
+          at least its capped cell in the worst-covered column [fw], and
+          its scan may stop once the running max reaches the chunk's
+          best so far: either way the row could at most tie, and the
+          earlier row wins a tie.  The best so far is chunk-local, and
+          each chunk's first row pays a full scan, hence chunks of 128
+          rows (8 or more on a 1k-row skyline). *)
+       let fw = ref 0 in
+       Array.iteri (fun f c -> if c > current.(!fw) then fw := f) current;
+       let cap = current.(!fw) in
+       let _, best_row, cells =
+         Rrms_parallel.reduce ?domains ~min_chunk:128
+           ~neutral:(infinity, -1, 0) ~combine:better s
+           (fun ((v0, i0, c0) as acc) i ->
+             if chosen.(i) then acc
+             else if Float.min cap (Regret_matrix.get matrix i !fw) >= v0
+             then (v0, i0, c0 + 1)
+             else
+               let v, read =
+                 Regret_matrix.row_worst_against ~bound:v0 matrix i current
+               in
+               if v < v0 then (v, i, c0 + 1 + read) else (v0, i0, c0 + 1 + read))
        in
+       cells_read := !cells_read + cells;
        let i = best_row in
        chosen.(i) <- true;
        selected := i :: !selected;
@@ -82,6 +103,7 @@ let solve_prepared ?domains ?(guard = Guard.Budget.unlimited) ~skyline
     gamma_used;
     quality = (if reasons = [] then Guard.Exact else Guard.Degraded reasons);
     steps = Array.length rows;
+    cells_read = !cells_read;
   }
 
 let solve ?(gamma = 4) ?funcs ?domains ?(guard = Guard.Budget.unlimited)

@@ -20,6 +20,9 @@ type result = {
   steps : int;
       (** greedy argmin sweeps actually taken — this answer's cost
           provenance; equals [Array.length selected] *)
+  cells_read : int;
+      (** matrix cells the pruned argmin sweeps read, at most
+          [steps · s · (|F| + 1)]; the same for every domain count *)
 }
 
 val solve_prepared :

@@ -28,8 +28,14 @@ end
 (* Per-solve cost provenance (the paper's cost-model quantities for one
    answer, as opposed to the process-cumulative Metrics counters): how
    many binary-search probes ran and how many of them paid a fresh MRST
-   solve vs. rode the threshold-index cache. *)
-type cost = { probes : int; probes_fresh : int; probes_cached : int }
+   solve vs. rode the threshold-index cache, and how many cells the
+   fresh probes' prefix slides crossed. *)
+type cost = {
+  probes : int;
+  probes_fresh : int;
+  probes_cached : int;
+  cells_crossed : int;
+}
 
 type result = {
   selected : int array;
@@ -48,6 +54,7 @@ type search = {
   probes : int;
   probes_fresh : int;
   probes_cached : int;
+  cells_crossed : int;
   stopped : Guard.reason option;
 }
 
@@ -55,7 +62,8 @@ type search = {
    probe asks MRST whether some row set of size <= max_size satisfies
    the threshold (max_size = r for the §6.1 rule; r·H(|F|) for §4.4.3's
    alternative).  Each probe is one Mrst.Incremental.solve, which slides
-   the per-row prefix pointers to the new threshold; a per-threshold
+   the per-row prefix pointers to the new threshold and gives up on the
+   cover once it needs more than max_size rows; a per-threshold
    cache answers repeated thresholds (the degraded fallback's top probe)
    without a solve.
 
@@ -85,6 +93,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
   let cache : (int, int array option) Hashtbl.t = Hashtbl.create 16 in
   let fresh = ref 0 in
   let cached = ref 0 in
+  let crossed = ref 0 in
   let probe mid =
     match Hashtbl.find_opt cache mid with
     | Some answer ->
@@ -95,8 +104,10 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
         Obs.Counter.incr Metrics.cache_misses;
         incr fresh;
         let answer =
-          Mrst.Incremental.solve ?solver ?domains inc ~eps:values.(mid)
+          Mrst.Incremental.solve ?solver ~limit:max_size ?domains inc
+            ~eps:values.(mid)
         in
+        crossed := !crossed + Mrst.Incremental.last_crossed inc;
         Hashtbl.add cache mid answer;
         answer
   in
@@ -116,10 +127,10 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
        Obs.Counter.incr Metrics.probes;
        let mid = (!low + !high) / 2 in
        match probe mid with
-       | Some rows when Array.length rows <= max_size ->
+       | Some rows ->
            best := Some (rows, values.(mid));
            high := mid - 1
-       | Some _ | None -> low := mid + 1
+       | None -> low := mid + 1
      done
    with Exit -> ());
   (* Anytime fallback: if the budget stopped the search before any
@@ -133,9 +144,8 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
       let top = Array.length values - 1 in
       if top >= 0 then begin
         match probe top with
-        | Some rows when Array.length rows <= max_size ->
-            best := Some (rows, values.(top))
-        | Some _ | None -> ()
+        | Some rows -> best := Some (rows, values.(top))
+        | None -> ()
       end
   | _ -> ());
   {
@@ -143,6 +153,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     probes = !probes;
     probes_fresh = !fresh;
     probes_cached = !cached;
+    cells_crossed = !crossed;
     stopped = !stopped;
   }
 
@@ -200,6 +211,7 @@ let solve_prepared ?solver ?(budget = Strict) ?domains
             probes = search.probes;
             probes_fresh = search.probes_fresh;
             probes_cached = search.probes_cached;
+            cells_crossed = search.cells_crossed;
           };
       }
   | None ->

@@ -49,6 +49,10 @@ type cost = {
   probes_fresh : int;  (** probes that paid an MRST solve *)
   probes_cached : int;
       (** probes answered from the threshold-index cache *)
+  cells_crossed : int;
+      (** matrix cells whose threshold membership the fresh probes'
+          prefix slides changed ({!Mrst.Incremental.last_crossed},
+          summed) *)
 }
 
 type result = {
@@ -113,6 +117,7 @@ type search = {
   probes_fresh : int;  (** probes that paid an MRST solve *)
   probes_cached : int;
       (** probes answered from the threshold-index cache *)
+  cells_crossed : int;  (** as in {!cost} *)
   stopped : Rrms_guard.Guard.reason option;
       (** [Some _] iff the budget cut the binary search short *)
 }
@@ -129,8 +134,9 @@ val search_on_matrix :
 (** The core binary search of Algorithm 4 over an arbitrary matrix,
     accepting covers of size at most [max_size] (default [r]).  Each
     probe is one {!Mrst.Incremental.solve} at the midpoint's distinct
-    value (prefix-sliced bitsets, plus a per-threshold probe cache) and
-    returns exactly what a from-scratch {!Mrst.solve} probe would.
+    value with [~limit:max_size] (prefix-sliced bitsets, plus a
+    per-threshold probe cache) and returns exactly what a from-scratch
+    {!Mrst.solve} probe would.
     [inc] supplies a ready {!Mrst.Incremental.t} for this matrix (e.g.
     pooled across queries, or {!Mrst.Incremental.rebase}d across a
     mutation), skipping the per-row sort setup; any starting probe

@@ -23,31 +23,33 @@ end
 
 type solver = Exact | Greedy
 
-(* Dedup thresholded row bitsets in row order (Algorithm 5's dedup
-   step), keep one representative row per distinct non-empty bitset, and
-   hand the distinct sets to the cover solver.  The iteration order is
-   fixed, so the answer does not depend on how the bitsets were
-   produced (from-scratch scan or incremental prefix slicing). *)
-let cover_of_bitsets ?(solver = Greedy) ~universe bitsets =
-  let n = Array.length bitsets in
-  let seen : (Bitset.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let distinct = ref [] in
-  for i = 0 to n - 1 do
-    let b = bitsets.(i) in
-    if (not (Bitset.is_empty b)) && not (Hashtbl.mem seen b) then begin
-      Hashtbl.add seen b i;
-      distinct := (i, b) :: !distinct
-    end
-  done;
-  let pairs = Array.of_list (List.rev !distinct) in
-  let sets = Array.map snd pairs in
-  let instance = Setcover.make_instance ~universe sets in
-  let cover =
-    match solver with
-    | Greedy -> Setcover.greedy instance
-    | Exact -> Setcover.exact instance
-  in
-  Option.map (Array.map (fun si -> fst pairs.(si))) cover
+(* Algorithm 5's cover step on the thresholded row bitsets.  Chvátal's
+   greedy needs no dedup: it keeps the first of equal sets on every
+   tie, the later copies then gain nothing, and empty rows never gain,
+   so the greedy cover over all rows names the same rows as the greedy
+   cover over first representatives.  The exact solver's branching
+   does multiply with copies, so it still collapses duplicate
+   non-empty bitsets in row order first.  [sizes], when given, are the
+   bitsets' popcounts. *)
+let cover_of_bitsets ?(solver = Greedy) ?limit ?sizes ~universe bitsets =
+  match solver with
+  | Greedy ->
+      Setcover.greedy ?limit ?sizes (Setcover.make_instance ~universe bitsets)
+  | Exact ->
+      let seen : (Bitset.t, unit) Hashtbl.t = Hashtbl.create 64 in
+      let distinct = ref [] in
+      Array.iteri
+        (fun i b ->
+          if (not (Bitset.is_empty b)) && not (Hashtbl.mem seen b) then begin
+            Hashtbl.add seen b ();
+            distinct := (i, b) :: !distinct
+          end)
+        bitsets;
+      let pairs = Array.of_list (List.rev !distinct) in
+      let instance = Setcover.make_instance ~universe (Array.map snd pairs) in
+      Option.map
+        (Array.map (fun si -> fst pairs.(si)))
+        (Setcover.exact ?max_sets:limit instance)
 
 let solve ?solver ?domains matrix ~eps =
   Obs.Counter.incr Metrics.fresh_solves;
@@ -76,6 +78,7 @@ module Incremental = struct
     sorted : float array array; (* the cell values in that order *)
     bits : Bitset.t array; (* current thresholded bitset per row *)
     pos : int array; (* per row: #leading sorted columns currently set *)
+    mutable crossed : int; (* cells whose membership the last probe changed *)
   }
 
   let create ?domains matrix =
@@ -98,10 +101,12 @@ module Incremental = struct
       sorted;
       bits = Array.init n (fun _ -> Bitset.create k);
       pos = Array.make n 0;
+      crossed = 0;
     }
 
   let rows t = Array.length t.bits
   let cols t = t.universe
+  let last_crossed t = t.crossed
 
   (* After a mutation, most skyline rows survive with bitwise-identical
      matrix cells (Regret_matrix.update reports this as an empty
@@ -143,6 +148,7 @@ module Incremental = struct
       sorted;
       bits = Array.init n (fun _ -> Bitset.create k);
       pos = Array.make n 0;
+      crossed = 0;
     }
 
   (* Slide row [i]'s bitset from its current prefix to [target] sorted
@@ -154,46 +160,42 @@ module Incremental = struct
     let ord = t.order.(i) and b = t.bits.(i) in
     let k = Array.length ord in
     let p0 = t.pos.(i) in
-    if target > p0 then begin
-      if target = k then Bitset.set_range_prefix b k
-      else
-        for q = p0 to target - 1 do
-          Bitset.set b ord.(q)
-        done
-    end
-    else if target < p0 then begin
-      if target = 0 then Bitset.clear_range_prefix b k
-      else
-        for q = p0 - 1 downto target do
-          Bitset.clear b ord.(q)
-        done
-    end;
+    if target = k && target > p0 then Bitset.set_range_prefix b k
+    else if target = 0 && p0 > 0 then Bitset.clear_range_prefix b k
+    else
+      for q = min p0 target to max p0 target - 1 do
+        Bitset.unsafe_toggle b (Array.unsafe_get ord q)
+      done;
     t.pos.(i) <- target
 
   (* Move every row's prefix pointer to the new threshold: advance while
      the next sorted value fits, retreat while the last one no longer
      does.  Each probe costs O(#cells crossing the threshold) instead of
-     a full O(s·|F|) rescan. *)
+     a full O(s·|F|) rescan.  The crossing count is a sum of per-row
+     pointer moves, identical for every chunking. *)
   let advance ?domains t ~eps =
-    let n = rows t in
-    Rrms_parallel.parallel_for ?domains ~min_chunk:64 n (fun i ->
-        let vals = t.sorted.(i) in
-        let k = Array.length vals in
-        let p0 = t.pos.(i) in
-        let p = ref p0 in
-        while !p < k && Array.unsafe_get vals !p <= eps do
-          incr p
-        done;
-        while !p > 0 && Array.unsafe_get vals (!p - 1) > eps do
-          decr p
-        done;
-        slide_row_bits t i !p;
-        (* One add per row, not per cell: the counter total is the sum
-           of per-row pointer moves, identical for every chunking. *)
-        Obs.Counter.add Metrics.cells_crossed (abs (!p - p0)))
+    let crossed =
+      Rrms_parallel.reduce ?domains ~min_chunk:64 ~neutral:0 ~combine:( + )
+        (rows t) (fun acc i ->
+          let vals = t.sorted.(i) in
+          let k = Array.length vals in
+          let p0 = t.pos.(i) in
+          let p = ref p0 in
+          while !p < k && Array.unsafe_get vals !p <= eps do
+            incr p
+          done;
+          while !p > 0 && Array.unsafe_get vals (!p - 1) > eps do
+            decr p
+          done;
+          slide_row_bits t i !p;
+          acc + abs (!p - p0))
+    in
+    t.crossed <- crossed;
+    Obs.Counter.add Metrics.cells_crossed crossed
 
-  let solve ?solver ?domains t ~eps =
+  let solve ?solver ?limit ?domains t ~eps =
     Obs.Counter.incr Metrics.incremental_solves;
     advance ?domains t ~eps;
-    cover_of_bitsets ?solver ~universe:t.universe t.bits
+    (* A row's prefix length is its bitset's popcount. *)
+    cover_of_bitsets ?solver ?limit ~sizes:t.pos ~universe:t.universe t.bits
 end

@@ -2,10 +2,12 @@
 
     Given the discretized regret matrix and a threshold ε, find the
     fewest rows such that every column has some selected row with cell
-    value ≤ ε.  The reduction: threshold the matrix to 0/1, collapse
-    duplicate rows, and solve set cover — exactly (branch and bound) for
-    the theoretical algorithm, or with Chvátal's greedy for the
-    practical one (§4.4.3). *)
+    value ≤ ε.  The reduction: threshold the matrix to 0/1 and solve set
+    cover — exactly (branch and bound) for the theoretical algorithm, or
+    with Chvátal's greedy for the practical one (§4.4.3).  Only the
+    exact solver collapses duplicate rows first: the greedy keeps the
+    first of equal rows on every tie, so it returns the same rows
+    without the collapse. *)
 
 type solver = Exact | Greedy
 
@@ -56,7 +58,21 @@ module Incremental : sig
       changed-column list.
       @raise Invalid_argument on a column-count or [carried] mismatch. *)
 
-  val solve : ?solver:solver -> ?domains:int -> t -> eps:float -> int array option
+  val solve :
+    ?solver:solver ->
+    ?limit:int ->
+    ?domains:int ->
+    t ->
+    eps:float ->
+    int array option
   (** [solve t ~eps] = [Mrst.solve matrix ~eps] for the matrix [t] was
-      created from, at incremental cost. *)
+      created from, at incremental cost.  With [limit], the answer is
+      that cover when it has at most [limit] rows and [None] otherwise —
+      the question Algorithm 4's search asks — and the cover stops as
+      soon as it knows. *)
+
+  val last_crossed : t -> int
+  (** Cells whose threshold membership the last {!solve} on [t]
+      changed: the sum of its per-row prefix moves ([0] before the
+      first). *)
 end

@@ -76,20 +76,22 @@ let row_update_mins t i mins =
     if v < Array.unsafe_get mins f then Array.unsafe_set mins f v
   done
 
-let row_worst_against t i current =
+let row_worst_against ?(bound = infinity) t i current =
   check_row t i;
   let k = cols t in
   if Array.length current < k then
     invalid_arg "Regret_matrix.row_worst_against: current too short";
   let off = i * k in
-  let worst = ref neg_infinity in
-  for f = 0 to k - 1 do
+  let worst = ref neg_infinity and f = ref 0 in
+  while !f < k && !worst < bound do
     let v =
-      Float.min (Array.unsafe_get current f) (Array.unsafe_get t.data (off + f))
+      Float.min (Array.unsafe_get current !f)
+        (Array.unsafe_get t.data (off + !f))
     in
-    if v > !worst then worst := v
+    if v > !worst then worst := v;
+    incr f
   done;
-  !worst
+  (!worst, !f)
 
 let build ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) ~funcs points =
   let n = Array.length points and k = Array.length funcs in

@@ -94,11 +94,16 @@ val row_update_mins : t -> int -> float array -> unit
     minima: [mins.(f) <- min mins.(f) M[i,f]] for every column, using
     the same [<] comparison as {!regret_of_rows}. *)
 
-val row_worst_against : t -> int -> float array -> float
-(** [row_worst_against t i current] =
-    [max_f (Float.min current.(f) M[i,f])]: the maximum regret of a set
-    whose per-column minima are [current] after adding row [i].  The
-    inner HD-GREEDY sweep, one contiguous row scan per candidate. *)
+val row_worst_against :
+  ?bound:float -> t -> int -> float array -> float * int
+(** [row_worst_against t i current] is
+    [(max_f (Float.min current.(f) M[i,f]), cols t)]: the maximum regret
+    of a set whose per-column minima are [current] after adding row [i],
+    and the cells read.  The inner HD-GREEDY sweep, one contiguous row
+    scan per candidate.  With [bound], the scan stops at the first
+    column where the running maximum reaches [bound]; the value is then
+    the running maximum there (at least [bound], at most the full
+    maximum) and the count the columns read so far. *)
 
 val distinct_values : t -> float array
 (** All distinct cell values, sorted ascending — the binary-search

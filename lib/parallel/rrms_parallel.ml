@@ -407,20 +407,21 @@ let parallel_for ?domains ?min_chunk n f =
   parallel_for_with ?domains ?min_chunk ~scratch:(fun () -> ()) n
     (fun () i -> f i)
 
-let reduce ?domains ?(min_chunk = 64) ~neutral ~combine n f =
+let reduce ?domains ?(min_chunk = 64) ~neutral ~combine n step =
   if min_chunk < 1 then invalid_arg "reduce: min_chunk must be >= 1";
   if n <= 0 then neutral
   else begin
     (* The chunk layout depends only on [n] and [min_chunk] — never on
-       the pool size — so the association of [combine] is fixed and the
-       result is bit-identical for every domain count. *)
+       the pool size — so every chunk's fold, and the association of
+       [combine] over the partials, is fixed: the result is
+       bit-identical for every domain count. *)
     let nchunks = (n + min_chunk - 1) / min_chunk in
     let partials = Array.make nchunks neutral in
     parallel_for ?domains ~min_chunk:1 nchunks (fun c ->
         let lo = c * min_chunk and hi = min n ((c + 1) * min_chunk) in
         let acc = ref neutral in
         for i = lo to hi - 1 do
-          acc := combine !acc (f i)
+          acc := step !acc i
         done;
         partials.(c) <- !acc);
     Array.fold_left combine neutral partials

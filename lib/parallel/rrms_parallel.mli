@@ -124,10 +124,14 @@ val reduce :
   neutral:'b ->
   combine:('b -> 'b -> 'b) ->
   int ->
-  (int -> 'b) ->
+  ('b -> int -> 'b) ->
   'b
-(** [reduce ~neutral ~combine n f] folds [combine] over
-    [f 0 .. f (n-1)]: each fixed-size chunk is folded left-to-right
-    starting from [neutral], and the per-chunk partials are then folded
-    left-to-right in chunk order.  The chunk layout depends only on [n]
-    and [min_chunk], so the result is identical for every pool size. *)
+(** [reduce ~neutral ~combine n step] splits [0 .. n-1] into fixed-size
+    chunks of [min_chunk] indices, folds each chunk left-to-right as
+    [step (... (step neutral lo) ...) (hi-1)], and folds the per-chunk
+    partials left-to-right in chunk order with [combine].  A chunk's
+    accumulator is local to it, so [step] may use it to skip work (a
+    best-so-far bound, say).  The chunk layout depends only on [n] and
+    [min_chunk], so the result is identical for every pool size.
+    [step] may also write state owned by index [i], as a
+    {!parallel_for} body does. *)

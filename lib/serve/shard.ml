@@ -539,10 +539,17 @@ module Router = struct
       let n = String.length name in
       n > 6 && String.sub name (n - 6) 6 = "_total"
     in
-    let add_counters kvs =
+    (* Client-facing counts are the router's own: a worker's requests
+       and errors are the router's fan-out legs, already counted once
+       as the client lines that caused them.  They stay in the
+       per-shard rows below. *)
+    let client_facing name =
+      name = "rrms_serve_requests_total" || name = "rrms_serve_errors_total"
+    in
+    let add_counters ?(worker = false) kvs =
       List.iter
         (fun (name, v) ->
-          if is_total name then
+          if is_total name && not (worker && client_facing name) then
             match Hashtbl.find_opt counter_sums name with
             | Some prev -> Hashtbl.replace counter_sums name (prev +. v)
             | None ->
@@ -576,7 +583,7 @@ module Router = struct
                    ]
              | Some j ->
                  let kvs = worker_counters j in
-                 add_counters kvs;
+                 add_counters ~worker:true kvs;
                  let v name =
                    Option.value ~default:0. (List.assoc_opt name kvs)
                  in

@@ -714,6 +714,7 @@ let solve_query t e ~guard (q : Protocol.query) =
           ("probes", Json.int res.Hd_rrms.cost.Hd_rrms.probes);
           ("probes_fresh", Json.int res.Hd_rrms.cost.Hd_rrms.probes_fresh);
           ("probes_cached", Json.int res.Hd_rrms.cost.Hd_rrms.probes_cached);
+          ("cells_crossed", Json.int res.Hd_rrms.cost.Hd_rrms.cells_crossed);
           ("probe_state", Json.Str (if pooled = None then "fresh" else "pooled"));
           ("theorem4_bound", Json.float res.Hd_rrms.guarantee);
         ] )
@@ -750,6 +751,7 @@ let solve_query t e ~guard (q : Protocol.query) =
           ( "cells",
             Json.int (Regret_matrix.rows matrix * Regret_matrix.cols matrix) );
           ("steps", Json.int res.Hd_greedy.steps);
+          ("cells_read", Json.int res.Hd_greedy.cells_read);
         ] )
   | Protocol.A2d | Protocol.A2d_exact ->
       (* ctx and rows from one lock hold: a mutation replaces the

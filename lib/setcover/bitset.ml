@@ -30,11 +30,24 @@ let mem t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) land (1 lsl b) <> 0
 
+(* [i] comes from the caller's own column order, so it is in range by
+   construction: no check, and the word and bit are computed once. *)
+let unsafe_toggle t i =
+  let w = i / bits_per_word in
+  Array.unsafe_set t.words w
+    (Array.unsafe_get t.words w lxor (1 lsl (i - (w * bits_per_word))))
+
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+(* SWAR count over the 63-bit word.  The hex masks wrap to negative
+   ints, which is exactly their bit pattern on bits 0..62; the top
+   8-bit lane holds bits 56..62, and the byte sum (at most 63) fits in
+   it, so [lsr 56] is the whole count. *)
 let popcount x =
-  let rec loop x acc = if x = 0 then acc else loop (x land (x - 1)) (acc + 1) in
-  loop x 0
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 

@@ -3,8 +3,8 @@
     The MRST oracle (§4.4.1) turns every tuple row of the thresholded
     regret matrix into the set of ranking-function columns it covers;
     with `|F| = (γ+1)^(m-1)` columns these sets are wide but dense, so a
-    packed int-array bitset keeps both the dedup step and the greedy
-    cover fast. *)
+    packed int-array bitset keeps both the exact solver's dedup step
+    and the greedy cover fast. *)
 
 type t
 
@@ -17,9 +17,19 @@ val copy : t -> t
 val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
+val unsafe_toggle : t -> int -> unit
+(** [unsafe_toggle t i] flips bit [i] with no range check.  The MRST
+    prefix slide flips only columns of the row's own sorted order, so
+    the index is in range by construction; out of range is undefined. *)
+
 val is_empty : t -> bool
+
+val popcount : int -> int
+(** Set bits of one packed word (all 63 of them, so [popcount (-1) = 63]),
+    in constant time. *)
+
 val count : t -> int
-(** Number of set bits. *)
+(** Number of set bits, one {!popcount} per word. *)
 
 val union_into : t -> into:t -> unit
 (** [union_into s ~into] sets [into <- into ∪ s]. *)

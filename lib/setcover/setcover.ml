@@ -33,34 +33,40 @@ let union_all t =
 
 let coverable t = Bitset.count (union_all t) = t.universe
 
-let greedy t =
+let greedy ?(limit = max_int) ?sizes t =
   Obs.Counter.incr Metrics.greedy_calls;
   let covered = Bitset.create t.universe in
-  let chosen = ref [] in
+  let chosen = ref [] and nchosen = ref 0 in
   let remaining = ref t.universe in
   let progress = ref true in
-  (* |s| is an upper bound on s's gain forever, so a set whose total
-     count cannot beat the current best is skipped without touching its
-     words; the surviving candidates pay one word-level intersection
-     popcount (gain = |s| − |s ∩ covered|) instead of a per-bit loop. *)
-  let counts = Array.map Bitset.count t.sets in
-  while !remaining > 0 && !progress do
+  (* A set's gain only shrinks as [covered] grows, so its last computed
+     gain (initially |s|) bounds every later one: a set whose bound
+     cannot beat the current best is skipped without touching its
+     words.  Skipped sets could at most tie, and a tie keeps the
+     earlier index, so the choice is exactly the full scan's. *)
+  let bound =
+    match sizes with
+    | Some a -> Array.copy a
+    | None -> Array.map Bitset.count t.sets
+  in
+  while !remaining > 0 && !progress && !nchosen < limit do
     Obs.Counter.incr Metrics.greedy_iterations;
     let best = ref (-1) and best_gain = ref 0 in
-    Array.iteri
-      (fun i s ->
-        if counts.(i) > !best_gain then begin
-          let gain = counts.(i) - Bitset.inter_count s covered in
-          if gain > !best_gain then begin
-            best := i;
-            best_gain := gain
-          end
-        end)
-      t.sets;
+    for i = 0 to Array.length t.sets - 1 do
+      if bound.(i) > !best_gain then begin
+        let gain = Bitset.diff_count t.sets.(i) ~minus:covered in
+        bound.(i) <- gain;
+        if gain > !best_gain then begin
+          best := i;
+          best_gain := gain
+        end
+      end
+    done;
     if !best < 0 then progress := false
     else begin
       Bitset.union_into t.sets.(!best) ~into:covered;
       chosen := !best :: !chosen;
+      incr nchosen;
       remaining := !remaining - !best_gain
     end
   done;
@@ -71,10 +77,9 @@ let exact ?(max_sets = max_int) t =
   else begin
     (* Upper bound from greedy (if within max_sets). *)
     let best : int list option ref =
-      match greedy t with
-      | Some g when Array.length g <= max_sets ->
-          ref (Some (Array.to_list g))
-      | _ -> ref None
+      match greedy ~limit:max_sets t with
+      | Some g -> ref (Some (Array.to_list g))
+      | None -> ref None
     in
     let best_size () =
       match !best with Some l -> List.length l | None -> max_sets + 1

@@ -18,11 +18,19 @@ val make_instance : universe:int -> Bitset.t array -> instance
 val coverable : instance -> bool
 (** True iff the union of all sets is the whole universe. *)
 
-val greedy : instance -> int array option
+val greedy : ?limit:int -> ?sizes:int array -> instance -> int array option
 (** Chvátal's greedy algorithm: repeatedly take the set covering the
     most uncovered items (ties to the smallest index).  Returns the
     chosen set indices in selection order, or [None] if the instance is
-    not coverable.  O(|sets|² · words). *)
+    not coverable.  Equal sets need no dedup: the first copy wins every
+    tie and the others then gain nothing.  With [limit], the greedy
+    stops once it holds [limit] sets without covering everything and
+    returns [None] — so the answer is the unlimited cover when that has
+    at most [limit] sets, and [None] otherwise.  [sizes.(i)], when
+    given, must be [Bitset.count sets.(i)]: a caller that already knows
+    the sizes saves the popcounts.  O(|sets|² · words) in the worst
+    case; stale gains bound the fresh ones, so most sets are skipped
+    unread. *)
 
 val exact : ?max_sets:int -> instance -> int array option
 (** Optimal cover by depth-first branch-and-bound: branch on the

@@ -32,6 +32,7 @@ let () =
       ("sweepline", Test_sweepline.suite);
       ("discretize", Test_discretize.suite);
       ("matrix-mrst", Test_matrix_mrst.suite);
+      ("warm-kernels", Test_warm_kernels.suite);
       ("hd", Test_hd.suite);
       ("hd-budget", Test_hd.budget_suite);
       ("greedy-seeds", Test_hd.seed_suite);

@@ -62,7 +62,7 @@ let test_reduce_deterministic_floats () =
   let f i = 1. /. float_of_int (i + 1) in
   let run domains =
     Rrms_parallel.reduce ~domains ~min_chunk:64 ~neutral:0.
-      ~combine:( +. ) n f
+      ~combine:( +. ) n (fun acc i -> acc +. f i)
   in
   let serial = run 1 in
   List.iter
@@ -296,7 +296,7 @@ let test_flat_matrix_matches_boxed () =
       let v = Float.min current.(f) boxed.(i).(f) in
       if v > !w then w := v
     done;
-    if Regret_matrix.row_worst_against matrix i current <> !w then
+    if Regret_matrix.row_worst_against matrix i current <> (!w, k) then
       worst_ok := false
   done;
   Alcotest.(check bool) "row_worst_against = boxed reference" true !worst_ok;

@@ -267,6 +267,39 @@ let test_warm_equals_cold_every_algo () =
               Alcotest.(check string) (name ^ " bit-identical") cold warm)
             all_algos_2d))
 
+(* The per-request kernel work in the explain record is the library's
+   own cost: [cells_crossed] of a first (fresh-index) HD-RRMS solve and
+   [cells_read] of an HD-GREEDY solve, the same at every pool size. *)
+let test_explain_kernel_work () =
+  with_csv ~n:400 ~m:3 ~seed:17 (fun csv ->
+      let points = Dataset.rows (Dataset.of_csv csv) in
+      let rrms = Rrms_core.Hd_rrms.solve ~gamma:4 ~domains:1 points ~r:4 in
+      let greedy = Rrms_core.Hd_greedy.solve ~gamma:4 ~domains:1 points ~r:4 in
+      Alcotest.(check bool) "the probes crossed cells" true
+        (rrms.Rrms_core.Hd_rrms.cost.Rrms_core.Hd_rrms.cells_crossed > 0);
+      List.iter
+        (fun domains ->
+          let store = Store.create ~domains () in
+          let l = Store.load store csv in
+          let cost algo field =
+            match
+              Store.query store
+                { (query ~algo ~r:4 ~cache:false l.Store.key) with explain = true }
+            with
+            | Ok { Store.cost; _ } ->
+                Option.bind (List.assoc_opt field cost) Json.int_
+            | Error _ -> Alcotest.fail "query refused"
+          in
+          Alcotest.(check (option int))
+            (Printf.sprintf "hd-rrms cells_crossed (domains=%d)" domains)
+            (Some rrms.Rrms_core.Hd_rrms.cost.Rrms_core.Hd_rrms.cells_crossed)
+            (cost Protocol.Hd_rrms "cells_crossed");
+          Alcotest.(check (option int))
+            (Printf.sprintf "hd-greedy cells_read (domains=%d)" domains)
+            (Some greedy.Rrms_core.Hd_greedy.cells_read)
+            (cost Protocol.Hd_greedy "cells_read"))
+        [ 1; 4 ])
+
 let test_store_domain_counts_agree () =
   with_counters (fun () ->
       with_csv ~seed:5 (fun csv ->
@@ -910,6 +943,8 @@ let suite =
       test_warm_equals_cold_every_algo;
     Alcotest.test_case "domain counts agree" `Quick
       test_store_domain_counts_agree;
+    Alcotest.test_case "explain reports kernel work" `Quick
+      test_explain_kernel_work;
     Alcotest.test_case "degraded never cached" `Quick
       test_degraded_never_cached;
     Alcotest.test_case "concurrent sessions share artifacts" `Quick

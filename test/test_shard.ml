@@ -1026,7 +1026,25 @@ let test_router_merged_trace () =
                   Alcotest.(check bool) "cluster merges latency rows" true
                     (contains st "\"shard\":\"all\"");
                   Alcotest.(check bool) "cluster reports skew" true
-                    (contains st "\"straggler_gap_seconds\":")))))
+                    (contains st "\"straggler_gap_seconds\":");
+                  (* Client-facing counts are the router's own: the
+                     four client lines (load, two queries, this stats)
+                     read 4, whatever fan-out legs the workers saw. *)
+                  let cluster_counter name =
+                    let ( let* ) = Option.bind in
+                    let* j = Result.to_option (Json.parse st) in
+                    let* res = Json.member "result" j in
+                    let* cl = Json.member "cluster" res in
+                    let* counters = Json.member "counters" cl in
+                    let* v = Json.member name counters in
+                    Json.num v
+                  in
+                  Alcotest.(check (option (float 0.)))
+                    "cluster requests = client lines" (Some 4.)
+                    (cluster_counter "rrms_serve_requests_total");
+                  Alcotest.(check (option (float 0.)))
+                    "cluster errors = client errors" (Some 0.)
+                    (cluster_counter "rrms_serve_errors_total")))))
 
 (* Routed answers are bit-identical with tracing off (Disabled) and
    fully on (Full + a client trace envelope, so every fan-out leg is
