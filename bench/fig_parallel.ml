@@ -1,5 +1,6 @@
-(* Domain-pool scaling benchmark: times the three parallel kernels
-   (skyline SFS, regret-matrix build, the full MRST binary search) and
+(* Domain-pool scaling benchmark: times the skyline SFS, the
+   regret-matrix build, the full MRST binary search (and its three
+   layers: cell order, index build, probes) and
    the end-to-end HD-RRMS solve at 1/2/4/8 domains on an
    anti-correlated instance, prints the usual bench rows, and writes the
    results as BENCH_parallel.json so the repo tracks its perf
@@ -113,12 +114,28 @@ let run scale =
         time (fun () -> Rrms_core.Regret_matrix.build ~domains ~funcs sky_points)
       in
       record "matrix-build" domains t_build;
-      let search, t_search =
+      (* Algorithm 4 on the fresh matrix, timed layer by layer: the one
+         sort of every cell (which also yields the distinct values), the
+         empty probe state over it, and the probes.  Their sum is the
+         whole search.  No layer takes a domain count, so the split is
+         recorded once, at 1 domain. *)
+      let _, t_order =
+        time (fun () -> Rrms_core.Regret_matrix.cell_order matrix)
+      in
+      let inc, t_index =
+        time (fun () -> Rrms_core.Mrst.Incremental.create ~domains matrix)
+      in
+      let search, t_probes =
         time (fun () ->
-            (Rrms_core.Hd_rrms.search_on_matrix ~domains matrix ~r).found)
+            (Rrms_core.Hd_rrms.search_on_matrix ~domains ~inc matrix ~r).found)
       in
       assert (search = search1);
-      record "mrst-binary-search" domains t_search;
+      record "mrst-binary-search" domains (t_order +. t_index +. t_probes);
+      if domains = 1 then begin
+        record "cell-order" domains t_order;
+        record "index-build" domains t_index;
+        record "probes" domains t_probes
+      end;
       let solve, t_solve =
         time (fun () -> Rrms_core.Hd_rrms.solve ~gamma ~domains points ~r)
       in
@@ -145,30 +162,18 @@ let run scale =
   in
   record "mrst-binary-search-scratch" 1 t_scratch;
   (* Per-probe incremental replay: the loop of
-     Hd_rrms.search_on_matrix (one Incremental.solve per probe,
-     per-threshold cache), over an index built outside the timer, so
-     its gap to mrst-binary-search above is the index build.  Must land
-     on the same answer. *)
+     Hd_rrms.search_on_matrix (one unlimited Incremental.solve per
+     probe), over an index built outside the timer.  Must land on the
+     same answer. *)
   let incr = Rrms_core.Mrst.Incremental.create ~domains:1 matrix1 in
   let perprobe_best = ref None in
   let _, t_perprobe =
     time (fun () ->
-        let cache : (float, int array option) Hashtbl.t = Hashtbl.create 64 in
         let low = ref 0 and high = ref (Array.length values - 1) in
         while !low <= !high do
           let mid = (!low + !high) / 2 in
           let eps = values.(mid) in
-          let ans =
-            match Hashtbl.find_opt cache eps with
-            | Some a -> a
-            | None ->
-                let a =
-                  Rrms_core.Mrst.Incremental.solve ~domains:1 incr ~eps
-                in
-                Hashtbl.add cache eps a;
-                a
-          in
-          match ans with
+          match Rrms_core.Mrst.Incremental.solve incr ~eps with
           | Some rows when Array.length rows <= r ->
               perprobe_best := Some (rows, eps);
               high := mid - 1

@@ -5,9 +5,8 @@
     to produce a {!plan}: the new row array plus the index
     correspondence between the old and new datasets.  The plan is what
     every incremental artifact step consumes — skyline maintenance
-    here, matrix row carry-over via {!Regret_matrix.update}, MRST probe
-    reuse via {!Mrst.Incremental.rebase}, and the serve layer's
-    delta-scoped result-cache invalidation. *)
+    here, matrix row carry-over via {!Regret_matrix.update}, and the
+    serve layer's delta-scoped result-cache invalidation. *)
 
 type mutation =
   | Insert of Rrms_geom.Vec.t  (** append a tuple at the end *)
@@ -84,6 +83,6 @@ val carried_rows : plan -> old_sky:int array -> new_sky:int array -> int array
 (** [carried_rows plan ~old_sky ~new_sky] maps each new skyline
     position to the old skyline position holding the identical point
     ([-1] for fresh rows) — the [carried] spec for
-    {!Regret_matrix.update} / {!Mrst.Incremental.rebase}.
+    {!Regret_matrix.update}.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when
     [old_sky] does not index the plan's base. *)

@@ -1,187 +1,132 @@
-(* Closure-free sorting kernels for the regret-matrix hot paths.
+(* The comparison-free sort behind [Regret_matrix]'s cell order.
 
-   [Array.sort Float.compare] pays an indirect closure call per
-   comparison; on the n·k cell flatten behind [distinct_values] (~10^6
-   floats) and the per-row column sorts behind [Mrst.Incremental.create]
-   that dominates the whole Algorithm-4 setup.  Both sorts here produce
-   output bit-identical to the [Float.compare]-based ones they replace:
-   regret ratios are non-negative finite floats, whose IEEE-754 bit
+   Regret ratios are non-negative finite floats, whose IEEE-754 bit
    patterns (as unsigned integers) order exactly like [Float.compare].
-
-   - [sort] is an LSD radix sort on the bit patterns when every value
-     lies in [0, 2) (always true for regret ratios of non-negative
-     scores), falling back to [Array.sort Float.compare] otherwise — so
-     exotic inputs (NaN, negatives, huge ratios) keep the old total
-     order to the bit.
-   - [sort_pairs] is a tandem quicksort of (value, index) pairs with
-     direct [Float.compare] calls and index tie-break — the unique
-     sorted output of a strict total order, so the algorithm choice
-     cannot change the result. *)
+   So when every value lies in [0, 2) an LSD radix sort on the bit
+   patterns, carrying each index as payload, yields the stable order —
+   equal values keep their index order, which is the
+   [(Float.compare value, index)] tie-break.  Any other input (NaN,
+   negatives, huge ratios) takes the stable comparator sort, so exotic
+   inputs keep the same total order. *)
 
 (* Bit pattern of a float in [0, 2) fits in 62 bits: the sign bit is 0
    and the biased exponent is at most 0x3FF, so the pattern is at most
-   0x3FFFFFFFFFFFFFFF — exact in an OCaml native int. *)
+   0x3FFFFFFFFFFFFFFF — exact in an OCaml native int.  [-0.]'s pattern
+   loses its sign bit in [Int64.to_int] and shares [+0.]'s key 0, which
+   is right: [Float.compare] calls them equal. *)
 let key_of_float x = Int64.to_int (Int64.bits_of_float x)
 
-let radix_passes = 4 (* 4 x 16-bit digits cover the 62 significant bits *)
-let digit_width = 16
+let digit_width = 16 (* 4 x 16-bit digits cover the 62 significant bits *)
 let digit_count = 1 lsl digit_width
 let digit_mask = digit_count - 1
 
-let radix_sort_keys keys tmp n =
-  (* One scan builds the histogram of every pass; passes whose digits
-     are all equal (common in the high bits of a [0, 2) value) are
-     skipped without touching the data. *)
-  let hist = Array.make (radix_passes * digit_count) 0 in
+(* Bits needed to write [0 .. n-1]. *)
+let id_bits n =
+  let rec go b = if (n - 1) lsr b = 0 then b else go (b + 1) in
+  go 1
+
+(* Stable LSD radix sort of [a]'s indices by key, 16 bits per pass.
+   The first two passes move (key, index) pairs.  After them only the
+   key's top 30 bits still matter, so the second pass packs each pair
+   into one int, [(key lsr 32) lsl b lor index], and the last two
+   passes move half the data.  The last pass unpacks the indices. *)
+let radix_order a =
+  let n = Array.length a in
+  let b = id_bits n in
+  let ids_mask = (1 lsl b) - 1 in
+  (* One histogram per pass, built in one scan. *)
+  let hist = Array.make (4 * digit_count) 0 in
   for i = 0 to n - 1 do
-    let k = Array.unsafe_get keys i in
-    for p = 0 to radix_passes - 1 do
-      let d = (k lsr (p * digit_width)) land digit_mask in
-      let slot = (p * digit_count) + d in
+    let k = key_of_float (Array.unsafe_get a i) in
+    for p = 0 to 3 do
+      let digit = (k lsr (p * digit_width)) land digit_mask in
+      let slot = (p * digit_count) + digit in
       Array.unsafe_set hist slot (Array.unsafe_get hist slot + 1)
     done
   done;
-  let src = ref keys and dst = ref tmp in
-  for p = 0 to radix_passes - 1 do
-    let base = p * digit_count in
-    let trivial =
-      (* A pass is a no-op when one digit value owns every element. *)
-      let rec find d = if hist.(base + d) > 0 then d else find (d + 1) in
-      hist.(base + find 0) = n
-    in
-    if not trivial then begin
-      (* Exclusive prefix sums turn counts into destination offsets. *)
-      let acc = ref 0 in
-      for d = 0 to digit_count - 1 do
-        let c = hist.(base + d) in
-        hist.(base + d) <- !acc;
-        acc := !acc + c
-      done;
-      let s = !src and t = !dst in
-      let shift = p * digit_width in
-      for i = 0 to n - 1 do
-        let k = Array.unsafe_get s i in
-        let slot = base + ((k lsr shift) land digit_mask) in
-        let pos = Array.unsafe_get hist slot in
-        Array.unsafe_set hist slot (pos + 1);
-        Array.unsafe_set t pos k
-      done;
-      src := t;
-      dst := s
-    end
-  done;
-  !src
-
-let sort (a : float array) =
-  let n = Array.length a in
-  if n > 1 then begin
-    (* Applicability scan: every value in [0, 2) (NaN fails both
-       comparisons and takes the fallback).  -0. shares +0.'s radix key,
-       so the signed-zero counts let the zero run be rewritten in
-       [Float.compare] order (-0. strictly first) afterwards. *)
-    let ok = ref true and neg_zeros = ref 0 and pos_zeros = ref 0 in
-    for i = 0 to n - 1 do
-      let x = Array.unsafe_get a i in
-      if not (x >= 0. && x < 2.) then ok := false
-      else if x = 0. then
-        if Float.sign_bit x then incr neg_zeros else incr pos_zeros
-    done;
-    if not !ok then Array.sort Float.compare a
-    else begin
-      let keys = Array.make n 0 and tmp = Array.make n 0 in
-      for i = 0 to n - 1 do
-        Array.unsafe_set keys i (key_of_float (Array.unsafe_get a i))
-      done;
-      let sorted = radix_sort_keys keys tmp n in
-      for i = 0 to n - 1 do
-        Array.unsafe_set a i
-          (Int64.float_of_bits (Int64.of_int (Array.unsafe_get sorted i)))
-      done;
-      (* Zero keys sort to the front; restore the -0. < +0. order. *)
-      for i = 0 to !neg_zeros - 1 do
-        a.(i) <- -0.
-      done;
-      for i = !neg_zeros to !neg_zeros + !pos_zeros - 1 do
-        a.(i) <- 0.
-      done
-    end
-  end
-
-let insertion_cutoff = 12
-
-let sort_pairs (vals : float array) (idx : int array) =
-  let n = Array.length vals in
-  if Array.length idx <> n then invalid_arg "Fsort.sort_pairs: length mismatch";
-  (* Strict lexicographic (Float.compare value, index) order; indices
-     are the tie-break, so equal pairs cannot occur on distinct slots. *)
-  let swap i j =
-    let v = Array.unsafe_get vals i in
-    Array.unsafe_set vals i (Array.unsafe_get vals j);
-    Array.unsafe_set vals j v;
-    let x = Array.unsafe_get idx i in
-    Array.unsafe_set idx i (Array.unsafe_get idx j);
-    Array.unsafe_set idx j x
-  in
-  let lt_vi v i j =
-    let c = Float.compare v (Array.unsafe_get vals j) in
-    c < 0 || (c = 0 && i < Array.unsafe_get idx j)
-  in
-  let insertion lo hi =
-    for i = lo + 1 to hi do
-      let v = Array.unsafe_get vals i and x = Array.unsafe_get idx i in
-      let j = ref (i - 1) in
-      while !j >= lo && lt_vi v x !j do
-        Array.unsafe_set vals (!j + 1) (Array.unsafe_get vals !j);
-        Array.unsafe_set idx (!j + 1) (Array.unsafe_get idx !j);
-        decr j
-      done;
-      Array.unsafe_set vals (!j + 1) v;
-      Array.unsafe_set idx (!j + 1) x
+  (* Exclusive prefix sums turn counts into destination offsets. *)
+  for p = 0 to 3 do
+    let acc = ref 0 in
+    for d = p * digit_count to ((p + 1) * digit_count) - 1 do
+      let c = hist.(d) in
+      hist.(d) <- !acc;
+      acc := !acc + c
     done
-  in
-  (* Quicksort with median-of-3 pivot and Hoare partition, recursing on
-     the smaller side so the stack stays logarithmic. *)
-  let rec qsort lo hi =
-    if hi - lo >= insertion_cutoff then begin
-      let mid = lo + ((hi - lo) / 2) in
-      (* Order lo/mid/hi, leaving the median at [mid]. *)
-      if lt_vi vals.(mid) idx.(mid) lo then swap lo mid;
-      if lt_vi vals.(hi) idx.(hi) lo then swap lo hi;
-      if lt_vi vals.(hi) idx.(hi) mid then swap mid hi;
-      let pv = Array.unsafe_get vals mid and px = Array.unsafe_get idx mid in
-      (* Compare position [q] against the pivot pair (pv, px); the pivot
-         is an element of the slice, so both scans stop at it. *)
-      let below_pivot q =
-        let c = Float.compare (Array.unsafe_get vals q) pv in
-        c < 0 || (c = 0 && Array.unsafe_get idx q < px)
-      in
-      let above_pivot q =
-        let c = Float.compare (Array.unsafe_get vals q) pv in
-        c > 0 || (c = 0 && Array.unsafe_get idx q > px)
-      in
-      let i = ref lo and j = ref hi in
-      while !i <= !j do
-        while below_pivot !i do
-          incr i
-        done;
-        while above_pivot !j do
-          decr j
-        done;
-        if !i <= !j then begin
-          swap !i !j;
-          incr i;
-          decr j
-        end
-      done;
-      if !j - lo < hi - !i then begin
-        qsort lo !j;
-        qsort !i hi
-      end
-      else begin
-        qsort !i hi;
-        qsort lo !j
-      end
+  done;
+  (* Each pass scatters element [i] to the next free offset of its
+     digit's slot. *)
+  let keys = Array.make n 0 and ids = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let k = key_of_float (Array.unsafe_get a i) in
+    let slot = k land digit_mask in
+    let pos = Array.unsafe_get hist slot in
+    Array.unsafe_set hist slot (pos + 1);
+    Array.unsafe_set keys pos k;
+    Array.unsafe_set ids pos i
+  done;
+  let packed = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let k = Array.unsafe_get keys i in
+    let slot = digit_count + ((k lsr digit_width) land digit_mask) in
+    let pos = Array.unsafe_get hist slot in
+    Array.unsafe_set hist slot (pos + 1);
+    Array.unsafe_set packed pos (((k lsr 32) lsl b) lor Array.unsafe_get ids i)
+  done;
+  let packed' = keys in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get packed i in
+    let slot = (2 * digit_count) + ((x lsr b) land digit_mask) in
+    let pos = Array.unsafe_get hist slot in
+    Array.unsafe_set hist slot (pos + 1);
+    Array.unsafe_set packed' pos x
+  done;
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get packed' i in
+    let digit = (x lsr (b + digit_width)) land digit_mask in
+    let slot = (3 * digit_count) + digit in
+    let pos = Array.unsafe_get hist slot in
+    Array.unsafe_set hist slot (pos + 1);
+    Array.unsafe_set ids pos (x land ids_mask)
+  done;
+  ids
+
+let order (a : float array) =
+  let n = Array.length a in
+  (* NaN fails both comparisons.  Packing needs 30 key bits plus the
+     index bits in one 63-bit int. *)
+  let ids =
+    if n > 1 && id_bits n <= 33 && Array.for_all (fun x -> x >= 0. && x < 2.) a
+    then radix_order a
+    else begin
+      let ids = Array.init n Fun.id in
+      Array.stable_sort (fun i j -> Float.compare a.(i) a.(j)) ids;
+      ids
     end
-    else insertion lo hi
   in
-  if n > 1 then qsort 0 (n - 1)
+  (* Runs of [=]-equal values in sorted order, each reporting its first
+     value: one gather lays the values out in sorted order, one scan
+     counts the runs and a second fills them in. *)
+  let sorted = Array.create_float n in
+  for q = 0 to n - 1 do
+    Array.unsafe_set sorted q (Array.unsafe_get a (Array.unsafe_get ids q))
+  done;
+  let runs = ref (if n > 0 then 1 else 0) in
+  for q = 1 to n - 1 do
+    if Array.unsafe_get sorted q <> Array.unsafe_get sorted (q - 1) then
+      incr runs
+  done;
+  let starts = Array.make (!runs + 1) n and values = Array.create_float !runs in
+  if n > 0 then begin
+    starts.(0) <- 0;
+    values.(0) <- sorted.(0);
+    let r = ref 1 in
+    for q = 1 to n - 1 do
+      let v = Array.unsafe_get sorted q in
+      if v <> Array.unsafe_get sorted (q - 1) then begin
+        Array.unsafe_set starts !r q;
+        Array.unsafe_set values !r v;
+        incr r
+      end
+    done
+  end;
+  (ids, starts, values)

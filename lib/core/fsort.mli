@@ -1,21 +1,25 @@
-(** Closure-free sorting kernels for the matrix/MRST hot paths.
+(** The sorting kernel behind a regret matrix's cell order.
 
-    Both sorts produce output bit-identical to their
-    [Array.sort Float.compare]-based equivalents; they only change how
-    fast the order is reached.  The one ambiguity [Float.compare]
-    leaves open — it calls [-0.] and [+0.] equal, so an unstable sort
-    may arrange a mixed zero run either way — is resolved
-    deterministically here: [sort] always places [-0.] before [+0.]. *)
+    [Array.sort] with a [(Float.compare value, index)] comparator pays
+    an indirect closure call per comparison; on the ~10^6 cells of a
+    regret matrix that dominates the whole Algorithm-4 setup.  [order]
+    reaches the same permutation without one. *)
 
-val sort : float array -> unit
-(** In-place ascending sort in [Float.compare] order.  When every value
-    lies in [0, 2) — always true for regret ratios — an LSD radix sort
-    on the IEEE-754 bit patterns runs in O(n); any other input (NaN,
-    negatives, values ≥ 2) falls back to [Array.sort Float.compare]. *)
+val order : float array -> int array * int array * float array
+(** [order a] is [(ids, starts, values)]:
+    - [ids] is the permutation of [0 .. n-1] ascending by
+      [(Float.compare a.(i), i)] — a stable sort by value, so it is the
+      unique sorted permutation whatever the algorithm;
+    - the sorted sequence [a.(ids.(q))] splits into maximal runs of
+      [=]-equal values; run [r] occupies positions
+      [starts.(r) .. starts.(r + 1) - 1], and one sentinel entry
+      [starts.(runs) = n] closes the last;
+    - [values.(r)] is the first value of run [r], bit for bit — so
+      [values] is [a] sorted with each value equal to its predecessor
+      dropped.
 
-val sort_pairs : float array -> int array -> unit
-(** [sort_pairs vals idx] sorts both arrays in tandem, ascending by
-    [(Float.compare vals.(i), idx.(i))] lexicographically.  The order is
-    strict and total whenever the indices are distinct, so the result is
-    the unique sorted permutation regardless of algorithm.
-    @raise Invalid_argument when the arrays differ in length. *)
+    When every value lies in [0, 2) — always true for regret ratios of
+    non-negative scores — an LSD radix sort on the IEEE-754 bit
+    patterns, carrying each index as payload, runs in O(n); any other
+    input (NaN, negatives, values ≥ 2) falls back to the comparator
+    sort. *)

@@ -5,19 +5,11 @@ module Metrics = struct
   let solves =
     Obs.Counter.make ~help:"HD-RRMS solves" "rrms_hd_rrms_solves_total"
 
-  (* Algorithm 4 probe accounting: each binary-search step either hits
-     the threshold-index cache or pays one (incremental) MRST solve. *)
+  (* Algorithm 4 probe accounting: each binary-search step pays one
+     (incremental) MRST solve. *)
   let probes =
     Obs.Counter.make ~help:"binary-search probes issued by HD-RRMS"
       "rrms_hd_rrms_probes_total"
-
-  let cache_hits =
-    Obs.Counter.make ~help:"probes answered from the threshold-index cache"
-      "rrms_hd_rrms_probe_cache_hits_total"
-
-  let cache_misses =
-    Obs.Counter.make ~help:"probes that required an MRST solve"
-      "rrms_hd_rrms_probe_cache_misses_total"
 
   (* Paper quantity gamma: discretization actually used (post-shrink). *)
   let gamma_used =
@@ -27,15 +19,10 @@ end
 
 (* Per-solve cost provenance (the paper's cost-model quantities for one
    answer, as opposed to the process-cumulative Metrics counters): how
-   many binary-search probes ran and how many of them paid a fresh MRST
-   solve vs. rode the threshold-index cache, and how many cells the
-   fresh probes' prefix slides crossed. *)
-type cost = {
-  probes : int;
-  probes_fresh : int;
-  probes_cached : int;
-  cells_crossed : int;
-}
+   many binary-search probes ran, how many MRST solves they paid (the
+   anytime fallback adds one), and how many cells those solves'
+   threshold moves crossed. *)
+type cost = { probes : int; probes_fresh : int; cells_crossed : int }
 
 type result = {
   selected : int array;
@@ -53,7 +40,6 @@ type search = {
   found : (int array * float) option;
   probes : int;
   probes_fresh : int;
-  probes_cached : int;
   cells_crossed : int;
   stopped : Guard.reason option;
 }
@@ -61,11 +47,12 @@ type search = {
 (* Algorithm 4: binary search over the sorted distinct cell values; each
    probe asks MRST whether some row set of size <= max_size satisfies
    the threshold (max_size = r for the §6.1 rule; r·H(|F|) for §4.4.3's
-   alternative).  Each probe is one Mrst.Incremental.solve, which slides
-   the per-row prefix pointers to the new threshold and gives up on the
-   cover once it needs more than max_size rows; a per-threshold
-   cache answers repeated thresholds (the degraded fallback's top probe)
-   without a solve.
+   alternative).  Each probe is one Mrst.Incremental.solve, which
+   toggles the cells crossing the new threshold and gives up on the
+   cover once it needs more than max_size rows.  No threshold is probed
+   twice: binary-search midpoints never repeat, and the fallback's top
+   value is probed only when no probe accepted, while the top always
+   accepts.
 
    The guard is consulted at probe boundaries only, so a degraded
    search is deterministic for a fixed probe count: the probe sequence
@@ -76,9 +63,8 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
   let values = Regret_matrix.distinct_values matrix in
   let inc =
     (* A caller-supplied structure (the serve layer pools them across
-       queries and rebases them across mutations) must belong to this
-       matrix; probe state may be anywhere — every slide is
-       bidirectional from the current position. *)
+       queries) must belong to this matrix; probe state may be
+       anywhere — every threshold move is bidirectional. *)
     match inc with
     | Some i
       when Mrst.Incremental.rows i = Regret_matrix.rows matrix
@@ -90,26 +76,15 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
            matrix"
     | None -> Mrst.Incremental.create ?domains matrix
   in
-  let cache : (int, int array option) Hashtbl.t = Hashtbl.create 16 in
   let fresh = ref 0 in
-  let cached = ref 0 in
   let crossed = ref 0 in
   let probe mid =
-    match Hashtbl.find_opt cache mid with
-    | Some answer ->
-        Obs.Counter.incr Metrics.cache_hits;
-        incr cached;
-        answer
-    | None ->
-        Obs.Counter.incr Metrics.cache_misses;
-        incr fresh;
-        let answer =
-          Mrst.Incremental.solve ?solver ~limit:max_size ?domains inc
-            ~eps:values.(mid)
-        in
-        crossed := !crossed + Mrst.Incremental.last_crossed inc;
-        Hashtbl.add cache mid answer;
-        answer
+    incr fresh;
+    let answer =
+      Mrst.Incremental.solve ?solver ~limit:max_size inc ~eps:values.(mid)
+    in
+    crossed := !crossed + Mrst.Incremental.last_crossed inc;
+    answer
   in
   let best = ref None in
   let stopped = ref None in
@@ -152,7 +127,6 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     found = !best;
     probes = !probes;
     probes_fresh = !fresh;
-    probes_cached = !cached;
     cells_crossed = !crossed;
     stopped = !stopped;
   }
@@ -210,7 +184,6 @@ let solve_prepared ?solver ?(budget = Strict) ?domains
           {
             probes = search.probes;
             probes_fresh = search.probes_fresh;
-            probes_cached = search.probes_cached;
             cells_crossed = search.cells_crossed;
           };
       }

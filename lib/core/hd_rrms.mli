@@ -45,14 +45,15 @@ type budget = Strict | Inflated
     through shard merges into the per-answer ["cost"] echo
     (docs/OBSERVABILITY.md, "Cost provenance"). *)
 type cost = {
-  probes : int;  (** binary-search probes executed (incl. the fallback) *)
-  probes_fresh : int;  (** probes that paid an MRST solve *)
-  probes_cached : int;
-      (** probes answered from the threshold-index cache *)
+  probes : int;
+      (** binary-search probes executed (the anytime fallback's probe
+          is not one) *)
+  probes_fresh : int;
+      (** MRST solves paid: [probes], plus one when the anytime fallback
+          ran *)
   cells_crossed : int;
-      (** matrix cells whose threshold membership the fresh probes'
-          prefix slides changed ({!Mrst.Incremental.last_crossed},
-          summed) *)
+      (** matrix cells whose threshold membership those solves changed
+          ({!Mrst.Incremental.last_crossed}, summed) *)
 }
 
 type result = {
@@ -94,8 +95,8 @@ val solve :
     [funcs] overrides the discretized function set entirely (for the
     §5.2 alternative discretizations; Theorem 4's [guarantee] field is
     then computed from [gamma] anyway and should be ignored by the
-    caller).  [domains] spreads the skyline pass, the matrix build and
-    every MRST probe over a worker-domain pool (default
+    caller).  [domains] spreads the skyline pass and the matrix build
+    over a worker-domain pool (default
     {!Rrms_parallel.Pool.default_size}); the result is bit-identical
     for every domain count.
 
@@ -114,9 +115,7 @@ type search = {
       (** (row set, ε) for the best accepted threshold; [None] only if
           nothing satisfies even the largest cell value *)
   probes : int;  (** MRST probes actually executed by the search loop *)
-  probes_fresh : int;  (** probes that paid an MRST solve *)
-  probes_cached : int;
-      (** probes answered from the threshold-index cache *)
+  probes_fresh : int;  (** as in {!cost} *)
   cells_crossed : int;  (** as in {!cost} *)
   stopped : Rrms_guard.Guard.reason option;
       (** [Some _] iff the budget cut the binary search short *)
@@ -134,14 +133,13 @@ val search_on_matrix :
 (** The core binary search of Algorithm 4 over an arbitrary matrix,
     accepting covers of size at most [max_size] (default [r]).  Each
     probe is one {!Mrst.Incremental.solve} at the midpoint's distinct
-    value with [~limit:max_size] (prefix-sliced bitsets, plus a
-    per-threshold probe cache) and returns exactly what a from-scratch
+    value with [~limit:max_size] (toggling only the cells that cross
+    the threshold) and returns exactly what a from-scratch
     {!Mrst.solve} probe would.
     [inc] supplies a ready {!Mrst.Incremental.t} for this matrix (e.g.
-    pooled across queries, or {!Mrst.Incremental.rebase}d across a
-    mutation), skipping the per-row sort setup; any starting probe
-    state is fine because every slide is bidirectional.  The search
-    mutates it and leaves it at the last probed threshold.  The
+    pooled across queries); any starting probe state is fine because
+    every threshold move is bidirectional.  The search mutates it and
+    leaves it at the last probed threshold.  The
     [guard] is checked before every
     probe; on stop, if no threshold was accepted yet, one fallback
     probe at the largest distinct value recovers a certified

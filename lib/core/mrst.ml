@@ -2,16 +2,17 @@ open Rrms_setcover
 module Obs = Rrms_obs.Obs
 
 module Metrics = struct
-  (* Fresh probes rebuild every row bitset; incremental probes slide
-     the per-row prefix pointers.  Together with the hd_rrms probe
-     cache hit/miss counters these expose exactly where Algorithm 4's
-     O(log (distinct values)) probes spend their work. *)
+  (* Fresh probes rebuild every row bitset; incremental probes toggle
+     only the cells crossing the threshold.  Together these expose
+     where Algorithm 4's O(log (distinct values)) probes spend their
+     work. *)
   let fresh_solves =
     Obs.Counter.make ~help:"from-scratch MRST probes (full O(s*|F|) rescan)"
       "rrms_mrst_fresh_solves_total"
 
   let incremental_solves =
-    Obs.Counter.make ~help:"incremental MRST probes (prefix-slid bitsets)"
+    Obs.Counter.make
+      ~help:"incremental MRST probes (threshold-crossing toggles)"
       "rrms_mrst_incremental_solves_total"
 
   let cells_crossed =
@@ -72,35 +73,26 @@ let solve ?solver ?domains matrix ~eps =
   cover_of_bitsets ?solver ~universe:k bitsets
 
 module Incremental = struct
+  (* Probe state over the matrix's cell order.  A threshold admits a
+     prefix of the order's runs, so the state is that prefix length plus
+     the row bitsets and popcounts it implies. *)
   type t = {
     universe : int;
-    order : int array array; (* per row: columns sorted by cell value *)
-    sorted : float array array; (* the cell values in that order *)
+    order : Regret_matrix.cell_order;
     bits : Bitset.t array; (* current thresholded bitset per row *)
-    pos : int array; (* per row: #leading sorted columns currently set *)
+    sizes : int array; (* per row: set bits of [bits] *)
+    mutable level : int; (* runs [0, level) are admitted *)
     mutable crossed : int; (* cells whose membership the last probe changed *)
   }
 
-  let create ?domains matrix =
+  let create ?domains:_ matrix =
     let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
-    let order = Array.make n [||] and sorted = Array.make n [||] in
-    Rrms_parallel.parallel_for ?domains ~min_chunk:8 n (fun i ->
-        (* Copy the row once (one contiguous blit on a flat matrix) and
-           tandem-sort values with their column indices — same
-           (value, column) order as a comparator sort, without the
-           per-comparison closure call. *)
-        let vals = Array.make k 0. in
-        Regret_matrix.blit_row matrix i vals;
-        let ord = Array.init k Fun.id in
-        Fsort.sort_pairs vals ord;
-        order.(i) <- ord;
-        sorted.(i) <- vals);
     {
       universe = k;
-      order;
-      sorted;
+      order = Regret_matrix.cell_order matrix;
       bits = Array.init n (fun _ -> Bitset.create k);
-      pos = Array.make n 0;
+      sizes = Array.make n 0;
+      level = 0;
       crossed = 0;
     }
 
@@ -108,14 +100,6 @@ module Incremental = struct
   let cols t = t.universe
   let last_crossed t = t.crossed
 
-  (* After a mutation, most skyline rows survive with bitwise-identical
-     matrix cells (Regret_matrix.update reports this as an empty
-     changed-column list).  Their sorted orders are pure functions of
-     the row's cells, so the O(|F| log |F|) tandem sorts can be carried
-     over by reference — create() never mutates order/sorted after
-     construction — and only genuinely new rows pay a sort.  Bitsets and
-     prefix positions always restart empty: they are probe state, and
-     the next probe slides bidirectionally from any starting point. *)
   let rebase ?domains old matrix ~carried =
     let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
     if old.universe <> k then
@@ -127,75 +111,39 @@ module Incremental = struct
         if j >= rows old then
           invalid_arg "Mrst.Incremental.rebase: carried row out of range")
       carried;
-    let order = Array.make n [||] and sorted = Array.make n [||] in
-    Rrms_parallel.parallel_for ?domains ~min_chunk:8 n (fun i ->
-        let j = carried.(i) in
-        if j >= 0 then begin
-          order.(i) <- old.order.(j);
-          sorted.(i) <- old.sorted.(j)
-        end
-        else begin
-          let vals = Array.make k 0. in
-          Regret_matrix.blit_row matrix i vals;
-          let ord = Array.init k Fun.id in
-          Fsort.sort_pairs vals ord;
-          order.(i) <- ord;
-          sorted.(i) <- vals
-        end);
-    {
-      universe = k;
-      order;
-      sorted;
-      bits = Array.init n (fun _ -> Bitset.create k);
-      pos = Array.make n 0;
-      crossed = 0;
-    }
+    create ?domains matrix
 
-  (* Slide row [i]'s bitset from its current prefix to [target] sorted
-     columns.  The all-columns and no-columns targets collapse to
-     word-level prefix fills/clears (the prefix basis is sorted order,
-     but "every column" and "no column" are basis-independent); anything
-     else flips exactly the bits whose membership changed. *)
-  let slide_row_bits t i target =
-    let ord = t.order.(i) and b = t.bits.(i) in
-    let k = Array.length ord in
-    let p0 = t.pos.(i) in
-    if target = k && target > p0 then Bitset.set_range_prefix b k
-    else if target = 0 && p0 > 0 then Bitset.clear_range_prefix b k
-    else
-      for q = min p0 target to max p0 target - 1 do
-        Bitset.unsafe_toggle b (Array.unsafe_get ord q)
-      done;
-    t.pos.(i) <- target
+  (* Runs admitted at [eps]: how many run values are <= eps (they
+     ascend, so a binary search finds the boundary). *)
+  let level_of values eps =
+    let lo = ref 0 and hi = ref (Array.length values) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if values.(mid) <= eps then lo := mid + 1 else hi := mid
+    done;
+    !lo
 
-  (* Move every row's prefix pointer to the new threshold: advance while
-     the next sorted value fits, retreat while the last one no longer
-     does.  Each probe costs O(#cells crossing the threshold) instead of
-     a full O(s·|F|) rescan.  The crossing count is a sum of per-row
-     pointer moves, identical for every chunking. *)
-  let advance ?domains t ~eps =
-    let crossed =
-      Rrms_parallel.reduce ?domains ~min_chunk:64 ~neutral:0 ~combine:( + )
-        (rows t) (fun acc i ->
-          let vals = t.sorted.(i) in
-          let k = Array.length vals in
-          let p0 = t.pos.(i) in
-          let p = ref p0 in
-          while !p < k && Array.unsafe_get vals !p <= eps do
-            incr p
-          done;
-          while !p > 0 && Array.unsafe_get vals (!p - 1) > eps do
-            decr p
-          done;
-          slide_row_bits t i !p;
-          acc + abs (!p - p0))
-    in
-    t.crossed <- crossed;
-    Obs.Counter.add Metrics.cells_crossed crossed
+  (* Move to [eps]'s level by toggling the cells of the runs between the
+     old and the new level — exactly the cells whose membership changed,
+     so a probe costs O(#cells crossing the threshold) instead of a full
+     O(s·|F|) rescan. *)
+  let advance t ~eps =
+    let o = t.order and k = t.universe in
+    let l0 = t.level and l1 = level_of o.values eps in
+    let lo = o.starts.(min l0 l1) and hi = o.starts.(max l0 l1) in
+    let delta = if l1 > l0 then 1 else -1 in
+    for q = lo to hi - 1 do
+      let c = Array.unsafe_get o.cells q in
+      let i = c / k in
+      Bitset.unsafe_toggle (Array.unsafe_get t.bits i) (c - (i * k));
+      Array.unsafe_set t.sizes i (Array.unsafe_get t.sizes i + delta)
+    done;
+    t.level <- l1;
+    t.crossed <- hi - lo;
+    Obs.Counter.add Metrics.cells_crossed (hi - lo)
 
-  let solve ?solver ?limit ?domains t ~eps =
+  let solve ?solver ?limit t ~eps =
     Obs.Counter.incr Metrics.incremental_solves;
-    advance ?domains t ~eps;
-    (* A row's prefix length is its bitset's popcount. *)
-    cover_of_bitsets ?solver ?limit ~sizes:t.pos ~universe:t.universe t.bits
+    advance t ~eps;
+    cover_of_bitsets ?solver ?limit ~sizes:t.sizes ~universe:t.universe t.bits
 end

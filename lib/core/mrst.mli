@@ -23,12 +23,13 @@ val solve :
 (** Incremental probing for Algorithm 4's binary search.
 
     [solve] rebuilds every row bitset from scratch in O(s·|F|) per
-    probe.  The binary search, however, only ever moves the threshold —
-    so [create] sorts each row's columns by cell value once, and each
-    probe then derives the new bitsets by sliding a per-row prefix
-    pointer, touching only the cells whose membership actually changed.
-    A full search costs O(s·|F|·log|F|) setup plus O(changed cells) per
-    probe, instead of O(s·|F|) per probe.
+    probe.  The binary search, however, only ever moves the threshold,
+    and a threshold admits a prefix of the matrix's value-sorted cells
+    ({!Regret_matrix.cell_order}, the same sort behind
+    {!Regret_matrix.distinct_values}).  So the probe state is the
+    admitted prefix, and each probe toggles only the cells between the
+    old and the new threshold.  A full search costs the one cached sort
+    plus O(changed cells) per probe, instead of O(s·|F|) per probe.
 
     For every ε, [Incremental.solve t ~eps] returns exactly what
     [solve matrix ~eps] returns — the probe sequence may move the
@@ -37,34 +38,28 @@ module Incremental : sig
   type t
 
   val create : ?domains:int -> Regret_matrix.t -> t
-  (** Sort every row's columns by cell value (parallel over rows,
-      deterministic: ties break on column index) and start with the
-      empty prefix, i.e. a threshold below every cell. *)
+  (** Empty probe state — a threshold below every cell — over the
+      matrix's cell order, which is computed here if no earlier call
+      (e.g. {!Regret_matrix.distinct_values}) did.  [domains] is unused:
+      the order is built serially. *)
 
   val rows : t -> int
 
   val cols : t -> int
-  (** The column count of the matrix [t] was created (or rebased) from. *)
+  (** The column count of the matrix [t] was created from. *)
 
   val rebase : ?domains:int -> t -> Regret_matrix.t -> carried:int array -> t
-  (** [rebase old matrix ~carried] is [create matrix] at reduced cost:
-      [carried.(i)] names the row of [old] whose matrix cells are
-      bitwise identical to row [i] of [matrix] ([-1] when there is no
-      such row).  Carried rows share [old]'s per-row sorted orders by
-      reference (they are immutable after creation); only fresh rows pay
-      the tandem sort.  Probe state (bitsets, prefix positions) starts
-      empty, exactly as after [create].  The caller owns the cell-equality
-      contract — pair with {!Regret_matrix.update} returning an empty
-      changed-column list.
+  (** [rebase old matrix ~carried] is [create matrix], after checking
+      that [matrix] has [old]'s column count and that [carried] maps
+      each of its rows to a row of [old] or to [-1].  Nothing of [old]
+      is reused: the probe state of a replaced matrix is dropped, and
+      the new matrix's cell order is the one sort its
+      {!Regret_matrix.distinct_values} needs anyway.  [domains] is
+      unused.
       @raise Invalid_argument on a column-count or [carried] mismatch. *)
 
   val solve :
-    ?solver:solver ->
-    ?limit:int ->
-    ?domains:int ->
-    t ->
-    eps:float ->
-    int array option
+    ?solver:solver -> ?limit:int -> t -> eps:float -> int array option
   (** [solve t ~eps] = [Mrst.solve matrix ~eps] for the matrix [t] was
       created from, at incremental cost.  With [limit], the answer is
       that cover when it has at most [limit] rows and [None] otherwise —
@@ -73,6 +68,6 @@ module Incremental : sig
 
   val last_crossed : t -> int
   (** Cells whose threshold membership the last {!solve} on [t]
-      changed: the sum of its per-row prefix moves ([0] before the
-      first). *)
+      changed: the sum over rows of the change in how many of the row's
+      cells are [<= eps] ([0] before the first). *)
 end

@@ -15,6 +15,11 @@ module Metrics = struct
       ~help:"distinct cell values of the last distinct_values scan"
       "rrms_matrix_distinct_values"
 
+  (* One per sort of a matrix's cells: a cold solve must pay it once. *)
+  let cell_orders =
+    Obs.Counter.make ~help:"regret-matrix cell orders built (one sort each)"
+      "rrms_matrix_cell_orders_total"
+
   let updates =
     Obs.Counter.make ~help:"incremental regret-matrix updates"
       "rrms_matrix_updates_total"
@@ -27,24 +32,29 @@ module Metrics = struct
       "rrms_matrix_cells_carried_total"
 end
 
+type cell_order = {
+  cells : int array;
+  starts : int array;
+  values : float array;
+}
+
 (* One flat row-major buffer instead of [float array array]: a cell read
    is one load with no row pointer to chase, and rows are contiguous for
    streaming scans and single-[Array.blit] copies.  Matrices are
-   immutable after construction, so the sorted distinct-cell array is
-   computed once and cached; [Atomic] gives the cache a publication
-   barrier — matrices are shared across serve sessions running on
-   different domains. *)
+   immutable after construction, so the cell order is computed once and
+   cached; [Atomic] gives the cache a publication barrier — matrices are
+   shared across serve sessions running on different domains. *)
 type t = {
   data : float array; (* nrows × cols, row-major *)
   nrows : int;
   best : float array; (* per column: best database score *)
-  distinct : float array option Atomic.t;
+  order : cell_order option Atomic.t;
 }
 
 let rows t = t.nrows
 let cols t = Array.length t.best
 
-let make ~data ~nrows ~best = { data; nrows; best; distinct = Atomic.make None }
+let make ~data ~nrows ~best = { data; nrows; best; order = Atomic.make None }
 
 (* The explicit column check keeps an out-of-range column from reading
    a neighbouring row's cell; an out-of-range row then lands outside
@@ -280,31 +290,25 @@ let update ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) t ~funcs
       done;
       (make ~data ~nrows:n ~best, Array.of_list !changed))
 
-let compute_distinct t =
-  let all = Array.copy t.data in
-  Fsort.sort all;
-  (* Dedup in place in one scan: [j] entries are emitted, and the next
-     candidate only needs comparing against the last emitted value. *)
-  let j = ref 1 in
-  for i = 1 to Array.length all - 1 do
-    if all.(i) <> all.(!j - 1) then begin
-      all.(!j) <- all.(i);
-      incr j
-    end
-  done;
-  Array.sub all 0 !j
+(* The cell id is the cell's offset in [data], so sorting [data]'s
+   indices sorts the cells. *)
+let compute_order t =
+  Obs.Counter.incr Metrics.cell_orders;
+  let cells, starts, values = Fsort.order t.data in
+  { cells; starts; values }
+
+let cell_order t =
+  match Atomic.get t.order with
+  | Some o -> o
+  | None ->
+      let o = compute_order t in
+      (* A concurrent loser computed the identical order; either result
+         is correct, so last-write-wins is fine. *)
+      Atomic.set t.order (Some o);
+      o
 
 let distinct_values t =
-  let d =
-    match Atomic.get t.distinct with
-    | Some d -> d
-    | None ->
-        let d = compute_distinct t in
-        (* A concurrent loser computed the identical array; either
-           result is correct, so last-write-wins is fine. *)
-        Atomic.set t.distinct (Some d);
-        d
-  in
+  let d = (cell_order t).values in
   Obs.Gauge.set_int Metrics.distinct (Array.length d);
   d
 

@@ -49,9 +49,9 @@ val update :
     every split of rows into carried/fresh and every domain count.
     [changed_cols] lists (ascending) the columns whose best score is not
     bitwise equal to [t]'s — when it is empty, every carried row's cells
-    are unchanged from [t], which is what lets MRST probe state rebase
-    ({!Mrst.Incremental.rebase}).  [funcs] must be the grid [t] was
-    built with and carried points must be the identical values.
+    are unchanged from [t].  The result's cell order starts empty.
+    [funcs] must be the grid [t] was built with and carried points must
+    be the identical values.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] on empty
     points, a funcs/width mismatch, or a bad [carried] spec;
     [Resource_limit] past the guard's cell cap. *)
@@ -60,7 +60,7 @@ val select_cols : t -> int array -> t
 (** [select_cols t cols] is the sub-matrix of the given function
     columns, in the given order, copied into a fresh contiguous buffer.
     Cell values and per-column best scores are the parent's verbatim
-    (the distinct-value cache starts empty), so solving on the
+    (the cell-order cache starts empty), so solving on the
     sub-matrix is bit-identical to solving on a matrix built from the
     corresponding function subset.  Pairs with
     {!Discretize.subgrid_indices} to serve a γ'-grid query from a cached
@@ -105,14 +105,32 @@ val row_worst_against :
     the running maximum there (at least [bound], at most the full
     maximum) and the count the columns read so far. *)
 
+type cell_order = {
+  cells : int array;
+      (** every cell id [i·cols + f], stably sorted by value: ascending
+          by [(Float.compare M[i,f], id)] *)
+  starts : int array;
+      (** [starts.(r)] is the first position in [cells] of the [r]-th
+          run of equal values; one sentinel entry [= Array.length cells]
+          closes the last run *)
+  values : float array;  (** the value of each run, strictly ascending *)
+}
+(** The matrix's cells in value order — the one sort behind both
+    Algorithm 4's thresholds ({!distinct_values}) and every MRST probe
+    ({!Mrst.Incremental}): a threshold at [values.(r)] admits exactly
+    the cells [cells.(0 .. starts.(r + 1) - 1)]. *)
+
+val cell_order : t -> cell_order
+(** The cell order, computed on first use (one {!Fsort.order} of every
+    cell) and cached — matrices are immutable, so the cache never
+    invalidates.  The arrays are the cache itself: treat them as
+    read-only. *)
+
 val distinct_values : t -> float array
 (** All distinct cell values, sorted ascending — the binary-search
-    domain of Algorithm 4.  Includes at least [0.] when the matrix has a
-    zero cell.  Computed once per matrix (one flatten + one sort + one
-    dedup scan) and cached — matrices are immutable, so the cache never
-    invalidates and repeated solver calls on a stored artifact pay
-    nothing.  The returned array is the cache itself: treat it as
-    read-only. *)
+    domain of Algorithm 4: [(cell_order t).values].  Includes at least
+    [0.] when the matrix has a zero cell.  Equal to sorting every cell
+    and dropping each value equal to its predecessor. *)
 
 val regret_of_rows : t -> int array -> float
 (** [regret_of_rows t rs] = the discretized maximum regret of keeping

@@ -25,7 +25,6 @@ let summary_json (r : Store.mutated) =
     @ [
         ("matrices_updated", Json.int r.Store.matrices_updated);
         ("matrices_dropped", Json.int r.Store.matrices_dropped);
-        ("incs_rebased", Json.int r.Store.incs_rebased);
         ("results_kept", Json.int r.Store.results_kept);
         ("results_evicted", Json.int r.Store.results_evicted);
       ])

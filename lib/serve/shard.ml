@@ -37,22 +37,6 @@ let tag_merge path = function
   | Error _ as e -> e
 
 (* ------------------------------------------------------------------ *)
-(* Partition arithmetic                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Round-robin: shard [s] of [count] owns global rows ≡ s (mod count) in
-   ascending order, so shard-local row [l] is global row [s + l·count].
-   The same arithmetic lives in [Store.load ?shard] (the slice a worker
-   process takes); the decomposability tests assert they agree. *)
-let partition ~shards n =
-  if shards < 1 then
-    Guard.Error.invalid_input "Shard.partition: shards must be >= 1";
-  if n < 0 then Guard.Error.invalid_input "Shard.partition: negative size";
-  Array.init shards (fun s ->
-      let len = max 0 ((n - s + shards - 1) / shards) in
-      Array.init len (fun k -> s + (k * shards)))
-
-(* ------------------------------------------------------------------ *)
 (* Router: fan-out over worker processes                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -370,7 +354,8 @@ module Router = struct
         Array.mapi
           (fun s r ->
             match r with
-            | Ok (local, _) -> Array.map (fun l -> s + (l * n)) local
+            | Ok (local, _) ->
+                Array.map (Store.shard_global ~shard:s ~shards:n) local
             | Error _ -> assert false)
           results
       in

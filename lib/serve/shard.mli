@@ -2,7 +2,8 @@
     "Sharding & routing").
 
     The shards are worker processes ([rrms-serve --socket]), each
-    holding the round-robin slice {!partition} of every dataset; the
+    holding the round-robin slice {!Store.shard_rows} of every
+    dataset; the
     {!Router} fans [skyline] requests out to them, merges the partial
     skylines, and solves locally over the merged artifacts.
 
@@ -32,15 +33,6 @@ module Metrics : sig
       fan-outs — the skew signal [stats] reports per cluster
       (non-deterministic). *)
 end
-
-val partition : shards:int -> int -> int array array
-(** [partition ~shards n] is the round-robin split of [0..n-1]: member
-    [s] owns the ascending global indices ≡ s (mod shards), so
-    shard-local row [l] is global row [s + l·shards].  Bit-for-bit the
-    arithmetic of [Store.load ?shard] — the slice a worker process
-    takes.
-    @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when
-    [shards < 1] or [n < 0]. *)
 
 (** Fan-out router over worker processes speaking the wire protocol. *)
 module Router : sig

@@ -63,10 +63,6 @@ module Metrics = struct
     c "rrms_serve_results_invalidated_total"
       "cached results evicted by a mutation"
 
-  let incs_rebased =
-    c "rrms_serve_mrst_rebased_total"
-      "pooled MRST probe states rebased (sort reuse) across a mutation"
-
   (* One per [pin]: the query paths resolve-and-pin exactly once per
      request, so a batch of k items over one dataset adds 1 here where k
      single queries add k — the amortization the batch request exists
@@ -181,8 +177,8 @@ let key_of_digests ~attributes (digests : int array) =
 (* ------------------------------------------------------------------ *)
 
 (* A pooled MRST probe state, valid only for the exact matrix it was
-   created (or rebased) over — checkout verifies physical equality, so
-   a slot left behind by a replaced matrix is simply never reused. *)
+   created over — checkout verifies physical equality, so a slot left
+   behind by a replaced matrix is simply never reused. *)
 type inc_slot = { inc : Mrst.Incremental.t; for_matrix : Regret_matrix.t }
 
 type entry = {
@@ -335,23 +331,28 @@ let register t ~warnings d =
     Option.iter (fun p -> Persist.save_dataset p ~key:r.key d) t.persist;
   r
 
-(* The rows of partition member [s] of a round-robin split into [count]
-   shards: global indices ≡ s (mod count), in ascending order, so a
-   shard-local row [l] maps back to global row [s + l·count].  The same
-   arithmetic lives in [Shard.partition]; the router maps a worker's
-   local skyline indices back with it, so the two must agree
-   bit-for-bit. *)
+(* Round-robin sharding: member [s] of [count] shards owns the global
+   rows ≡ s (mod count) in ascending order, so shard-local row [l] is
+   global row [s + l·count].  A worker's slice ([load ?shard]) and the
+   router's local→global map both come from these two functions, so
+   they agree bit-for-bit. *)
+let shard_global ~shard ~shards l = shard + (l * shards)
+
+let shard_rows ~shard ~shards n =
+  if shards < 1 || shard < 0 || shard >= shards then
+    Guard.Error.invalid_input "Store.shard_rows: bad shard index";
+  Array.init
+    (max 0 ((n - shard + shards - 1) / shards))
+    (shard_global ~shard ~shards)
+
 let shard_slice d = function
   | None -> d
-  | Some (s, count) ->
-      if count < 1 || s < 0 || s >= count then
-        Guard.Error.invalid_input "Store.load: bad shard index";
-      let n = Dataset.size d in
-      let len = (n - s + count - 1) / count in
-      if len <= 0 then
+  | Some (shard, shards) ->
+      let rows = shard_rows ~shard ~shards (Dataset.size d) in
+      if Array.length rows = 0 then
         Guard.Error.invalid_input
           "Store.load: shard slice is empty (n <= shard index)";
-      Dataset.select d (Array.init len (fun k -> s + (k * count)))
+      Dataset.select d rows
 
 let load t ?name ?(normalize = false) ?(lenient = false) ?shard path =
   let mode = if lenient then Dataset.Lenient else Dataset.Strict in
@@ -662,11 +663,11 @@ let solve_query t e ~guard (q : Protocol.query) =
             in
             let matrix = matrix_locked t e ~sky ~m ~gamma:gamma_used ~guard in
             (* Check out the pooled probe state for this matrix, if any:
-               the per-row sorts it carries are the expensive part of
-               MRST search, and they are reusable across queries (any
-               starting threshold is fine) and across mutations (via
-               rebase).  Removed from the pool while in use so a
-               concurrent query on the same matrix builds its own. *)
+               its bitsets are reusable across queries (any starting
+               threshold is fine), so a warm search pays only for the
+               cells its probes cross.  Removed from the pool while in
+               use so a concurrent query on the same matrix builds its
+               own. *)
             let pooled =
               match List.assoc_opt gamma_used e.incs with
               | Some s when s.for_matrix == matrix ->
@@ -713,7 +714,6 @@ let solve_query t e ~guard (q : Protocol.query) =
             Json.int (Regret_matrix.rows matrix * Regret_matrix.cols matrix) );
           ("probes", Json.int res.Hd_rrms.cost.Hd_rrms.probes);
           ("probes_fresh", Json.int res.Hd_rrms.cost.Hd_rrms.probes_fresh);
-          ("probes_cached", Json.int res.Hd_rrms.cost.Hd_rrms.probes_cached);
           ("cells_crossed", Json.int res.Hd_rrms.cost.Hd_rrms.cells_crossed);
           ("probe_state", Json.Str (if pooled = None then "fresh" else "pooled"));
           ("theorem4_bound", Json.float res.Hd_rrms.guarantee);
@@ -961,7 +961,6 @@ type mutated = {
   skyline_path : string option;  (* None: skyline was not materialized *)
   matrices_updated : int;
   matrices_dropped : int;
-  incs_rebased : int;
   results_kept : int;
   results_evicted : int;
 }
@@ -1099,48 +1098,31 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
          (they are pure functions of the skyline point sequence), and
          the pooled probe states with them.  Otherwise each matrix is
          updated in place-equivalent fashion — carried rows blit, fresh
-         rows run the kernel — and a probe state survives by rebase
-         exactly when no column's cells changed. *)
-      let mats', incs', updated, dropped, rebased =
-        if preserved then (mats0, incs0, 0, 0, 0)
+         rows run the kernel — and its probe state is dropped: the next
+         query sorts the new matrix's cells once, the sort its distinct
+         values need anyway. *)
+      let mats', incs', updated, dropped =
+        if preserved then (mats0, incs0, 0, 0)
         else
           match (sky0, sky') with
           | Some o, Some n ->
               let carried = Delta.carried_rows plan ~old_sky:o ~new_sky:n in
               let points = Array.map (fun g -> plan.Delta.rows.(g)) n in
-              let rebased = ref 0 in
-              let mats', incs' =
-                List.fold_left
-                  (fun (ms, is) (gamma, mat) ->
+              let mats' =
+                List.map
+                  (fun (gamma, mat) ->
                     let funcs = grid_of t ~m ~gamma in
-                    let mat', changed =
-                      Regret_matrix.update ~domains:t.domains ~guard mat
-                        ~funcs ~points ~carried
-                    in
-                    let is =
-                      if Array.length changed = 0 then
-                        match List.assoc_opt gamma incs0 with
-                        | Some s when s.for_matrix == mat ->
-                            incr rebased;
-                            ( gamma,
-                              {
-                                inc =
-                                  Mrst.Incremental.rebase ~domains:t.domains
-                                    s.inc mat' ~carried;
-                                for_matrix = mat';
-                              } )
-                            :: is
-                        | _ -> is
-                      else is
-                    in
-                    ((gamma, mat') :: ms, is))
-                  ([], []) mats0
+                    ( gamma,
+                      fst
+                        (Regret_matrix.update ~domains:t.domains ~guard mat
+                           ~funcs ~points ~carried) ))
+                  mats0
               in
-              (List.rev mats', List.rev incs', List.length mats0, 0, !rebased)
+              (mats', [], List.length mats0, 0)
           | _ ->
               (* No materialized skyline to carry from: any matrices
                  are dropped and rebuild lazily. *)
-              ([], [], 0, List.length mats0, 0)
+              ([], [], 0, List.length mats0)
       in
       (* Delta-scoped result invalidation.  A cached answer survives
          only with a proof that a fresh solve over the new rows returns
@@ -1240,7 +1222,6 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
       Obs.Counter.add Metrics.mutation_ops (List.length muts);
       Obs.Counter.add Metrics.results_carried !kept;
       Obs.Counter.add Metrics.results_invalidated !evicted;
-      Obs.Counter.add Metrics.incs_rebased rebased;
       (* Spill the new generation's artifacts outside all locks, so a
          restart rehydrates them without replaying (the WAL record is
          then a no-op integrity check).  On replay these blobs already
@@ -1263,7 +1244,6 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
         skyline_path = Option.map Delta.path_name path;
         matrices_updated = updated;
         matrices_dropped = dropped;
-        incs_rebased = rebased;
         results_kept = !kept;
         results_evicted = !evicted;
       })

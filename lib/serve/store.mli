@@ -90,10 +90,6 @@ module Metrics : sig
       invalidation proof (indices remapped where needed). *)
 
   val results_invalidated : Rrms_obs.Obs.Counter.t
-
-  val incs_rebased : Rrms_obs.Obs.Counter.t
-  (** Pooled MRST probe states carried across a mutation by
-      {!Rrms_core.Mrst.Incremental.rebase} instead of re-sorting. *)
 end
 
 val create :
@@ -146,6 +142,18 @@ val load :
     @raise Rrms_guard.Guard.Error.Guard_error as
     {!Rrms_dataset.Dataset.of_csv_report}, or [Invalid_input] on a bad
     or empty shard slice. *)
+
+val shard_rows : shard:int -> shards:int -> int -> int array
+(** [shard_rows ~shard:s ~shards n] is member [s] of the round-robin
+    split of [0..n-1] into [shards]: the ascending global indices ≡ s
+    (mod shards), empty when [n <= s].  [load ~shard:(s, shards)] keeps
+    exactly these rows.
+    @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] unless
+    [0 <= s < shards]. *)
+
+val shard_global : shard:int -> shards:int -> int -> int
+(** [shard_global ~shard:s ~shards l] = [s + l·shards]: the global row
+    of shard [s]'s local row [l] — the inverse of {!shard_rows}. *)
 
 val add : t -> Rrms_dataset.Dataset.t -> loaded
 (** [add t d] registers an in-memory dataset exactly as {!load} would
@@ -204,10 +212,11 @@ val query :
     resident dataset with sequential left-to-right semantics,
     atomically: the whole maintenance pass — new rows, content hash,
     skyline ({!Rrms_core.Delta.update_skyline}), regret matrices
-    ({!Rrms_core.Regret_matrix.update}), pooled MRST probe states
-    ({!Rrms_core.Mrst.Incremental.rebase}) and the delta-scoped result
+    ({!Rrms_core.Regret_matrix.update}) and the delta-scoped result
     cache — is computed against a consistent snapshot and installed in
-    one critical section, bumping the entry's {e generation}.  Queries
+    one critical section, bumping the entry's {e generation}.  A
+    replaced matrix's pooled MRST probe state is dropped; the next
+    query builds one over the new matrix.  Queries
     racing a mutation keep answering against the old generation (a
     valid linearization) and never pollute the new generation's caches.
     The pass reads no cell of a row the batch did not change: carried
@@ -240,7 +249,6 @@ type mutated = {
           [None] when no skyline was materialized (it stays lazy) *)
   matrices_updated : int;
   matrices_dropped : int;
-  incs_rebased : int;
   results_kept : int;
   results_evicted : int;
 }

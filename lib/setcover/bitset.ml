@@ -30,7 +30,7 @@ let mem t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) land (1 lsl b) <> 0
 
-(* [i] comes from the caller's own column order, so it is in range by
+(* [i] comes from the caller's own matrix columns, so it is in range by
    construction: no check, and the word and bit are computed once. *)
 let unsafe_toggle t i =
   let w = i / bits_per_word in
@@ -58,14 +58,6 @@ let union_into s ~into =
   check_widths s into "Bitset.union_into";
   Array.iteri (fun i w -> into.words.(i) <- into.words.(i) lor w) s.words
 
-let inter_count a b =
-  check_widths a b "Bitset.inter_count";
-  let acc = ref 0 in
-  Array.iteri
-    (fun i w -> acc := !acc + popcount (w land b.words.(i)))
-    a.words;
-  !acc
-
 let diff_count s ~minus =
   check_widths s minus "Bitset.diff_count";
   let acc = ref 0 in
@@ -81,12 +73,6 @@ let subset s ~of_ =
   !ok
 
 let equal a b = a.width = b.width && a.words = b.words
-
-let compare a b =
-  let c = Stdlib.compare a.width b.width in
-  if c <> 0 then c else Stdlib.compare a.words b.words
-
-let hash t = Hashtbl.hash t.words
 
 let iter f t =
   Array.iteri
@@ -105,32 +91,13 @@ let elements t =
 (* A full word has all 63 logical bits set; as a native int that is
    every bit of the representation, i.e. -1 — the same value per-bit
    [set] produces, so word-level and bit-level fills compare equal. *)
-let full_word = -1
-
-let check_prefix t n name =
-  if n < 0 || n > t.width then invalid_arg (name ^ ": prefix out of range")
-
-let set_range_prefix t n =
-  check_prefix t n "Bitset.set_range_prefix";
-  let fw = n / bits_per_word and r = n mod bits_per_word in
-  for w = 0 to fw - 1 do
-    t.words.(w) <- full_word
-  done;
-  (* (1 lsl r) - 1 sets bits [0, r); the r = 62 case wraps through
-     min_int to max_int, which is exactly bits 0..61. *)
-  if r > 0 then t.words.(fw) <- t.words.(fw) lor ((1 lsl r) - 1)
-
-let clear_range_prefix t n =
-  check_prefix t n "Bitset.clear_range_prefix";
-  let fw = n / bits_per_word and r = n mod bits_per_word in
-  for w = 0 to fw - 1 do
-    t.words.(w) <- 0
-  done;
-  if r > 0 then t.words.(fw) <- t.words.(fw) land lnot ((1 lsl r) - 1)
-
 let full width =
   let t = create width in
-  set_range_prefix t width;
+  let fw = width / bits_per_word and r = width mod bits_per_word in
+  Array.fill t.words 0 fw (-1);
+  (* (1 lsl r) - 1 sets bits [0, r); the r = 62 case wraps through
+     min_int to max_int, which is exactly bits 0..61. *)
+  if r > 0 then t.words.(fw) <- (1 lsl r) - 1;
   t
 
 let of_list width elems =

@@ -18,9 +18,10 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
 val unsafe_toggle : t -> int -> unit
-(** [unsafe_toggle t i] flips bit [i] with no range check.  The MRST
-    prefix slide flips only columns of the row's own sorted order, so
-    the index is in range by construction; out of range is undefined. *)
+(** [unsafe_toggle t i] flips bit [i] with no range check.  An MRST
+    probe flips only columns of the matrix the bitset was sized for,
+    so the index is in range by construction; out of range is
+    undefined. *)
 
 val is_empty : t -> bool
 
@@ -34,9 +35,6 @@ val count : t -> int
 val union_into : t -> into:t -> unit
 (** [union_into s ~into] sets [into <- into ∪ s]. *)
 
-val inter_count : t -> t -> int
-(** [inter_count a b] = |a ∩ b|, one popcount per word, no allocation. *)
-
 val diff_count : t -> minus:t -> int
 (** [diff_count s ~minus] = |s \ minus| without allocating. *)
 
@@ -44,26 +42,11 @@ val subset : t -> of_:t -> bool
 (** [subset s ~of_:t] is [s ⊆ t]. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
-(** Total order usable as a [Map]/[Hashtbl] key (lexicographic on the
-    packed words). *)
-
-val hash : t -> int
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate set bit positions in increasing order. *)
 
 val elements : t -> int list
-
-val set_range_prefix : t -> int -> unit
-(** [set_range_prefix t n] sets bits [0, n) whole words at a time (other
-    bits are left untouched).  The MRST prefix slide uses it when a
-    threshold admits a row's every column.
-    @raise Invalid_argument unless [0 <= n <= width t]. *)
-
-val clear_range_prefix : t -> int -> unit
-(** [clear_range_prefix t n] clears bits [0, n) whole words at a time.
-    @raise Invalid_argument unless [0 <= n <= width t]. *)
 
 val full : int -> t
 (** [full width]: all bits set. *)

@@ -56,4 +56,5 @@ let () =
       ("shard", Test_shard.suite);
       ("persist", Test_persist.suite);
       ("mutate", Test_mutate.suite);
+      ("cell-order", Test_cell_order.suite);
     ]

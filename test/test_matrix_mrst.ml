@@ -110,9 +110,9 @@ let test_mrst_always_satisfiable_on_built_matrix () =
 
 (* Regression: an incremental probe after any threshold change — up,
    down, repeated, or to an exact cell value — must equal Mrst.solve
-   from scratch at the same threshold.  (The prefix pointers slide both
-   ways; a stale bit after a downward move once produced covers smaller
-   than the from-scratch answer.) *)
+   from scratch at the same threshold.  (Thresholds move both ways; a
+   stale bit after a downward move once produced covers smaller than
+   the from-scratch answer.) *)
 let test_incremental_matches_scratch_after_threshold_changes () =
   let rng = Rrms_rng.Rng.create 2024 in
   for _ = 1 to 10 do

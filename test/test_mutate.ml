@@ -2,10 +2,9 @@
 
    The load-bearing contract, asserted bitwise throughout: after ANY
    mutation sequence, every incremental maintenance path — skyline
-   remap/merge, regret-matrix carry-over, MRST probe rebase, carried
-   result-cache entries, WAL replay — must answer byte-identically to a
-   fresh store loaded with the from-scratch mutated dataset, at 1/2/4
-   domains. *)
+   remap/merge, regret-matrix carry-over, carried result-cache
+   entries, WAL replay — must answer byte-identically to a fresh store
+   loaded with the from-scratch mutated dataset, at 1/2/4 domains. *)
 
 module Serve = Rrms_serve
 module Json = Serve.Json

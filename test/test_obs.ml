@@ -310,22 +310,18 @@ let test_timer_exposition () =
       Alcotest.(check int) "+Inf holds all four" 4
         (snd (List.nth test_buckets (List.length test_buckets - 1))))
 
-let test_probe_cache_counters () =
-  (* Two probes at the same threshold index: the second must be a cache
-     hit, with exactly one MRST solve issued. *)
+let test_probes_are_incremental_solves () =
+  (* No threshold is probed twice, so every binary-search probe of a
+     search that never stopped early is exactly one incremental MRST
+     solve. *)
   with_level Obs.Counters (fun () ->
       let points = dataset 17 ~n:120 ~m:3 in
       ignore (Hd_rrms.solve ~gamma:3 points ~r:3);
-      let misses =
-        List.assoc "rrms_hd_rrms_probe_cache_misses_total"
-          (Obs.deterministic_snapshot ())
-      in
-      let incremental =
-        List.assoc "rrms_mrst_incremental_solves_total"
-          (Obs.deterministic_snapshot ())
-      in
+      let snap = Obs.deterministic_snapshot () in
       Alcotest.(check (float 0.))
-        "every cache miss is one incremental MRST solve" misses incremental)
+        "every probe is one incremental MRST solve"
+        (List.assoc "rrms_hd_rrms_probes_total" snap)
+        (List.assoc "rrms_mrst_incremental_solves_total" snap))
 
 (* ------------------------------------------------------------------ *)
 (* Latency histograms                                                  *)
@@ -709,7 +705,7 @@ let suite =
     Alcotest.test_case "timer histogram exposition" `Quick
       test_timer_exposition;
     Alcotest.test_case "probe cache counters consistent" `Quick
-      test_probe_cache_counters;
+      test_probes_are_incremental_solves;
     Alcotest.test_case "hist bounds deterministic" `Quick test_hist_bounds;
     Alcotest.test_case "hist quantiles exact on bounds" `Quick
       test_hist_quantiles_exact;

@@ -153,8 +153,8 @@ let test_mrst_solve_deterministic () =
 
 (* --- incremental MRST vs from-scratch -------------------------------- *)
 
-(* Probe a zig-zag threshold sequence so the incremental prefix pointers
-   both advance and retreat, including repeats and off-grid values. *)
+(* Probe a zig-zag threshold sequence so the incremental threshold
+   both advances and retreats, including repeats and off-grid values. *)
 let probe_sequence values rng =
   let nv = Array.length values in
   let probes = ref [] in
@@ -205,8 +205,8 @@ let test_incremental_parallel_deterministic () =
       Alcotest.check
         Alcotest.(option (array int))
         (Printf.sprintf "incremental domains 1 vs 4 (eps=%g)" eps)
-        (Mrst.Incremental.solve ~domains:1 inc1 ~eps)
-        (Mrst.Incremental.solve ~domains:4 inc4 ~eps))
+        (Mrst.Incremental.solve inc1 ~eps)
+        (Mrst.Incremental.solve inc4 ~eps))
     values
 
 let test_search_on_matrix_uses_incremental () =
@@ -362,31 +362,48 @@ let test_select_cols_guard_errors () =
   expect_invalid "negative column" (fun () ->
       Regret_matrix.select_cols matrix [| -1 |])
 
-(* --- Fsort vs Array.sort Float.compare -------------------------------- *)
+(* --- Fsort.order vs comparator sorts ---------------------------------- *)
 
 let bits x = Int64.bits_of_float x
 
+(* The [(Float.compare value, index)] permutation, by a comparator sort. *)
+let reference_order a =
+  let ids = Array.init (Array.length a) Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = Float.compare a.(i) a.(j) in
+      if c <> 0 then c else compare i j)
+    ids;
+  ids
+
 let test_fsort_matches_reference () =
   let rng = Rrms_rng.Rng.create 51 in
-  (* [Float.compare] calls -0. and +0. equal, so [Array.sort] (unstable)
-     leaves signed zeros in unspecified order; any valid output agrees
-     with the reference under [Float.compare] elementwise and preserves
-     the input bit patterns as a multiset. *)
+  (* The sorted sequence agrees with [Array.sort Float.compare] under
+     [Float.compare] (which calls -0. and +0. equal), and it splits into
+     maximal runs of [=]-equal values, each reporting its first value's
+     bit pattern. *)
   let check_one label a =
+    let ids, starts, values = Fsort.order a in
     let b = Array.copy a in
-    let in_bits = Array.map bits a in
-    Fsort.sort a;
     Array.sort Float.compare b;
     Alcotest.(check bool)
       (label ^ ": Float.compare order")
       true
-      (Array.for_all2 (fun x y -> Float.compare x y = 0) a b);
-    let out_bits = Array.map bits a in
-    Array.sort Int64.compare in_bits;
-    Array.sort Int64.compare out_bits;
-    Alcotest.(check bool)
-      (label ^ ": permutation of the input bits")
-      true (in_bits = out_bits)
+      (Array.for_all2 (fun i y -> Float.compare a.(i) y = 0) ids b);
+    let n = Array.length a and runs = Array.length values in
+    let same q = a.(ids.(q)) = a.(ids.(q - 1)) in
+    let runs_ok = ref (Array.length starts = runs + 1 && starts.(runs) = n) in
+    for r = 0 to runs - 1 do
+      let lo = starts.(r) and hi = starts.(r + 1) in
+      if not (lo < hi && bits values.(r) = bits a.(ids.(lo))) then
+        runs_ok := false;
+      if lo > 0 && same lo then runs_ok := false;
+      for q = lo + 1 to hi - 1 do
+        if not (same q) then runs_ok := false
+      done
+    done;
+    Alcotest.(check bool) (label ^ ": maximal runs of equal values") true
+      !runs_ok
   in
   check_one "empty" [||];
   check_one "singleton" [| 0.7 |];
@@ -407,7 +424,7 @@ let test_fsort_matches_reference () =
     check_one (Printf.sprintf "random trial %d" trial) a
   done
 
-let test_fsort_pairs_matches_reference () =
+let test_fsort_order_matches_comparator () =
   let rng = Rrms_rng.Rng.create 52 in
   for trial = 1 to 20 do
     let n = 1 + Rrms_rng.Rng.int rng 300 in
@@ -415,36 +432,27 @@ let test_fsort_pairs_matches_reference () =
     let vals =
       Array.init n (fun _ -> float_of_int (Rrms_rng.Rng.int rng 8) /. 4.)
     in
-    let idx = Array.init n Fun.id in
-    let pairs = Array.init n (fun q -> (vals.(q), idx.(q))) in
-    Array.sort
-      (fun (v1, i1) (v2, i2) ->
-        let c = Float.compare v1 v2 in
-        if c <> 0 then c else compare i1 i2)
-      pairs;
-    Fsort.sort_pairs vals idx;
-    Alcotest.(check bool)
-      (Printf.sprintf "sort_pairs trial %d" trial)
-      true
-      (Array.for_all2
-         (fun (v, i) q -> bits vals.(q) = bits v && idx.(q) = i)
-         pairs
-         (Array.init n Fun.id))
+    Alcotest.(check (array int))
+      (Printf.sprintf "order trial %d = (value, index) comparator sort" trial)
+      (reference_order vals)
+      (let ids, _, _ = Fsort.order vals in
+       ids)
   done
 
 (* --- satellite regressions ------------------------------------------- *)
 
-let test_bitset_inter_count () =
+let test_bitset_intersection_by_diff () =
+  (* |a ∩ b| = |a| − |a \ b|, from the per-word [diff_count]. *)
   let open Rrms_setcover in
   let a = Bitset.of_list 200 [ 0; 1; 62; 63; 64; 126; 199 ] in
   let b = Bitset.of_list 200 [ 1; 63; 100; 126; 198 ] in
-  Alcotest.(check int) "inter_count" 3 (Bitset.inter_count a b);
-  Alcotest.(check int) "inter_count symmetric" 3 (Bitset.inter_count b a);
+  Alcotest.(check int) "a \\ b" 4 (Bitset.diff_count a ~minus:b);
+  Alcotest.(check int) "b \\ a" 2 (Bitset.diff_count b ~minus:a);
   Alcotest.(check int)
-    "inter + diff = count" (Bitset.count a)
-    (Bitset.inter_count a b + Bitset.diff_count a ~minus:b);
-  Alcotest.(check int) "empty inter" 0
-    (Bitset.inter_count (Bitset.create 200) b)
+    "inter from either side" (Bitset.count a - Bitset.diff_count a ~minus:b)
+    (Bitset.count b - Bitset.diff_count b ~minus:a);
+  Alcotest.(check int) "empty minus" (Bitset.count a)
+    (Bitset.diff_count a ~minus:(Bitset.create 200))
 
 (* A probe state must belong to the matrix it searches.  States built
    for the γ=6 and γ=2 matrices over one skyline have the same row count;
@@ -519,7 +527,8 @@ let suite =
       test_search_on_matrix_uses_incremental;
     Alcotest.test_case "search_on_matrix rejects a foreign inc" `Quick
       test_search_rejects_foreign_inc;
-    Alcotest.test_case "bitset inter_count" `Quick test_bitset_inter_count;
+    Alcotest.test_case "bitset inter_count" `Quick
+      test_bitset_intersection_by_diff;
     Alcotest.test_case "distinct_values on duplicate-heavy matrix" `Quick
       test_distinct_values_duplicates;
     Alcotest.test_case "flat matrix = boxed reference" `Quick
@@ -529,5 +538,5 @@ let suite =
     Alcotest.test_case "fsort = Array.sort Float.compare" `Quick
       test_fsort_matches_reference;
     Alcotest.test_case "fsort pairs = comparator sort" `Quick
-      test_fsort_pairs_matches_reference;
+      test_fsort_order_matches_comparator;
   ]

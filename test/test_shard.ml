@@ -33,12 +33,15 @@ let parse_json line =
 (* Partition arithmetic                                               *)
 (* ------------------------------------------------------------------ *)
 
+let partition ~shards n =
+  Array.init shards (fun shard -> Store.shard_rows ~shard ~shards n)
+
 let test_partition_roundrobin () =
   List.iter
     (fun shards ->
       List.iter
         (fun n ->
-          let parts = Shard.partition ~shards n in
+          let parts = partition ~shards n in
           Alcotest.(check int) "one member per shard" shards (Array.length parts);
           let seen = Array.make (max n 1) false in
           Array.iteri
@@ -47,6 +50,8 @@ let test_partition_roundrobin () =
                 (fun l g ->
                   Alcotest.(check int) "round-robin arithmetic" (s + (l * shards))
                     g;
+                  Alcotest.(check int) "local to global" g
+                    (Store.shard_global ~shard:s ~shards l);
                   Alcotest.(check bool) "in range" true (g >= 0 && g < n);
                   Alcotest.(check bool) "disjoint" false seen.(g);
                   seen.(g) <- true)
@@ -56,7 +61,7 @@ let test_partition_roundrobin () =
             (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 seen))
         [ 0; 1; 2; 7; 100 ])
     [ 1; 2; 3; 8 ];
-  match Shard.partition ~shards:0 5 with
+  match Store.shard_rows ~shard:0 ~shards:0 5 with
   | exception Guard.Error.Guard_error (Guard.Error.Invalid_input _) -> ()
   | _ -> Alcotest.fail "shards=0 must raise Invalid_input"
 
@@ -67,7 +72,7 @@ let test_store_slice_agreement () =
       let full = Dataset.rows (Dataset.of_csv csv) in
       List.iter
         (fun shards ->
-          let parts = Shard.partition ~shards (Array.length full) in
+          let parts = partition ~shards (Array.length full) in
           for s = 0 to shards - 1 do
             let store = Store.create () in
             let l = Store.load store ~shard:(s, shards) csv in
@@ -122,7 +127,7 @@ let test_skyline_decomposability () =
         (fun shards ->
           check
             (Printf.sprintf "round-robin m=%d N=%d" m shards)
-            (Shard.partition ~shards n);
+            (partition ~shards n);
           let perm = Array.init n Fun.id in
           for i = n - 1 downto 1 do
             let j = Rrms_rng.Rng.int rng (i + 1) in
