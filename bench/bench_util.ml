@@ -25,6 +25,14 @@ let skipped fig ~x ?(x_name = "x") ~series ~reason () =
 
 let header fig title = Printf.printf "\n== %s: %s ==\n" fig title
 
+(* A bound a figure checks but that must not stop the run: it is
+   recorded here and [main] fails the run once every group has written
+   its file, so one noisy bound cannot cost the other groups' JSON. *)
+let failed_checks : string list ref = ref []
+
+let check fig ok msg =
+  if not ok then failed_checks := Printf.sprintf "[%s] %s" fig msg :: !failed_checks
+
 (* Deterministic seed per (figure, dataset) so re-runs are identical. *)
 let seed_of tag = Hashtbl.hash tag land 0xFFFFFF
 

@@ -6,10 +6,10 @@
    same solve at Disabled (twice, interleaved A/B), Counters, and Full,
    take the min over repeats, and record the ratios in BENCH_obs.json.
    The A/B pair runs identical code, so its ratio bounds measurement
-   noise; asserting it under 5% is the "disabled observability is free"
-   check — a real regression (say a lock or allocation on the disabled
-   path) would show up in the counters/full ratios tracked across
-   PRs.
+   noise; checking it under 5% is the "disabled observability is free"
+   check (a miss fails the run once every group has written its file)
+   — a real regression (say a lock or allocation on the disabled path)
+   would show up in the counters/full ratios tracked across PRs.
 
    A second section measures trace-propagation overhead: the same
    routed queries through a two-worker router, untraced (Counters) vs
@@ -198,5 +198,7 @@ let run scale =
      pure measurement noise, and it bounds what "disabled observability
      costs nothing" can mean on this machine. *)
   let ab = best.(1) /. best.(0) in
-  assert (ab >= 1. /. 1.05 && ab <= 1.05);
+  check fig
+    (ab >= 1. /. 1.05 && ab <= 1.05)
+    (Printf.sprintf "disabled A/B ratio %.4f outside 5%%" ab);
   Printf.printf "[%s] disabled A/B ratio %.4f (must stay within 5%%)\n" fig ab

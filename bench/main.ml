@@ -114,4 +114,9 @@ let () =
           Printf.printf "%-42s %g\n" name v)
       (Rrms_obs.Obs.snapshot ())
   end;
-  Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\ntotal bench time: %.1fs\n" (Unix.gettimeofday () -. t0);
+  match List.rev !Bench_util.failed_checks with
+  | [] -> ()
+  | failed ->
+      List.iter (Printf.eprintf "check failed: %s\n") failed;
+      exit 1

@@ -5,33 +5,41 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
 
 (* ------------------------------------------------------------------ *)
 (* Printer                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let escape_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  if not (String.exists needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | '\b' -> Buffer.add_string b "\\b"
+        | '\012' -> Buffer.add_string b "\\f"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
   Buffer.add_char b '"'
 
+(* Integral values below 2^53 are exact ints: [string_of_int] prints
+   the digits [%.0f] would, at a fifth of the cost, except for negative
+   zero, which [%.0f] prints as "-0". *)
 let number_string v =
   if Float.is_nan v || not (Float.is_finite v) then "null"
   else if Float.is_integer v && Float.abs v < 9.007199254740992e15 then
-    Printf.sprintf "%.0f" v
+    if v = 0. && Float.sign_bit v then "-0" else string_of_int (int_of_float v)
   else Printf.sprintf "%.17g" v
 
 let to_string t =
@@ -42,6 +50,7 @@ let to_string t =
     | Bool false -> Buffer.add_string b "false"
     | Num v -> Buffer.add_string b (number_string v)
     | Str s -> escape_string b s
+    | Raw s -> Buffer.add_string b s
     | Arr xs ->
         Buffer.add_char b '[';
         List.iteri
@@ -79,7 +88,9 @@ let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  (* The byte at the cursor, or NUL past the end: callers that must tell
+     a NUL byte from the end of input test [!pos < n] themselves. *)
+  let peek () = if !pos < n then String.unsafe_get s !pos else '\000' in
   let advance () = incr pos in
   let skip_ws () =
     while
@@ -90,13 +101,13 @@ let parse s =
     done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
+    if !pos < n && s.[!pos] = c then advance ()
+    else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal word value =
     let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
+    let rec same i = i = l || (s.[!pos + i] = word.[i] && same (i + 1)) in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       value
     end
@@ -138,55 +149,89 @@ let parse s =
       Buffer.add_char b (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* The general string decoder, resumed at the first byte the fast
+     path in [parse_string] could not take (an escape, a control
+     character or the end of input), with the plain prefix in [b]. *)
+  let rec decode_string b =
+    if !pos >= n then fail "unterminated string";
+    match s.[!pos] with
+    | '"' ->
+        advance ();
+        Buffer.contents b
+    | '\\' ->
+        advance ();
+        (match peek () with
+        | '"' -> Buffer.add_char b '"'; advance ()
+        | '\\' -> Buffer.add_char b '\\'; advance ()
+        | '/' -> Buffer.add_char b '/'; advance ()
+        | 'n' -> Buffer.add_char b '\n'; advance ()
+        | 't' -> Buffer.add_char b '\t'; advance ()
+        | 'r' -> Buffer.add_char b '\r'; advance ()
+        | 'b' -> Buffer.add_char b '\b'; advance ()
+        | 'f' -> Buffer.add_char b '\012'; advance ()
+        | 'u' ->
+            advance ();
+            let cp = hex4 () in
+            let cp =
+              if cp >= 0xD800 && cp <= 0xDBFF
+                 && !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+              then begin
+                pos := !pos + 2;
+                let lo = hex4 () in
+                if lo >= 0xDC00 && lo <= 0xDFFF then
+                  0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+                else 0xFFFD
+              end
+              else if cp >= 0xD800 && cp <= 0xDFFF then 0xFFFD
+              else cp
+            in
+            add_utf8 b cp
+        | _ -> fail "bad escape");
+        decode_string b
+    | c when Char.code c < 0x20 -> fail "control character in string"
+    | c ->
+        Buffer.add_char b c;
+        advance ();
+        decode_string b
+  in
+  (* Most strings carry no escape: cut them out with one [String.sub]. *)
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char b '"'; advance ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance ()
-          | Some '/' -> Buffer.add_char b '/'; advance ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance ()
-          | Some 't' -> Buffer.add_char b '\t'; advance ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance ()
-          | Some 'u' ->
-              advance ();
-              let cp = hex4 () in
-              let cp =
-                if cp >= 0xD800 && cp <= 0xDBFF
-                   && !pos + 1 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
-                then begin
-                  pos := !pos + 2;
-                  let lo = hex4 () in
-                  if lo >= 0xDC00 && lo <= 0xDFFF then
-                    0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-                  else 0xFFFD
-                end
-                else if cp >= 0xD800 && cp <= 0xDFFF then 0xFFFD
-                else cp
-              in
-              add_utf8 b cp
-          | _ -> fail "bad escape");
-          go ())
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
+    let start = !pos in
+    let j = ref start in
+    while
+      !j < n
+      &&
+      let c = String.unsafe_get s !j in
+      c <> '"' && c <> '\\' && Char.code c >= 0x20
+    do
+      incr j
+    done;
+    if !j < n && s.[!j] = '"' then begin
+      pos := !j + 1;
+      String.sub s start (!j - start)
+    end
+    else begin
+      let b = Buffer.create (max 16 (2 * (!j - start))) in
+      Buffer.add_substring b s start (!j - start);
+      pos := !j;
+      decode_string b
+    end
   in
+  (* A plain integer of at most 15 digits (an optional '-', then
+     digits) is exact in a double, so it is summed as an int and never
+     goes through [float_of_string]; anything else takes the general
+     path.  "-0" stays negative zero. *)
   let parse_number () =
     let start = !pos in
-    if peek () = Some '-' then advance ();
+    if peek () = '-' then advance ();
+    let digits_from = !pos in
+    let acc = ref 0 in
+    while !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false do
+      acc := (!acc * 10) + (Char.code s.[!pos] - Char.code '0');
+      advance ()
+    done;
+    let digits = !pos - digits_from in
     while
       !pos < n
       &&
@@ -196,23 +241,24 @@ let parse s =
     do
       advance ()
     done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> Num v
-    | None -> fail "bad number"
+    if digits > 0 && digits <= 15 && !pos = digits_from + digits then
+      let v = float_of_int !acc in
+      Num (if digits_from > start then -.v else v)
+    else
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some v -> Num v
+      | None -> fail "bad number"
   in
   let rec parse_value depth =
     skip_ws ();
-    let nest () =
-      if depth >= max_depth then
-        fail (Printf.sprintf "nesting deeper than %d levels" max_depth);
-      advance ()
-    in
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        nest ();
+    if !pos >= n then fail "unexpected end of input";
+    match s.[!pos] with
+    | ('{' | '[') when depth >= max_depth ->
+        fail (Printf.sprintf "nesting deeper than %d levels" max_depth)
+    | '{' ->
+        advance ();
         skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
+        if peek () = '}' then begin advance (); Obj [] end
         else begin
           let fields = ref [] in
           let rec members () =
@@ -224,17 +270,17 @@ let parse s =
             fields := (k, v) :: !fields;
             skip_ws ();
             match peek () with
-            | Some ',' -> advance (); members ()
-            | Some '}' -> advance ()
+            | ',' -> advance (); members ()
+            | '}' -> advance ()
             | _ -> fail "expected ',' or '}'"
           in
           members ();
           Obj (List.rev !fields)
         end
-    | Some '[' ->
-        nest ();
+    | '[' ->
+        advance ();
         skip_ws ();
-        if peek () = Some ']' then begin advance (); Arr [] end
+        if peek () = ']' then begin advance (); Arr [] end
         else begin
           let items = ref [] in
           let rec elements () =
@@ -242,19 +288,19 @@ let parse s =
             items := v :: !items;
             skip_ws ();
             match peek () with
-            | Some ',' -> advance (); elements ()
-            | Some ']' -> advance ()
+            | ',' -> advance (); elements ()
+            | ']' -> advance ()
             | _ -> fail "expected ',' or ']'"
           in
           elements ();
           Arr (List.rev !items)
         end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected '%c'" c)
   in
   match
     let v = parse_value 0 in

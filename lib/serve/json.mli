@@ -11,7 +11,11 @@
     The printer therefore emits object fields in construction order,
     escapes strings canonically, and prints floats with ["%.17g"]
     (round-trip exact) — integral values within [2^53] are printed
-    without a decimal point so counters read naturally. *)
+    without a decimal point so counters read naturally.
+
+    A cached answer is printed once, when it enters the cache; every
+    reply that carries it splices those bytes back in as a {!Raw}
+    value instead of printing the tree again. *)
 
 type t =
   | Null
@@ -20,6 +24,11 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+  | Raw of string
+      (** Printer-only: already-encoded JSON text, emitted verbatim by
+          {!to_string}.  {!parse} never produces it and the accessors
+          see through nothing in it; the caller guarantees it is one
+          valid JSON value (in practice, an earlier {!to_string}). *)
 
 val max_depth : int
 (** Deepest array/object nesting {!parse} accepts (512). *)
@@ -37,6 +46,11 @@ val to_string : t -> string
 (** Deterministic single-line serialization (see preamble).  Non-finite
     numbers (which valid requests cannot produce, but a defensive
     printer must handle) are emitted as [null]. *)
+
+val number_string : float -> string
+(** How {!to_string} prints a [Num]: integral values below [2^53] as
+    [Printf.sprintf "%.0f"] would (["-0"] for negative zero), other
+    finite values with ["%.17g"], non-finite ones as [null]. *)
 
 (** {2 Accessors} — total, [None] on shape mismatch. *)
 

@@ -406,10 +406,13 @@ let parse_request line =
 let cache_key q =
   (* Budgets and cache flags never select the answer; γ only matters to
      the grid-discretized algorithms. *)
-  let base = Printf.sprintf "algo=%s;r=%d" (algo_to_string q.algo) q.r in
+  let algo = algo_to_string q.algo and r = string_of_int q.r in
   match q.algo with
-  | Hd_rrms | Hd_greedy -> Printf.sprintf "%s;gamma=%d" base q.gamma
-  | A2d | A2d_exact | Sweepline | Greedy | Cube -> base
+  | Hd_rrms | Hd_greedy ->
+      String.concat ""
+        [ "algo="; algo; ";r="; r; ";gamma="; string_of_int q.gamma ]
+  | A2d | A2d_exact | Sweepline | Greedy | Cube ->
+      String.concat "" [ "algo="; algo; ";r="; r ]
 
 let budget_of q =
   match (q.timeout, q.max_cells, q.max_probes) with

@@ -151,7 +151,7 @@ let run_request ?trace ~telemetry ~session_id ~request_id ~dataset
   let cache, status, merge =
     match outcome with
     | Error _ -> ("miss", "error", "")
-    | Ok { Store.result; cached; cost } ->
+    | Ok { Store.result; cached; cost; _ } ->
         ( (if cached then "hit"
            else if Obs.Ctx.value ctx "rrms_serve_matrix_derived_total" > 0.
            then "derived"
@@ -189,8 +189,10 @@ let run_request ?trace ~telemetry ~session_id ~request_id ~dataset
 (* A mutation summary in the runner's outcome shape; the skyline
    maintenance path is the access record's [merge] field. *)
 let mutation_outcome (r : Store.mutated) =
+  let result = Mutate.summary_json r in
   {
-    Store.result = Mutate.summary_json r;
+    Store.result;
+    result_text = Json.to_string result;
     cached = false;
     cost =
       (match r.Store.skyline_path with
@@ -204,7 +206,7 @@ let batch_item = function
         ([
            ("ok", Json.Bool true);
            ("cached", Json.Bool o.Store.cached);
-           ("result", o.Store.result);
+           ("result", Json.Raw o.Store.result_text);
          ]
         @ match cost with Some c -> [ ("cost", c) ] | None -> [])
   | Error (code, message) ->
@@ -315,7 +317,8 @@ let dispatch ~telemetry ~router ~session_id ~reqno store session line =
             ~elapsed_ms q (fun () ->
               with_pin q.Protocol.dataset (fun h -> answer h q))
         with
-        | Ok (o, cost) -> ok ~cached:o.Store.cached ?cost o.Store.result
+        | Ok (o, cost) ->
+            ok ~cached:o.Store.cached ?cost (Json.Raw o.Store.result_text)
         | Error e -> error e)
     | Ok (Protocol.Batch { dataset; items }) -> (
         (* One resolve, many items: the dataset is pinned once and every
@@ -378,7 +381,7 @@ let dispatch ~telemetry ~router ~session_id ~reqno store session line =
                 (Store.mutate ?timeout store ~dataset
                    (Mutate.ops_of_protocol ops)))
         with
-        | Ok o -> ok o.Store.result
+        | Ok o -> ok (Json.Raw o.Store.result_text)
         | Error e -> error e)
     | Ok (Protocol.Skyline { dataset; timeout }) -> (
         (* The per-shard half of the router fan-out: compute (or fetch)
@@ -545,32 +548,75 @@ let store_handler ?(telemetry = Telemetry.default) ?router store () =
         Option.iter (fun rt -> rt.after_release ()) router);
   }
 
+(* Replies are written as their lines are answered but flushed only
+   when no complete request line is left in the read buffer, the way
+   Redis batches pipelined replies: a burst of lines that arrived in
+   one read costs one write, while a lock-step client, which sends its
+   next line only after the reply, gets each reply as soon as it is
+   answered.
+   The price is head-of-line: within one burst, an early reply waits
+   for the later lines of that burst. *)
 let run_handler_session (h : handler) ic oc =
   let s = h () in
   let finish outcome =
     s.on_close ();
     outcome
   in
-  let send str =
+  let buf = ref (Bytes.create 65536) in
+  (* [lo, hi) is the unconsumed part of [!buf] *)
+  let lo = ref 0 and hi = ref 0 in
+  let rec newline i =
+    if i >= !hi then -1
+    else if Bytes.unsafe_get !buf i = '\n' then i
+    else newline (i + 1)
+  in
+  let take upto =
+    let line = Bytes.sub_string !buf !lo (upto - !lo) in
+    lo := min !hi (upto + 1);
+    line
+  in
+  (* Read at least one more byte; [false] at end of input. *)
+  let refill () =
+    let len = !hi - !lo in
+    if len = Bytes.length !buf then begin
+      let bigger = Bytes.create (2 * len) in
+      Bytes.blit !buf !lo bigger 0 len;
+      buf := bigger
+    end
+    else if !lo > 0 then Bytes.blit !buf !lo !buf 0 len;
+    lo := 0;
+    hi := len;
+    match In_channel.input ic !buf len (Bytes.length !buf - len) with
+    | 0 -> false
+    | got ->
+        hi := len + got;
+        true
+    | exception Sys_error _ -> false
+  in
+  let write str =
     try
       output_string oc str;
       output_char oc '\n';
-      flush oc;
       true
     with Sys_error _ -> false
   in
+  let flush_out () = try flush oc; true with Sys_error _ -> false in
   let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> finish `Eof
-    | exception Sys_error _ -> finish `Eof
-    | line ->
-        if String.trim line = "" then loop ()
-        else (
-          match s.on_line line with
-          | `Reply r -> if send r then loop () else finish `Eof
-          | `Shutdown r ->
-              ignore (send r);
-              finish `Shutdown)
+    match newline !lo with
+    | -1 ->
+        if not (flush_out ()) then finish `Eof
+        else if refill () then loop ()
+        else if !hi > !lo then answer (take !hi) (* a last line, no '\n' *)
+        else finish `Eof
+    | i -> answer (take i)
+  and answer line =
+    if String.trim line = "" then loop ()
+    else
+      match s.on_line line with
+      | `Reply r -> if write r then loop () else finish `Eof
+      | `Shutdown r ->
+          ignore (write r && flush_out ());
+          finish `Shutdown
   in
   loop ()
 

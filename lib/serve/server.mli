@@ -84,8 +84,12 @@ val store_handler :
 val run_handler_session :
   handler -> in_channel -> out_channel -> [ `Eof | `Shutdown ]
 (** Pump one session for an arbitrary handler: read lines until EOF or
-    [shutdown], answering each (blank lines are skipped).  Responses
-    are flushed per line; [on_close] runs on the way out. *)
+    [shutdown], answering each in order (blank lines are skipped; a last
+    line without a newline is answered at EOF).  Responses are flushed
+    when no complete request line is left buffered, so a pipelined burst
+    is answered with one write and a lock-step client still gets each
+    reply before it sends its next line; a [shutdown] reply is flushed
+    with every reply before it.  [on_close] runs on the way out. *)
 
 val run_session :
   ?telemetry:Telemetry.t ->

@@ -181,6 +181,13 @@ let key_of_digests ~attributes (digests : int array) =
    behind by a replaced matrix is simply never reused. *)
 type inc_slot = { inc : Mrst.Incremental.t; for_matrix : Regret_matrix.t }
 
+(* A result-cache entry: the answer and its wire bytes, encoded once
+   when the entry is made (fresh solve, rehydrate, or a mutation's
+   remap), so a hit splices [text] instead of printing [json] again. *)
+type answer = { json : Json.t; text : string }
+
+let answer json = { json; text = Json.to_string json }
+
 type entry = {
   (* [key]/[dataset]/[digests] are rebound wholesale by [mutate] (the
      row array itself is never mutated in place), under [t.lock] +
@@ -201,7 +208,7 @@ type entry = {
   mutable hull : Rrms2d.ctx option;
   mutable matrices : (int * Regret_matrix.t) list;  (* keyed by γ *)
   mutable incs : (int * inc_slot) list;  (* keyed by γ, like [matrices] *)
-  results : (string, Json.t) Hashtbl.t;  (* Protocol.cache_key → result *)
+  results : (string, answer) Hashtbl.t;  (* Protocol.cache_key → result *)
   (* NOT guarded by [e_lock]: [refs] is read and written only under
      [t.lock], together with the entry tables it keeps consistent — a
      refcount that reaches zero must atomically disappear from
@@ -823,9 +830,13 @@ let solve_query t e ~guard (q : Protocol.query) =
    without perturbing the answer bytes. *)
 type outcome = {
   result : Json.t;
+  result_text : string;
   cached : bool;
   cost : (string * Json.t) list;
 }
+
+let outcome a ~cached cost =
+  { result = a.json; result_text = a.text; cached; cost }
 
 type refusal =
   [ `Overloaded | `Unknown_dataset | `Deadline_exceeded | `Draining ]
@@ -854,9 +865,9 @@ let query_pinned t (e : handle) (q : Protocol.query) =
               if q.use_cache then Hashtbl.find_opt e.results ckey else None ))
       in
       match hit with
-      | Some result ->
+      | Some a ->
           Obs.Counter.incr Metrics.result_hits;
-          Ok { result; cached = true; cost = [ ("source", Json.Str "cache") ] }
+          Ok (outcome a ~cached:true [ ("source", Json.Str "cache") ])
       | None -> (
           (* Memory miss: the previous process may have left this exact
              answer on disk.  A rehydrated result joins the memory cache
@@ -865,22 +876,19 @@ let query_pinned t (e : handle) (q : Protocol.query) =
           let rehydrated =
             if q.use_cache then
               match t.persist with
-              | Some p -> Persist.load_result p ~key:key0 ~cache_key:ckey
+              | Some p ->
+                  Option.map answer
+                    (Persist.load_result p ~key:key0 ~cache_key:ckey)
               | None -> None
             else None
           in
           match rehydrated with
-          | Some result ->
+          | Some a ->
               Obs.Counter.incr Metrics.result_hits;
               with_lock e.e_lock (fun () ->
                   if e.generation = gen0 && not (Hashtbl.mem e.results ckey)
-                  then Hashtbl.add e.results ckey result);
-              Ok
-                {
-                  result;
-                  cached = true;
-                  cost = [ ("source", Json.Str "persist") ];
-                }
+                  then Hashtbl.add e.results ckey a);
+              Ok (outcome a ~cached:true [ ("source", Json.Str "persist") ])
           | None ->
               if q.use_cache then Obs.Counter.incr Metrics.result_misses;
               if draining t then begin
@@ -902,17 +910,20 @@ let query_pinned t (e : handle) (q : Protocol.query) =
                     Obs.Counter.incr Metrics.deadline_exceeded;
                     Error `Deadline_exceeded
                 | Ok (`Solved (result, cacheable, cost)) ->
-                    (* Only Exact answers are cached: a budget-degraded
-                       result depends on its budget, so serving it to a
-                       later (maybe unbudgeted) request would break the
-                       bit-identity contract.  The same rule governs the
-                       disk spill. *)
+                    (* Encoded here, once: this reply and every later
+                       hit splice the same bytes.  Only Exact answers
+                       are cached: a budget-degraded result depends on
+                       its budget, so serving it to a later (maybe
+                       unbudgeted) request would break the bit-identity
+                       contract.  The same rule governs the disk
+                       spill. *)
+                    let a = answer result in
                     if cacheable then begin
                       let same_gen =
                         with_lock e.e_lock (fun () ->
                             if e.generation = gen0 then begin
                               if not (Hashtbl.mem e.results ckey) then
-                                Hashtbl.add e.results ckey result;
+                                Hashtbl.add e.results ckey a;
                               true
                             end
                             else false)
@@ -930,11 +941,8 @@ let query_pinned t (e : handle) (q : Protocol.query) =
                           t.persist
                     end;
                     Ok
-                      {
-                        result;
-                        cached = false;
-                        cost = ("source", Json.Str "solve") :: cost;
-                      })))
+                      (outcome a ~cached:false
+                         (("source", Json.Str "solve") :: cost)))))
 
 let query t (q : Protocol.query) =
   match pin t q.dataset with
@@ -1162,16 +1170,18 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
             let keep =
               match algo_of_cache_key ckey with
               | Some (Protocol.Hd_rrms | Protocol.Hd_greedy) when preserved ->
-                  remap_selected plan.Delta.old_to_new result
+                  (* renamed indices: re-encoded once, here *)
+                  Option.map answer
+                    (remap_selected plan.Delta.old_to_new result.json)
               | Some (Protocol.A2d | Protocol.A2d_exact | Protocol.Sweepline)
                 when Lazy.force positional ->
                   Some result
               | _ -> None
             in
             match keep with
-            | Some r ->
+            | Some a ->
                 incr kept;
-                Some (ckey, r)
+                Some (ckey, a)
             | None ->
                 incr evicted;
                 None)
@@ -1231,7 +1241,8 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
           Persist.save_dataset p ~key:new_key d';
           Option.iter (fun s -> Persist.save_skyline p ~key:new_key s) sky';
           List.iter
-            (fun (ck, r) -> Persist.save_result p ~key:new_key ~cache_key:ck r)
+            (fun (ck, a) ->
+              Persist.save_result p ~key:new_key ~cache_key:ck a.json)
             survivors)
         t.persist;
       {

@@ -172,6 +172,10 @@ val release : t -> string -> release
 
 type outcome = {
   result : Json.t;  (** the deterministic [result] member *)
+  result_text : string;
+      (** [Json.to_string result], encoded once when the answer was
+          made (or entered the result cache) and spliced into every
+          reply that carries it *)
   cached : bool;  (** answered from the result cache *)
   cost : (string * Json.t) list;
       (** the answer's cost-provenance fields (docs/OBSERVABILITY.md,

@@ -57,4 +57,5 @@ let () =
       ("persist", Test_persist.suite);
       ("mutate", Test_mutate.suite);
       ("cell-order", Test_cell_order.suite);
+      ("hit-path", Test_hit_path.suite);
     ]
