@@ -36,36 +36,44 @@ let summary_json (r : Store.mutated) =
 type replayed = { records : int; applied : int; skipped : int }
 
 (* Rehydrate the mutation history at startup.  Each record names its
-   base dataset by content key: if the base is not already resident
-   (from a previous record's chain), its dataset blob is rehydrated and
-   registered first.  The record's stored [new_key] is an end-to-end
-   integrity check — the replayed mutation must land on the exact
-   content hash the original process computed, else the record (and
-   anything building on it) is counted as skipped rather than installing
-   a state the original process never had. *)
+   base dataset by content key.  Only a resident entry's own key is
+   that base: a key a mutation has moved on from still resolves, as an
+   alias to the mutated entry, and replaying onto that would build a
+   state the original process never had.  Any other base is rehydrated
+   from its dataset blob.  The record's stored [new_key] is checked
+   before anything is installed — the replayed mutation must land on
+   the exact content hash the original process computed, else the
+   record is skipped and the store and the directory keep what they
+   had.  A rehydrated base is therefore tried in a private store first:
+   registering it would re-point its dataset name, which a skipped
+   record must not do. *)
 let replay store persist =
   let applied = ref 0 and skipped = ref 0 in
+  let lands ~base_key ~new_key ops d =
+    let trial = Store.create ~domains:1 () in
+    ignore (Store.add trial d : Store.loaded);
+    Result.is_ok (Store.mutate ~expect:new_key trial ~dataset:base_key ops)
+  in
   let records =
     Persist.Wal.replay persist
       (fun { Persist.Wal.base_key; new_key; ops } ->
         try
           let resolved =
-            match Store.resolve store base_key with
-            | Some _ -> true
-            | None -> (
-                match Persist.load_dataset persist ~key:base_key with
-                | Some d ->
-                    ignore (Store.add store d);
-                    true
-                | None -> false)
+            Store.resolve store base_key = Some base_key
+            ||
+            match Persist.load_dataset persist ~key:base_key with
+            | Some d when lands ~base_key ~new_key ops d ->
+                ignore (Store.add store d : Store.loaded);
+                true
+            | Some _ | None -> false
           in
           if not resolved then incr skipped
           else
             match
-              Store.mutate ~journal:false store ~dataset:base_key ops
+              Store.mutate ~expect:new_key store ~dataset:base_key ops
             with
-            | Ok r when r.Store.new_key = new_key -> incr applied
-            | Ok _ | Error _ -> incr skipped
+            | Ok _ -> incr applied
+            | Error _ -> incr skipped
         with _ -> incr skipped)
   in
   { records; applied = !applied; skipped = !skipped }

@@ -28,8 +28,12 @@ type replayed = {
 val replay : Store.t -> Persist.t -> replayed
 (** Replay the directory's write-ahead delta log into the store —
     called by [rrms-serve] after opening a [--state-dir], before
-    serving.  For each record the base dataset is resolved (resident,
-    or rehydrated from its blob); the mutation is re-applied with
-    [journal:false]; and the resulting content hash must equal the
-    journaled [new_key] — bit-identity of the rehydrated state is
-    checked, not assumed.  Never raises. *)
+    serving.  For each record the base dataset is resolved — a
+    resident entry under exactly that key, never an alias a later
+    mutation left behind, else rehydrated from its blob — and the
+    mutation is re-applied with [Store.mutate ~expect:new_key]: unless
+    the resulting content hash equals the journaled one, the record is
+    skipped and nothing is installed, saved or renamed (a rehydrated
+    base is registered only once its record is known to land).
+    Bit-identity of the rehydrated state is checked, not assumed.
+    Never raises. *)

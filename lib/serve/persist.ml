@@ -62,7 +62,12 @@ module Fault = struct
      deterministic for a scripted sequence of requests. *)
   let write_ordinal = Atomic.make 0
 
-  let set m = Atomic.set current (Some m)
+  (* Arming restarts the ordinal, so N counts from the arming — which
+     for RRMS_SERVE_FAULT is before the process's first write. *)
+  let set m =
+    Atomic.set write_ordinal 0;
+    Atomic.set current (Some m)
+
   let clear () = Atomic.set current None
   let active () = Atomic.get current <> None
 
@@ -84,7 +89,7 @@ module Fault = struct
     | None -> ()
     | Some s -> ( match parse s with Some m -> set m | None -> ())
 
-  (* What the fault layer decides for one blob write. *)
+  (* What the fault layer decides for one frame write. *)
   type action = Write_ok | Write_torn | Write_crash
 
   let on_write () =
@@ -102,13 +107,16 @@ module Fault = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Blob format                                                        *)
+(* Frame codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Header (22 bytes): magic "RRMB" | format version u8 | kind u8 |
-   payload length u64le | FNV-1a-64 payload checksum u64le, then the
-   payload.  Everything multi-byte is little-endian via Bytes.set_*;
-   floats travel as their IEEE bits, so decode is bit-exact. *)
+(* Every file in a state directory is made of frames.  A frame is a
+   22-byte header — magic "RRMB" | format version u8 | kind u8 |
+   payload length u64le | FNV-1a-64 payload checksum u64le — then the
+   payload.  A blob is a file holding exactly one frame; the write-ahead
+   log is a sequence of frames.  Everything multi-byte is little-endian
+   via Bytes.set_*; floats travel as their IEEE bits, so decode is
+   bit-exact. *)
 
 let magic = "RRMB"
 
@@ -155,6 +163,78 @@ let header ~kind payload =
   Bytes.set_int64_le b 6 (Int64.of_int (String.length payload));
   Bytes.set_int64_le b 14 (checksum payload);
   Bytes.unsafe_to_string b
+
+(* The one frame reader: read and validate the frame at [ic]'s position
+   in a file of [size] bytes.  [`End] at exactly the end of the file;
+   [`Stale] for our magic with another format version (written by an
+   older or newer build, not damaged); [`Corrupt] for anything else —
+   fewer than a header's bytes left, bad magic, unknown kind, a length
+   past the end of the file, a checksum mismatch.  On [`Frame] the
+   channel sits just past the payload. *)
+let read_frame ic ~size =
+  try
+    let pos = pos_in ic in
+    if pos = size then `End
+    else if size - pos < header_len then `Corrupt
+    else
+      let h = really_input_string ic header_len in
+      let plen = Int64.to_int (String.get_int64_le h 6) in
+      if String.sub h 0 4 <> magic then `Corrupt
+      else if String.get_uint8 h 4 <> version then `Stale
+      else
+        match kind_of_byte (String.get_uint8 h 5) with
+        | Some kind when plen >= 0 && plen <= size - pos - header_len ->
+            let payload = really_input_string ic plen in
+            if checksum payload <> String.get_int64_le h 14 then `Corrupt
+            else `Frame (kind, payload)
+        | _ -> `Corrupt
+  with End_of_file | Sys_error _ -> `Corrupt
+
+let with_file path f =
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> Some (f ic (in_channel_length ic)))
+
+let write_all fd s =
+  let b = Bytes.unsafe_of_string s in
+  let off = ref 0 in
+  while !off < Bytes.length b do
+    off := !off + Unix.write fd b !off (Bytes.length b - !off)
+  done
+
+let half s = String.sub s 0 (String.length s / 2)
+
+(* The one frame writer: cut [path] (created if absent) to [offset],
+   write one frame there and fsync it.  Returns whether the whole frame
+   was written.  This is the only place the injected faults land:
+   [Write_torn] writes a full-length header over half the payload —
+   what a lying disk leaves — and reports it; [Write_crash] writes the
+   same torn frame, then dies with SIGKILL's exit code: no cleanup, no
+   at_exit, so the startup scan and the log scan must cope.  Other I/O
+   failures raise [Unix.Unix_error]. *)
+let write_frame path ~offset ~kind payload =
+  let action = Fault.on_write () in
+  let body = if action = Fault.Write_ok then payload else half payload in
+  let write () =
+    let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        Unix.ftruncate fd offset;
+        ignore (Unix.lseek fd offset Unix.SEEK_SET);
+        write_all fd (header ~kind payload);
+        write_all fd body;
+        Unix.fsync fd)
+  in
+  if action = Fault.Write_crash then begin
+    (try write () with Unix.Unix_error _ -> ());
+    Unix._exit 137
+  end;
+  write ();
+  action = Fault.Write_ok
 
 (* ------------------------------------------------------------------ *)
 (* Payload codec                                                      *)
@@ -236,61 +316,24 @@ let is_tmp name =
   let rec scan i = i + m <= n && (String.sub name i m = tmp_marker || scan (i + 1)) in
   scan 0
 
-(* Our magic with another format version: written by an older or newer
-   build, not damaged. *)
-let stale_header h =
-  String.length h >= 5
-  && String.sub h 0 4 = magic
-  && String.get_uint8 h 4 <> version
-
-(* Read and validate one blob file.  [Ok (kind, payload)] when every
-   header field and the checksum hold; [Error `Missing] when the file
-   does not exist; [Error `Stale] for another format version;
-   [Error `Corrupt] for anything else — short file, bad magic, unknown
-   kind, length or checksum mismatch.  Both the startup scan and every
-   load go through here. *)
+(* Read and validate one blob: a file holding exactly one frame.
+   [Error `Missing] when the file cannot be opened; a frame followed by
+   more bytes, or no frame at all, is [`Corrupt].  Both the startup scan
+   and every load go through here. *)
 let read_blob path =
-  match open_in_bin path with
-  | exception Sys_error _ -> Error `Missing
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          try
-            let size = in_channel_length ic in
-            if size < header_len then Error `Corrupt
-            else begin
-              let h = really_input_string ic header_len in
-              let plen = Int64.to_int (String.get_int64_le h 6) in
-              let sum = String.get_int64_le h 14 in
-              if stale_header h then Error `Stale
-              else
-                match kind_of_byte (String.get_uint8 h 5) with
-                | Some kind
-                  when String.sub h 0 4 = magic
-                       && plen >= 0
-                       && size = header_len + plen ->
-                    let payload = really_input_string ic plen in
-                    if checksum payload <> sum then Error `Corrupt
-                    else Ok (kind, payload)
-                | _ -> Error `Corrupt
-            end
-          with End_of_file | Sys_error _ -> Error `Corrupt)
+  Option.value ~default:(Error `Missing)
+    (with_file path (fun ic size ->
+         match read_frame ic ~size with
+         | `Frame f when pos_in ic = size -> Ok f
+         | `Stale -> Error `Stale
+         | `Frame _ | `End | `Corrupt -> Error `Corrupt))
 
 let wal_file = "mutations.wal"
 
-(* The log's first record header decides: the log is only ever appended
-   at its validated end, so all of it shares one format version. *)
+(* The log's first frame decides: the log is only ever appended at its
+   validated end, so all of it shares one format version. *)
 let wal_stale path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic 5 with
-          | h -> stale_header h
-          | exception End_of_file -> false)
+  with_file path (fun ic size -> read_frame ic ~size = `Stale) = Some true
 
 let scan_dir root =
   let names = try Sys.readdir root with Sys_error _ -> [||] in
@@ -351,35 +394,15 @@ let fsync_dir root =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
-let write_raw ~fsync path (chunks : string list) =
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      List.iter
-        (fun s ->
-          let b = Bytes.unsafe_of_string s in
-          let n = Bytes.length b in
-          let off = ref 0 in
-          while !off < n do
-            off := !off + Unix.write fd b !off (n - !off)
-          done)
-        chunks;
-      if fsync then Unix.fsync fd)
-
-let half s = String.sub s 0 (String.length s / 2)
-
-(* The one write path: temp file in the same directory, fsync, atomic
-   rename over the final name, directory fsync.  Blobs are write-once:
-   every name is a content hash, so a blob already under its final name
-   holds the same bytes (and every load validates them anyway).  Such a
-   save is skipped before [encode] fills the payload, and is neither
-   counted as a write nor given a fault ordinal.  The injected faults
-   land here — [Write_crash] dies with SIGKILL's exit code leaving only
-   temp litter, [Write_torn] renames a truncated payload into place so
-   the final name holds a checksummed-as-full but short blob. *)
+(* Blobs are write-once: every name is a content hash, so a blob
+   already under its final name holds the same bytes (and every load
+   validates them anyway).  Such a save is skipped before [encode] fills
+   the payload, and is neither counted as a write nor given a fault
+   ordinal.  Any other save writes its frame to a temp file in the same
+   directory, renames it over the final name and fsyncs the directory.
+   A torn frame is renamed into place like a whole one, so the final
+   name holds a checksummed-as-full but short blob that the next load
+   refuses. *)
 let write_blob t ~kind ~name encode =
   let final = Filename.concat t.root name in
   if not (Sys.file_exists final) then begin
@@ -387,32 +410,16 @@ let write_blob t ~kind ~name encode =
       Printf.sprintf "%s%s%d-%d" final tmp_marker (Unix.getpid ())
         (Atomic.fetch_and_add tmp_seq 1)
     in
-    let payload =
-      let buf = Buffer.create 4096 in
-      encode buf;
-      Buffer.contents buf
-    in
-    let hdr = header ~kind payload in
-    match Fault.on_write () with
-    | Fault.Write_crash ->
-        (* Half-written temp file, then die as if SIGKILLed: no rename,
-           no cleanup, no at_exit — the startup scan must cope. *)
-        (try write_raw ~fsync:true tmp [ hdr; half payload ]
-         with Unix.Unix_error _ -> ());
-        Unix._exit 137
-    | (Fault.Write_ok | Fault.Write_torn) as action -> (
-        let body =
-          if action = Fault.Write_torn then [ hdr; half payload ]
-          else [ hdr; payload ]
-        in
-        try
-          write_raw ~fsync:true tmp body;
-          Unix.rename tmp final;
-          fsync_dir t.root;
-          Obs.Counter.incr Metrics.writes
-        with Unix.Unix_error _ | Sys_error _ ->
-          Obs.Counter.incr Metrics.write_errors;
-          try Sys.remove tmp with Sys_error _ -> ())
+    let buf = Buffer.create 4096 in
+    encode buf;
+    try
+      ignore (write_frame tmp ~offset:0 ~kind (Buffer.contents buf) : bool);
+      Unix.rename tmp final;
+      fsync_dir t.root;
+      Obs.Counter.incr Metrics.writes
+    with Unix.Unix_error _ | Sys_error _ ->
+      Obs.Counter.incr Metrics.write_errors;
+      try Sys.remove tmp with Sys_error _ -> ()
   end
 
 (* Load one blob and decode it.  A blob that exists but fails any check
@@ -492,21 +499,21 @@ let load_skyline t ~key =
       if not (Codec.finished r) then raise Codec.Truncated;
       sky)
 
-let save_result t ~key ~cache_key result =
+let save_result t ~key ~cache_key text =
   write_blob t ~kind:Result_blob ~name:(result_name key cache_key) (fun buf ->
       Codec.str buf cache_key;
-      Codec.str buf (Json.to_string result))
+      Codec.str buf text)
 
 let load_result t ~key ~cache_key =
   Option.join
     (load_blob t ~kind:Result_blob ~name:(result_name key cache_key) (fun r ->
          let stored_key = Codec.rstr r in
-         let body = Codec.rstr r in
+         let text = Codec.rstr r in
          if not (Codec.finished r) then raise Codec.Truncated;
          if stored_key <> cache_key then None
          else
-           match Json.parse body with
-           | Ok j -> Some j
+           match Json.parse text with
+           | Ok j -> Some (j, text)
            | Error _ -> raise Codec.Truncated))
 
 (* ------------------------------------------------------------------ *)
@@ -562,61 +569,26 @@ module Wal = struct
     if not (Codec.finished r) then raise Codec.Truncated;
     { base_key; new_key; ops }
 
-  (* Sequential scan of the log: call [f] on every valid record, stop at
-     the first torn / corrupt one.  Returns the byte offset after the
-     last valid record, the record count, and whether a bad tail was
-     seen. *)
+  (* Walk the log's frames from the start, calling [f] on every valid
+     record, up to the first frame that is not a whole, current-version
+     WAL record that decodes.  Returns the byte offset after the last
+     valid record, the record count, and whether a bad tail was seen. *)
   let scan_records path f =
-    match open_in_bin path with
-    | exception Sys_error _ -> (0, 0, false)
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let size = in_channel_length ic in
-            let ok_end = ref 0 and count = ref 0 and torn = ref false in
-            (try
-               let continue_ = ref true in
-               while !continue_ do
-                 let pos = pos_in ic in
-                 if pos = size then continue_ := false
-                 else if pos + header_len > size then begin
-                   torn := true;
-                   continue_ := false
-                 end
-                 else begin
-                   let h = really_input_string ic header_len in
-                   let plen = Int64.to_int (String.get_int64_le h 6) in
-                   if
-                     String.sub h 0 4 <> magic
-                     || String.get_uint8 h 4 <> version
-                     || String.get_uint8 h 5 <> kind_byte Wal_record
-                     || plen < 0
-                     || pos + header_len + plen > size
-                   then begin
-                     torn := true;
-                     continue_ := false
-                   end
-                   else begin
-                     let payload = really_input_string ic plen in
-                     if checksum payload <> String.get_int64_le h 14 then begin
-                       torn := true;
-                       continue_ := false
-                     end
-                     else
-                       match decode (Codec.reader payload) with
-                       | record ->
-                           f record;
-                           ok_end := pos_in ic;
-                           incr count
-                       | exception Codec.Truncated ->
-                           torn := true;
-                           continue_ := false
-                   end
-                 end
-               done
-             with End_of_file | Sys_error _ -> torn := true);
-            (!ok_end, !count, !torn))
+    Option.value ~default:(0, 0, false)
+      (with_file path (fun ic size ->
+           let rec next ok_end count =
+             let bad () = (ok_end, count, true) in
+             match read_frame ic ~size with
+             | `End -> (ok_end, count, false)
+             | `Frame (Wal_record, payload) -> (
+                 match decode (Codec.reader payload) with
+                 | record ->
+                     f record;
+                     next (pos_in ic) (count + 1)
+                 | exception Codec.Truncated -> bad ())
+             | `Frame _ | `Stale | `Corrupt -> bad ()
+           in
+           next 0 0))
 
   let valid_end t =
     match t.wal_end with
@@ -627,64 +599,29 @@ module Wal = struct
         t.wal_end <- Some e;
         e
 
-  (* Append one checksummed record at the validated end of the log,
-     fsync'd before the caller proceeds to install the mutation.  Like
-     every persist write this never raises: an I/O failure is counted
-     and the service degrades to memory-only durability for that
-     mutation.  The injected faults land here exactly as on the blob
-     path: a crash dies mid-record with SIGKILL's exit code, a torn
-     write leaves a half record that the next append (or the startup
-     scan) truncates away. *)
+  (* Append one record at the validated end of the log, fsync'd before
+     the caller proceeds to install the mutation.  Like every persist
+     write this never raises: an I/O failure is counted and the service
+     degrades to memory-only durability for that mutation.  A torn
+     record leaves [wal_end] where it was, so the next append (or the
+     next process's scan) cuts it away. *)
   let append t record =
     let payload = encode record in
-    let hdr = header ~kind:Wal_record payload in
     let e = valid_end t in
-    let write chunks =
-      let fd =
-        Unix.openfile (path t) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
-      in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          (try Unix.ftruncate fd e with Unix.Unix_error _ -> ());
-          ignore (Unix.lseek fd e Unix.SEEK_SET);
-          List.iter
-            (fun s ->
-              let b = Bytes.unsafe_of_string s in
-              let n = Bytes.length b in
-              let off = ref 0 in
-              while !off < n do
-                off := !off + Unix.write fd b !off (n - !off)
-              done)
-            chunks;
-          Unix.fsync fd)
-    in
-    match Fault.on_write () with
-    | Fault.Write_crash ->
-        (try write [ hdr; half payload ] with Unix.Unix_error _ -> ());
-        Unix._exit 137
-    | Fault.Write_torn ->
-        (* wal_end stays at the pre-write offset: the next append (or
-           the next process's scan) truncates the torn record away. *)
-        (try write [ hdr; half payload ] with Unix.Unix_error _ -> ());
+    match write_frame (path t) ~offset:e ~kind:Wal_record payload with
+    | true ->
+        t.wal_end <- Some (e + header_len + String.length payload);
+        Obs.Counter.incr Metrics.wal_appends
+    | false -> Obs.Counter.incr Metrics.write_errors
+    | exception (Unix.Unix_error _ | Sys_error _) ->
         Obs.Counter.incr Metrics.write_errors
-    | Fault.Write_ok -> (
-        try
-          write [ hdr; payload ];
-          t.wal_end <- Some (e + String.length hdr + String.length payload);
-          Obs.Counter.incr Metrics.wal_appends
-        with Unix.Unix_error _ | Sys_error _ ->
-          Obs.Counter.incr Metrics.write_errors)
 
   let replay t f =
-    let count_ok = ref 0 in
     let e, count, torn =
       scan_records (path t) (fun record ->
           f record;
-          incr count_ok;
           Obs.Counter.incr Metrics.wal_replayed)
     in
-    ignore !count_ok;
     if torn then Obs.Counter.incr Metrics.wal_torn;
     t.wal_end <- Some e;
     count

@@ -20,34 +20,39 @@
     4) are retired, so such a blob left by an older build is discarded
     and counted corrupt once, by the first startup scan.
 
+    {b Frame format.}  Every file in the directory is made of frames:
+    a fixed 22-byte header (magic ["RRMB"], format version, kind,
+    payload length, 64-bit FNV-1a payload checksum) followed by the
+    payload.  A blob is a file holding exactly one frame; the
+    write-ahead log ({!Wal}) is a sequence of frames.  One reader
+    validates every frame — the startup scan, every load and the log
+    scan all go through it — and one writer writes every frame, which
+    is also the only place a {!Fault} lands.  Any mismatch — torn
+    write, flipped bit, wrong version, truncation, trailing bytes —
+    discards the blob (unlinking it, counting it in
+    [rrms_serve_persist_corrupt_blobs_total]) and a load returns
+    [None], so a corrupt blob is never rehydrated.
+
     {b Write protocol.}  Blobs are write-once: a save whose final name
     already exists does nothing — the name is a content hash, so the
     bytes would be identical — and is neither counted in
     [rrms_serve_persist_writes_total] nor given a {!Fault} write
-    ordinal.  Any other save writes a private temp file in the same
-    directory, [fsync]s it, atomically renames it over the final name,
-    then [fsync]s the directory.  A crash — including SIGKILL —
-    can therefore leave only (a) the complete old state, (b) the
-    complete new state, or (c) a leftover temp file, never a
+    ordinal.  Any other save writes its frame to a private temp file in
+    the same directory, [fsync]s it, atomically renames it over the
+    final name, then [fsync]s the directory.  A crash — including
+    SIGKILL — can therefore leave only (a) the complete old state, (b)
+    the complete new state, or (c) a leftover temp file, never a
     half-written blob under the final name.  Saves never raise: a full
     disk or permission error is counted
     ([rrms_serve_persist_write_errors_total]) and the service continues
     memory-only.
 
-    {b Blob format.}  A fixed header (magic, format version, kind,
-    payload length, 64-bit FNV-1a payload checksum) followed by the
-    payload.  Loads verify all five fields; any mismatch — torn write,
-    flipped bit, wrong version, truncation — discards the blob
-    (unlinking it, counting it in
-    [rrms_serve_persist_corrupt_blobs_total]) and returns [None], so a
-    corrupt blob is never rehydrated.
-
     {b Startup scan.}  {!open_dir} creates the directory if needed,
     deletes leftover temp files (crash litter from an interrupted
-    write), and validates every [*.blob] header + checksum, unlinking
-    and counting the corrupt ones.  Artifacts are {e not} decoded at
-    scan time — rehydration stays lazy, on first demand.  The scan and
-    every load share one header + checksum validator.
+    write), validates every [*.blob] frame, unlinking and counting the
+    corrupt ones, and discards a log whose first frame is of another
+    format version.  Artifacts are {e not} decoded at scan time —
+    rehydration stays lazy, on first demand.
 
     Rehydrated artifacts are decoded from the exact bytes the original
     process serialized (IEEE bits for every float), so answers served
@@ -95,25 +100,31 @@ end
 
 (** Fault injection for the durability layer, mirroring
     {!Rrms_parallel.Fault}: [RRMS_SERVE_FAULT] arms a process-wide
-    fault that fires inside {!t}'s write path, which is how tests and
-    CI kill the daemon mid-write and prove recovery. *)
+    fault that fires inside {!t}'s one frame writer — blob saves and
+    log appends alike — which is how tests and CI kill the daemon
+    mid-write and prove recovery. *)
 module Fault : sig
   type mode =
     | Crash of int
-        (** [crash@N]: on the Nth blob write of the process (saves
-            skipped as write-once do not count), persist
-            half the payload to the temp file and [_exit 137] — the
+        (** [crash@N]: on the Nth frame write since the fault was
+            armed (blob saves skipped as write-once do not count),
+            persist the header and half the payload — to the blob's
+            temp file, or at the log's end — and [_exit 137]: the
             SIGKILL-mid-write scenario. *)
     | Torn of int option
         (** [torn_write] (every write) or [torn_write@N] (the Nth
-            only): complete the rename with a truncated payload, so the
-            blob exists but fails validation — the lying-disk
-            scenario. *)
+            only): write the header over half the payload and carry on
+            — a blob is still renamed into place but fails validation,
+            a log record is cut away by the next append — the
+            lying-disk scenario. *)
     | Stall of float
         (** [stall@MS]: sleep [MS] milliseconds before each write —
             slow-disk latency injection (keeps all results exact). *)
 
   val set : mode -> unit
+  (** Arm a fault and restart the write ordinal, so [N] counts from
+      here. *)
+
   val clear : unit -> unit
   val active : unit -> bool
 
@@ -157,26 +168,34 @@ val load_dataset : t -> key:string -> Rrms_dataset.Dataset.t option
 val save_skyline : t -> key:string -> int array -> unit
 val load_skyline : t -> key:string -> int array option
 
-val save_result : t -> key:string -> cache_key:string -> Json.t -> unit
-(** The blob embeds [cache_key] itself (the file name only carries its
+val save_result : t -> key:string -> cache_key:string -> string -> unit
+(** Save an answer's encoded text — the bytes the store already holds
+    for its replies, so the answer is never encoded a second time.  The
+    blob embeds [cache_key] itself (the file name only carries its
     hash), so a load can reject a colliding key instead of serving the
     wrong answer. *)
 
-val load_result : t -> key:string -> cache_key:string -> Json.t option
+val load_result :
+  t -> key:string -> cache_key:string -> (Json.t * string) option
+(** The parsed answer beside the text it was parsed from, which a
+    caller can splice into replies as is. *)
 
 (** {2 Write-ahead delta log} — docs/DYNAMIC.md describes the format.
 
     Mutations are journaled to a single append-only file
     ([mutations.wal]) in the state directory {e before} they are
     installed in memory, so a crash at any point leaves a replayable
-    prefix.  Each record reuses the blob header (magic, version, kind,
-    length, FNV-1a checksum) followed by the base dataset key, the
-    expected post-mutation key, and the op list.  {!Wal.append}
-    validates the log's tail first and truncates a torn final record
-    (counted in [rrms_serve_persist_wal_torn_total]) before writing, so
-    torn tails self-heal; appends [fsync] before returning.  Like every
-    persist write, appends never raise — an I/O failure degrades that
-    mutation to memory-only durability and is counted. *)
+    prefix.  The log is a sequence of frames, read and written by the
+    same codec as blobs; each record's payload is the base dataset key,
+    the expected post-mutation key, and the op list.  The log's
+    validated end is found once per {!t}, by a scan that stops at the
+    first frame that is not a whole current-version record (a torn
+    tail, counted in [rrms_serve_persist_wal_torn_total]).
+    {!Wal.append} writes its frame there, cutting off whatever follows,
+    so torn tails self-heal; a torn append leaves the end where it was.
+    Appends [fsync] before returning.  Like every persist write,
+    appends never raise — an I/O failure degrades that mutation to
+    memory-only durability and is counted. *)
 module Wal : sig
   val file : string
   (** File name of the log inside the state directory
@@ -194,7 +213,7 @@ module Wal : sig
 
   val append : t -> record -> unit
   (** Durably append one record at the validated end of the log
-      (truncating a torn tail first).  Never raises. *)
+      (cutting off a torn tail).  Never raises. *)
 
   val replay : t -> (record -> unit) -> int
   (** Scan the log from the start, calling the function on every valid

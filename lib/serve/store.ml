@@ -872,12 +872,14 @@ let query_pinned t (e : handle) (q : Protocol.query) =
           (* Memory miss: the previous process may have left this exact
              answer on disk.  A rehydrated result joins the memory cache
              and answers as a hit — bit-identical, because only Exact
-             answers are ever persisted. *)
+             answers are ever persisted, and the blob's text is spliced
+             as read, not printed again. *)
           let rehydrated =
             if q.use_cache then
               match t.persist with
               | Some p ->
-                  Option.map answer
+                  Option.map
+                    (fun (json, text) -> { json; text })
                     (Persist.load_result p ~key:key0 ~cache_key:ckey)
               | None -> None
             else None
@@ -937,7 +939,7 @@ let query_pinned t (e : handle) (q : Protocol.query) =
                         Option.iter
                           (fun p ->
                             Persist.save_result p ~key:key0 ~cache_key:ckey
-                              result)
+                              a.text)
                           t.persist
                     end;
                     Ok
@@ -1045,7 +1047,7 @@ let sky_values_unique rows sky =
    consistent snapshot, then install everything atomically.  Runs under
    the entry's mutation lock, so there is exactly one writer; query
    paths keep running against the old generation until the install. *)
-let mutate_pinned ~journal ~guard t (e : handle) muts =
+let mutate_pinned ~expect ~guard t (e : handle) muts =
   with_lock e.mu_lock (fun () ->
       let key0, gen0, d0, digests0, sky0, mats0, incs0, results0 =
         with_lock e.e_lock (fun () ->
@@ -1087,6 +1089,17 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
               plan.Delta.fresh;
             (dg, key_of_digests ~attributes:(Dataset.attributes d0) dg))
       in
+      (* A replay must land on the key its record names; anywhere else
+         is a state the original process never had, refused before any
+         artifact is built, installed or saved. *)
+      Option.iter
+        (fun k ->
+          if k <> new_key then
+            Guard.Error.invalid_input
+              (Printf.sprintf
+                 "Store.mutate: replay of %s landed on %s, expected %s" key0
+                 new_key k))
+        expect;
       let sky', path =
         match sky0 with
         | None -> (None, None)
@@ -1145,19 +1158,18 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
          - greedy (LP skip counters) and cube (t-parameter grid) read
            the full raw table, dominated rows included — always
            evicted. *)
-      let indices_stable =
-        let ok = ref true in
-        Array.iteri
-          (fun i v -> if v <> i && v <> -1 then ok := false)
-          plan.Delta.old_to_new;
-        !ok
-      in
-      (* Lazy: the tie-free scan walks the whole table, and only the 2D
-         family ever needs the proof — an hd-only cache must not pay
-         for it on every mutation. *)
+      (* Lazy: the index-stability and tie-free scans walk the whole
+         table, and only the 2D family ever needs the proof — an
+         hd-only cache must not pay for them on every mutation. *)
       let positional =
         lazy
-          (preserved && indices_stable
+          (preserved
+          && (let o2n = plan.Delta.old_to_new in
+              let rec stable i =
+                i = Array.length o2n
+                || ((o2n.(i) = i || o2n.(i) = -1) && stable (i + 1))
+              in
+              stable 0)
           &&
           match sky' with
           | Some s -> sky_values_unique plan.Delta.rows s
@@ -1190,7 +1202,7 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
       (* Write-ahead journal, after the maintenance pass proved the
          batch applies cleanly and before the in-memory install — a
          crash from here on is replayable. *)
-      if journal then
+      if expect = None then
         Option.iter
           (fun p ->
             Persist.Wal.append p
@@ -1242,7 +1254,7 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
           Option.iter (fun s -> Persist.save_skyline p ~key:new_key s) sky';
           List.iter
             (fun (ck, a) ->
-              Persist.save_result p ~key:new_key ~cache_key:ck a.json)
+              Persist.save_result p ~key:new_key ~cache_key:ck a.text)
             survivors)
         t.persist;
       {
@@ -1259,7 +1271,7 @@ let mutate_pinned ~journal ~guard t (e : handle) muts =
         results_evicted = !evicted;
       })
 
-let mutate ?(journal = true) ?timeout t ~dataset muts =
+let mutate ?expect ?timeout t ~dataset muts =
   if muts = [] then
     Guard.Error.invalid_input "Store.mutate: empty mutation list";
   match pin t dataset with
@@ -1282,7 +1294,7 @@ let mutate ?(journal = true) ?timeout t ~dataset muts =
               with_admission t (fun () ->
                   match Guard.Budget.deadline_expired guard with
                   | Some _ -> `Deadline
-                  | None -> `Done (mutate_pinned ~journal ~guard t e muts))
+                  | None -> `Done (mutate_pinned ~expect ~guard t e muts))
             with
             | Error `Overloaded -> Error `Overloaded
             | Ok `Deadline ->

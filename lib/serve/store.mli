@@ -236,9 +236,9 @@ val query :
 
     When the store is persistent, the batch is journaled to the
     write-ahead log ({!Persist.Wal}) before the install, so a crash at
-    any point is recoverable by replay ([journal:false] marks a replay
-    itself; its blobs already exist, so the write-once saves skip
-    them).  The entry stays resident under its {e new} content hash;
+    any point is recoverable by replay ([expect] marks a replay itself:
+    it is not journaled again, and its blobs already exist, so the
+    write-once saves skip them).  The entry stays resident under its {e new} content hash;
     the old hash and all name aliases re-point to it. *)
 
 type mutated = {
@@ -258,7 +258,7 @@ type mutated = {
 }
 
 val mutate :
-  ?journal:bool ->
+  ?expect:string ->
   ?timeout:float ->
   t ->
   dataset:string ->
@@ -267,9 +267,12 @@ val mutate :
 (** Apply one mutation batch (admission-gated like a solve; [timeout]
     is the same end-to-end deadline a query gets).  On any failure —
     bad index, dimension mismatch, emptied dataset, budget expiry —
-    nothing is installed and nothing is journaled.
+    nothing is installed and nothing is journaled.  [expect] replays a
+    write-ahead-log record: the batch is not journaled, and unless it
+    lands on exactly that content key nothing is installed or saved.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] on a
-    malformed batch (including one that would empty the dataset). *)
+    malformed batch (including one that would empty the dataset), and
+    on a replay that lands on another key than [expect]. *)
 
 val set_draining : t -> unit
 (** Enter drain mode: every subsequent solve is refused with

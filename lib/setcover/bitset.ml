@@ -88,18 +88,6 @@ let elements t =
   iter (fun i -> acc := i :: !acc) t;
   List.rev !acc
 
-(* A full word has all 63 logical bits set; as a native int that is
-   every bit of the representation, i.e. -1 — the same value per-bit
-   [set] produces, so word-level and bit-level fills compare equal. *)
-let full width =
-  let t = create width in
-  let fw = width / bits_per_word and r = width mod bits_per_word in
-  Array.fill t.words 0 fw (-1);
-  (* (1 lsl r) - 1 sets bits [0, r); the r = 62 case wraps through
-     min_int to max_int, which is exactly bits 0..61. *)
-  if r > 0 then t.words.(fw) <- (1 lsl r) - 1;
-  t
-
 let of_list width elems =
   let t = create width in
   List.iter (fun i -> set t i) elems;

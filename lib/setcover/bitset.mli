@@ -48,9 +48,6 @@ val iter : (int -> unit) -> t -> unit
 
 val elements : t -> int list
 
-val full : int -> t
-(** [full width]: all bits set. *)
-
 val of_list : int -> int list -> t
 (** [of_list width elems].  @raise Invalid_argument on out-of-range
     elements. *)

@@ -75,7 +75,10 @@ let test_r_equals_skyline () =
 
 let test_setcover_single_set_covers_all () =
   let open Rrms_setcover in
-  let s = Bitset.full 5 in
+  let s = Bitset.create 5 in
+  for i = 0 to 4 do
+    Bitset.set s i
+  done;
   let inst = Setcover.make_instance ~universe:5 [| s |] in
   (match Setcover.greedy inst with
   | Some chosen -> Alcotest.(check int) "greedy picks one" 1 (Array.length chosen)

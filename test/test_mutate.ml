@@ -532,6 +532,194 @@ let test_wal_torn_tail () =
       Alcotest.(check int) "repaired log replays fully" 2 rep3.Mutate.records;
       Alcotest.(check int) "both applied" 2 rep3.Mutate.applied)
 
+(* A record's base is a resident entry's own key, never an alias a
+   later mutation left behind.  The original process mutates K0 into
+   K1, adds the same rows again — a fresh entry at K0 — and mutates
+   that into K2.  Replaying the second record onto K1 (which K0 still
+   names by alias) would delete a row of K1 and build a third state the
+   original never had.  A record that lands on another key than it
+   journaled installs nothing, writes nothing and moves no name. *)
+let test_wal_replay_base_is_own_key () =
+  with_state_dir (fun dir ->
+      let rows = synth ~n:50 ~m:2 ~seed:71 in
+      let s1 = Store.create ~persist:(Persist.open_dir dir) () in
+      let k0 = (Store.add s1 (dataset_of rows)).Store.key in
+      let k1 =
+        (must_mutate "insert"
+           (Store.mutate s1 ~dataset:k0 [ Delta.Insert [| 0.5; 0.5 |] ]))
+          .Store.new_key
+      in
+      ignore (Store.add s1 (dataset_of rows) : Store.loaded);
+      let k2 =
+        (must_mutate "delete" (Store.mutate s1 ~dataset:k0 [ Delta.Delete 3 ]))
+          .Store.new_key
+      in
+      let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+      let before = files () in
+      let p2 = Persist.open_dir dir in
+      let s2 = Store.create ~persist:p2 () in
+      let rep = Mutate.replay s2 p2 in
+      Alcotest.(check int) "two records" 2 rep.Mutate.records;
+      Alcotest.(check int) "both applied" 2 rep.Mutate.applied;
+      Alcotest.(check int) "none skipped" 0 rep.Mutate.skipped;
+      List.iter
+        (fun k ->
+          Alcotest.(check (option string)) "state resident" (Some k)
+            (Store.resolve s2 k))
+        [ k1; k2 ];
+      Alcotest.(check (list string)) "replay writes no file" before (files ());
+      (* A record whose ops land elsewhere than its journaled key. *)
+      let lands_on =
+        let s = Store.create () in
+        ignore (Store.add s (dataset_of rows) : Store.loaded);
+        (must_mutate "elsewhere" (Store.mutate s ~dataset:"mut" [ Delta.Delete 0 ]))
+          .Store.new_key
+      in
+      Persist.Wal.append p2
+        {
+          Persist.Wal.base_key = k0;
+          new_key = String.make 16 'f';
+          ops = [ Delta.Delete 0 ];
+        };
+      let before = files () in
+      let p3 = Persist.open_dir dir in
+      let s3 = Store.create ~persist:p3 () in
+      let rep = Mutate.replay s3 p3 in
+      Alcotest.(check int) "three records" 3 rep.Mutate.records;
+      Alcotest.(check int) "two applied" 2 rep.Mutate.applied;
+      Alcotest.(check int) "contradicting record skipped" 1 rep.Mutate.skipped;
+      Alcotest.(check (option string)) "its state not installed" None
+        (Store.resolve s3 lands_on);
+      Alcotest.(check (option string)) "its base not registered" (Some k2)
+        (Store.resolve s3 k0);
+      Alcotest.(check (option string)) "the name still at the last state"
+        (Some k2) (Store.resolve s3 "mut");
+      Alcotest.(check (list string)) "and no blob written" before (files ()))
+
+let with_fault mode f =
+  Fun.protect
+    ~finally:(fun () ->
+      Persist.Fault.clear ();
+      Persist.Fault.configure_from_env ())
+    (fun () ->
+      Persist.Fault.set mode;
+      f ())
+
+(* torn_write@1 armed just before a mutation lands on its log append:
+   the record is half written and the mutation still installs in
+   memory.  The next process's scan counts the torn tail and replays
+   the record before it; the next append of the process that tore it
+   writes over the torn bytes, and a replay then applies every record
+   but the torn one. *)
+let test_wal_torn_append () =
+  Test_persist.with_counters (fun () ->
+      with_state_dir (fun dir ->
+          let counter = Obs.Counter.value in
+          let p1 = Persist.open_dir dir in
+          let s1 = Store.create ~persist:p1 () in
+          ignore (Store.add s1 (dataset_of (synth ~n:30 ~m:2 ~seed:41))
+                   : Store.loaded);
+          ignore
+            (must_mutate "a" (Store.mutate s1 ~dataset:"mut" [ Delta.Delete 0 ])
+              : Store.mutated);
+          let e0 = counter Persist.Metrics.write_errors in
+          with_fault (Persist.Fault.Torn (Some 1)) (fun () ->
+              ignore
+                (must_mutate "b"
+                   (Store.mutate s1 ~dataset:"mut"
+                      [ Delta.Insert [| 0.3; 0.7 |] ])
+                  : Store.mutated));
+          Alcotest.(check int) "torn append counted as a write error" 1
+            (counter Persist.Metrics.write_errors - e0);
+          Alcotest.(check int) "only the whole record counts as appended" 1
+            (counter Persist.Metrics.wal_appends);
+          let t0 = counter Persist.Metrics.wal_torn in
+          let p2 = Persist.open_dir dir in
+          let rep = Mutate.replay (Store.create ~persist:p2 ()) p2 in
+          Alcotest.(check int) "torn record not replayed" 1 rep.Mutate.records;
+          Alcotest.(check int) "record before it applied" 1 rep.Mutate.applied;
+          Alcotest.(check int) "wal_torn counts the torn tail" 1
+            (counter Persist.Metrics.wal_torn - t0);
+          let c =
+            must_mutate "c"
+              (Store.mutate s1 ~dataset:"mut" [ Delta.Insert [| 0.9; 0.1 |] ])
+          in
+          let q = query ~algo:Protocol.Hd_rrms ~r:3 "mut" in
+          let want, _ = answer_of "original" (Store.query s1 q) in
+          let t1 = counter Persist.Metrics.wal_torn in
+          let p3 = Persist.open_dir dir in
+          let s3 = Store.create ~persist:p3 () in
+          let rep = Mutate.replay s3 p3 in
+          Alcotest.(check int) "the append cut the torn bytes" 0
+            (counter Persist.Metrics.wal_torn - t1);
+          Alcotest.(check int) "every other record scanned" 2
+            rep.Mutate.records;
+          Alcotest.(check int) "and applied" 2 rep.Mutate.applied;
+          Alcotest.(check (option string)) "final state resident"
+            (Some c.Store.new_key)
+            (Store.resolve s3 c.Store.new_key);
+          let got, _ = answer_of "replayed" (Store.query s3 q) in
+          Alcotest.(check string) "replayed state answers bit-identically"
+            want got))
+
+(* crash@4 in a daemon: load writes the dataset blob (1), the first
+   insert appends its record (2) and writes the new dataset blob (3),
+   and the second insert dies inside its append (4) with SIGKILL's exit
+   code.  A restart replays the one whole record and answers
+   byte-identically to a daemon that only ever saw the first insert. *)
+let test_wal_crash_mid_append () =
+  Test_serve.with_csv ~n:40 ~m:3 ~seed:63 (fun csv ->
+      with_state_dir (fun dir ->
+          let args = Printf.sprintf "--state-dir %s" (Filename.quote dir) in
+          let load =
+            Printf.sprintf
+              "{\"id\":1,\"req\":\"load\",\"path\":%S,\"name\":\"d\"}" csv
+          in
+          let insert1 =
+            "{\"id\":2,\"req\":\"insert\",\"dataset\":\"d\",\"values\":[0.5,0.5,0.5]}"
+          in
+          let insert2 =
+            "{\"id\":3,\"req\":\"insert\",\"dataset\":\"d\",\"values\":[0.9,0.1,0.2]}"
+          in
+          let q =
+            "{\"id\":4,\"req\":\"query\",\"dataset\":\"d\",\"algo\":\"hd-rrms\",\"r\":3}"
+          in
+          let _, ref_lines = Test_persist.run_stdio [ load; insert1; q ] in
+          let status, _ =
+            Test_persist.run_stdio ~env:"RRMS_SERVE_FAULT=crash@4" ~args
+              [ load; insert1; insert2; q ]
+          in
+          (match status with
+          | Unix.WEXITED 137 -> ()
+          | Unix.WEXITED c ->
+              Alcotest.fail (Printf.sprintf "crash@4 exited %d, wanted 137" c)
+          | _ -> Alcotest.fail "crash@4 process not an exit");
+          let err = Filename.temp_file "rrms_wal_crash" ".err" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove err)
+            (fun () ->
+              let status, lines =
+                Test_persist.run_stdio ~stderr:err ~args
+                  [ q; "{\"id\":5,\"req\":\"stats\"}" ]
+              in
+              Alcotest.(check bool) "restart exits cleanly" true
+                (status = Unix.WEXITED 0);
+              Alcotest.(check bool) "replays the whole record" true
+                (contains
+                   (Test_persist.read_file err)
+                   "replayed mutation log: 1 records, 1 applied, 0 skipped");
+              match (List.nth_opt ref_lines 2, lines) with
+              | Some want, [ got; stats ] ->
+                  Alcotest.(check string) "prefix replayed byte-identically"
+                    (Test_persist.strip_elapsed want)
+                    (Test_persist.strip_elapsed got);
+                  Alcotest.(check bool) "the crash tore the log, not a blob"
+                    true
+                    (contains stats "\"rrms_serve_persist_wal_torn_total\":1");
+                  Alcotest.(check bool) "no corrupt blob" true
+                    (contains stats "\"scan_corrupt\":0")
+              | _ -> Alcotest.fail "missing answer or stats line")))
+
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -653,6 +841,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_carried_key_matches_scratch;
     Alcotest.test_case "wal replay" `Quick test_wal_replay;
     Alcotest.test_case "wal torn tail" `Quick test_wal_torn_tail;
+    Alcotest.test_case "wal replay base is own key" `Quick
+      test_wal_replay_base_is_own_key;
+    Alcotest.test_case "wal torn append" `Quick test_wal_torn_append;
+    Alcotest.test_case "wal crash mid-append" `Quick test_wal_crash_mid_append;
     Alcotest.test_case "protocol session" `Quick test_protocol_session;
     Alcotest.test_case "router rejects mutations" `Quick
       test_router_read_only;

@@ -129,11 +129,13 @@ let test_blob_roundtrip () =
       | None -> Alcotest.fail "dataset did not roundtrip");
       (* Result, including the embedded cache-key guard. *)
       let r = Json.Obj [ ("algo", Json.Str "cube"); ("size", Json.int 3) ] in
-      Persist.save_result p ~key ~cache_key:"algo=cube;r=3" r;
+      Persist.save_result p ~key ~cache_key:"algo=cube;r=3" (Json.to_string r);
       (match Persist.load_result p ~key ~cache_key:"algo=cube;r=3" with
-      | Some got ->
+      | Some (got, text) ->
           Alcotest.(check string) "result" (Json.to_string r)
-            (Json.to_string got)
+            (Json.to_string got);
+          Alcotest.(check string) "result text as saved" (Json.to_string r)
+            text
       | None -> Alcotest.fail "result did not roundtrip");
       Alcotest.(check bool) "different cache key misses" true
         (Persist.load_result p ~key ~cache_key:"algo=cube;r=4" = None))
@@ -570,6 +572,112 @@ let test_stale_state_dir_discarded () =
                   | _ -> Alcotest.fail "no stats line"))))
 
 (* ------------------------------------------------------------------ *)
+(* On-disk format pin                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* test/golden/state_dir holds the files these fixed inputs are written
+   as — one dataset, one skyline and one result blob, and a two-record
+   log — recorded once and kept as the format's reference.  The writer
+   must produce the same bytes, and a directory holding those files
+   must open clean, rehydrate and replay.  A deliberate format change
+   bumps [Persist.version] and re-records the files. *)
+module Golden = struct
+  let rows =
+    [|
+      [| 0.1; 0.9 |]; [| 1. /. 3.; 2. /. 3. |]; [| 0.5; 0.5 |];
+      [| 0.875; 0.125 |]; [| 0.2; 0.2 |]; [| 1.; 1e-3 |];
+    |]
+
+  let dataset () =
+    Dataset.create ~name:"golden" ~attributes:[| "x"; "y" |] rows
+
+  let skyline = [| 0; 1; 2; 3; 5 |]
+  let cache_key = "algo=2d-exact;r=2;gamma=4"
+
+  let result_text =
+    "{\"algo\":\"2d-exact\",\"r\":2,\"selected\":[1,3],\"regret\":0.14285714285714285}"
+
+  let ops1 =
+    [
+      Rrms_core.Delta.Insert [| 0.6; 0.6 |];
+      Rrms_core.Delta.Upsert (0, [| 0.05; 0.95 |]);
+    ]
+
+  let ops2 = [ Rrms_core.Delta.Delete 4 ]
+
+  (* The content keys of the base table and of its two mutations. *)
+  let keys () =
+    let s = Store.create ~domains:1 () in
+    let k0 = (Store.add s (dataset ())).Store.key in
+    let step ops =
+      match Store.mutate s ~dataset:"golden" ops with
+      | Ok r -> r.Store.new_key
+      | Error _ -> Alcotest.fail "golden mutation refused"
+    in
+    let k1 = step ops1 in
+    (k0, k1, step ops2)
+
+  let write dir =
+    let k0, k1, k2 = keys () in
+    let p = Persist.open_dir dir in
+    Persist.save_dataset p ~key:k0 (dataset ());
+    Persist.save_skyline p ~key:k0 skyline;
+    Persist.save_result p ~key:k0 ~cache_key result_text;
+    Persist.Wal.append p { Persist.Wal.base_key = k0; new_key = k1; ops = ops1 };
+    Persist.Wal.append p { Persist.Wal.base_key = k1; new_key = k2; ops = ops2 }
+end
+
+let golden_dir = Built.exe "golden/state_dir"
+let sorted_files dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let test_golden_state_dir () =
+  with_counters (fun () ->
+      let golden = sorted_files golden_dir in
+      with_state_dir (fun dir ->
+          Golden.write dir;
+          Alcotest.(check (list string)) "same file names" golden
+            (sorted_files dir);
+          List.iter
+            (fun f ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s: same bytes" f)
+                (read_file (Filename.concat golden_dir f))
+                (read_file (Filename.concat dir f)))
+            golden);
+      with_state_dir (fun dir ->
+          Unix.mkdir dir 0o755;
+          List.iter
+            (fun f ->
+              write_file (Filename.concat dir f)
+                (read_file (Filename.concat golden_dir f)))
+            golden;
+          let k0, _, k2 = Golden.keys () in
+          let p = Persist.open_dir dir in
+          let scan = Persist.last_scan p in
+          Alcotest.(check int) "three valid blobs" 3 scan.Persist.valid;
+          Alcotest.(check int) "scan_corrupt" 0 scan.Persist.corrupt;
+          Alcotest.(check int) "scan_stale" 0 scan.Persist.stale;
+          (match Persist.load_dataset p ~key:k0 with
+          | Some d ->
+              Alcotest.(check string) "dataset name" "golden" (Dataset.name d);
+              Alcotest.(check bool) "dataset rows bit-exact" true
+                (Dataset.rows d = Golden.rows)
+          | None -> Alcotest.fail "dataset blob not rehydrated");
+          Alcotest.(check (option (array int))) "skyline rehydrated"
+            (Some Golden.skyline)
+            (Persist.load_skyline p ~key:k0);
+          (match Persist.load_result p ~key:k0 ~cache_key:Golden.cache_key with
+          | Some (_, text) ->
+              Alcotest.(check string) "result text" Golden.result_text text
+          | None -> Alcotest.fail "result blob not rehydrated");
+          let store = Store.create ~domains:1 ~persist:p () in
+          let rep = Serve.Mutate.replay store p in
+          Alcotest.(check int) "two records" 2 rep.Serve.Mutate.records;
+          Alcotest.(check int) "both applied" 2 rep.Serve.Mutate.applied;
+          Alcotest.(check (option string)) "final state resident" (Some k2)
+            (Store.resolve store k2)))
+
+(* ------------------------------------------------------------------ *)
 (* Deadline propagation                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -779,6 +887,7 @@ let suite =
       test_crash_mid_write_recovery;
     Alcotest.test_case "stale-format state dir discarded" `Quick
       test_stale_state_dir_discarded;
+    Alcotest.test_case "golden state dir bytes" `Quick test_golden_state_dir;
     Alcotest.test_case "deadline covers queue wait" `Quick
       test_deadline_covers_queue_wait;
     Alcotest.test_case "drain refuses new solves" `Quick
