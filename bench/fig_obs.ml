@@ -97,7 +97,7 @@ let propagation_bench fig ~repeats =
       let session = Shard.Router.handler rt () in
       let rpc line =
         match session.Server.on_line line with
-        | `Reply r -> r
+        | `Reply r | `Flush r -> r
         | `Shutdown _ -> failwith "unexpected shutdown"
       in
       let load =

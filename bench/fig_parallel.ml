@@ -22,6 +22,7 @@ type sample = {
   kernel : string;
   domains : int;
   seconds : float;
+  counts : (string * int) list; (* deterministic work counts, if any *)
 }
 
 let json_escape s =
@@ -73,8 +74,12 @@ let write_json path ~n ~m ~gamma ~r ~digest samples =
       in
       Printf.fprintf oc
         "    {\"kernel\": \"%s\", \"domains\": %d, \"seconds\": %.6f, \
-         \"speedup_vs_1\": %.3f}%s\n"
+         \"speedup_vs_1\": %.3f%s}%s\n"
         (json_escape s.kernel) s.domains s.seconds speedup
+        (String.concat ""
+           (List.map
+              (fun (k, v) -> Printf.sprintf ", \"%s\": %d" (json_escape k) v)
+              s.counts))
         (if i = List.length samples - 1 then "" else ","))
     samples;
   Printf.fprintf oc "  ]\n}\n";
@@ -90,8 +95,8 @@ let run scale =
   let points = normalized_rows d in
   let funcs = Rrms_core.Discretize.grid ~gamma ~m in
   let samples = ref [] in
-  let record kernel domains seconds =
-    samples := { kernel; domains; seconds } :: !samples;
+  let record ?(counts = []) kernel domains seconds =
+    samples := { kernel; domains; seconds; counts } :: !samples;
     row fig ~x:(string_of_int domains) ~x_name:"domains"
       ~series:kernel ~time:seconds ()
   in
@@ -183,9 +188,10 @@ let run scale =
   assert (!perprobe_best = search1);
   record "mrst-binary-search-perprobe" 1 t_perprobe;
   (* Flat-vs-boxed memory layout on the HD-GREEDY argmin sweep (the
-     hot [row_worst_against] scan): the same loop over a boxed
-     row-of-arrays copy of the matrix, summation order identical, so
-     the accumulators must agree bit-for-bit. *)
+     hot [row_improve] scan, against an infinite bound so every row is
+     read whole): the same loop over a boxed row-of-arrays copy of the
+     matrix, summation order identical, so the accumulators must agree
+     bit-for-bit. *)
   let s = Rrms_core.Regret_matrix.rows matrix1 in
   let k = Rrms_core.Regret_matrix.cols matrix1 in
   let current = Array.make k infinity in
@@ -193,13 +199,14 @@ let run scale =
   let sweep_repeats = 40 in
   let acc_flat, t_flat =
     time (fun () ->
-        let acc = ref 0. in
+        let acc = ref 0. and cell = [| 0. |] in
         for _ = 1 to sweep_repeats do
           for i = 0 to s - 1 do
-            acc :=
-              !acc
-              +. fst
-                   (Rrms_core.Regret_matrix.row_worst_against matrix1 i current)
+            cell.(0) <- infinity;
+            ignore
+              (Rrms_core.Regret_matrix.row_improve matrix1 i current ~col:0 cell
+                 ~at:0);
+            acc := !acc +. cell.(0)
           done
         done;
         !acc)
@@ -227,6 +234,40 @@ let run scale =
   in
   assert (acc_flat = acc_boxed);
   record "greedy-sweep-boxed" 1 t_boxed;
+  (* Warm probes: one pooled probe state over a shuffled r sweep, as the
+     server keeps it across queries on a resident matrix.  A first,
+     untimed search saves the state at the bisection's top levels; each
+     timed search then starts its probes from the nearest saved or
+     current state.  Recorded per query: seconds, and the cells toggled
+     against the cells crossed (the cost without saved states).  Every
+     answer must equal a fresh state's. *)
+  let sweep = [ 5; 12; 8; 20; 6; 17; 9; 15; 7; 11 ] in
+  let pooled = Rrms_core.Mrst.Incremental.create ~domains:1 matrix1 in
+  ignore (Rrms_core.Hd_rrms.search_on_matrix ~domains:1 ~inc:pooled matrix1 ~r);
+  let warm, t_warm =
+    time (fun () ->
+        List.map
+          (fun r ->
+            Rrms_core.Hd_rrms.search_on_matrix ~domains:1 ~inc:pooled matrix1
+              ~r)
+          sweep)
+  in
+  List.iter2
+    (fun r (w : Rrms_core.Hd_rrms.search) ->
+      assert (
+        w.found = (Rrms_core.Hd_rrms.search_on_matrix ~domains:1 matrix1 ~r).found))
+    sweep warm;
+  let per_query f =
+    List.fold_left (fun a w -> a + f w) 0 warm / List.length sweep
+  in
+  record "warm-probes" 1
+    (t_warm /. float_of_int (List.length sweep))
+    ~counts:
+      [
+        ("cells", s * k);
+        ("cells_toggled_per_query", per_query (fun w -> w.cells_toggled));
+        ("cells_crossed_per_query", per_query (fun w -> w.cells_crossed));
+      ];
   (* Machine-independent answer digest for the identity gate. *)
   let digest =
     let b = Buffer.create 256 in

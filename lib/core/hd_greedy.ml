@@ -42,13 +42,16 @@ let solve_prepared ?domains ?(guard = Guard.Budget.unlimited) ~skyline
   let stopped = ref None in
   let steps = min r s in
   let cells_read = ref 0 in
-  (* Argmin with strict < and left preference is insensitive to the
-     chunked reduction order, so the parallel scan picks exactly the
-     row the serial loop would.  The third component counts the cells
-     read. *)
-  let better (v1, i1, c1) (v2, i2, c2) =
-    if v2 < v1 then (v2, i2, c1 + c2) else (v1, i1, c1 + c2)
-  in
+  (* The argmin runs over fixed 128-row chunks, each with its own best
+     so far, and the chunk winners are combined left to right with
+     strict <, so the parallel scan picks exactly the row the serial
+     loop would.  Each chunk's value, row and cells read go to these
+     per-solve arrays, so a step allocates nothing per row. *)
+  let chunk = 128 in
+  let nchunks = (s + chunk - 1) / chunk in
+  let best_v = Array.make nchunks infinity
+  and best_i = Array.make nchunks (-1)
+  and read = Array.make nchunks 0 in
   (try
      for step = 1 to steps do
        (* Step 1 runs unconditionally so the result is never empty;
@@ -73,23 +76,34 @@ let solve_prepared ?domains ?(guard = Guard.Budget.unlimited) ~skyline
           each chunk's first row pays a full scan, hence chunks of 128
           rows (8 or more on a 1k-row skyline). *)
        let fw = ref 0 in
-       Array.iteri (fun f c -> if c > current.(!fw) then fw := f) current;
-       let cap = current.(!fw) in
-       let _, best_row, cells =
-         Rrms_parallel.reduce ?domains ~min_chunk:128
-           ~neutral:(infinity, -1, 0) ~combine:better s
-           (fun ((v0, i0, c0) as acc) i ->
-             if chosen.(i) then acc
-             else if Float.min cap (Regret_matrix.get matrix i !fw) >= v0
-             then (v0, i0, c0 + 1)
-             else
-               let v, read =
-                 Regret_matrix.row_worst_against ~bound:v0 matrix i current
-               in
-               if v < v0 then (v, i, c0 + 1 + read) else (v0, i0, c0 + 1 + read))
-       in
-       cells_read := !cells_read + cells;
-       let i = best_row in
+       for f = 1 to k - 1 do
+         if current.(f) > current.(!fw) then fw := f
+       done;
+       let fw = !fw in
+       Rrms_parallel.parallel_for ?domains ~min_chunk:1 nchunks (fun c ->
+           best_v.(c) <- infinity;
+           best_i.(c) <- -1;
+           let cells = ref 0 in
+           for i = c * chunk to min s ((c + 1) * chunk) - 1 do
+             if not chosen.(i) then begin
+               let before = best_v.(c) in
+               cells :=
+                 !cells
+                 + Regret_matrix.row_improve matrix i current ~col:fw best_v
+                     ~at:c;
+               if best_v.(c) < before then best_i.(c) <- i
+             end
+           done;
+           read.(c) <- !cells);
+       let best_row = ref (-1) and best = ref infinity in
+       for c = 0 to nchunks - 1 do
+         cells_read := !cells_read + read.(c);
+         if best_v.(c) < !best then begin
+           best := best_v.(c);
+           best_row := best_i.(c)
+         end
+       done;
+       let i = !best_row in
        chosen.(i) <- true;
        selected := i :: !selected;
        Regret_matrix.row_update_mins matrix i current

@@ -41,6 +41,7 @@ type search = {
   probes : int;
   probes_fresh : int;
   cells_crossed : int;
+  cells_toggled : int;
   stopped : Guard.reason option;
 }
 
@@ -56,11 +57,18 @@ type search = {
 
    The guard is consulted at probe boundaries only, so a degraded
    search is deterministic for a fixed probe count: the probe sequence
-   depends only on the matrix, never on the pool size or timing. *)
+   depends only on the matrix, never on the pool size or timing.
+
+   A caller-supplied state outlives the search, so the search saves it
+   at the first three levels of the bisection (at most 7 distinct
+   thresholds per matrix, whatever [r]).  A later search's first probes
+   then start from a saved copy, and its deeper probes toggle only the
+   cells between a saved level and their own. *)
 let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     ?max_size ?inc matrix ~r =
   let max_size = match max_size with Some s -> s | None -> r in
   let values = Regret_matrix.distinct_values matrix in
+  let pooled = Option.is_some inc in
   let inc =
     (* A caller-supplied structure (the serve layer pools them across
        queries) must belong to this matrix; probe state may be
@@ -77,13 +85,15 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     | None -> Mrst.Incremental.create ?domains matrix
   in
   let fresh = ref 0 in
-  let crossed = ref 0 in
-  let probe mid =
+  let crossed = ref 0 and toggled = ref 0 in
+  let probe ~save mid =
     incr fresh;
     let answer =
       Mrst.Incremental.solve ?solver ~limit:max_size inc ~eps:values.(mid)
     in
+    if save then Mrst.Incremental.save inc;
     crossed := !crossed + Mrst.Incremental.last_crossed inc;
+    toggled := !toggled + Mrst.Incremental.last_toggled inc;
     answer
   in
   let best = ref None in
@@ -101,7 +111,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
        incr probes;
        Obs.Counter.incr Metrics.probes;
        let mid = (!low + !high) / 2 in
-       match probe mid with
+       match probe ~save:(pooled && !probes <= 3) mid with
        | Some rows ->
            best := Some (rows, values.(mid));
            high := mid - 1
@@ -118,7 +128,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
   | None, Some _ ->
       let top = Array.length values - 1 in
       if top >= 0 then begin
-        match probe top with
+        match probe ~save:false top with
         | Some rows -> best := Some (rows, values.(top))
         | None -> ()
       end
@@ -128,6 +138,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     probes = !probes;
     probes_fresh = !fresh;
     cells_crossed = !crossed;
+    cells_toggled = !toggled;
     stopped = !stopped;
   }
 

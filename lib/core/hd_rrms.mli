@@ -117,6 +117,11 @@ type search = {
   probes : int;  (** MRST probes actually executed by the search loop *)
   probes_fresh : int;  (** as in {!cost} *)
   cells_crossed : int;  (** as in {!cost} *)
+  cells_toggled : int;
+      (** cells those solves actually toggled
+          ({!Mrst.Incremental.last_toggled}, summed): at most
+          [cells_crossed], less when a probe started from a saved
+          state *)
   stopped : Rrms_guard.Guard.reason option;
       (** [Some _] iff the budget cut the binary search short *)
 }
@@ -138,8 +143,10 @@ val search_on_matrix :
     {!Mrst.solve} probe would.
     [inc] supplies a ready {!Mrst.Incremental.t} for this matrix (e.g.
     pooled across queries); any starting probe state is fine because
-    every threshold move is bidirectional.  The search mutates it and
-    leaves it at the last probed threshold.  The
+    every threshold move is bidirectional.  The search mutates it,
+    {!Mrst.Incremental.save}s it after each of its first three probes
+    (so later searches on it start near their thresholds) and leaves it
+    at the last probed threshold.  The
     [guard] is checked before every
     probe; on stop, if no threshold was accepted yet, one fallback
     probe at the largest distinct value recovers a certified

@@ -20,6 +20,14 @@ module Metrics = struct
       ~help:"matrix cells whose threshold membership changed across all \
              incremental probes"
       "rrms_mrst_cells_crossed_total"
+
+  (* What the probes paid: a probe that starts from a saved state
+     toggles fewer cells than it crosses. *)
+  let cells_toggled =
+    Obs.Counter.make
+      ~help:"matrix cells toggled by incremental probes (from the nearest \
+             saved or current state)"
+      "rrms_mrst_cells_toggled_total"
 end
 
 type solver = Exact | Greedy
@@ -30,19 +38,27 @@ type solver = Exact | Greedy
    so the greedy cover over all rows names the same rows as the greedy
    cover over first representatives.  The exact solver's branching
    does multiply with copies, so it still collapses duplicate
-   non-empty bitsets in row order first.  [sizes], when given, are the
-   bitsets' popcounts. *)
-let cover_of_bitsets ?(solver = Greedy) ?limit ?sizes ~universe bitsets =
+   non-empty bitsets in row order first, keyed on every word of each
+   set.  [bounds], when given, holds the bitsets' popcounts and is the
+   greedy's work space (see {!Setcover.greedy}). *)
+module Bitset_tbl = Hashtbl.Make (struct
+  type t = Bitset.t
+
+  let equal = Bitset.equal
+  let hash = Bitset.hash
+end)
+
+let cover_of_bitsets ?(solver = Greedy) ?limit ?bounds ~universe bitsets =
   match solver with
   | Greedy ->
-      Setcover.greedy ?limit ?sizes (Setcover.make_instance ~universe bitsets)
+      Setcover.greedy ?limit ?bounds (Setcover.make_instance ~universe bitsets)
   | Exact ->
-      let seen : (Bitset.t, unit) Hashtbl.t = Hashtbl.create 64 in
+      let seen = Bitset_tbl.create 64 in
       let distinct = ref [] in
       Array.iteri
         (fun i b ->
-          if (not (Bitset.is_empty b)) && not (Hashtbl.mem seen b) then begin
-            Hashtbl.add seen b ();
+          if (not (Bitset.is_empty b)) && not (Bitset_tbl.mem seen b) then begin
+            Bitset_tbl.add seen b ();
             distinct := (i, b) :: !distinct
           end)
         bitsets;
@@ -75,15 +91,25 @@ let solve ?solver ?domains matrix ~eps =
 module Incremental = struct
   (* Probe state over the matrix's cell order.  A threshold admits a
      prefix of the order's runs, so the state is that prefix length plus
-     the row bitsets and popcounts it implies. *)
+     the row bitsets and popcounts it implies.  A saved state is a flat
+     copy of both at one level; a probe starts from whichever of the
+     current and the saved levels is fewest cells away. *)
+  type saved = { at : int; words : int array; counts : int array }
+
   type t = {
     universe : int;
     order : Regret_matrix.cell_order;
     bits : Bitset.t array; (* current thresholded bitset per row *)
     sizes : int array; (* per row: set bits of [bits] *)
+    bounds : int array; (* the greedy cover's work space *)
+    mutable saved : saved list; (* at distinct levels, at most [max_saved] *)
     mutable level : int; (* runs [0, level) are admitted *)
     mutable crossed : int; (* cells whose membership the last probe changed *)
+    mutable toggled : int; (* cells the last probe toggled *)
   }
+
+  (* The first three levels of Algorithm 4's bisection: 1 + 2 + 4. *)
+  let max_saved = 7
 
   let create ?domains:_ matrix =
     let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
@@ -92,13 +118,18 @@ module Incremental = struct
       order = Regret_matrix.cell_order matrix;
       bits = Array.init n (fun _ -> Bitset.create k);
       sizes = Array.make n 0;
+      bounds = Array.make n 0;
+      saved = [];
       level = 0;
       crossed = 0;
+      toggled = 0;
     }
 
   let rows t = Array.length t.bits
   let cols t = t.universe
   let last_crossed t = t.crossed
+  let last_toggled t = t.toggled
+  let row t i = Bitset.copy t.bits.(i)
 
   let rebase ?domains old matrix ~carried =
     let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
@@ -113,6 +144,27 @@ module Incremental = struct
       carried;
     create ?domains matrix
 
+  (* Every row bitset has the same word count, so row [i]'s words sit
+     at [i * w] of a saved copy. *)
+  let row_words t = Bitset.words t.bits.(0)
+
+  let save t =
+    if
+      List.length t.saved < max_saved
+      && not (List.exists (fun s -> s.at = t.level) t.saved)
+    then begin
+      let w = row_words t in
+      let words = Array.make (rows t * w) 0 in
+      Array.iteri (fun i b -> Bitset.blit_to b words (i * w)) t.bits;
+      t.saved <- { at = t.level; words; counts = Array.copy t.sizes } :: t.saved
+    end
+
+  let restore t s =
+    let w = row_words t in
+    Array.iteri (fun i b -> Bitset.blit_from b s.words (i * w)) t.bits;
+    Array.blit s.counts 0 t.sizes 0 (rows t);
+    t.level <- s.at
+
   (* Runs admitted at [eps]: how many run values are <= eps (they
      ascend, so a binary search finds the boundary). *)
   let level_of values eps =
@@ -124,14 +176,27 @@ module Incremental = struct
     !lo
 
   (* Move to [eps]'s level by toggling the cells of the runs between the
-     old and the new level — exactly the cells whose membership changed,
-     so a probe costs O(#cells crossing the threshold) instead of a full
-     O(s·|F|) rescan. *)
+     starting and the new level — exactly the cells whose membership
+     differs, so a probe costs O(#cells toggled) instead of a full
+     O(s·|F|) rescan.  The start is the nearest of the current and the
+     saved levels; the crossed count is from the current level either
+     way, so it stays the distance between consecutive thresholds. *)
   let advance t ~eps =
     let o = t.order and k = t.universe in
     let l0 = t.level and l1 = level_of o.values eps in
-    let lo = o.starts.(min l0 l1) and hi = o.starts.(max l0 l1) in
-    let delta = if l1 > l0 then 1 else -1 in
+    let dist l = abs (o.starts.(l) - o.starts.(l1)) in
+    let crossed = dist l0 in
+    let nearest, _ =
+      List.fold_left
+        (fun ((_, d) as best) s ->
+          let ds = dist s.at in
+          if ds < d then (Some s, ds) else best)
+        (None, crossed) t.saved
+    in
+    Option.iter (restore t) nearest;
+    let from = t.level in
+    let lo = o.starts.(min from l1) and hi = o.starts.(max from l1) in
+    let delta = if l1 > from then 1 else -1 in
     for q = lo to hi - 1 do
       let c = Array.unsafe_get o.cells q in
       let i = c / k in
@@ -139,11 +204,15 @@ module Incremental = struct
       Array.unsafe_set t.sizes i (Array.unsafe_get t.sizes i + delta)
     done;
     t.level <- l1;
-    t.crossed <- hi - lo;
-    Obs.Counter.add Metrics.cells_crossed (hi - lo)
+    t.crossed <- crossed;
+    t.toggled <- hi - lo;
+    Obs.Counter.add Metrics.cells_crossed crossed;
+    Obs.Counter.add Metrics.cells_toggled (hi - lo)
 
   let solve ?solver ?limit t ~eps =
     Obs.Counter.incr Metrics.incremental_solves;
     advance t ~eps;
-    cover_of_bitsets ?solver ?limit ~sizes:t.sizes ~universe:t.universe t.bits
+    Array.blit t.sizes 0 t.bounds 0 (rows t);
+    cover_of_bitsets ?solver ?limit ~bounds:t.bounds ~universe:t.universe
+      t.bits
 end

@@ -31,6 +31,12 @@ val solve :
     old and the new threshold.  A full search costs the one cached sort
     plus O(changed cells) per probe, instead of O(s·|F|) per probe.
 
+    A state can also {!Incremental.save} copies of itself at up to
+    seven levels (Algorithm 4 saves the first three levels of its
+    bisection in a pooled state); a probe then starts from whichever of
+    the current and the saved levels is fewest cells away, so a warm
+    search toggles only the cells below those levels.
+
     For every ε, [Incremental.solve t ~eps] returns exactly what
     [solve matrix ~eps] returns — the probe sequence may move the
     threshold in either direction. *)
@@ -66,8 +72,22 @@ module Incremental : sig
       the question Algorithm 4's search asks — and the cover stops as
       soon as it knows. *)
 
+  val save : t -> unit
+  (** Keep a flat copy of the current state (the row bitsets' words and
+      popcounts) as a starting point for later probes.  A no-op when
+      the current level is already saved or seven levels are. *)
+
   val last_crossed : t -> int
   (** Cells whose threshold membership the last {!solve} on [t]
       changed: the sum over rows of the change in how many of the row's
-      cells are [<= eps] ([0] before the first). *)
+      cells are [<= eps] ([0] before the first).  It counts from the
+      previous probe's threshold whatever state the probe started
+      from. *)
+
+  val last_toggled : t -> int
+  (** Cells the last {!solve} on [t] actually toggled: at most
+      {!last_crossed}, less when a saved state was nearer. *)
+
+  val row : t -> int -> Rrms_setcover.Bitset.t
+  (** A copy of row [i]'s current thresholded bitset. *)
 end

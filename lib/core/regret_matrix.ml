@@ -86,22 +86,35 @@ let row_update_mins t i mins =
     if v < Array.unsafe_get mins f then Array.unsafe_set mins f v
   done
 
-let row_worst_against ?(bound = infinity) t i current =
+(* The bound comes from, and a better value goes to, a float array
+   cell, and only the count is returned, so a call boxes nothing: the
+   HD-GREEDY argmin makes one per candidate row per step.  The scan
+   runs over contiguous floats of the flat buffer. *)
+let row_improve t i current ~col cell ~at =
   check_row t i;
   let k = cols t in
   if Array.length current < k then
-    invalid_arg "Regret_matrix.row_worst_against: current too short";
+    invalid_arg "Regret_matrix.row_improve: current too short";
+  if col < 0 || col >= k then invalid_arg "index out of bounds";
   let off = i * k in
-  let worst = ref neg_infinity and f = ref 0 in
-  while !f < k && !worst < bound do
-    let v =
-      Float.min (Array.unsafe_get current !f)
-        (Array.unsafe_get t.data (off + !f))
-    in
-    if v > !worst then worst := v;
-    incr f
-  done;
-  (!worst, !f)
+  let bound = cell.(at) in
+  if
+    Float.min (Array.unsafe_get current col) (Array.unsafe_get t.data (off + col))
+    >= bound
+  then 1
+  else begin
+    let worst = ref neg_infinity and f = ref 0 in
+    while !f < k && !worst < bound do
+      let v =
+        Float.min (Array.unsafe_get current !f)
+          (Array.unsafe_get t.data (off + !f))
+      in
+      if v > !worst then worst := v;
+      incr f
+    done;
+    if !worst < bound then cell.(at) <- !worst;
+    1 + !f
+  end
 
 let build ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) ~funcs points =
   let n = Array.length points and k = Array.length funcs in

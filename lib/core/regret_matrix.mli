@@ -94,16 +94,22 @@ val row_update_mins : t -> int -> float array -> unit
     minima: [mins.(f) <- min mins.(f) M[i,f]] for every column, using
     the same [<] comparison as {!regret_of_rows}. *)
 
-val row_worst_against :
-  ?bound:float -> t -> int -> float array -> float * int
-(** [row_worst_against t i current] is
-    [(max_f (Float.min current.(f) M[i,f]), cols t)]: the maximum regret
-    of a set whose per-column minima are [current] after adding row [i],
-    and the cells read.  The inner HD-GREEDY sweep, one contiguous row
-    scan per candidate.  With [bound], the scan stops at the first
-    column where the running maximum reaches [bound]; the value is then
-    the running maximum there (at least [bound], at most the full
-    maximum) and the count the columns read so far. *)
+val row_improve :
+  t -> int -> float array -> col:int -> float array -> at:int -> int
+(** One HD-GREEDY candidate, one contiguous row scan: does adding row
+    [i] to a set whose per-column minima are [current] beat the bound
+    [cell.(at)]?  The row's value is
+    [max_f (Float.min current.(f) M[i,f])], the maximum regret of the
+    set with row [i] added.  It is at least the capped cell
+    [Float.min current.(col) M[i,col]], so when that reaches the bound
+    the row is dismissed after one read.  Otherwise the row is scanned
+    from column 0 until its running maximum reaches the bound; a value
+    below the bound is stored in [cell.(at)].  Returns the cells read
+    (the bound cell, plus the columns scanned).  Bound and value travel
+    through [cell], so a call allocates nothing, not even a boxed
+    float.
+    @raise Invalid_argument if [i] or [col] is out of range or
+    [current] is shorter than [cols t]. *)
 
 type cell_order = {
   cells : int array;

@@ -17,8 +17,7 @@
      fixed time grain, bounded for balance), claimed from an atomic
      cursor so no per-chunk closures are allocated.
    None of this affects results: [parallel_for] bodies write disjoint
-   indices, so the chunk layout is free to adapt, and [reduce] derives
-   its layout from the iteration count alone. *)
+   indices, so the chunk layout is free to adapt. *)
 
 module Obs = Rrms_obs.Obs
 
@@ -406,23 +405,3 @@ let parallel_for_with ?domains ?(min_chunk = 64) ~scratch n body =
 let parallel_for ?domains ?min_chunk n f =
   parallel_for_with ?domains ?min_chunk ~scratch:(fun () -> ()) n
     (fun () i -> f i)
-
-let reduce ?domains ?(min_chunk = 64) ~neutral ~combine n step =
-  if min_chunk < 1 then invalid_arg "reduce: min_chunk must be >= 1";
-  if n <= 0 then neutral
-  else begin
-    (* The chunk layout depends only on [n] and [min_chunk] — never on
-       the pool size — so every chunk's fold, and the association of
-       [combine] over the partials, is fixed: the result is
-       bit-identical for every domain count. *)
-    let nchunks = (n + min_chunk - 1) / min_chunk in
-    let partials = Array.make nchunks neutral in
-    parallel_for ?domains ~min_chunk:1 nchunks (fun c ->
-        let lo = c * min_chunk and hi = min n ((c + 1) * min_chunk) in
-        let acc = ref neutral in
-        for i = lo to hi - 1 do
-          acc := step !acc i
-        done;
-        partials.(c) <- !acc);
-    Array.fold_left combine neutral partials
-  end

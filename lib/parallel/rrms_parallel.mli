@@ -9,11 +9,10 @@
 
     Determinism contract: every combinator here produces results that
     are {e bit-identical} for every pool size, including the serial
-    fallback.  [parallel_for] bodies only ever write disjoint indices,
-    and [reduce] derives its chunk layout from the iteration count alone
-    (never from the pool size), combining partial results in ascending
-    chunk order — so even non-associative floating-point
-    combines see the same association for 1 domain and for 8.
+    fallback: [parallel_for] bodies only ever write disjoint indices.
+    A caller that needs a fixed chunk layout (HD-GREEDY's chunk-local
+    argmin) derives it from the iteration count itself and runs one
+    [parallel_for] index per chunk.
 
     Bodies passed to these combinators must be thread-safe: they run
     concurrently on several domains and must not mutate shared state
@@ -117,21 +116,3 @@ val parallel_for_with :
     domain-local and still write only index-[i]-owned shared state;
     results must not depend on how iterations share a scratch value
     (write-before-read per iteration keeps the determinism contract). *)
-
-val reduce :
-  ?domains:int ->
-  ?min_chunk:int ->
-  neutral:'b ->
-  combine:('b -> 'b -> 'b) ->
-  int ->
-  ('b -> int -> 'b) ->
-  'b
-(** [reduce ~neutral ~combine n step] splits [0 .. n-1] into fixed-size
-    chunks of [min_chunk] indices, folds each chunk left-to-right as
-    [step (... (step neutral lo) ...) (hi-1)], and folds the per-chunk
-    partials left-to-right in chunk order with [combine].  A chunk's
-    accumulator is local to it, so [step] may use it to skip work (a
-    best-so-far bound, say).  The chunk layout depends only on [n] and
-    [min_chunk], so the result is identical for every pool size.
-    [step] may also write state owned by index [i], as a
-    {!parallel_for} body does. *)

@@ -228,11 +228,11 @@ let dispatch ~telemetry ~router ~session_id ~reqno store session line =
   Obs.Counter.incr Metrics.requests;
   let elapsed_ms () = (Unix.gettimeofday () -. t0) *. 1000. in
   let id = ref Json.Null in
-  let ok ?(cached = false) ?cost result =
-    `Reply
-      (Protocol.ok_response ?cost ~id:!id ~cached ~elapsed_ms:(elapsed_ms ())
-         result)
+  let ok_text ?(cached = false) ?cost result =
+    Protocol.ok_response ?cost ~id:!id ~cached ~elapsed_ms:(elapsed_ms ())
+      result
   in
+  let ok ?cached ?cost result = `Reply (ok_text ?cached ?cost result) in
   let error (code, message) =
     Obs.Counter.incr Metrics.errors;
     `Reply (Protocol.error_response ~id:!id ~code ~message)
@@ -381,7 +381,11 @@ let dispatch ~telemetry ~router ~session_id ~reqno store session line =
                 (Store.mutate ?timeout store ~dataset
                    (Mutate.ops_of_protocol ops)))
         with
-        | Ok o -> ok (Json.Raw o.Store.result_text)
+        | Ok o ->
+            (* The store has applied the write (and journaled it under
+               --state-dir): its acknowledgement must reach the client
+               even if the process dies on a later line of the burst. *)
+            `Flush (ok_text (Json.Raw o.Store.result_text))
         | Error e -> error e)
     | Ok (Protocol.Skyline { dataset; timeout }) -> (
         (* The per-shard half of the router fan-out: compute (or fetch)
@@ -519,8 +523,12 @@ let dispatch ~telemetry ~router ~session_id ~reqno store session line =
   reply
 
 let handle_line ?(telemetry = Telemetry.default) store line =
-  dispatch ~telemetry ~router:None ~session_id:(new_session_id ())
-    ~reqno:(ref 0) store (ref []) line
+  match
+    dispatch ~telemetry ~router:None ~session_id:(new_session_id ())
+      ~reqno:(ref 0) store (ref []) line
+  with
+  | `Flush r -> `Reply r
+  | (`Reply _ | `Shutdown _) as reply -> reply
 
 (* A transport-agnostic session: the line pump and the socket daemon
    below work for any per-connection handler, so the shard router (a
@@ -528,7 +536,7 @@ let handle_line ?(telemetry = Telemetry.default) store line =
    [handler] is invoked once per connection and returns that session's
    line/close callbacks. *)
 type session_handler = {
-  on_line : string -> [ `Reply of string | `Shutdown of string ];
+  on_line : string -> [ `Reply of string | `Flush of string | `Shutdown of string ];
   on_close : unit -> unit;
 }
 
@@ -555,7 +563,8 @@ let store_handler ?(telemetry = Telemetry.default) ?router store () =
    next line only after the reply, gets each reply as soon as it is
    answered.
    The price is head-of-line: within one burst, an early reply waits
-   for the later lines of that burst. *)
+   for the later lines of that burst.  A [`Flush] reply (an applied
+   mutation's) is flushed at once, with every reply before it. *)
 let run_handler_session (h : handler) ic oc =
   let s = h () in
   let finish outcome =
@@ -614,6 +623,7 @@ let run_handler_session (h : handler) ic oc =
     else
       match s.on_line line with
       | `Reply r -> if write r then loop () else finish `Eof
+      | `Flush r -> if write r && flush_out () then loop () else finish `Eof
       | `Shutdown r ->
           ignore (write r && flush_out ());
           finish `Shutdown

@@ -61,12 +61,15 @@ type router = {
     envelope gets a trace id minted for it ([t-<request id>]). *)
 
 type session_handler = {
-  on_line : string -> [ `Reply of string | `Shutdown of string ];
+  on_line : string -> [ `Reply of string | `Flush of string | `Shutdown of string ];
   on_close : unit -> unit;
 }
 (** One connection's callbacks: [on_line] answers a request line,
     [on_close] runs teardown (reference release) when the session
-    ends. *)
+    ends.  [`Flush line] is a reply that must reach the client before
+    the next request line is answered: the acknowledgement of a
+    mutation the store has already applied (and, under a state
+    directory, journaled). *)
 
 type handler = unit -> session_handler
 (** A per-connection session factory — what the transports below pump.
@@ -88,8 +91,9 @@ val run_handler_session :
     line without a newline is answered at EOF).  Responses are flushed
     when no complete request line is left buffered, so a pipelined burst
     is answered with one write and a lock-step client still gets each
-    reply before it sends its next line; a [shutdown] reply is flushed
-    with every reply before it.  [on_close] runs on the way out. *)
+    reply before it sends its next line; a [`Flush] reply (a mutation's)
+    and a [shutdown] reply are flushed with every reply before them at
+    once.  [on_close] runs on the way out. *)
 
 val run_session :
   ?telemetry:Telemetry.t ->

@@ -54,16 +54,22 @@ let count t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 let check_widths a b name =
   if a.width <> b.width then invalid_arg (name ^ ": width mismatch")
 
+(* The greedy cover calls these once per candidate set per round, so
+   they are plain loops: no closure, no boxed accumulator. *)
 let union_into s ~into =
   check_widths s into "Bitset.union_into";
-  Array.iteri (fun i w -> into.words.(i) <- into.words.(i) lor w) s.words
+  let a = s.words and b = into.words in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set b i (Array.unsafe_get b i lor Array.unsafe_get a i)
+  done
 
 let diff_count s ~minus =
   check_widths s minus "Bitset.diff_count";
+  let a = s.words and b = minus.words in
   let acc = ref 0 in
-  Array.iteri
-    (fun i w -> acc := !acc + popcount (w land lnot minus.words.(i)))
-    s.words;
+  for i = 0 to Array.length a - 1 do
+    acc := !acc + popcount (Array.unsafe_get a i land lnot (Array.unsafe_get b i))
+  done;
   !acc
 
 let subset s ~of_ =
@@ -73,6 +79,20 @@ let subset s ~of_ =
   !ok
 
 let equal a b = a.width = b.width && a.words = b.words
+
+(* Every word takes part, unlike the polymorphic [Hashtbl.hash], which
+   stops after a few words and so hashes wide sets that differ only
+   late alike. *)
+let hash t =
+  let h = ref t.width in
+  Array.iter (fun w -> h := (!h * 65599) + w) t.words;
+  !h land max_int
+
+let words t = Array.length t.words
+
+let blit_to t buf pos = Array.blit t.words 0 buf pos (Array.length t.words)
+
+let blit_from t buf pos = Array.blit buf pos t.words 0 (Array.length t.words)
 
 let iter f t =
   Array.iteri

@@ -43,6 +43,20 @@ val subset : t -> of_:t -> bool
 
 val equal : t -> t -> bool
 
+val hash : t -> int
+(** A non-negative hash of every word, consistent with {!equal}. *)
+
+val words : t -> int
+(** Packed words of [t]'s representation: what {!blit_to} writes. *)
+
+val blit_to : t -> int array -> int -> unit
+(** [blit_to t buf pos] copies [t]'s {!words} words into
+    [buf.(pos ..)], without allocating. *)
+
+val blit_from : t -> int array -> int -> unit
+(** [blit_from t buf pos] overwrites [t] with the words [buf.(pos ..)]
+    that a {!blit_to} of an equal-width set wrote. *)
+
 val iter : (int -> unit) -> t -> unit
 (** Iterate set bit positions in increasing order. *)
 

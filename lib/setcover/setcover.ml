@@ -33,7 +33,7 @@ let union_all t =
 
 let coverable t = Bitset.count (union_all t) = t.universe
 
-let greedy ?(limit = max_int) ?sizes t =
+let greedy ?(limit = max_int) ?bounds t =
   Obs.Counter.incr Metrics.greedy_calls;
   let covered = Bitset.create t.universe in
   let chosen = ref [] and nchosen = ref 0 in
@@ -43,10 +43,12 @@ let greedy ?(limit = max_int) ?sizes t =
      gain (initially |s|) bounds every later one: a set whose bound
      cannot beat the current best is skipped without touching its
      words.  Skipped sets could at most tie, and a tie keeps the
-     earlier index, so the choice is exactly the full scan's. *)
+     earlier index, so the choice is exactly the full scan's.  A
+     caller's [bounds] is that array, so a repeated cover allocates
+     none. *)
   let bound =
-    match sizes with
-    | Some a -> Array.copy a
+    match bounds with
+    | Some a -> a
     | None -> Array.map Bitset.count t.sets
   in
   while !remaining > 0 && !progress && !nchosen < limit do

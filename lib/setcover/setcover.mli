@@ -18,7 +18,7 @@ val make_instance : universe:int -> Bitset.t array -> instance
 val coverable : instance -> bool
 (** True iff the union of all sets is the whole universe. *)
 
-val greedy : ?limit:int -> ?sizes:int array -> instance -> int array option
+val greedy : ?limit:int -> ?bounds:int array -> instance -> int array option
 (** Chvátal's greedy algorithm: repeatedly take the set covering the
     most uncovered items (ties to the smallest index).  Returns the
     chosen set indices in selection order, or [None] if the instance is
@@ -26,9 +26,11 @@ val greedy : ?limit:int -> ?sizes:int array -> instance -> int array option
     tie and the others then gain nothing.  With [limit], the greedy
     stops once it holds [limit] sets without covering everything and
     returns [None] — so the answer is the unlimited cover when that has
-    at most [limit] sets, and [None] otherwise.  [sizes.(i)], when
-    given, must be [Bitset.count sets.(i)]: a caller that already knows
-    the sizes saves the popcounts.  O(|sets|² · words) in the worst
+    at most [limit] sets, and [None] otherwise.  [bounds.(i)], when
+    given, must be [Bitset.count sets.(i)]; the greedy uses the array as
+    its work space and leaves stale gains in it, so a caller that
+    already knows the sizes passes a scratch copy of them and saves
+    both the popcounts and the allocation.  O(|sets|² · words) in the worst
     case; stale gains bound the fresh ones, so most sets are skipped
     unread. *)
 

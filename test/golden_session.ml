@@ -98,7 +98,7 @@ let run_session store lines =
         if String.trim l = "" then None
         else
           match h.Serve.Server.on_line l with
-          | `Reply r | `Shutdown r -> Some (mask r))
+          | `Reply r | `Flush r | `Shutdown r -> Some (mask r))
       lines
   in
   h.Serve.Server.on_close ();

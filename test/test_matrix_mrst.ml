@@ -182,6 +182,80 @@ let test_build_invalid () =
   expect_invalid_input "no funcs" (fun () ->
       Regret_matrix.build ~funcs:[||] points)
 
+(* Wide thresholded rows that agree on their first 640 columns (all
+   ten leading 63-bit words) and differ only in the last 60.  Every row
+   scores 1 on the first coordinate, so the 640 copies of (1, 0, 0) are
+   zero-regret for all of them; the last 60 columns sweep (0, cos θ,
+   sin θ) over points on the anti-diagonal a + b = 1, each appearing
+   twice so the exact solver's dedup has true duplicates to collapse. *)
+let wide_matrix () =
+  let early = 640 and late = 60 in
+  let funcs =
+    Array.init (early + late) (fun j ->
+        if j < early then [| 1.; 0.; 0. |]
+        else
+          let t = Float.pi /. 2. *. float_of_int (j - early) /. float_of_int (late - 1) in
+          [| 0.; cos t; sin t |])
+  in
+  let pts =
+    Array.init 24 (fun i ->
+        let a = float_of_int (i mod 12) /. 11. in
+        [| 1.; a; 1. -. a |])
+  in
+  Regret_matrix.build ~funcs pts
+
+(* Algorithm 5 as written, deduplicating on the list of set elements:
+   collapse equal non-empty rows keeping the first, exact cover over
+   the distinct sets. *)
+let exact_reference m ~eps =
+  let open Rrms_setcover in
+  let k = Regret_matrix.cols m in
+  let seen = Hashtbl.create 16 and reps = ref [] in
+  for i = 0 to Regret_matrix.rows m - 1 do
+    let b = Bitset.create k in
+    for f = 0 to k - 1 do
+      if Regret_matrix.get m i f <= eps then Bitset.set b f
+    done;
+    let key = Bitset.elements b in
+    if key <> [] && not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      reps := (i, b) :: !reps
+    end
+  done;
+  let reps = Array.of_list (List.rev !reps) in
+  Setcover.exact (Setcover.make_instance ~universe:k (Array.map snd reps))
+  |> Option.map (Array.map (fun j -> fst reps.(j)))
+
+let test_exact_wide_rows () =
+  let open Rrms_setcover in
+  (* The dedup key reads every word: sets that differ in one bit past
+     word ten hash apart. *)
+  let hashes =
+    List.init 60 (fun j -> Bitset.hash (Bitset.of_list 700 [ 0; 640 + j ]))
+  in
+  Alcotest.(check int) "late bits separate hashes" 60
+    (List.length (List.sort_uniq compare hashes));
+  let m = wide_matrix () in
+  let inc = Mrst.Incremental.create m in
+  let values = Regret_matrix.distinct_values m in
+  let checked = ref 0 in
+  Array.iteri
+    (fun j eps ->
+      if j mod 7 = 0 then begin
+        incr checked;
+        let want = exact_reference m ~eps in
+        Alcotest.(check (option (array int)))
+          (Printf.sprintf "exact cover at eps=%g" eps)
+          want
+          (Mrst.solve ~solver:Mrst.Exact m ~eps);
+        Alcotest.(check (option (array int)))
+          (Printf.sprintf "incremental exact cover at eps=%g" eps)
+          want
+          (Mrst.Incremental.solve ~solver:Mrst.Exact inc ~eps)
+      end)
+    values;
+  Alcotest.(check bool) "several thresholds" true (!checked >= 5)
+
 let suite =
   [
     Alcotest.test_case "build basics" `Quick test_build_basics;
@@ -195,4 +269,6 @@ let suite =
     Alcotest.test_case "incremental = from-scratch after threshold changes"
       `Quick test_incremental_matches_scratch_after_threshold_changes;
     Alcotest.test_case "build invalid" `Quick test_build_invalid;
+    Alcotest.test_case "exact dedup on wide rows differing late" `Quick
+      test_exact_wide_rows;
   ]

@@ -685,7 +685,7 @@ let test_wal_crash_mid_append () =
             "{\"id\":4,\"req\":\"query\",\"dataset\":\"d\",\"algo\":\"hd-rrms\",\"r\":3}"
           in
           let _, ref_lines = Test_persist.run_stdio [ load; insert1; q ] in
-          let status, _ =
+          let status, crash_lines =
             Test_persist.run_stdio ~env:"RRMS_SERVE_FAULT=crash@4" ~args
               [ load; insert1; insert2; q ]
           in
@@ -694,6 +694,21 @@ let test_wal_crash_mid_append () =
           | Unix.WEXITED c ->
               Alcotest.fail (Printf.sprintf "crash@4 exited %d, wanted 137" c)
           | _ -> Alcotest.fail "crash@4 process not an exit");
+          (* The four lines arrive as one burst; the first insert was
+             journaled before the crash, so its reply (and the load's
+             before it) must already have been sent. *)
+          (match (crash_lines, ref_lines) with
+          | [ loaded; inserted ], _ :: want_insert :: _ ->
+              Alcotest.(check bool) "load reply sent before the crash" true
+                (contains loaded "\"id\":1" && contains loaded "\"ok\":true");
+              Alcotest.(check string) "journaled insert acknowledged"
+                (Test_persist.strip_elapsed want_insert)
+                (Test_persist.strip_elapsed inserted)
+          | lines, _ ->
+              Alcotest.failf
+                "crash@4 sent %d reply lines, wanted the load and \
+                 first-insert replies"
+                (List.length lines));
           let err = Filename.temp_file "rrms_wal_crash" ".err" in
           Fun.protect
             ~finally:(fun () -> Sys.remove err)
@@ -803,6 +818,7 @@ let test_router_read_only () =
           Alcotest.(check bool) "read_only code" true
             (contains r "\"code\":\"read_only\"");
           session.Server.on_close ()
+      | `Flush _ -> Alcotest.fail "a refused mutation journals nothing to flush"
       | `Shutdown _ -> Alcotest.fail "mutation must not shut the session down")
 
 (* --router with --state-dir is a usage error, rejected before any

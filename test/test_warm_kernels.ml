@@ -131,6 +131,156 @@ let prop_incremental_limit =
           Mrst.Incremental.solve ~limit:r inc ~eps = expected)
         (thresholds matrix salt))
 
+(* ---- pooled probe state ---------------------------------------------- *)
+
+(* Cells <= eps, by brute force over the matrix. *)
+let count_le matrix eps =
+  let c = ref 0 in
+  for i = 0 to Regret_matrix.rows matrix - 1 do
+    for f = 0 to Regret_matrix.cols matrix - 1 do
+      if Regret_matrix.get matrix i f <= eps then incr c
+    done
+  done;
+  !c
+
+(* Every row bitset of [inc] is the brute-force threshold at [eps]. *)
+let rows_match inc matrix ~eps =
+  let k = Regret_matrix.cols matrix in
+  let ok = ref true in
+  for i = 0 to Regret_matrix.rows matrix - 1 do
+    let b = Bitset.create k in
+    for f = 0 to k - 1 do
+      if Regret_matrix.get matrix i f <= eps then Bitset.set b f
+    done;
+    if not (Bitset.equal b (Mrst.Incremental.row inc i)) then ok := false
+  done;
+  !ok
+
+(* One state, random thresholds in both directions, random saves: after
+   every probe each row is the brute-force threshold, the answer is the
+   from-scratch one, the crossed count is the distance from the previous
+   threshold and the toggled count never exceeds it. *)
+let prop_saved_states =
+  QCheck.Test.make ~count:150
+    ~name:"Incremental with saved states: rows, answers and counts exact"
+    QCheck.(pair coarse (make Gen.(list_size (int_range 1 30) (pair (int_bound 1_000_000) bool))))
+    (fun ((pts, r, _), steps) ->
+      let matrix = matrix_of pts in
+      let values = Regret_matrix.distinct_values matrix in
+      let inc = Mrst.Incremental.create matrix in
+      let prev = ref 0 in
+      List.for_all
+        (fun (pick, save) ->
+          let eps = values.(pick mod Array.length values) in
+          let got = Mrst.Incremental.solve ~limit:r inc ~eps in
+          if save then Mrst.Incremental.save inc;
+          let now = count_le matrix eps in
+          let crossed = abs (now - !prev) in
+          prev := now;
+          let expected =
+            match Mrst.solve matrix ~eps with
+            | Some c when Array.length c <= r -> Some c
+            | _ -> None
+          in
+          got = expected
+          && rows_match inc matrix ~eps
+          && Mrst.Incremental.last_crossed inc = crossed
+          && Mrst.Incremental.last_toggled inc <= crossed)
+        steps)
+
+type mode = Strict | Max_size of int | Inflated
+
+let mode_gen r =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Strict);
+        (2, map (fun e -> Max_size (r + e)) (int_bound (2 * r)));
+        (1, return Inflated);
+      ])
+
+let print_mode = function
+  | Strict -> "strict"
+  | Max_size s -> Printf.sprintf "max_size=%d" s
+  | Inflated -> "inflated"
+
+(* Algorithm 4 by hand on from-scratch probes: the bisection over the
+   distinct values, each probe a fresh [Mrst.solve] capped at
+   [max_size], and the crossed cells counted from the threshold the
+   previous probe (of this or an earlier query) left. *)
+let reference_search matrix ~max_size ~prev =
+  let values = Regret_matrix.distinct_values matrix in
+  let low = ref 0 and high = ref (Array.length values - 1) in
+  let best = ref None and probes = ref 0 and crossed = ref 0 in
+  while !low <= !high do
+    incr probes;
+    let mid = (!low + !high) / 2 in
+    let eps = values.(mid) in
+    let now = count_le matrix eps in
+    crossed := !crossed + abs (now - !prev);
+    prev := now;
+    match Mrst.solve matrix ~eps with
+    | Some rows when Array.length rows <= max_size ->
+        best := Some (rows, eps);
+        high := mid - 1
+    | _ -> low := mid + 1
+  done;
+  (!best, !probes, !crossed)
+
+let inflated_size matrix r =
+  let h = log (float_of_int (Regret_matrix.cols matrix)) +. 1. in
+  max r (int_of_float (ceil (float_of_int r *. h)))
+
+(* A search on the pooled state, as (found, probes, cells_crossed). *)
+let pooled_search ?inc matrix ~r = function
+  | Strict ->
+      let s = Hd_rrms.search_on_matrix ?inc matrix ~r in
+      (s.Hd_rrms.found, s.Hd_rrms.probes, s.Hd_rrms.cells_crossed)
+  | Max_size max_size ->
+      let s = Hd_rrms.search_on_matrix ~max_size ?inc matrix ~r in
+      (s.Hd_rrms.found, s.Hd_rrms.probes, s.Hd_rrms.cells_crossed)
+  | Inflated ->
+      let skyline = Array.init (Regret_matrix.rows matrix) Fun.id in
+      let res =
+        Hd_rrms.solve_prepared ~budget:Hd_rrms.Inflated ?inc ~skyline
+          ~gamma_used:2 ~m:3 matrix ~r
+      in
+      ( Some (res.Hd_rrms.selected, res.Hd_rrms.eps_min),
+        res.Hd_rrms.cost.Hd_rrms.probes,
+        res.Hd_rrms.cost.Hd_rrms.cells_crossed )
+
+let prop_pooled_state =
+  QCheck.Test.make ~count:100
+    ~name:"pooled Incremental across queries = fresh state and from-scratch search"
+    QCheck.(
+      pair coarse
+        (make
+           ~print:(fun qs ->
+             String.concat "; "
+               (List.map (fun (r, m) -> Printf.sprintf "r=%d %s" r (print_mode m)) qs))
+           Gen.(list_size (int_range 1 8) (int_range 1 6 >>= fun r -> mode_gen r >|= fun m -> (r, m)))))
+    (fun ((pts, _, _), queries) ->
+      let matrix = matrix_of pts in
+      let inc = Mrst.Incremental.create matrix in
+      let prev = ref 0 in
+      List.for_all
+        (fun (r, mode) ->
+          let max_size =
+            match mode with
+            | Strict -> r
+            | Max_size s -> s
+            | Inflated -> inflated_size matrix r
+          in
+          let found, probes, crossed = pooled_search ~inc matrix ~r mode in
+          let fresh_found, fresh_probes, _ = pooled_search matrix ~r mode in
+          let want_found, want_probes, want_crossed =
+            reference_search matrix ~max_size ~prev
+          in
+          found = fresh_found && probes = fresh_probes
+          && found = want_found && probes = want_probes
+          && crossed = want_crossed)
+        queries)
+
 (* ---- HD-GREEDY -------------------------------------------------------- *)
 
 (* The unpruned argmin: every row's full max over every column, the
@@ -204,6 +354,103 @@ let prop_popcount =
     QCheck.(make ~print:string_of_int Gen.(map2 (fun a b -> a lxor (b lsl 31)) int int))
     (fun w -> Bitset.popcount w = bit_loop w)
 
+(* ---- warm queries through the server --------------------------------- *)
+
+module Server = Rrms_serve.Server
+module Store = Rrms_serve.Store
+module Obs = Rrms_obs.Obs
+
+let counter name =
+  Option.value ~default:0. (List.assoc_opt name (Obs.snapshot ()))
+
+(* Words one warm, cache-bypassing query allocates through
+   [Server.handle_line] at the serving default observability level
+   (Counters), on an anticorrelated table whose γ = 6 matrix has
+   s ≈ 700 rows and 343 columns.  A warm query's per-query arrays (the
+   regret-of-rows minima, HD-GREEDY's coverage and chosen rows) are
+   O(s + |F|) words; the ceiling allows four times that, in the major
+   heap and in the minor heap alike, and nothing per row of a probe or
+   a greedy step: a copy of the s popcounts per MRST probe came to
+   about 18 of them per query, and a tuple per row per greedy step to
+   several.  [Gc.counters], unlike [Gc.quick_stat], counts a direct
+   major allocation at once.  The same warm γ = 6 queries must toggle
+   at most a quarter of the matrix's cells. *)
+let test_warm_allocation () =
+  let prev = Obs.level () in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_level prev)
+    (fun () ->
+      Obs.set_level Obs.Counters;
+      let path = Filename.temp_file "rrms_warm_alloc" ".csv" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let rng = Rrms_rng.Rng.create 5 in
+          Rrms_dataset.Dataset.to_csv
+            (Rrms_dataset.Synthetic.anticorrelated rng ~n:3000 ~m:4)
+            path;
+          let store = Store.create ~domains:1 () in
+          let reply line =
+            match Server.handle_line store line with
+            | `Reply r | `Shutdown r -> r
+          in
+          ignore
+            (reply
+               (Printf.sprintf {|{"id":1,"req":"load","path":%S,"name":"a"}|}
+                  path));
+          let query ?(extra = "") algo r =
+            Printf.sprintf
+              {|{"id":2,"req":"query","dataset":"a","algo":%S,"r":%d,"gamma":6,"cache":false%s}|}
+              algo r extra
+          in
+          let cost name resp =
+            let open Rrms_serve.Json in
+            match
+              Result.to_option (parse resp)
+              |> Fun.flip Option.bind (member "cost")
+              |> Fun.flip Option.bind (member name)
+              |> Fun.flip Option.bind int_
+            with
+            | Some x -> x
+            | None -> Alcotest.failf "no cost %s in %s" name resp
+          in
+          (* cold: the matrix, its cell order and the pooled state *)
+          let explain = {|,"explain":true|} in
+          let cold = reply (query ~extra:explain "hd-rrms" 4) in
+          let cells = cost "cells" cold and s = cost "s" cold in
+          ignore (reply (query "hd-greedy" 4));
+          let ceiling = 4 * (s + 343) in
+          List.iter
+            (fun algo ->
+              List.iter
+                (fun r ->
+                  let toggled0 = counter "rrms_mrst_cells_toggled_total" in
+                  let minor0, _, major0 = Gc.counters () in
+                  let resp = reply (query algo r) in
+                  let minor1, _, major1 = Gc.counters () in
+                  let words = int_of_float (major1 -. major0)
+                  and minor = int_of_float (minor1 -. minor0) in
+                  let toggled =
+                    int_of_float (counter "rrms_mrst_cells_toggled_total" -. toggled0)
+                  in
+                  if not (Astring_contains.contains resp {|"selected":|}) then
+                    Alcotest.failf "warm %s r=%d: no answer in %s" algo r resp;
+                  if words > ceiling then
+                    Alcotest.failf
+                      "warm %s r=%d allocated %d major words (ceiling %d)" algo
+                      r words ceiling;
+                  if minor > ceiling then
+                    Alcotest.failf
+                      "warm %s r=%d allocated %d minor words (ceiling %d)" algo
+                      r minor ceiling;
+                  if 4 * toggled > cells then
+                    Alcotest.failf "warm %s r=%d toggled %d of %d cells" algo r
+                      toggled cells)
+                [ 5; 9; 13; 7; 20; 11 ])
+            [ "hd-rrms"; "hd-greedy" ]))
+
 let suite =
   [
     Alcotest.test_case "popcount edge words" `Quick test_popcount_edges;
@@ -212,4 +459,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mrst_dedup_free;
     QCheck_alcotest.to_alcotest prop_incremental_limit;
     QCheck_alcotest.to_alcotest prop_hd_greedy_pruned;
+    QCheck_alcotest.to_alcotest prop_saved_states;
+    QCheck_alcotest.to_alcotest prop_pooled_state;
+    Alcotest.test_case "warm query allocation" `Quick test_warm_allocation;
   ]
