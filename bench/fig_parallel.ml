@@ -108,6 +108,18 @@ let run scale =
     (Rrms_core.Hd_rrms.search_on_matrix ~domains:1 matrix1 ~r).found
   in
   let solve1 = ref None in
+  (* The gated kernels (matrix-build, mrst-binary-search, hd-rrms-solve)
+     record the fastest of [timed_runs] runs after one untimed warm-up:
+     timed once, three reruns of one build on a 2-core host spread by
+     more than the gate's 10 %. *)
+  let timed_runs = 5 in
+  let runs f =
+    ignore (f ());
+    List.init timed_runs (fun _ -> f ())
+  in
+  let fastest key rs =
+    List.fold_left (fun a x -> if key x < key a then x else a) (List.hd rs) rs
+  in
   List.iter
     (fun domains ->
       let sky, t_sky =
@@ -115,39 +127,54 @@ let run scale =
       in
       assert (sky = sky1);
       record "skyline-sfs" domains t_sky;
-      let matrix, t_build =
-        time (fun () -> Rrms_core.Regret_matrix.build ~domains ~funcs sky_points)
-      in
-      record "matrix-build" domains t_build;
-      (* Algorithm 4 on the fresh matrix, timed layer by layer: the one
+      (* Algorithm 4 on a fresh matrix, timed layer by layer: the one
          sort of every cell (which also yields the distinct values), the
          empty probe state over it, and the probes.  Their sum is the
-         whole search.  No layer takes a domain count, so the split is
-         recorded once, at 1 domain. *)
-      let _, t_order =
-        time (fun () -> Rrms_core.Regret_matrix.cell_order matrix)
+         whole search.  Each run builds its own matrix, since the matrix
+         caches its cell order.  No layer takes a domain count, so the
+         split is recorded once, at 1 domain. *)
+      let built =
+        runs (fun () ->
+            let matrix, t_build =
+              time (fun () ->
+                  Rrms_core.Regret_matrix.build ~domains ~funcs sky_points)
+            in
+            let _, t_order =
+              time (fun () -> Rrms_core.Regret_matrix.cell_order matrix)
+            in
+            let inc, t_index =
+              time (fun () -> Rrms_core.Mrst.Incremental.create ~domains matrix)
+            in
+            let search, t_probes =
+              time (fun () ->
+                  (Rrms_core.Hd_rrms.search_on_matrix ~domains ~inc matrix ~r)
+                    .found)
+            in
+            assert (search = search1);
+            (t_build, t_order, t_index, t_probes))
       in
-      let inc, t_index =
-        time (fun () -> Rrms_core.Mrst.Incremental.create ~domains matrix)
+      let t_build, _, _, _ = fastest (fun (b, _, _, _) -> b) built in
+      record "matrix-build" domains t_build;
+      let _, t_order, t_index, t_probes =
+        fastest (fun (_, o, i, p) -> o +. i +. p) built
       in
-      let search, t_probes =
-        time (fun () ->
-            (Rrms_core.Hd_rrms.search_on_matrix ~domains ~inc matrix ~r).found)
-      in
-      assert (search = search1);
       record "mrst-binary-search" domains (t_order +. t_index +. t_probes);
       if domains = 1 then begin
         record "cell-order" domains t_order;
         record "index-build" domains t_index;
         record "probes" domains t_probes
       end;
-      let solve, t_solve =
-        time (fun () -> Rrms_core.Hd_rrms.solve ~gamma ~domains points ~r)
+      let solves =
+        runs (fun () ->
+            time (fun () -> Rrms_core.Hd_rrms.solve ~gamma ~domains points ~r))
       in
-      (match !solve1 with
-      | None -> solve1 := Some solve
-      | Some s1 -> assert (solve = s1));
-      record "hd-rrms-solve" domains t_solve)
+      List.iter
+        (fun (solve, _) ->
+          match !solve1 with
+          | None -> solve1 := Some solve
+          | Some s1 -> assert (solve = s1))
+        solves;
+      record "hd-rrms-solve" domains (snd (fastest snd solves)))
     domain_counts;
   (* From-scratch probe cost at 1 domain, for the incremental-vs-rescan
      comparison (the binary search above uses Mrst.Incremental). *)
@@ -196,6 +223,7 @@ let run scale =
   let k = Rrms_core.Regret_matrix.cols matrix1 in
   let current = Array.make k infinity in
   Rrms_core.Regret_matrix.row_update_mins matrix1 0 current;
+  let order = Array.init k Fun.id in
   let sweep_repeats = 40 in
   let acc_flat, t_flat =
     time (fun () ->
@@ -204,7 +232,7 @@ let run scale =
           for i = 0 to s - 1 do
             cell.(0) <- infinity;
             ignore
-              (Rrms_core.Regret_matrix.row_improve matrix1 i current ~col:0 cell
+              (Rrms_core.Regret_matrix.row_improve matrix1 i current ~order cell
                  ~at:0);
             acc := !acc +. cell.(0)
           done
@@ -267,6 +295,32 @@ let run scale =
         ("cells", s * k);
         ("cells_toggled_per_query", per_query (fun w -> w.cells_toggled));
         ("cells_crossed_per_query", per_query (fun w -> w.cells_crossed));
+      ];
+  (* Warm HD-GREEDY: one pooled scratch over the same shuffled r sweep,
+     as the server keeps it for a resident matrix; the scratch's row
+     maxima are computed before the timer.  Recorded per query: seconds
+     and the cells the argmin sweeps read.  Every answer must equal a
+     fresh scratch's. *)
+  let skyline = Array.init s Fun.id in
+  let greedy ?scratch r =
+    Rrms_core.Hd_greedy.solve_prepared ~domains:1 ?scratch ~skyline
+      ~gamma_used:gamma matrix1 ~r
+  in
+  let scratch = Rrms_core.Hd_greedy.scratch ~domains:1 matrix1 in
+  let warm_greedy, t_greedy =
+    time (fun () -> List.map (fun r -> greedy ~scratch r) sweep)
+  in
+  List.iter2 (fun r g -> assert (g = greedy r)) sweep warm_greedy;
+  record "warm-greedy" 1
+    (t_greedy /. float_of_int (List.length sweep))
+    ~counts:
+      [
+        ("cells", s * k);
+        ( "cells_read_per_query",
+          List.fold_left
+            (fun a (g : Rrms_core.Hd_greedy.result) -> a + g.cells_read)
+            0 warm_greedy
+          / List.length sweep );
       ];
   (* Machine-independent answer digest for the identity gate. *)
   let digest =

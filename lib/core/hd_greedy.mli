@@ -21,13 +21,29 @@ type result = {
       (** greedy argmin sweeps actually taken — this answer's cost
           provenance; equals [Array.length selected] *)
   cells_read : int;
-      (** matrix cells the pruned argmin sweeps read, at most
-          [steps · s · (|F| + 1)]; the same for every domain count *)
+      (** matrix cells the pruned argmin sweeps of steps 2 and later
+          read, at most [(steps - 1) · s · 2|F|] (a row's witness
+          search plus its scan; step 1 reads the scratch's cached row
+          maxima); the same for every domain count and whether or not
+          the scratch was pooled *)
 }
+
+type scratch
+(** A solve's work space for one matrix: the rows' maxima (computed
+    once, when the scratch is made), the coverage, the chosen flags,
+    the columns ordered by coverage and the per-chunk argmin slots.
+    Every solve resets what it writes, so one scratch serves any
+    sequence of queries on its matrix — a budget-stopped one included
+    — as long as no two run at once. *)
+
+val scratch : ?domains:int -> Regret_matrix.t -> scratch
+(** [scratch matrix] is a fresh scratch for [matrix]; its row-maxima
+    scan (one read of every cell) runs on [domains] worker domains. *)
 
 val solve_prepared :
   ?domains:int ->
   ?guard:Rrms_guard.Guard.Budget.t ->
+  ?scratch:scratch ->
   skyline:int array ->
   gamma_used:int ->
   Regret_matrix.t ->
@@ -40,8 +56,13 @@ val solve_prepared :
     server's path) is bit-identical to a cold [solve].  No cell-cap
     shrinking happens here; deadline / probe budgets bound the greedy
     steps exactly as in {!solve}.
+
+    With [scratch] (the query server pools one per resident matrix),
+    the solve starts from its cached row maxima; without, it makes a
+    fresh one.  The answer and [cells_read] are the same either way.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] if
-    [r < 1] or [skyline] and [matrix] disagree on the row count. *)
+    [r < 1], [skyline] and [matrix] disagree on the row count, or
+    [scratch] was made for another matrix (physically). *)
 
 val solve :
   ?gamma:int ->

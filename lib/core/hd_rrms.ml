@@ -173,7 +173,11 @@ let solve_prepared ?solver ?(budget = Strict) ?domains
   match search.found with
   | Some (rows, eps_min) ->
       let selected = Array.map (fun i -> skyline.(i)) rows in
-      let discretized_regret = Regret_matrix.regret_of_rows matrix rows in
+      let discretized_regret =
+        Regret_matrix.regret_of_rows
+          ?mins:(Option.map Mrst.Incremental.buffer inc)
+          matrix rows
+      in
       let reasons =
         match search.stopped with Some s -> [ s ] | None -> []
       in

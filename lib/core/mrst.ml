@@ -102,6 +102,7 @@ module Incremental = struct
     bits : Bitset.t array; (* current thresholded bitset per row *)
     sizes : int array; (* per row: set bits of [bits] *)
     bounds : int array; (* the greedy cover's work space *)
+    buffer : float array; (* per column: the caller's work space *)
     mutable saved : saved list; (* at distinct levels, at most [max_saved] *)
     mutable level : int; (* runs [0, level) are admitted *)
     mutable crossed : int; (* cells whose membership the last probe changed *)
@@ -119,6 +120,7 @@ module Incremental = struct
       bits = Array.init n (fun _ -> Bitset.create k);
       sizes = Array.make n 0;
       bounds = Array.make n 0;
+      buffer = Array.make k 0.;
       saved = [];
       level = 0;
       crossed = 0;
@@ -130,6 +132,7 @@ module Incremental = struct
   let last_crossed t = t.crossed
   let last_toggled t = t.toggled
   let row t i = Bitset.copy t.bits.(i)
+  let buffer t = t.buffer
 
   let rebase ?domains old matrix ~carried =
     let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in

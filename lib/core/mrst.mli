@@ -90,4 +90,10 @@ module Incremental : sig
 
   val row : t -> int -> Rrms_setcover.Bitset.t
   (** A copy of row [i]'s current thresholded bitset. *)
+
+  val buffer : t -> float array
+  (** A [cols t]-float work array that travels with the state and that
+      nothing in [t] reads: a pooled state lends it to the caller's
+      per-column scratch (Algorithm 4 builds its answer's column minima
+      there), so a warm search allocates no |F|-sized array. *)
 end

@@ -86,34 +86,69 @@ let row_update_mins t i mins =
     if v < Array.unsafe_get mins f then Array.unsafe_set mins f v
   done
 
-(* The bound comes from, and a better value goes to, a float array
-   cell, and only the count is returned, so a call boxes nothing: the
-   HD-GREEDY argmin makes one per candidate row per step.  The scan
-   runs over contiguous floats of the flat buffer. *)
-let row_improve t i current ~col cell ~at =
+(* [Float.min] without flambda inlines to up to two [caml_signbit] C
+   calls; the strict comparisons settle every pair of distinct ordered
+   values inline and leave only ties and NaNs to [Float.min], so the
+   result is [Float.min]'s, ±0 and NaN included. *)
+let[@inline] fmin x y =
+  if x < y then x else if y < x then y else Float.min x y
+
+(* [row_improve]'s fold from [neg_infinity] with every coverage at
+   [infinity] is the plain fold over the cells: [fmin infinity v] is
+   [v], or a NaN that [>] skips either way. *)
+let row_max t i =
   check_row t i;
   let k = cols t in
-  if Array.length current < k then
-    invalid_arg "Regret_matrix.row_improve: current too short";
-  if col < 0 || col >= k then invalid_arg "index out of bounds";
+  let off = i * k in
+  let worst = ref neg_infinity in
+  for f = 0 to k - 1 do
+    let v = Array.unsafe_get t.data (off + f) in
+    if v > !worst then worst := v
+  done;
+  !worst
+
+(* The bound comes from, and a better value goes to, a float array
+   cell, and only the count is returned, so a call boxes nothing: the
+   HD-GREEDY argmin makes one per candidate row per step.  Only a
+   column whose coverage reaches the bound can lift the row's value to
+   it, so the witness search walks [order] while the coverage does;
+   with [order] by falling coverage that is every such column.  A row
+   with no witness there is scanned contiguously for its exact value,
+   which decides, so any order of valid columns gives the same
+   answer. *)
+let row_improve t i current ~order cell ~at =
+  check_row t i;
+  let k = cols t in
+  if Array.length current < k || Array.length order < k then
+    invalid_arg "Regret_matrix.row_improve: current or order too short";
   let off = i * k in
   let bound = cell.(at) in
-  if
-    Float.min (Array.unsafe_get current col) (Array.unsafe_get t.data (off + col))
-    >= bound
-  then 1
+  let j = ref 0 and witness = ref false in
+  while
+    (not !witness) && !j < k
+    && begin
+         let f = Array.unsafe_get order !j in
+         if f < 0 || f >= k then invalid_arg "index out of bounds";
+         Array.unsafe_get current f >= bound
+       end
+  do
+    let f = Array.unsafe_get order !j in
+    if fmin (Array.unsafe_get current f) (Array.unsafe_get t.data (off + f)) >= bound
+    then witness := true;
+    incr j
+  done;
+  if !witness then !j
   else begin
     let worst = ref neg_infinity and f = ref 0 in
     while !f < k && !worst < bound do
       let v =
-        Float.min (Array.unsafe_get current !f)
-          (Array.unsafe_get t.data (off + !f))
+        fmin (Array.unsafe_get current !f) (Array.unsafe_get t.data (off + !f))
       in
       if v > !worst then worst := v;
       incr f
     done;
     if !worst < bound then cell.(at) <- !worst;
-    1 + !f
+    !j + !f
   end
 
 let build ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) ~funcs points =
@@ -325,7 +360,16 @@ let distinct_values t =
   Obs.Gauge.set_int Metrics.distinct (Array.length d);
   d
 
-let regret_of_rows t rs =
+let regret_of_minima t mins =
+  if Array.length mins < cols t then
+    invalid_arg "Regret_matrix.regret_of_minima: mins too short";
+  let worst = ref 0. in
+  for f = 0 to cols t - 1 do
+    if Array.unsafe_get mins f > !worst then worst := Array.unsafe_get mins f
+  done;
+  !worst
+
+let regret_of_rows ?mins t rs =
   if Array.length rs = 0 then
     Rrms_guard.Guard.Error.invalid_input
       "Regret_matrix.regret_of_rows: empty row set";
@@ -333,10 +377,13 @@ let regret_of_rows t rs =
   (* Stream row-by-row over the flat buffer (one pass per selected row)
      rather than column-by-column: same per-column minima, same result,
      contiguous reads. *)
-  let mins = Array.make k infinity in
+  let mins =
+    match mins with
+    | Some m when Array.length m >= k ->
+        Array.fill m 0 k infinity;
+        m
+    | Some _ -> invalid_arg "Regret_matrix.regret_of_rows: mins too short"
+    | None -> Array.make k infinity
+  in
   Array.iter (fun i -> row_update_mins t i mins) rs;
-  let worst = ref 0. in
-  for f = 0 to k - 1 do
-    if Array.unsafe_get mins f > !worst then worst := Array.unsafe_get mins f
-  done;
-  !worst
+  regret_of_minima t mins

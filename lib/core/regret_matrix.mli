@@ -94,22 +94,40 @@ val row_update_mins : t -> int -> float array -> unit
     minima: [mins.(f) <- min mins.(f) M[i,f]] for every column, using
     the same [<] comparison as {!regret_of_rows}. *)
 
+val fmin : float -> float -> float
+(** [fmin x y] = [Float.min x y], NaN and ±0 included.  Two strict
+    comparisons settle distinct ordered values inline; only ties and
+    NaNs reach [Float.min], whose sign-bit tests are C calls when the
+    compiler does not inline them. *)
+
+val row_max : t -> int -> float
+(** [row_max t i] is row [i]'s largest cell (NaN cells skipped;
+    [neg_infinity] if every cell is NaN): its HD-GREEDY value against
+    the empty set, bit for bit what {!row_improve} computes against an
+    all-[infinity] coverage and an infinite bound.
+    @raise Invalid_argument if [i] is out of range. *)
+
 val row_improve :
-  t -> int -> float array -> col:int -> float array -> at:int -> int
-(** One HD-GREEDY candidate, one contiguous row scan: does adding row
-    [i] to a set whose per-column minima are [current] beat the bound
-    [cell.(at)]?  The row's value is
-    [max_f (Float.min current.(f) M[i,f])], the maximum regret of the
-    set with row [i] added.  It is at least the capped cell
-    [Float.min current.(col) M[i,col]], so when that reaches the bound
-    the row is dismissed after one read.  Otherwise the row is scanned
-    from column 0 until its running maximum reaches the bound; a value
-    below the bound is stored in [cell.(at)].  Returns the cells read
-    (the bound cell, plus the columns scanned).  Bound and value travel
-    through [cell], so a call allocates nothing, not even a boxed
-    float.
-    @raise Invalid_argument if [i] or [col] is out of range or
-    [current] is shorter than [cols t]. *)
+  t -> int -> float array -> order:int array -> float array -> at:int -> int
+(** One HD-GREEDY candidate: does adding row [i] to a set whose
+    per-column minima are [current] beat the bound [cell.(at)]?  The
+    row's value is [max_f (fmin current.(f) M[i,f])], the maximum
+    regret of the set with row [i] added ({!fmin} is [Float.min]
+    without a C call per cell).  Only a column [f] with
+    [current.(f) >= bound] can lift that to the bound, so the row is
+    first searched for a witness [f] with [fmin current.(f) M[i,f] >=
+    bound] along [order], for as long as [current] stays at or above
+    the bound; a witness dismisses the row.  Without one the row is
+    scanned from column 0 until its running maximum reaches the bound,
+    and a value below the bound is exact and is stored in [cell.(at)].
+    [order] should list the columns by non-increasing [current] (the
+    greedy sorts them once per step), so the search sees every column
+    that could be a witness; any order of valid columns gives the same
+    result, at a different cost.  Returns the cells read (the search's,
+    plus the scan's).  Bound and value travel through [cell], so a call
+    allocates nothing, not even a boxed float.
+    @raise Invalid_argument if [i] or a searched entry of [order] is
+    out of range, or [current] or [order] is shorter than [cols t]. *)
 
 type cell_order = {
   cells : int array;
@@ -138,8 +156,20 @@ val distinct_values : t -> float array
     [0.] when the matrix has a zero cell.  Equal to sorting every cell
     and dropping each value equal to its predecessor. *)
 
-val regret_of_rows : t -> int array -> float
+val regret_of_rows : ?mins:float array -> t -> int array -> float
 (** [regret_of_rows t rs] = the discretized maximum regret of keeping
-    the row subset [rs]: [max_f min_{i∈rs} M[i,f]].
+    the row subset [rs]: [max_f min_{i∈rs} M[i,f]].  The per-column
+    minima are built in [mins] when it is given (its first [cols t]
+    entries are overwritten), so a caller that keeps a buffer allocates
+    nothing; otherwise in a fresh array.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] if [rs]
-    is empty, [Invalid_argument] on an out-of-range row index. *)
+    is empty, [Invalid_argument] on an out-of-range row index or a
+    [mins] shorter than [cols t]. *)
+
+val regret_of_minima : t -> float array -> float
+(** [regret_of_minima t mins] = [max_f mins.(f)] over the first
+    [cols t] entries, and at least [0.]: the regret of a row set whose
+    per-column minima {!row_update_mins} built in [mins] from
+    [infinity].  {!regret_of_rows} ends with exactly this, so the two
+    agree bit for bit.
+    @raise Invalid_argument if [mins] is shorter than [cols t]. *)

@@ -176,10 +176,23 @@ let key_of_digests ~attributes (digests : int array) =
 (* State                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A pooled MRST probe state, valid only for the exact matrix it was
-   created over — checkout verifies physical equality, so a slot left
-   behind by a replaced matrix is simply never reused. *)
-type inc_slot = { inc : Mrst.Incremental.t; for_matrix : Regret_matrix.t }
+(* A pooled warm-kernel state (an MRST probe state or an HD-GREEDY
+   scratch), valid only for the exact matrix it was created over —
+   checkout verifies physical equality, so a slot left behind by a
+   replaced matrix is simply never reused. *)
+type 'a slot = { state : 'a; for_matrix : Regret_matrix.t }
+
+(* Under the entry lock.  A checked-out state is removed from the pool
+   while in use, so a concurrent query on the same matrix makes its
+   own. *)
+let checkout slots ~gamma matrix =
+  match List.assoc_opt gamma slots with
+  | Some s when s.for_matrix == matrix ->
+      (Some s.state, List.remove_assoc gamma slots)
+  | _ -> (None, slots)
+
+let checkin slots ~gamma matrix state =
+  (gamma, { state; for_matrix = matrix }) :: List.remove_assoc gamma slots
 
 (* A result-cache entry: the answer and its wire bytes, encoded once
    when the entry is made (fresh solve, rehydrate, or a mutation's
@@ -207,7 +220,8 @@ type entry = {
   mutable skyline : int array option;
   mutable hull : Rrms2d.ctx option;
   mutable matrices : (int * Regret_matrix.t) list;  (* keyed by γ *)
-  mutable incs : (int * inc_slot) list;  (* keyed by γ, like [matrices] *)
+  mutable incs : (int * Mrst.Incremental.t slot) list;  (* keyed by γ *)
+  mutable scratches : (int * Hd_greedy.scratch slot) list;  (* likewise *)
   results : (string, answer) Hashtbl.t;  (* Protocol.cache_key → result *)
   (* NOT guarded by [e_lock]: [refs] is read and written only under
      [t.lock], together with the entry tables it keeps consistent — a
@@ -314,6 +328,7 @@ let register t ~warnings d =
               hull = None;
               matrices = [];
               incs = [];
+              scratches = [];
               results = Hashtbl.create 16;
               refs = 1;
             }
@@ -672,16 +687,9 @@ let solve_query t e ~guard (q : Protocol.query) =
             (* Check out the pooled probe state for this matrix, if any:
                its bitsets are reusable across queries (any starting
                threshold is fine), so a warm search pays only for the
-               cells its probes cross.  Removed from the pool while in
-               use so a concurrent query on the same matrix builds its
-               own. *)
-            let pooled =
-              match List.assoc_opt gamma_used e.incs with
-              | Some s when s.for_matrix == matrix ->
-                  e.incs <- List.remove_assoc gamma_used e.incs;
-                  Some s.inc
-              | _ -> None
-            in
+               cells its probes cross. *)
+            let pooled, rest = checkout e.incs ~gamma:gamma_used matrix in
+            e.incs <- rest;
             (sky, matrix, gamma_used, shrink, pooled))
       in
       let inc =
@@ -698,9 +706,7 @@ let solve_query t e ~guard (q : Protocol.query) =
          a mutation replaced the matrix mid-solve the slot goes stale
          and is never reused. *)
       with_lock e.e_lock (fun () ->
-          e.incs <-
-            (gamma_used, { inc; for_matrix = matrix })
-            :: List.remove_assoc gamma_used e.incs);
+          e.incs <- checkin e.incs ~gamma:gamma_used matrix inc);
       let quality = Guard.degrade_first res.Hd_rrms.quality shrink in
       ( Json.Obj
           ([
@@ -726,7 +732,7 @@ let solve_query t e ~guard (q : Protocol.query) =
           ("theorem4_bound", Json.float res.Hd_rrms.guarantee);
         ] )
   | Protocol.Hd_greedy ->
-      let sky, matrix, gamma_used, shrink =
+      let sky, matrix, gamma_used, shrink, pooled =
         with_lock e.e_lock (fun () ->
             let sky = skyline_locked t e in
             let gamma_used, shrink =
@@ -734,12 +740,27 @@ let solve_query t e ~guard (q : Protocol.query) =
                 ~rows:(Array.length sky) ~gamma:q.gamma ~m
             in
             let matrix = matrix_locked t e ~sky ~m ~gamma:gamma_used ~guard in
-            (sky, matrix, gamma_used, shrink))
+            (* The pooled scratch holds the matrix's row maxima and
+               every per-solve array, so a warm solve's first step
+               reads no cell and it allocates nothing |F|- or
+               s-sized. *)
+            let pooled, rest = checkout e.scratches ~gamma:gamma_used matrix in
+            e.scratches <- rest;
+            (sky, matrix, gamma_used, shrink, pooled))
+      in
+      let scratch =
+        match pooled with
+        | Some sc -> sc
+        | None -> Hd_greedy.scratch ~domains:t.domains matrix
       in
       let res =
-        Hd_greedy.solve_prepared ~domains:t.domains ~guard ~skyline:sky
-          ~gamma_used matrix ~r:q.r
+        Hd_greedy.solve_prepared ~domains:t.domains ~guard ~scratch
+          ~skyline:sky ~gamma_used matrix ~r:q.r
       in
+      (* Each solve resets the scratch on entry, so a budget-stopped
+         one goes back too; an exception drops it. *)
+      with_lock e.e_lock (fun () ->
+          e.scratches <- checkin e.scratches ~gamma:gamma_used matrix scratch);
       let quality = Guard.degrade_first res.Hd_greedy.quality shrink in
       ( Json.Obj
           ([
@@ -1049,7 +1070,7 @@ let sky_values_unique rows sky =
    paths keep running against the old generation until the install. *)
 let mutate_pinned ~expect ~guard t (e : handle) muts =
   with_lock e.mu_lock (fun () ->
-      let key0, gen0, d0, digests0, sky0, mats0, incs0, results0 =
+      let key0, gen0, d0, digests0, sky0, mats0, pools0, results0 =
         with_lock e.e_lock (fun () ->
             ( e.key,
               e.generation,
@@ -1057,7 +1078,7 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
               e.digests,
               e.skyline,
               e.matrices,
-              e.incs,
+              (e.incs, e.scratches),
               Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.results [] ))
       in
       let m = Dataset.dim d0 in
@@ -1117,13 +1138,14 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
       in
       (* Matrices: a sequence-preserving mutation leaves them untouched
          (they are pure functions of the skyline point sequence), and
-         the pooled probe states with them.  Otherwise each matrix is
-         updated in place-equivalent fashion — carried rows blit, fresh
-         rows run the kernel — and its probe state is dropped: the next
-         query sorts the new matrix's cells once, the sort its distinct
-         values need anyway. *)
-      let mats', incs', updated, dropped =
-        if preserved then (mats0, incs0, 0, 0)
+         the pooled probe states and greedy scratches with them.
+         Otherwise each matrix is updated in place-equivalent fashion —
+         carried rows blit, fresh rows run the kernel — and its pooled
+         states are dropped: the next query sorts the new matrix's cells
+         once, the sort its distinct values need anyway, and the next
+         greedy query rescans its row maxima. *)
+      let mats', (incs', scratches'), updated, dropped =
+        if preserved then (mats0, pools0, 0, 0)
         else
           match (sky0, sky') with
           | Some o, Some n ->
@@ -1139,11 +1161,11 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
                            ~funcs ~points ~carried) ))
                   mats0
               in
-              (mats', [], List.length mats0, 0)
+              (mats', ([], []), List.length mats0, 0)
           | _ ->
               (* No materialized skyline to carry from: any matrices
                  are dropped and rebuild lazily. *)
-              ([], [], 0, List.length mats0)
+              ([], ([], []), 0, List.length mats0)
       in
       (* Delta-scoped result invalidation.  A cached answer survives
          only with a proof that a fresh solve over the new rows returns
@@ -1238,6 +1260,7 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
               e.hull <- None;
               e.matrices <- mats';
               e.incs <- incs';
+              e.scratches <- scratches';
               Hashtbl.reset e.results;
               List.iter (fun (k, v) -> Hashtbl.replace e.results k v) survivors));
       Obs.Counter.incr Metrics.mutations;

@@ -302,11 +302,13 @@ let test_flat_matrix_matches_boxed () =
   Alcotest.(check (float 0.))
     "regret_of_rows = boxed reference" expected
     (Regret_matrix.regret_of_rows matrix some_rows);
-  (* row_improve / row_update_mins = their boxed references.  Against
-     an infinite bound, row_improve reads the bound cell and then the
-     whole row, and stores the row's worst capped cell. *)
+  (* row_improve / row_max / row_update_mins = their boxed references.
+     Against an infinite bound no column is covered at the bound, so
+     row_improve reads the whole row and stores the row's worst capped
+     cell.  At that value as the bound the row is dismissed; just above
+     it, the value is stored again. *)
   let current = Array.copy mins in
-  let worst_ok = ref true in
+  let worst_ok = ref true and max_ok = ref true in
   let cell = [| 0. |] in
   for i = 0 to s - 1 do
     let w = ref neg_infinity in
@@ -314,11 +316,21 @@ let test_flat_matrix_matches_boxed () =
       let v = Float.min current.(f) boxed.(i).(f) in
       if v > !w then w := v
     done;
+    let order = Array.init k (fun j -> (i + j) mod k) in
     cell.(0) <- infinity;
-    let read = Regret_matrix.row_improve matrix i current ~col:(i mod k) cell ~at:0 in
-    if (cell.(0), read) <> (!w, k + 1) then worst_ok := false
+    let read = Regret_matrix.row_improve matrix i current ~order cell ~at:0 in
+    if (cell.(0), read) <> (!w, k) then worst_ok := false;
+    cell.(0) <- !w;
+    ignore (Regret_matrix.row_improve matrix i current ~order cell ~at:0);
+    if cell.(0) <> !w then worst_ok := false;
+    cell.(0) <- Float.succ !w;
+    ignore (Regret_matrix.row_improve matrix i current ~order cell ~at:0);
+    if cell.(0) <> !w then worst_ok := false;
+    if Regret_matrix.row_max matrix i <> Array.fold_left Float.max neg_infinity boxed.(i)
+    then max_ok := false
   done;
   Alcotest.(check bool) "row_improve = boxed reference" true !worst_ok;
+  Alcotest.(check bool) "row_max = boxed reference" true !max_ok;
   let updated = Array.copy current in
   Regret_matrix.row_update_mins matrix 3 updated;
   let expected_mins =
