@@ -27,15 +27,18 @@ let kernels () =
   let sky4 = Rrms_skyline.Skyline.sfs pts4d in
   let sky4_pts = Array.map (fun i -> pts4d.(i)) sky4 in
   let matrix = Rrms_core.Regret_matrix.build ~funcs sky4_pts in
-  let cover_sets =
-    Array.init 40 (fun _ ->
-        let b = Rrms_setcover.Bitset.create 125 in
-        for item = 0 to 124 do
-          if Rrms_rng.Rng.float rng 1. < 0.3 then Rrms_setcover.Bitset.set b item
-        done;
-        b)
+  (* 40 random sets over 125 items, as flat rows of two words each *)
+  let cover =
+    let w = Rrms_setcover.Bitset.nwords 125 in
+    let words = Array.make (40 * w) 0 in
+    for i = 0 to 39 do
+      for item = 0 to 124 do
+        if Rrms_rng.Rng.float rng 1. < 0.3 then
+          Rrms_setcover.Bitset.row_set words (i * w) item
+      done
+    done;
+    Rrms_setcover.Setcover.make_instance ~universe:125 ~sets:40 words
   in
-  let cover = Rrms_setcover.Setcover.make_instance ~universe:125 cover_sets in
   let lp_c = [| 3.; 5. |] in
   let lp_rows =
     [

@@ -32,15 +32,15 @@ end
 
 type solver = Exact | Greedy
 
-(* Algorithm 5's cover step on the thresholded row bitsets.  Chvátal's
-   greedy needs no dedup: it keeps the first of equal sets on every
-   tie, the later copies then gain nothing, and empty rows never gain,
-   so the greedy cover over all rows names the same rows as the greedy
-   cover over first representatives.  The exact solver's branching
-   does multiply with copies, so it still collapses duplicate
-   non-empty bitsets in row order first, keyed on every word of each
-   set.  [bounds], when given, holds the bitsets' popcounts and is the
-   greedy's work space (see {!Setcover.greedy}). *)
+(* Algorithm 5's cover step on the thresholded rows.  Chvátal's greedy
+   needs no dedup: it keeps the first of equal sets on every tie, the
+   later copies then gain nothing, and empty rows never gain, so the
+   greedy cover over all rows names the same rows as the greedy cover
+   over first representatives.  The exact solver's branching does
+   multiply with copies, so it still collapses duplicate non-empty rows
+   in row order first, keyed on every word of each row.  [bounds], when
+   given, holds the rows' popcounts and is the greedy's work space (see
+   {!Setcover.greedy}). *)
 module Bitset_tbl = Hashtbl.Make (struct
   type t = Bitset.t
 
@@ -48,22 +48,23 @@ module Bitset_tbl = Hashtbl.Make (struct
   let hash = Bitset.hash
 end)
 
-let cover_of_bitsets ?(solver = Greedy) ?limit ?bounds ~universe bitsets =
+let cover ?(solver = Greedy) ?limit ?bounds (rows : Setcover.instance) =
   match solver with
-  | Greedy ->
-      Setcover.greedy ?limit ?bounds (Setcover.make_instance ~universe bitsets)
+  | Greedy -> Setcover.greedy ?limit ?bounds rows
   | Exact ->
       let seen = Bitset_tbl.create 64 in
       let distinct = ref [] in
-      Array.iteri
-        (fun i b ->
-          if (not (Bitset.is_empty b)) && not (Bitset_tbl.mem seen b) then begin
-            Bitset_tbl.add seen b ();
-            distinct := (i, b) :: !distinct
-          end)
-        bitsets;
+      for i = 0 to rows.sets - 1 do
+        let b = Setcover.set rows i in
+        if (not (Bitset.is_empty b)) && not (Bitset_tbl.mem seen b) then begin
+          Bitset_tbl.add seen b ();
+          distinct := (i, b) :: !distinct
+        end
+      done;
       let pairs = Array.of_list (List.rev !distinct) in
-      let instance = Setcover.make_instance ~universe (Array.map snd pairs) in
+      let instance =
+        Setcover.of_bitsets ~universe:rows.universe (Array.map snd pairs)
+      in
       Option.map
         (Array.map (fun si -> fst pairs.(si)))
         (Setcover.exact ?max_sets:limit instance)
@@ -71,36 +72,37 @@ let cover_of_bitsets ?(solver = Greedy) ?limit ?bounds ~universe bitsets =
 let solve ?solver ?domains matrix ~eps =
   Obs.Counter.incr Metrics.fresh_solves;
   let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
-  (* Threshold every row into the bitset of columns it satisfies; rows
-     are independent, so the scan fans out across the domain pool.  The
-     row is blitted into a per-worker scratch buffer once, so the
-     threshold loop reads contiguous floats even on a column view. *)
-  let bitsets = Array.make n (Bitset.create 0) in
+  (* Threshold every row into its words of one flat array; rows are
+     independent, so the scan fans out across the domain pool.  The row
+     is blitted into a per-worker scratch buffer once, so the threshold
+     loop reads contiguous floats even on a column view. *)
+  let w = Bitset.nwords k in
+  let words = Array.make (n * w) 0 in
   Rrms_parallel.parallel_for_with ?domains ~min_chunk:16
     ~scratch:(fun () -> Array.make k 0.)
     n
     (fun row i ->
       Regret_matrix.blit_row matrix i row;
-      let b = Bitset.create k in
       for f = 0 to k - 1 do
-        if Array.unsafe_get row f <= eps then Bitset.set b f
-      done;
-      bitsets.(i) <- b);
-  cover_of_bitsets ?solver ~universe:k bitsets
+        if Array.unsafe_get row f <= eps then Bitset.row_set words (i * w) f
+      done);
+  cover ?solver (Setcover.make_instance ~universe:k ~sets:n words)
 
 module Incremental = struct
   (* Probe state over the matrix's cell order.  A threshold admits a
      prefix of the order's runs, so the state is that prefix length plus
-     the row bitsets and popcounts it implies.  A saved state is a flat
-     copy of both at one level; a probe starts from whichever of the
-     current and the saved levels is fewest cells away. *)
+     the row bitsets and popcounts it implies.  The rows live in one
+     flat row-major word array, [w] words per row, which is also the
+     set-cover instance every probe covers: a toggle flips one word of
+     it, and a saved state is one copy of it and of the popcounts.  A
+     probe starts from whichever of the current and the saved levels is
+     fewest cells away. *)
   type saved = { at : int; words : int array; counts : int array }
 
   type t = {
-    universe : int;
     order : Regret_matrix.cell_order;
-    bits : Bitset.t array; (* current thresholded bitset per row *)
-    sizes : int array; (* per row: set bits of [bits] *)
+    rows : Setcover.instance; (* thresholded rows, updated in place *)
+    sizes : int array; (* per row: its set bits *)
     bounds : int array; (* the greedy cover's work space *)
     buffer : float array; (* per column: the caller's work space *)
     mutable saved : saved list; (* at distinct levels, at most [max_saved] *)
@@ -115,9 +117,10 @@ module Incremental = struct
   let create ?domains:_ matrix =
     let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
     {
-      universe = k;
       order = Regret_matrix.cell_order matrix;
-      bits = Array.init n (fun _ -> Bitset.create k);
+      rows =
+        Setcover.make_instance ~universe:k ~sets:n
+          (Array.make (n * Bitset.nwords k) 0);
       sizes = Array.make n 0;
       bounds = Array.make n 0;
       buffer = Array.make k 0.;
@@ -127,16 +130,16 @@ module Incremental = struct
       toggled = 0;
     }
 
-  let rows t = Array.length t.bits
-  let cols t = t.universe
+  let rows t = t.rows.sets
+  let cols t = t.rows.universe
   let last_crossed t = t.crossed
   let last_toggled t = t.toggled
-  let row t i = Bitset.copy t.bits.(i)
+  let row t i = Setcover.set t.rows i
   let buffer t = t.buffer
 
   let rebase ?domains old matrix ~carried =
     let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
-    if old.universe <> k then
+    if cols old <> k then
       invalid_arg "Mrst.Incremental.rebase: column counts differ";
     if Array.length carried <> n then
       invalid_arg "Mrst.Incremental.rebase: carried length mismatch";
@@ -147,24 +150,17 @@ module Incremental = struct
       carried;
     create ?domains matrix
 
-  (* Every row bitset has the same word count, so row [i]'s words sit
-     at [i * w] of a saved copy. *)
-  let row_words t = Bitset.words t.bits.(0)
-
   let save t =
     if
       List.length t.saved < max_saved
       && not (List.exists (fun s -> s.at = t.level) t.saved)
-    then begin
-      let w = row_words t in
-      let words = Array.make (rows t * w) 0 in
-      Array.iteri (fun i b -> Bitset.blit_to b words (i * w)) t.bits;
-      t.saved <- { at = t.level; words; counts = Array.copy t.sizes } :: t.saved
-    end
+    then
+      t.saved <-
+        { at = t.level; words = Array.copy t.rows.words; counts = Array.copy t.sizes }
+        :: t.saved
 
   let restore t s =
-    let w = row_words t in
-    Array.iteri (fun i b -> Bitset.blit_from b s.words (i * w)) t.bits;
+    Array.blit s.words 0 t.rows.words 0 (Array.length s.words);
     Array.blit s.counts 0 t.sizes 0 (rows t);
     t.level <- s.at
 
@@ -183,9 +179,12 @@ module Incremental = struct
      differs, so a probe costs O(#cells toggled) instead of a full
      O(s·|F|) rescan.  The start is the nearest of the current and the
      saved levels; the crossed count is from the current level either
-     way, so it stays the distance between consecutive thresholds. *)
+     way, so it stays the distance between consecutive thresholds.  A
+     cell [c] is row [c / k], column [f = c mod k], and so bit [f mod 63]
+     of word [f / 63] of that row's [w] words; every index is in range
+     by construction, so the loop reads and writes unchecked. *)
   let advance t ~eps =
-    let o = t.order and k = t.universe in
+    let o = t.order and k = cols t in
     let l0 = t.level and l1 = level_of o.values eps in
     let dist l = abs (o.starts.(l) - o.starts.(l1)) in
     let crossed = dist l0 in
@@ -200,10 +199,15 @@ module Incremental = struct
     let from = t.level in
     let lo = o.starts.(min from l1) and hi = o.starts.(max from l1) in
     let delta = if l1 > from then 1 else -1 in
+    let words = t.rows.words and w = Bitset.nwords k in
     for q = lo to hi - 1 do
       let c = Array.unsafe_get o.cells q in
       let i = c / k in
-      Bitset.unsafe_toggle (Array.unsafe_get t.bits i) (c - (i * k));
+      let f = c - (i * k) in
+      let j = f / 63 in
+      let at = (i * w) + j in
+      Array.unsafe_set words at
+        (Array.unsafe_get words at lxor (1 lsl (f - (j * 63))));
       Array.unsafe_set t.sizes i (Array.unsafe_get t.sizes i + delta)
     done;
     t.level <- l1;
@@ -216,6 +220,5 @@ module Incremental = struct
     Obs.Counter.incr Metrics.incremental_solves;
     advance t ~eps;
     Array.blit t.sizes 0 t.bounds 0 (rows t);
-    cover_of_bitsets ?solver ?limit ~bounds:t.bounds ~universe:t.universe
-      t.bits
+    cover ?solver ?limit ~bounds:t.bounds t.rows
 end

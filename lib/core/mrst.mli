@@ -31,6 +31,12 @@ val solve :
     old and the new threshold.  A full search costs the one cached sort
     plus O(changed cells) per probe, instead of O(s·|F|) per probe.
 
+    The state's row bitsets are one flat row-major word array,
+    [w = Bitset.nwords |F|] words per row ({!Rrms_setcover.Bitset.row_count}
+    documents the layout), and that array is the
+    {!Rrms_setcover.Setcover.instance} every probe's greedy cover reads
+    in place: a toggle flips one word of it, and no probe copies it.
+
     A state can also {!Incremental.save} copies of itself at up to
     seven levels (Algorithm 4 saves the first three levels of its
     bisection in a pooled state); a probe then starts from whichever of
@@ -73,8 +79,9 @@ module Incremental : sig
       soon as it knows. *)
 
   val save : t -> unit
-  (** Keep a flat copy of the current state (the row bitsets' words and
-      popcounts) as a starting point for later probes.  A no-op when
+  (** Keep a copy of the current state (one [Array.copy] of the row
+      word array, one of the popcounts) as a starting point for later
+      probes; a probe that starts there restores it with two blits.  A no-op when
       the current level is already saved or seven levels are. *)
 
   val last_crossed : t -> int
@@ -89,7 +96,8 @@ module Incremental : sig
       {!last_crossed}, less when a saved state was nearer. *)
 
   val row : t -> int -> Rrms_setcover.Bitset.t
-  (** A copy of row [i]'s current thresholded bitset. *)
+  (** A copy of row [i]'s current thresholded bitset, read out of the
+      flat word array. *)
 
   val buffer : t -> float array
   (** A [cols t]-float work array that travels with the state and that

@@ -572,16 +572,22 @@ let run_handler_session (h : handler) ic oc =
     outcome
   in
   let buf = ref (Bytes.create 65536) in
-  (* [lo, hi) is the unconsumed part of [!buf] *)
-  let lo = ref 0 and hi = ref 0 in
+  (* [lo, hi) is the unconsumed part of [!buf]; its first [!scanned]
+     bytes hold no newline, so a search resumes after them and a line
+     that arrives in many reads is scanned once, not once per read. *)
+  let lo = ref 0 and hi = ref 0 and scanned = ref 0 in
   let rec newline i =
-    if i >= !hi then -1
+    if i >= !hi then begin
+      scanned := !hi - !lo;
+      -1
+    end
     else if Bytes.unsafe_get !buf i = '\n' then i
     else newline (i + 1)
   in
   let take upto =
     let line = Bytes.sub_string !buf !lo (upto - !lo) in
     lo := min !hi (upto + 1);
+    scanned := 0;
     line
   in
   (* Read at least one more byte; [false] at end of input. *)
@@ -611,7 +617,7 @@ let run_handler_session (h : handler) ic oc =
   in
   let flush_out () = try flush oc; true with Sys_error _ -> false in
   let rec loop () =
-    match newline !lo with
+    match newline (!lo + !scanned) with
     | -1 ->
         if not (flush_out ()) then finish `Eof
         else if refill () then loop ()

@@ -8,6 +8,10 @@
 
 type t
 
+val nwords : int -> int
+(** [nwords width] packed words hold [width] bits: 63 per word (the
+    OCaml native int), [0] for width [0]. *)
+
 val create : int -> t
 (** All-zero bitset of the given width.  @raise Invalid_argument if the
     width is negative. *)
@@ -17,12 +21,6 @@ val copy : t -> t
 val set : t -> int -> unit
 val clear : t -> int -> unit
 val mem : t -> int -> bool
-val unsafe_toggle : t -> int -> unit
-(** [unsafe_toggle t i] flips bit [i] with no range check.  An MRST
-    probe flips only columns of the matrix the bitset was sized for,
-    so the index is in range by construction; out of range is
-    undefined. *)
-
 val is_empty : t -> bool
 
 val popcount : int -> int
@@ -46,17 +44,6 @@ val equal : t -> t -> bool
 val hash : t -> int
 (** A non-negative hash of every word, consistent with {!equal}. *)
 
-val words : t -> int
-(** Packed words of [t]'s representation: what {!blit_to} writes. *)
-
-val blit_to : t -> int array -> int -> unit
-(** [blit_to t buf pos] copies [t]'s {!words} words into
-    [buf.(pos ..)], without allocating. *)
-
-val blit_from : t -> int array -> int -> unit
-(** [blit_from t buf pos] overwrites [t] with the words [buf.(pos ..)]
-    that a {!blit_to} of an equal-width set wrote. *)
-
 val iter : (int -> unit) -> t -> unit
 (** Iterate set bit positions in increasing order. *)
 
@@ -65,3 +52,36 @@ val elements : t -> int list
 val of_list : int -> int list -> t
 (** [of_list width elems].  @raise Invalid_argument on out-of-range
     elements. *)
+
+(** {2 Rows of a flat word array}
+
+    Many equal-width sets can share one [int array], set [i] of width
+    [n] being the {!nwords}[ n] words from [i * nwords n]: bit [b] of
+    the set is bit [b mod 63] of word [b / 63] of its row.  A {!t}'s
+    own words have that layout, so a row and a bitset of the same
+    width convert by a copy.  These read and write a row in place and
+    allocate nothing.  Each raises [Invalid_argument] when the row
+    does not lie inside the array. *)
+
+val row_set : int array -> int -> int -> unit
+(** [row_set words pos b] sets bit [b] (at least [0], below the row's
+    width) of the row at [pos].
+    @raise Invalid_argument if that bit's word is outside [words]. *)
+
+val row_count : int array -> int -> int -> int
+(** [row_count words pos len]: set bits of [words.(pos .. pos+len-1)]. *)
+
+val row_diff_count : int array -> int -> minus:int array -> int
+(** [row_diff_count words pos ~minus] = |row \ minus|, the row being the
+    [Array.length minus] words from [pos]. *)
+
+val row_union_into : int array -> int -> into:int array -> unit
+(** [row_union_into words pos ~into] sets [into <- into ∪ row], the row
+    being the [Array.length into] words from [pos]. *)
+
+val of_row : int -> int array -> int -> t
+(** [of_row width words pos]: a copy of the row of width [width] at
+    [pos], as a bitset. *)
+
+val blit_row : t -> int array -> int -> unit
+(** [blit_row t words pos] writes [t]'s words over the row at [pos]. *)

@@ -16,26 +16,51 @@ module Metrics = struct
       "rrms_setcover_exact_branches_total"
 end
 
-type instance = { universe : int; sets : Bitset.t array }
+type instance = { universe : int; sets : int; words : int array }
 
-let make_instance ~universe sets =
-  Array.iter
-    (fun s ->
+let make_instance ~universe ~sets words =
+  if universe < 0 || sets < 0 then
+    invalid_arg "Setcover.make_instance: negative size";
+  let w = Bitset.nwords universe in
+  if Array.length words <> sets * w then
+    invalid_arg "Setcover.make_instance: word count mismatch";
+  (* Bits at or above [universe] in a row's last word would count as
+     items nobody needs covered. *)
+  let spare = (w * 63) - universe in
+  if spare > 0 then
+    for i = 1 to sets do
+      if words.((i * w) - 1) lsr (63 - spare) <> 0 then
+        invalid_arg "Setcover.make_instance: item out of range"
+    done;
+  { universe; sets; words }
+
+let of_bitsets ~universe bitsets =
+  let w = Bitset.nwords universe in
+  let words = Array.make (Array.length bitsets * w) 0 in
+  Array.iteri
+    (fun i s ->
       if Bitset.width s <> universe then
-        invalid_arg "Setcover.make_instance: set width mismatch")
-    sets;
-  { universe; sets }
+        invalid_arg "Setcover.of_bitsets: set width mismatch";
+      Bitset.blit_row s words (i * w))
+    bitsets;
+  { universe; sets = Array.length bitsets; words }
 
-let union_all t =
-  let u = Bitset.create t.universe in
-  Array.iter (fun s -> Bitset.union_into s ~into:u) t.sets;
-  u
+let set t i =
+  if i < 0 || i >= t.sets then invalid_arg "Setcover.set: index out of range";
+  Bitset.of_row t.universe t.words (i * Bitset.nwords t.universe)
 
-let coverable t = Bitset.count (union_all t) = t.universe
+let coverable t =
+  let w = Bitset.nwords t.universe in
+  let u = Array.make w 0 in
+  for i = 0 to t.sets - 1 do
+    Bitset.row_union_into t.words (i * w) ~into:u
+  done;
+  Bitset.row_count u 0 w = t.universe
 
 let greedy ?(limit = max_int) ?bounds t =
   Obs.Counter.incr Metrics.greedy_calls;
-  let covered = Bitset.create t.universe in
+  let w = Bitset.nwords t.universe and words = t.words in
+  let covered = Array.make w 0 in
   let chosen = ref [] and nchosen = ref 0 in
   let remaining = ref t.universe in
   let progress = ref true in
@@ -49,14 +74,14 @@ let greedy ?(limit = max_int) ?bounds t =
   let bound =
     match bounds with
     | Some a -> a
-    | None -> Array.map Bitset.count t.sets
+    | None -> Array.init t.sets (fun i -> Bitset.row_count words (i * w) w)
   in
   while !remaining > 0 && !progress && !nchosen < limit do
     Obs.Counter.incr Metrics.greedy_iterations;
     let best = ref (-1) and best_gain = ref 0 in
-    for i = 0 to Array.length t.sets - 1 do
+    for i = 0 to t.sets - 1 do
       if bound.(i) > !best_gain then begin
-        let gain = Bitset.diff_count t.sets.(i) ~minus:covered in
+        let gain = Bitset.row_diff_count words (i * w) ~minus:covered in
         bound.(i) <- gain;
         if gain > !best_gain then begin
           best := i;
@@ -66,7 +91,7 @@ let greedy ?(limit = max_int) ?bounds t =
     done;
     if !best < 0 then progress := false
     else begin
-      Bitset.union_into t.sets.(!best) ~into:covered;
+      Bitset.row_union_into words (!best * w) ~into:covered;
       chosen := !best :: !chosen;
       incr nchosen;
       remaining := !remaining - !best_gain
@@ -86,15 +111,17 @@ let exact ?(max_sets = max_int) t =
     let best_size () =
       match !best with Some l -> List.length l | None -> max_sets + 1
     in
+    (* Branching reads whole sets, so it works on bitset copies. *)
+    let sets = Array.init t.sets (set t) in
     (* For each item, the sets containing it (branching candidates). *)
     let containing = Array.make t.universe [] in
     Array.iteri
       (fun i s -> Bitset.iter (fun item -> containing.(item) <- i :: containing.(item)) s)
-      t.sets;
+      sets;
     Array.iteri (fun item l -> containing.(item) <- List.rev l) containing;
     (* Max set size, for the ceiling lower bound. *)
     let max_size =
-      Array.fold_left (fun acc s -> max acc (Bitset.count s)) 1 t.sets
+      Array.fold_left (fun acc s -> max acc (Bitset.count s)) 1 sets
     in
     let rec first_uncovered covered i =
       if i >= t.universe then None
@@ -114,7 +141,7 @@ let exact ?(max_sets = max_int) t =
             List.iter
               (fun i ->
                 let covered' = Bitset.copy covered in
-                Bitset.union_into t.sets.(i) ~into:covered';
+                Bitset.union_into sets.(i) ~into:covered';
                 branch covered' (i :: chosen) (depth + 1))
               containing.(item)
     in

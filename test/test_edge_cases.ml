@@ -79,7 +79,7 @@ let test_setcover_single_set_covers_all () =
   for i = 0 to 4 do
     Bitset.set s i
   done;
-  let inst = Setcover.make_instance ~universe:5 [| s |] in
+  let inst = Setcover.of_bitsets ~universe:5 [| s |] in
   (match Setcover.greedy inst with
   | Some chosen -> Alcotest.(check int) "greedy picks one" 1 (Array.length chosen)
   | None -> Alcotest.fail "coverable");

@@ -582,6 +582,34 @@ let test_shutdown_mid_burst () =
   in
   Alcotest.(check bool) "session ended by shutdown" true (outcome = `Shutdown)
 
+(* One 32 MiB request line, then a valid request in the same burst.
+   The line arrives in many reads of the session's buffer; a newline
+   search that restarted at the line's start after every read took
+   about 12 s for it, quadratic in its length.  Resuming where the last
+   search stopped keeps it linear: both replies come back, in order,
+   within [long_line_seconds]. *)
+let long_line_seconds = 4.
+
+let test_long_line () =
+  ignore
+    (with_session (fun fd ->
+         let big =
+           Printf.sprintf {|{"id":1,"req":"ping","pad":"%s"}|}
+             (String.make (32 lsl 20) 'x')
+         in
+         let t0 = Unix.gettimeofday () in
+         let w = send_async fd (big ^ "\n" ^ ping 2 ^ "\n") in
+         let next = reader ~timeout:(2. *. long_line_seconds) fd in
+         let a = next () in
+         let b = next () in
+         let took = Unix.gettimeofday () -. t0 in
+         Thread.join w;
+         Alcotest.(check (list int)) "both answered, in order" [ 1; 2 ]
+           (List.map id_of (List.filter_map Fun.id [ a; b ]));
+         if took > long_line_seconds then
+           Alcotest.failf "32 MiB line and its follower took %.2f s (bound %.0f s)"
+             took long_line_seconds))
+
 (* ------------------------------------------------------------------ *)
 (* Allocation of one cached hit                                       *)
 (* ------------------------------------------------------------------ *)
@@ -647,6 +675,7 @@ let suite =
     Alcotest.test_case "last line without newline" `Quick
       test_last_line_without_newline;
     Alcotest.test_case "blank lines skipped" `Quick test_blank_lines_skipped;
+    Alcotest.test_case "32 MiB line then a request" `Quick test_long_line;
     Alcotest.test_case "shutdown mid-burst flushes" `Quick
       test_shutdown_mid_burst;
     Alcotest.test_case "cached hit allocation" `Quick test_hit_allocation;

@@ -223,7 +223,7 @@ let exact_reference m ~eps =
     end
   done;
   let reps = Array.of_list (List.rev !reps) in
-  Setcover.exact (Setcover.make_instance ~universe:k (Array.map snd reps))
+  Setcover.exact (Setcover.of_bitsets ~universe:k (Array.map snd reps))
   |> Option.map (Array.map (fun j -> fst reps.(j)))
 
 let test_exact_wide_rows () =

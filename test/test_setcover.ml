@@ -45,13 +45,13 @@ let test_bitset_zero_width () =
   Alcotest.(check int) "count" 0 (Bitset.count b)
 
 let mk universe lists =
-  Setcover.make_instance ~universe
+  Setcover.of_bitsets ~universe
     (Array.of_list (List.map (Bitset.of_list universe) lists))
 
 let check_cover inst chosen =
   let covered = Bitset.create inst.Setcover.universe in
   Array.iter
-    (fun i -> Bitset.union_into inst.Setcover.sets.(i) ~into:covered)
+    (fun i -> Bitset.union_into (Setcover.set inst i) ~into:covered)
     chosen;
   Alcotest.(check int)
     "cover is complete" inst.Setcover.universe (Bitset.count covered)
@@ -101,7 +101,7 @@ let test_exact_max_sets () =
 
 (* Brute force optimal cover size by subset enumeration. *)
 let brute_force_opt inst =
-  let k = Array.length inst.Setcover.sets in
+  let k = inst.Setcover.sets in
   let best = ref None in
   for mask = 0 to (1 lsl k) - 1 do
     let covered = Bitset.create inst.Setcover.universe in
@@ -109,7 +109,7 @@ let brute_force_opt inst =
     for i = 0 to k - 1 do
       if mask land (1 lsl i) <> 0 then begin
         incr size;
-        Bitset.union_into inst.Setcover.sets.(i) ~into:covered
+        Bitset.union_into (Setcover.set inst i) ~into:covered
       end
     done;
     if Bitset.count covered = inst.Setcover.universe then
@@ -132,7 +132,7 @@ let test_exact_matches_brute_force () =
           done;
           b)
     in
-    let inst = Setcover.make_instance ~universe sets in
+    let inst = Setcover.of_bitsets ~universe sets in
     let opt = brute_force_opt inst in
     match (Setcover.exact inst, opt) with
     | None, None -> ()
@@ -157,7 +157,7 @@ let test_greedy_approximation_bound () =
           done;
           b)
     in
-    let inst = Setcover.make_instance ~universe sets in
+    let inst = Setcover.of_bitsets ~universe sets in
     match (Setcover.greedy inst, Setcover.exact inst) with
     | None, None -> ()
     | Some g, Some e ->

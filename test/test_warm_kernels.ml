@@ -1,9 +1,9 @@
 (* Properties of the warm-solve kernels against test-local references
-   that skip every shortcut: the capped greedy set cover, the
-   dedup-free MRST cover, the limited incremental probe, the pruned
-   HD-GREEDY argmin and the constant-time popcount.  Inputs are coarse
-   on purpose — coordinates on a quarter grid, duplicated rows, a
-   γ = 2 grid — so ties, duplicate rows and empty rows are frequent. *)
+   that skip every shortcut: the flat-row and the capped greedy set
+   cover, the dedup-free MRST cover, the limited incremental probe, the
+   pruned HD-GREEDY argmin and the constant-time popcount.  Inputs are
+   coarse on purpose — coordinates on a quarter grid, duplicated rows,
+   small grids — so ties, duplicate rows and empty rows are frequent. *)
 
 open Rrms_core
 open Rrms_setcover
@@ -33,13 +33,100 @@ let prop_greedy_limit =
       let sets =
         if universe = 0 then [] else List.map (Bitset.of_list universe) sets
       in
-      let inst = Setcover.make_instance ~universe (Array.of_list sets) in
+      let inst = Setcover.of_bitsets ~universe (Array.of_list sets) in
       let expected =
         match Setcover.greedy inst with
         | Some c when Array.length c <= limit -> Some c
         | _ -> None
       in
       Setcover.greedy ~limit inst = expected)
+
+(* ---- Setcover.greedy over flat rows ----------------------------------- *)
+
+(* The greedy as it was written over one [Bitset.t] per set: the same
+   lazy-bound scan and lowest-index tie rule, reading each set through
+   its own record.  The flat instance must choose exactly what it
+   chooses. *)
+let reference_greedy ?(limit = max_int) ~universe sets =
+  let covered = Bitset.create universe in
+  let chosen = ref [] and nchosen = ref 0 in
+  let remaining = ref universe and progress = ref true in
+  let bound = Array.map Bitset.count sets in
+  while !remaining > 0 && !progress && !nchosen < limit do
+    let best = ref (-1) and best_gain = ref 0 in
+    Array.iteri
+      (fun i set ->
+        if bound.(i) > !best_gain then begin
+          let gain = Bitset.diff_count set ~minus:covered in
+          bound.(i) <- gain;
+          if gain > !best_gain then begin
+            best := i;
+            best_gain := gain
+          end
+        end)
+      sets;
+    if !best < 0 then progress := false
+    else begin
+      Bitset.union_into sets.(!best) ~into:covered;
+      chosen := !best :: !chosen;
+      incr nchosen;
+      remaining := !remaining - !best_gain
+    end
+  done;
+  if !remaining > 0 then None else Some (Array.of_list (List.rev !chosen))
+
+(* Universes on both sides of the 63-bit word boundaries, sets of a
+   random density, some of them copies of an earlier set. *)
+let flat_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl [ 62; 63; 64; 126; 127 ]); (1, int_range 0 130) ]
+    >>= fun universe ->
+    oneofl [ 0.05; 0.2; 0.4 ] >>= fun density ->
+    list_size (int_range 0 24)
+      (pair (int_bound 3)
+         (list_repeat universe (map (fun x -> x < density) (float_bound_exclusive 1.))))
+    >>= fun sets ->
+    int_range 0 8 >|= fun limit -> (universe, sets, limit))
+
+let flat_sets (universe, sets, _) =
+  let out = Array.make (List.length sets) (Bitset.create universe) in
+  List.iteri
+    (fun i (copy, bits) ->
+      (* one set in four repeats an earlier one *)
+      if copy = 0 && i > 0 then out.(i) <- out.(i / 2)
+      else
+        out.(i) <-
+          Bitset.of_list universe
+            (List.concat (List.mapi (fun j b -> if b then [ j ] else []) bits)))
+    sets;
+  out
+
+let print_flat ((universe, _, limit) as c) =
+  Printf.sprintf "universe=%d limit=%d sets=[%s]" universe limit
+    (String.concat "; "
+       (Array.to_list
+          (Array.map
+             (fun b -> String.concat "," (List.map string_of_int (Bitset.elements b)))
+             (flat_sets c))))
+
+let prop_flat_greedy =
+  QCheck.Test.make ~count:400
+    ~name:"flat Setcover.greedy = Bitset.t-array reference, any limit and bounds"
+    (QCheck.make ~print:print_flat flat_gen)
+    (fun ((universe, _, limit) as c) ->
+      let sets = flat_sets c in
+      let inst = Setcover.of_bitsets ~universe sets in
+      let bounds () = Array.map Bitset.count sets in
+      let want = reference_greedy ~universe sets
+      and want_limited = reference_greedy ~limit ~universe sets in
+      Array.for_all Fun.id
+        (Array.mapi (fun i b -> Bitset.equal (Setcover.set inst i) b) sets)
+      && Setcover.greedy inst = want
+      && Setcover.greedy ~bounds:(bounds ()) inst = want
+      && Setcover.greedy ~limit inst = want_limited
+      && Setcover.greedy ~limit ~bounds:(bounds ()) inst = want_limited
+      && Setcover.coverable inst = Option.is_some want)
 
 (* ---- coarse matrices -------------------------------------------------- *)
 
@@ -73,7 +160,8 @@ let print_coarse (pts, r, salt) =
     (String.concat "; " (Array.to_list (Array.map Rrms_geom.Vec.to_string pts)))
 
 let coarse = QCheck.make ~print:print_coarse coarse_gen
-let matrix_of pts = Regret_matrix.build ~funcs:(Discretize.grid ~gamma:2 ~m:3) pts
+let matrix_of ?(gamma = 2) pts =
+  Regret_matrix.build ~funcs:(Discretize.grid ~gamma ~m:3) pts
 
 (* Algorithm 5 as written: threshold, collapse duplicate non-empty rows
    keeping the first, greedy cover over the distinct sets. *)
@@ -92,7 +180,7 @@ let dedup_then_greedy matrix ~eps =
     end
   done;
   let reps = Array.of_list (List.rev !reps) in
-  Setcover.greedy (Setcover.make_instance ~universe:k (Array.map snd reps))
+  Setcover.greedy (Setcover.of_bitsets ~universe:k (Array.map snd reps))
   |> Option.map (Array.map (fun j -> fst reps.(j)))
 
 (* A few thresholds of the matrix, in an order that slides both ways. *)
@@ -159,13 +247,18 @@ let rows_match inc matrix ~eps =
 (* One state, random thresholds in both directions, random saves: after
    every probe each row is the brute-force threshold, the answer is the
    from-scratch one, the crossed count is the distance from the previous
-   threshold and the toggled count never exceeds it. *)
+   threshold and the toggled count never exceeds it.  The grid has 9, 64
+   or 144 columns, so a row is one, two (the second holding one bit) or
+   three words of the flat probe state. *)
 let prop_saved_states =
   QCheck.Test.make ~count:150
     ~name:"Incremental with saved states: rows, answers and counts exact"
-    QCheck.(pair coarse (make Gen.(list_size (int_range 1 30) (pair (int_bound 1_000_000) bool))))
-    (fun ((pts, r, _), steps) ->
-      let matrix = matrix_of pts in
+    QCheck.(
+      triple coarse
+        (make ~print:(Printf.sprintf "gamma=%d") Gen.(oneofl [ 2; 7; 11 ]))
+        (make Gen.(list_size (int_range 1 30) (pair (int_bound 1_000_000) bool))))
+    (fun ((pts, r, _), gamma, steps) ->
+      let matrix = matrix_of ~gamma pts in
       let values = Regret_matrix.distinct_values matrix in
       let inc = Mrst.Incremental.create matrix in
       let prev = ref 0 in
@@ -543,7 +636,7 @@ let test_warm_allocation () =
                   if 4 * toggled > cells then
                     Alcotest.failf "warm %s r=%d toggled %d of %d cells" algo r
                       toggled cells)
-                [ 5; 9; 13; 7; 20; 11 ])
+                [ 5; 9; 13; 7; 20; 11; 30 ])
             [ "hd-rrms"; "hd-greedy" ]))
 
 let suite =
@@ -551,6 +644,7 @@ let suite =
     Alcotest.test_case "popcount edge words" `Quick test_popcount_edges;
     QCheck_alcotest.to_alcotest prop_popcount;
     QCheck_alcotest.to_alcotest prop_greedy_limit;
+    QCheck_alcotest.to_alcotest prop_flat_greedy;
     QCheck_alcotest.to_alcotest prop_mrst_dedup_free;
     QCheck_alcotest.to_alcotest prop_incremental_limit;
     QCheck_alcotest.to_alcotest prop_hd_greedy_pruned;
