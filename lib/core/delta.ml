@@ -27,11 +27,13 @@ end
 
 type mutation = Insert of Vec.t | Delete of int | Upsert of int * Vec.t
 
+type run = { new_start : int; old_start : int; len : int }
+
 type plan = {
   base : Vec.t array;
   rows : Vec.t array;
   old_to_new : int array;
-  new_to_old : int array;
+  runs : run array;
   fresh : int array;
 }
 
@@ -122,19 +124,21 @@ let apply ?dim rows muts =
   let nb = !nb in
   let n = nb + !nt in
   let rows' = Array.make n [||] in
-  let new_to_old = Array.make n (-1) in
   let old_to_new = Array.make n0 (-1) in
-  let fresh = ref [] in
+  let runs = ref [] and fresh = ref [] in
   let j = ref 0 and o = ref 0 in
-  (* Carry the unedited base rows [!o, stop). *)
+  (* Carry the unedited base rows [!o, stop) as one run. *)
   let carry stop =
-    let len = stop - !o in
-    Array.blit rows !o rows' !j len;
-    for k = 0 to len - 1 do
-      new_to_old.(!j + k) <- !o + k;
-      old_to_new.(!o + k) <- !j + k
-    done;
-    j := !j + len;
+    let old_start = !o and new_start = !j in
+    let len = stop - old_start in
+    if len > 0 then begin
+      Array.blit rows old_start rows' new_start len;
+      for k = 0 to len - 1 do
+        old_to_new.(old_start + k) <- new_start + k
+      done;
+      runs := { new_start; old_start; len } :: !runs;
+      j := new_start + len
+    end;
     o := stop
   in
   List.iter
@@ -155,7 +159,27 @@ let apply ?dim rows muts =
       (Array.of_list (List.rev !fresh))
       (Array.init (n - nb) (( + ) nb))
   in
-  { base = rows; rows = rows'; old_to_new; new_to_old; fresh }
+  {
+    base = rows;
+    rows = rows';
+    old_to_new;
+    runs = Array.of_list (List.rev !runs);
+    fresh;
+  }
+
+(* The last run starting at or before [j] is the only one that can
+   hold it. *)
+let origin plan j =
+  let runs = plan.runs in
+  let lo = ref 0 and hi = ref (Array.length runs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if runs.(mid).new_start <= j then lo := mid + 1 else hi := mid
+  done;
+  if !lo = 0 then -1
+  else
+    let r = runs.(!lo - 1) in
+    if j < r.new_start + r.len then r.old_start + (j - r.new_start) else -1
 
 type skyline_path = Remap | Merge | Rebuild
 
@@ -219,26 +243,37 @@ let update_skyline ?domains plan ~old_sky =
 let sequence_preserved plan ~old_sky ~new_sky =
   Array.length old_sky = Array.length new_sky
   &&
-  let ok = ref true in
-  Array.iteri
-    (fun i g ->
-      let o = plan.new_to_old.(g) in
-      if o < 0 || o <> old_sky.(i) then ok := false)
-    new_sky;
-  !ok
+  let rec same i =
+    i = Array.length new_sky
+    ||
+    let o = origin plan new_sky.(i) in
+    o >= 0 && o = old_sky.(i) && same (i + 1)
+  in
+  same 0
 
+(* Old skyline positions ordered by base index: an s-sized table that
+   one binary search per new member reads. *)
 let carried_rows plan ~old_sky ~new_sky =
   let n0 = Array.length plan.old_to_new in
-  let pos = Array.make n0 (-1) in
-  Array.iteri
-    (fun i g ->
+  Array.iter
+    (fun g ->
       if g < 0 || g >= n0 then
         Guard.Error.invalid_input
-          "Delta.carried_rows: skyline index out of range for the base"
-      else pos.(g) <- i)
+          "Delta.carried_rows: skyline index out of range for the base")
     old_sky;
+  let s = Array.length old_sky in
+  let by_base = Array.init s Fun.id in
+  Array.sort (fun a b -> Int.compare old_sky.(a) old_sky.(b)) by_base;
+  let position o =
+    let lo = ref 0 and hi = ref s in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if old_sky.(by_base.(mid)) < o then lo := mid + 1 else hi := mid
+    done;
+    if !lo < s && old_sky.(by_base.(!lo)) = o then by_base.(!lo) else -1
+  in
   Array.map
     (fun g ->
-      let o = plan.new_to_old.(g) in
-      if o >= 0 then pos.(o) else -1)
+      let o = origin plan g in
+      if o >= 0 then position o else -1)
     new_sky

@@ -3,7 +3,8 @@
 
     A mutation batch is applied with sequential left-to-right semantics
     to produce a {!plan}: the new row array plus the index
-    correspondence between the old and new datasets.  The plan is what
+    correspondence between the old and new datasets — an old → new map
+    and, the other way, the runs of carried rows.  The plan is what
     every incremental artifact step consumes — skyline maintenance
     here, matrix row carry-over via {!Regret_matrix.update}, and the
     serve layer's delta-scoped result-cache invalidation. *)
@@ -16,6 +17,15 @@ type mutation =
           destroyed (artifact-wise a delete-at + insert-at: the row
           keeps its position but counts as fresh) *)
 
+type run = {
+  new_start : int;  (** first new index of the run *)
+  old_start : int;  (** the base index carried to [new_start] *)
+  len : int;  (** rows in the run, at least 1 *)
+}
+(** A maximal block of base rows carried unedited: new indices
+    [new_start .. new_start + len - 1] hold base rows
+    [old_start .. old_start + len - 1], in order. *)
+
 type plan = {
   base : Rrms_geom.Vec.t array;
       (** the pre-batch rows — the very array passed to {!apply}, shared,
@@ -25,10 +35,13 @@ type plan = {
   old_to_new : int array;
       (** base index → new index; [-1] when deleted or value-destroyed
           by an upsert *)
-  new_to_old : int array;
-      (** new index → base index it was carried from; [-1] for a fresh
-          value (insert or upsert) *)
-  fresh : int array;  (** new indices with no base origin, ascending *)
+  runs : run array;
+      (** the carried rows as runs, ascending and non-overlapping: one
+          more than the edited base positions at most, so the new → old
+          direction costs O(ops) to keep ({!origin} reads it) *)
+  fresh : int array;
+      (** new indices with no base origin, ascending; with [runs] they
+          partition the new indices *)
 }
 
 val apply : ?dim:int -> Rrms_geom.Vec.t array -> mutation list -> plan
@@ -41,6 +54,11 @@ val apply : ?dim:int -> Rrms_geom.Vec.t array -> mutation list -> plan
     must keep a dataset resident reject that case themselves.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] on a bad
     index, a dimension mismatch, or a non-finite / negative value. *)
+
+val origin : plan -> int -> int
+(** [origin plan j] is the base index that new row [j] was carried
+    from, or [-1] for a fresh row (or an index outside the new rows).
+    A binary search over [plan.runs]: O(log runs). *)
 
 type skyline_path =
   | Remap  (** every old skyline member survives and no row is fresh *)
@@ -83,6 +101,8 @@ val carried_rows : plan -> old_sky:int array -> new_sky:int array -> int array
 (** [carried_rows plan ~old_sky ~new_sky] maps each new skyline
     position to the old skyline position holding the identical point
     ([-1] for fresh rows) — the [carried] spec for
-    {!Regret_matrix.update}.
+    {!Regret_matrix.update}.  Reads {!origin} per new member and an
+    s-sized table of the old positions sorted by base index, so the
+    cost is O(s·log s + s·log runs), nothing per row of the base.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] when
     [old_sky] does not index the plan's base. *)

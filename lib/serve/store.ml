@@ -161,16 +161,53 @@ let digests_of rows =
    whose digests were carried (only fresh rows digested) keys exactly
    like the same rows loaded from scratch — cached answers cite row
    indices, so the key must be order-sensitive. *)
-let key_of_digests ~attributes (digests : int array) =
+let key_header ~attributes ~n =
   let h = ref 0xcbf29ce484222325L in
   h := hash_int64 !h (Int64.of_int (Array.length attributes));
-  h := hash_int64 !h (Int64.of_int (Array.length digests));
+  h := hash_int64 !h (Int64.of_int n);
   Array.iter (fun a -> h := hash_string !h a) attributes;
-  let acc = ref (Int64.to_int !h) in
+  Int64.to_int !h
+
+let key_of_chain acc = Printf.sprintf "%016Lx" (Int64.of_int acc)
+
+let key_of_digests ~attributes (digests : int array) =
+  let acc = ref (key_header ~attributes ~n:(Array.length digests)) in
   for i = 0 to Array.length digests - 1 do
     acc := mix !acc (Array.unsafe_get digests i)
   done;
-  Printf.sprintf "%016Lx" (Int64.of_int !acc)
+  key_of_chain !acc
+
+(* The digests and key of a mutated table in one pass over the new
+   rows in order: a carried run copies its digests from [digests0] and
+   a fresh row is digested, each mixed into the chain as it lands, so
+   the key is [key_of_digests] of the result. *)
+let carried_key ~attributes digests0 (plan : Delta.plan) =
+  let rows = plan.Delta.rows and runs = plan.Delta.runs in
+  let n = Array.length rows in
+  let dg = Array.make n 0 in
+  let acc = ref (key_header ~attributes ~n) in
+  let r = ref 0 and j = ref 0 in
+  while !j < n do
+    if !r < Array.length runs && runs.(!r).Delta.new_start = !j then begin
+      let { Delta.old_start; len; _ } = runs.(!r) in
+      for k = 0 to len - 1 do
+        let d = Array.unsafe_get digests0 (old_start + k) in
+        Array.unsafe_set dg (!j + k) d;
+        acc := mix !acc d
+      done;
+      j := !j + len;
+      incr r
+    end
+    else begin
+      (* [runs] and [plan.fresh] partition the new indices: a row no
+         run starts at is fresh *)
+      let d = row_digest rows.(!j) in
+      dg.(!j) <- d;
+      acc := mix !acc d;
+      incr j
+    end
+  done;
+  (dg, key_of_chain !acc)
 
 (* ------------------------------------------------------------------ *)
 (* State                                                              *)
@@ -1099,16 +1136,7 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
       in
       let digests', new_key =
         Obs.Span.with_ "store.content_key" (fun () ->
-            let n = Array.length plan.Delta.rows in
-            let dg = Array.make n 0 in
-            for j = 0 to n - 1 do
-              let o = plan.Delta.new_to_old.(j) in
-              if o >= 0 then dg.(j) <- digests0.(o)
-            done;
-            Array.iter
-              (fun j -> dg.(j) <- row_digest plan.Delta.rows.(j))
-              plan.Delta.fresh;
-            (dg, key_of_digests ~attributes:(Dataset.attributes d0) dg))
+            carried_key ~attributes:(Dataset.attributes d0) digests0 plan)
       in
       (* A replay must land on the key its record names; anywhere else
          is a state the original process never had, refused before any
@@ -1180,18 +1208,17 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
          - greedy (LP skip counters) and cube (t-parameter grid) read
            the full raw table, dominated rows included — always
            evicted. *)
-      (* Lazy: the index-stability and tie-free scans walk the whole
-         table, and only the 2D family ever needs the proof — an
-         hd-only cache must not pay for them on every mutation. *)
+      (* Lazy: only the 2D family ever needs the proof, and its
+         tie-free scan walks the whole table — an hd-only cache must
+         not pay for it on every mutation.  Index stability is one
+         check per carried run: every surviving base row kept its
+         index iff every run starts where it started. *)
       let positional =
         lazy
           (preserved
-          && (let o2n = plan.Delta.old_to_new in
-              let rec stable i =
-                i = Array.length o2n
-                || ((o2n.(i) = i || o2n.(i) = -1) && stable (i + 1))
-              in
-              stable 0)
+          && Array.for_all
+               (fun { Delta.new_start; old_start; _ } -> new_start = old_start)
+               plan.Delta.runs
           &&
           match sky' with
           | Some s -> sky_values_unique plan.Delta.rows s

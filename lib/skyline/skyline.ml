@@ -48,8 +48,22 @@ module Metrics = struct
 end
 
 (* The SFS sort key.  [extend] reuses it, so both order ties on exactly
-   the same float. *)
-let sum_of p = Array.fold_left ( +. ) 0. p
+   the same float: a plain left-to-right loop from 0, inlined so that
+   neither the accumulator nor the result is boxed. *)
+let[@inline] sum_of (p : float array) =
+  let s = ref 0. in
+  for d = 0 to Array.length p - 1 do
+    s := !s +. Array.unsafe_get p d
+  done;
+  !s
+
+(* The keys of rows [row 0 .. row (k-1)], in a flat float array. *)
+let keys k row =
+  let a = Array.create_float k in
+  for i = 0 to k - 1 do
+    Array.unsafe_set a i (sum_of (row i))
+  done;
+  a
 
 (* [covers q p]: q is at least p on every attribute. *)
 let covers (q : float array) (p : float array) =
@@ -68,8 +82,9 @@ let beats points q p =
     invalid_arg "Skyline.beats: dimension mismatch";
   covers a b && (q < p || not (covers b a))
 
-(* SFS without metrics: the kept indices, in SFS order. *)
-let sfs_core ?domains points =
+(* SFS without metrics: the kept indices, in SFS order.  [sums] are
+   the rows' keys, [sum_of] of each. *)
+let sfs_keyed ?domains points sums =
   let n = Array.length points in
   let m = if n > 0 then Array.length points.(0) else 0 in
   Array.iter
@@ -78,7 +93,6 @@ let sfs_core ?domains points =
         invalid_arg "Dominance.compare: dimension mismatch")
     points;
   let idx = Array.init n (fun i -> i) in
-  let sums = Array.map sum_of points in
   Array.sort
     (fun i j ->
       let c = Float.compare sums.(j) sums.(i) in
@@ -161,7 +175,9 @@ let sfs_core ?domains points =
 let sfs ?domains points =
   Obs.Counter.incr Metrics.runs;
   Obs.Counter.add Metrics.input_points (Array.length points);
-  let sky = sfs_core ?domains points in
+  let sky =
+    sfs_keyed ?domains points (keys (Array.length points) (Array.get points))
+  in
   Obs.Gauge.set_int Metrics.size (Array.length sky);
   sky
 
@@ -190,10 +206,9 @@ let extend ?domains points ~sky ~extra =
   Array.iter check extra;
   Obs.Counter.incr Metrics.runs;
   Obs.Counter.add Metrics.input_points (Array.length sky + Array.length extra);
-  (* [beaten_by rows sums g]: a row of [rows] (in SFS order, [sums]
-     their keys) beats [g]. *)
-  let beaten_by rows sums g =
-    let s = sum_of points.(g) in
+  (* [beaten_by rows sums s g]: a row of [rows] (in SFS order, [sums]
+     their keys) beats [g], whose key is [s]. *)
+  let beaten_by rows sums s g =
     let rec go k =
       k < Array.length rows
       && sums.(k) >= s
@@ -203,28 +218,39 @@ let extend ?domains points ~sky ~extra =
   in
   (* [sky] in SFS order.  A remapped skyline already is, so check
      before paying for a sort. *)
-  let keys = Array.map (fun g -> sum_of points.(g)) sky in
+  let skeys = keys (Array.length sky) (fun i -> points.(sky.(i))) in
   let before i j =
-    let c = Float.compare keys.(j) keys.(i) in
+    let c = Float.compare skeys.(j) skeys.(i) in
     if c <> 0 then c else Stdlib.compare sky.(i) sky.(j)
   in
-  let order = Array.init (Array.length sky) Fun.id in
   let rec sorted k =
     k >= Array.length sky || (before (k - 1) k < 0 && sorted (k + 1))
   in
-  if not (sorted 1) then Array.sort before order;
-  let a = Array.map (fun k -> sky.(k)) order in
-  let asums = Array.map (fun k -> keys.(k)) order in
+  let a, asums =
+    if sorted 1 then (sky, skeys)
+    else begin
+      let order = Array.init (Array.length sky) Fun.id in
+      Array.sort before order;
+      (Array.map (fun k -> sky.(k)) order, Array.map (fun k -> skeys.(k)) order)
+    end
+  in
   (* sfs over B', in ascending global index order so its local index
      tie-break is the global one. *)
-  let b' =
+  let ekeys = keys (Array.length extra) (fun i -> points.(extra.(i))) in
+  let kept =
     Array.of_seq
-      (Seq.filter (fun g -> not (beaten_by a asums g)) (Array.to_seq extra))
+      (Seq.filter
+         (fun k -> not (beaten_by a asums ekeys.(k) extra.(k)))
+         (Seq.init (Array.length extra) Fun.id))
   in
-  Array.sort Stdlib.compare b';
-  let local = sfs_core ?domains (Array.map (fun g -> points.(g)) b') in
+  Array.sort (fun k l -> Int.compare extra.(k) extra.(l)) kept;
+  let b' = Array.map (fun k -> extra.(k)) kept in
+  let b'sums = Array.map (fun k -> ekeys.(k)) kept in
+  let local =
+    sfs_keyed ?domains (Array.map (fun g -> points.(g)) b') b'sums
+  in
   let b = Array.map (fun l -> b'.(l)) local in
-  let bsums = Array.map (fun g -> sum_of points.(g)) b in
+  let bsums = Array.map (fun l -> b'sums.(l)) local in
   let na = Array.length a and nb = Array.length b in
   let out = Array.make (na + nb) 0 in
   let k = ref 0 and i = ref 0 and j = ref 0 in
@@ -237,7 +263,9 @@ let extend ?domains points ~sky ~extra =
   in
   while !i < na || !j < nb do
     if a_first () then begin
-      if not (beaten_by b bsums a.(!i)) then (out.(!k) <- a.(!i); incr k);
+      if not (beaten_by b bsums asums.(!i) a.(!i)) then (
+        out.(!k) <- a.(!i);
+        incr k);
       incr i
     end
     else begin

@@ -46,6 +46,7 @@ val extend :
     dropped first (O(|extra|·|sky|·m) at worst, usually far less), the
     rest go through one {!sfs} pass, and [sky] is checked against that
     pass's output only — O(|sky|·|sky B|·m) for the result [sky B].
+    Each row's SFS key (its attribute sum) is computed once.
     @raise Invalid_argument on an out-of-range index or a dimension
     mismatch. *)
 

@@ -191,6 +191,91 @@ let test_cache_survival () =
   let want2, _ = answer_of "fresh2" (Store.query fresh2 q) in
   Alcotest.(check string) "re-solved answer bit-identical" want2 got2
 
+(* A 2D answer cites row indices, so it survives only when every
+   surviving row kept its index: an insert at the tail keeps the cached
+   answer, and deleting a dominated row ahead of the skyline evicts it
+   although the skyline point sequence is unchanged. *)
+let test_cache_survival_2d () =
+  let rows0 =
+    Array.append [| [| 0.05; 0.05 |] |] (synth ~n:30 ~m:2 ~seed:91)
+  in
+  let store = Store.create ~domains:1 () in
+  ignore (Store.add store (dataset_of rows0) : Store.loaded);
+  (* A materialized skyline, so the batches are maintained, not
+     rebuilt. *)
+  (match Store.pin store "mut" with
+  | None -> Alcotest.fail "dataset not resident"
+  | Some h ->
+      ignore (Store.skyline_of store h : int array);
+      Store.unpin store h);
+  let q = query ~algo:Protocol.A2d ~r:3 "mut" in
+  let fresh_answer rows =
+    let fresh = Store.create ~domains:1 () in
+    ignore (Store.add fresh (dataset_of rows) : Store.loaded);
+    fst (answer_of "fresh" (Store.query fresh q))
+  in
+  ignore (answer_of "cold" (Store.query store q));
+  let tail = [ Delta.Insert [| 0.01; 0.02 |] ] in
+  let r = must_mutate "tail insert" (Store.mutate store ~dataset:"mut" tail) in
+  Alcotest.(check int) "tail insert keeps the 2d answer" 1 r.Store.results_kept;
+  let got, cached = answer_of "after tail insert" (Store.query store q) in
+  Alcotest.(check bool) "kept entry serves warm" true cached;
+  let rows1 = apply_all ~m:2 rows0 tail in
+  Alcotest.(check string) "kept answer = fresh solve" (fresh_answer rows1) got;
+  let r2 =
+    must_mutate "delete ahead"
+      (Store.mutate store ~dataset:"mut" [ Delta.Delete 0 ])
+  in
+  Alcotest.(check (option string))
+    "skyline untouched" (Some "remap") r2.Store.skyline_path;
+  Alcotest.(check int) "delete ahead of the skyline evicts" 0
+    r2.Store.results_kept;
+  Alcotest.(check int) "one answer evicted" 1 r2.Store.results_evicted;
+  let got2, cached2 = answer_of "after delete" (Store.query store q) in
+  Alcotest.(check bool) "evicted entry re-solves" false cached2;
+  Alcotest.(check string) "re-solved answer = fresh solve"
+    (fresh_answer (apply_all ~m:2 rows1 [ Delta.Delete 0 ]))
+    got2
+
+(* A batch that leaves the skyline point sequence alone must cost no
+   n-length bookkeeping beyond the new row array, [old_to_new] and the
+   new digest array: 3·n words and a few headers, which [Gc.counters]
+   counts at once, since arrays that long go straight to the major
+   heap.  One more n-length array (a new → old map, or a second digest
+   array) makes it 4·n and more, so the ceiling of 3.5·n trips on it
+   with n/2 words to spare either way. *)
+let test_mutate_allocation () =
+  let n = 20_000 and m = 4 in
+  let rows0 = synth ~n ~m ~seed:95 in
+  let store = Store.create ~domains:1 () in
+  ignore (Store.add store (dataset_of rows0) : Store.loaded);
+  ignore
+    (answer_of "warm"
+       (Store.query store (query ~algo:Protocol.Hd_rrms ~r:5 ~gamma:5 "mut")));
+  let sky = Skyline.sfs rows0 in
+  let inside = List.filter (fun i -> not (Array.mem i sky)) [ 3; 7; 11 ] in
+  let low () = Array.init m (fun _ -> 0.001) in
+  let ops =
+    match inside with
+    | a :: b :: _ ->
+        [ Delta.Insert (low ()); Delta.Upsert (b, low ()); Delta.Delete a;
+          Delta.Insert (low ()) ]
+    | _ -> Alcotest.fail "no dominated rows to edit"
+  in
+  let _, _, major0 = Gc.counters () in
+  let r =
+    must_mutate "dominated batch" (Store.mutate store ~dataset:"mut" ops)
+  in
+  let _, _, major1 = Gc.counters () in
+  Alcotest.(check int) "matrix kept" 0
+    (r.Store.matrices_updated + r.Store.matrices_dropped);
+  Alcotest.(check int) "answer kept" 1 r.Store.results_kept;
+  let words = int_of_float (major1 -. major0) in
+  if 2 * words >= 7 * n then
+    Alcotest.failf
+      "a 4-op batch at n = %d allocated %d major words (ceiling %d)" n words
+      (7 * n / 2)
+
 let test_empty_and_invalid_rejected () =
   let store = Store.create () in
   ignore (Store.add store (dataset_of (synth ~n:3 ~m:2 ~seed:5)) : Store.loaded);
@@ -272,9 +357,47 @@ let naive_apply ?dim rows muts =
         Array.of_list fresh)
   with Bad msg -> Error msg
 
+(* A valid batch over a table of [n0] rows aimed at the edges of the
+   carried runs: the first and the last base row still present, every
+   base row deleted around an insert, an inserted row upserted, and the
+   tail insert deleted.  The table never empties. *)
+let edge_batch st ~value n0 =
+  let open QCheck.Gen in
+  let nb = ref n0 and nt = ref 0 in
+  let insert () =
+    incr nt;
+    [ Delta.Insert (value ()) ]
+  in
+  let edit_base i =
+    if !nb = 0 then []
+    else if bool st || !nb + !nt = 1 then [ Delta.Upsert (i, value ()) ]
+    else begin
+      decr nb;
+      [ Delta.Delete i ]
+    end
+  in
+  List.concat
+    (List.init (int_range 1 3 st) (fun _ ->
+         match int_bound 4 st with
+         | 0 -> edit_base 0
+         | 1 -> edit_base (!nb - 1)
+         | 2 ->
+             let ins = insert () in
+             let dels = List.init !nb (fun _ -> Delta.Delete 0) in
+             nb := 0;
+             ins @ dels
+         | 3 ->
+             let ins = insert () in
+             ins @ [ Delta.Upsert (!nb + !nt - 1, value ()) ]
+         | _ ->
+             let ins = insert () in
+             decr nt;
+             ins @ [ Delta.Delete (!nb + !nt) ]))
+
 (* Small tables and indices that sometimes miss, values that sometimes
    have the wrong width or a negative / non-finite entry: the error
-   paths must agree with the reference too. *)
+   paths must agree with the reference too.  A third of the batches
+   are edge batches. *)
 let apply_case_gen =
   QCheck.Gen.(
     int_range 1 3 >>= fun m ->
@@ -296,10 +419,15 @@ let apply_case_gen =
           (3, map (fun i -> Delta.Delete (i - 1)) (int_bound 9));
           (3, map2 (fun i v -> Delta.Upsert (i - 1, v)) (int_bound 9) value) ]
     in
-    quad (return m)
-      (array_size (int_bound 6) good)
-      (list_size (int_bound 6) op)
-      bool)
+    let random =
+      pair (array_size (int_bound 6) good) (list_size (int_bound 6) op)
+    in
+    let edge =
+      array_size (int_range 1 6) good >>= fun rows st ->
+      (rows, edge_batch st ~value:(fun () -> good st) (Array.length rows))
+    in
+    frequency [ (2, random); (1, edge) ] >>= fun (rows, ops) ->
+    bool >|= fun with_dim -> (m, rows, ops, with_dim))
 
 let print_batch (m, rows, ops) =
   let vec v = Rrms_geom.Vec.to_string v in
@@ -313,6 +441,22 @@ let print_batch (m, rows, ops) =
             | Delta.Upsert (i, v) -> Printf.sprintf "ups %d %s" i (vec v))
           ops))
 
+(* Non-empty runs, ascending and non-overlapping on both sides. *)
+let runs_well_formed runs =
+  let ok = ref true in
+  Array.iteri
+    (fun i { Delta.new_start; old_start; len } ->
+      if len < 1 || new_start < 0 || old_start < 0 then ok := false;
+      if i > 0 then begin
+        let p = runs.(i - 1) in
+        if
+          p.Delta.new_start + p.Delta.len > new_start
+          || p.Delta.old_start + p.Delta.len > old_start
+        then ok := false
+      end)
+    runs;
+  !ok
+
 let prop_apply_matches_reference =
   QCheck.Test.make ~count:500 ~name:"Delta.apply ≡ one-op-at-a-time reference"
     (QCheck.make
@@ -323,14 +467,21 @@ let prop_apply_matches_reference =
       let dim = if with_dim then Some m else None in
       let want = naive_apply ?dim rows ops in
       match Delta.apply ?dim rows ops with
-      | plan ->
+      | plan -> (
           plan.Delta.base == rows
-          && want
-             = Ok
-                 ( plan.Delta.rows,
-                   plan.Delta.old_to_new,
-                   plan.Delta.new_to_old,
-                   plan.Delta.fresh )
+          &&
+          match want with
+          | Error _ -> false
+          | Ok (rows', old_to_new, new_to_old, fresh) ->
+              (rows', old_to_new, fresh)
+              = (plan.Delta.rows, plan.Delta.old_to_new, plan.Delta.fresh)
+              && runs_well_formed plan.Delta.runs
+              && Array.for_all Fun.id
+                   (Array.mapi
+                      (fun j o -> Delta.origin plan j = o)
+                      new_to_old)
+              && Delta.origin plan (-1) = -1
+              && Delta.origin plan (Array.length new_to_old) = -1)
       | exception
           Guard.Error.Guard_error (Guard.Error.Invalid_input { what; _ }) ->
           want = Error what)
@@ -396,7 +547,8 @@ let prop_update_skyline_matches_sfs =
 
 (* A mutation digests only its fresh rows and carries the rest, so the
    batches aim where the carry bookkeeping is easiest to get wrong: the
-   last row, and rows this very batch appended.  Values come from a
+   last row, and rows this very batch appended; a third of the batches
+   are the edge batches of [Delta.apply]'s case.  Values come from a
    three-level alphabet, so equal rows (equal digests) at different
    positions are common. *)
 let key_case_gen st =
@@ -407,25 +559,38 @@ let key_case_gen st =
   let len = ref (Array.length rows) in
   let batches =
     List.init (int_range 1 3 st) (fun _ ->
-        let appended = ref 0 in
-        List.init (int_range 1 6 st) (fun _ ->
-            let target () =
+        if int_bound 2 st = 0 then begin
+          let ops = edge_batch st ~value !len in
+          List.iter
+            (function
+              | Delta.Insert _ -> incr len
+              | Delta.Delete _ -> decr len
+              | Delta.Upsert _ -> ())
+            ops;
+          ops
+        end
+        else begin
+          let appended = ref 0 in
+          List.init (int_range 1 6 st) (fun _ ->
+              let target () =
+                match int_bound 2 st with
+                | 0 -> !len - 1
+                | 1 when !appended > 0 ->
+                    !len - 1 - int_bound (!appended - 1) st
+                | _ -> int_bound (!len - 1) st
+              in
               match int_bound 2 st with
-              | 0 -> !len - 1
-              | 1 when !appended > 0 -> !len - 1 - int_bound (!appended - 1) st
-              | _ -> int_bound (!len - 1) st
-            in
-            match int_bound 2 st with
-            | 1 when !len > 1 ->
-                let i = target () in
-                if i >= !len - !appended then decr appended;
-                decr len;
-                Delta.Delete i
-            | 2 -> Delta.Upsert (target (), value ())
-            | _ ->
-                incr len;
-                incr appended;
-                Delta.Insert (value ())))
+              | 1 when !len > 1 ->
+                  let i = target () in
+                  if i >= !len - !appended then decr appended;
+                  decr len;
+                  Delta.Delete i
+              | 2 -> Delta.Upsert (target (), value ())
+              | _ ->
+                  incr len;
+                  incr appended;
+                  Delta.Insert (value ()))
+        end)
   in
   (m, rows, batches)
 
@@ -850,6 +1015,10 @@ let suite =
       test_store_bit_identity_2d;
     Alcotest.test_case "delta-scoped cache survival" `Quick
       test_cache_survival;
+    Alcotest.test_case "2d cache survival needs stable indices" `Quick
+      test_cache_survival_2d;
+    Alcotest.test_case "sequence-preserving mutate allocation" `Quick
+      test_mutate_allocation;
     Alcotest.test_case "invalid batches rejected" `Quick
       test_empty_and_invalid_rejected;
     QCheck_alcotest.to_alcotest prop_apply_matches_reference;
