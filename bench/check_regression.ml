@@ -15,7 +15,9 @@
    - lower-is-better: "ratio_vs_disabled", "ratio_vs_untraced",
      "ratio_vs_exact", "mutate_major_words" (the words one mutation
      batch allocates in the major heap: a count, so it transfers
-     between machines), and the kernel perf gates
+     between machines), "hit_minor_words" (the minor words one cached
+     hit allocates through a session: a count too), and the kernel
+     perf gates
      ("matrix_build_seconds", "mrst_binary_search_seconds",
      "hd_rrms_solve_seconds") — a regression when the fresh value
      exceeds the baseline by more than the tolerance;
@@ -59,7 +61,7 @@ let rule_of_key key =
   match key with
   | "speedup" | "speedup_vs_1" | "rehydrate_speedup" -> Higher_better
   | "ratio_vs_disabled" | "ratio_vs_untraced" | "ratio_vs_exact"
-  | "mutate_major_words" | "matrix_build_seconds"
+  | "mutate_major_words" | "hit_minor_words" | "matrix_build_seconds"
   | "mrst_binary_search_seconds" | "hd_rrms_solve_seconds" ->
       Lower_better
   | "benchmark" | "dataset" | "n" | "m" | "gamma" | "r" | "repeats"

@@ -188,13 +188,56 @@ type cell =
   | Float_cell of float Atomic.t
   | Timer_cell of Hist.t
 
-type metric = { meta : meta; cell : cell }
+(* Dense metric ids: each metric name is interned once, at [make]
+   time, so a request context records and reads by an int, never by
+   hashing the name.  Two metrics of one name share an id, as they
+   shared a name before. *)
+module Ids = struct
+  let mutex = Mutex.create ()
+  let of_name : (string, int) Hashtbl.t = Hashtbl.create 64
+  let names = ref (Array.make 64 "")
+  let count = ref 0
+
+  let find name =
+    Mutex.lock mutex;
+    let id = Hashtbl.find_opt of_name name in
+    Mutex.unlock mutex;
+    id
+
+  let intern name =
+    Mutex.lock mutex;
+    let id =
+      match Hashtbl.find_opt of_name name with
+      | Some id -> id
+      | None ->
+          let id = !count in
+          if id = Array.length !names then begin
+            let bigger = Array.make (2 * id) "" in
+            Array.blit !names 0 bigger 0 id;
+            names := bigger
+          end;
+          !names.(id) <- name;
+          Hashtbl.add of_name name id;
+          count := id + 1;
+          id
+    in
+    Mutex.unlock mutex;
+    id
+
+  let name id =
+    Mutex.lock mutex;
+    let n = !names.(id) in
+    Mutex.unlock mutex;
+    n
+end
+
+type metric = { meta : meta; cell : cell; id : int }
 
 let registry : metric list ref = ref []
 let registry_mutex = Mutex.create ()
 
 let register meta cell =
-  let m = { meta; cell } in
+  let m = { meta; cell; id = Ids.intern meta.name } in
   Mutex.lock registry_mutex;
   registry := m :: !registry;
   Mutex.unlock registry_mutex;
@@ -350,13 +393,27 @@ module Ctx = struct
            later stack-root spans (e.g. pool-worker chunks) attach
            under it so a request trace has exactly one local root. *)
     c_mutex : Mutex.t;
-    vals : (string, float ref) Hashtbl.t;
+    (* Recorded deltas as parallel arrays over the first [c_len] slots,
+       keyed by dense metric id: a request records a handful of
+       distinct metrics, so a scan beats hashing. *)
+    mutable c_ids : int array;
+    mutable c_vals : float array;
+    mutable c_len : int;
     mutable c_spans : Trace.event list; (* newest first *)
     mutable c_span_count : int;
     mutable c_span_dropped : int;
   }
 
+  type key = int
+
+  let key = Ids.intern
   let max_spans = 10_000
+
+  (* Contexts take their lock from a fixed stripe rather than creating
+     one per request: the critical sections are a few loads and stores,
+     so two requests sharing a stripe hardly ever meet. *)
+  let stripes = Array.init 64 (fun _ -> Mutex.create ())
+  let next_stripe = Atomic.make 0
 
   let create ?(request_id = "") ?(session_id = "") ?(capture_spans = false)
       ?(trace_id = "") ?(parent_span = "") () =
@@ -367,8 +424,12 @@ module Ctx = struct
       trace_id;
       parent_span;
       c_root_span = "";
-      c_mutex = Mutex.create ();
-      vals = Hashtbl.create 16;
+      c_mutex =
+        stripes.(Atomic.fetch_and_add next_stripe 1
+                 land (Array.length stripes - 1));
+      c_ids = [||];
+      c_vals = [||];
+      c_len = 0;
       c_spans = [];
       c_span_count = 0;
       c_span_dropped = 0;
@@ -383,8 +444,20 @@ module Ctx = struct
      be wrong here: server sessions are systhreads multiplexed on
      domain 0 and must not see each other's binding.  [active] keeps
      the no-context fast path at one atomic load. *)
+  module Slots = Hashtbl.Make (struct
+    type t = int * int
+
+    let equal (d, th) (d', th') = Int.equal d d' && Int.equal th th'
+    let hash (d, th) = ((th * 65599) + d) land max_int
+  end)
+
   let active = Atomic.make 0
-  let slots : (int * int, t) Hashtbl.t = Hashtbl.create 32
+
+  (* Bindings of contexts that capture spans: while there are none, a
+     span at Counters records nothing and need not look up [current]. *)
+  let capturing = Atomic.make 0
+
+  let slots : t Slots.t = Slots.create 32
   let slots_mutex = Mutex.create ()
   let self_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
@@ -393,7 +466,7 @@ module Ctx = struct
     else begin
       let k = self_key () in
       Mutex.lock slots_mutex;
-      let c = Hashtbl.find_opt slots k in
+      let c = Slots.find_opt slots k in
       Mutex.unlock slots_mutex;
       c
     end
@@ -401,50 +474,86 @@ module Ctx = struct
   let with_ctx c f =
     let k = self_key () in
     Mutex.lock slots_mutex;
-    let prev = Hashtbl.find_opt slots k in
-    Hashtbl.replace slots k c;
-    if prev = None then Atomic.incr active;
+    let prev = Slots.find_opt slots k in
+    Slots.replace slots k c;
+    if Option.is_none prev then Atomic.incr active;
+    if c.capture_spans then Atomic.incr capturing;
     Mutex.unlock slots_mutex;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock slots_mutex;
-        (match prev with
-        | Some p -> Hashtbl.replace slots k p
-        | None ->
-            Hashtbl.remove slots k;
-            Atomic.decr active);
-        Mutex.unlock slots_mutex)
-      f
+    let restore () =
+      Mutex.lock slots_mutex;
+      (match prev with
+      | Some p -> Slots.replace slots k p
+      | None ->
+          Slots.remove slots k;
+          Atomic.decr active);
+      if c.capture_spans then Atomic.decr capturing;
+      Mutex.unlock slots_mutex
+    in
+    match f () with
+    | v ->
+        restore ();
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        restore ();
+        Printexc.raise_with_backtrace e bt
 
   let scoped copt f = match copt with None -> f () | Some c -> with_ctx c f
 
-  let add c name x =
+  (* Slot of [id] among the first [c_len], or -1; under [c_mutex]. *)
+  let slot c id =
+    let rec go i =
+      if i = c.c_len then -1
+      else if Int.equal (Array.unsafe_get c.c_ids i) id then i
+      else go (i + 1)
+    in
+    go 0
+
+  let add_id c id x =
     if x <> 0. then begin
       Mutex.lock c.c_mutex;
-      (match Hashtbl.find_opt c.vals name with
-      | Some r -> r := !r +. x
-      | None -> Hashtbl.add c.vals name (ref x));
+      let i = slot c id in
+      if i >= 0 then c.c_vals.(i) <- c.c_vals.(i) +. x
+      else begin
+        let n = c.c_len in
+        if n = Array.length c.c_ids then begin
+          let cap = max 4 (2 * n) in
+          let ids = Array.make cap 0 and vals = Array.make cap 0. in
+          Array.blit c.c_ids 0 ids 0 n;
+          Array.blit c.c_vals 0 vals 0 n;
+          c.c_ids <- ids;
+          c.c_vals <- vals
+        end;
+        c.c_ids.(n) <- id;
+        c.c_vals.(n) <- x;
+        c.c_len <- n + 1
+      end;
       Mutex.unlock c.c_mutex
     end
 
+  let add c name x = add_id c (Ids.intern name) x
+
   (* The tee called from Counter/Floatc hot paths (already level
      gated); [current] early-exits on the [active] atomic. *)
-  let record name x =
-    match current () with None -> () | Some c -> add c name x
+  let record id x =
+    match current () with None -> () | Some c -> add_id c id x
 
-  let value c name =
+  let get c id =
     Mutex.lock c.c_mutex;
-    let v =
-      match Hashtbl.find_opt c.vals name with Some r -> !r | None -> 0.
-    in
+    let i = slot c id in
+    let v = if i >= 0 then c.c_vals.(i) else 0. in
     Mutex.unlock c.c_mutex;
     v
 
+  let value c name = match Ids.find name with Some id -> get c id | None -> 0.
+
   let counters c =
     Mutex.lock c.c_mutex;
-    let kvs = Hashtbl.fold (fun k r acc -> (k, !r) :: acc) c.vals [] in
+    let kvs = List.init c.c_len (fun i -> (c.c_ids.(i), c.c_vals.(i))) in
     Mutex.unlock c.c_mutex;
-    List.sort compare kvs
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (List.map (fun (id, v) -> (Ids.name id, v)) kvs)
 
   let deterministic_counters c =
     let det = Hashtbl.create 16 in
@@ -495,13 +604,13 @@ module Counter = struct
   let incr t =
     if Atomic.get level_cell > 0 then begin
       ignore (Atomic.fetch_and_add t.c 1);
-      Ctx.record t.m.meta.name 1.
+      Ctx.record t.m.id 1.
     end
 
   let add t n =
     if Atomic.get level_cell > 0 && n <> 0 then begin
       ignore (Atomic.fetch_and_add t.c n);
-      Ctx.record t.m.meta.name (float_of_int n)
+      Ctx.record t.m.id (float_of_int n)
     end
 
   let value t = Atomic.get t.c
@@ -522,7 +631,7 @@ module Floatc = struct
   let add t x =
     if Atomic.get level_cell > 0 && x <> 0. then begin
       float_add t.c x;
-      Ctx.record t.m.meta.name x
+      Ctx.record t.m.id x
     end
 
   let value t = Atomic.get t.c
@@ -582,7 +691,7 @@ module Span = struct
   (* Innermost open traced span per (domain, systhread) — same keying
      as [Ctx] bindings (sessions are systhreads multiplexed on domain
      0); saved and restored around each traced span. *)
-  let open_spans : (int * int, string) Hashtbl.t = Hashtbl.create 32
+  let open_spans : string Ctx.Slots.t = Ctx.Slots.create 32
   let open_mutex = Mutex.create ()
 
   (* First stack-root span under the context claims the context root;
@@ -601,7 +710,7 @@ module Span = struct
   let current_id () =
     let key = Ctx.self_key () in
     Mutex.lock open_mutex;
-    let id = Hashtbl.find_opt open_spans key in
+    let id = Ctx.Slots.find_opt open_spans key in
     Mutex.unlock open_mutex;
     match id with Some id -> id | None -> ""
 
@@ -632,7 +741,7 @@ module Span = struct
      for a global Full buffer.  Context ids ride along as attrs. *)
   let with_ ?(attrs = []) name f =
     let lvl = Atomic.get level_cell in
-    if lvl = 0 then f ()
+    if lvl = 0 || (lvl = 1 && Atomic.get Ctx.capturing = 0) then f ()
     else begin
       let ctx = Ctx.current () in
       let capture =
@@ -648,7 +757,7 @@ module Span = struct
           | Some c when c.Ctx.trace_id <> "" ->
               let key = Ctx.self_key () in
               Mutex.lock open_mutex;
-              let prev = Hashtbl.find_opt open_spans key in
+              let prev = Ctx.Slots.find_opt open_spans key in
               Mutex.unlock open_mutex;
               let base =
                 if c.Ctx.parent_span <> "" then c.Ctx.parent_span
@@ -667,7 +776,7 @@ module Span = struct
                     if root <> "" then root else c.Ctx.parent_span
               in
               Mutex.lock open_mutex;
-              Hashtbl.replace open_spans key id;
+              Ctx.Slots.replace open_spans key id;
               Mutex.unlock open_mutex;
               (c.Ctx.trace_id, id, parent, Some key, prev)
           | _ -> ("", "", "", None, None)
@@ -682,8 +791,8 @@ module Span = struct
             | Some key ->
                 Mutex.lock open_mutex;
                 (match prev_open with
-                | Some p -> Hashtbl.replace open_spans key p
-                | None -> Hashtbl.remove open_spans key);
+                | Some p -> Ctx.Slots.replace open_spans key p
+                | None -> Ctx.Slots.remove open_spans key);
                 Mutex.unlock open_mutex);
             Timer.observe (timer_for name) dur;
             let attrs =

@@ -216,6 +216,18 @@ module Ctx : sig
   val value : t -> string -> float
   (** Accumulated delta for one metric name; [0.] if never recorded. *)
 
+  type key
+  (** A metric name's dense id.  Every instrument interns its name when
+      it is made; a context records and reads by id, not by name. *)
+
+  val key : string -> key
+  (** The id of a metric name, interned on first use: resolve it once,
+      then read with {!get}. *)
+
+  val get : t -> key -> float
+  (** [value] by id: [get c (key name) = value c name], without hashing
+      [name]. *)
+
   val counters : t -> (string * float) list
   (** Every metric recorded in this context, sorted by name. *)
 

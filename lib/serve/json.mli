@@ -47,6 +47,10 @@ val to_string : t -> string
     numbers (which valid requests cannot produce, but a defensive
     printer must handle) are emitted as [null]. *)
 
+val write : Buffer.t -> t -> unit
+(** [to_string t] without the copy: append [t]'s encoding to a buffer,
+    for a caller that writes an envelope around it. *)
+
 val number_string : float -> string
 (** How {!to_string} prints a [Num]: integral values below [2^53] as
     [Printf.sprintf "%.0f"] would (["-0"] for negative zero), other
@@ -55,7 +59,11 @@ val number_string : float -> string
 (** {2 Accessors} — total, [None] on shape mismatch. *)
 
 val member : string -> t -> t option
-(** Field of an [Obj]; [None] on absent field or non-object. *)
+(** Field of an [Obj]; [None] on absent field or non-object.  With
+    duplicate keys, the first one. *)
+
+val field : string -> (string * t) list -> t option
+(** [member] over an object's field list. *)
 
 val str : t -> string option
 val num : t -> float option

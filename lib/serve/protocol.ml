@@ -221,7 +221,7 @@ let parse_batch_item ~dataset i obj =
     | _ -> ());
     let obj =
       match obj with
-      | Json.Obj fields when not (List.mem_assoc "dataset" fields) ->
+      | Json.Obj fields when Option.is_none (Json.field "dataset" fields) ->
           Json.Obj (("dataset", Json.Str dataset) :: fields)
       | _ -> obj
     in
@@ -403,16 +403,29 @@ let parse_request line =
         trace = None;
       }
 
+(* Decimal digits of a non-negative int, appended without allocating. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+
+let add_int b n =
+  if n >= 0 then add_digits b n else Buffer.add_string b (string_of_int n)
+
 let cache_key q =
   (* Budgets and cache flags never select the answer; γ only matters to
-     the grid-discretized algorithms. *)
-  let algo = algo_to_string q.algo and r = string_of_int q.r in
-  match q.algo with
+     the grid-discretized algorithms.  These bytes name persisted
+     results, so they never change. *)
+  let b = Buffer.create 32 in
+  Buffer.add_string b "algo=";
+  Buffer.add_string b (algo_to_string q.algo);
+  Buffer.add_string b ";r=";
+  add_int b q.r;
+  (match q.algo with
   | Hd_rrms | Hd_greedy ->
-      String.concat ""
-        [ "algo="; algo; ";r="; r; ";gamma="; string_of_int q.gamma ]
-  | A2d | A2d_exact | Sweepline | Greedy | Cube ->
-      String.concat "" [ "algo="; algo; ";r="; r ]
+      Buffer.add_string b ";gamma=";
+      add_int b q.gamma
+  | A2d | A2d_exact | Sweepline | Greedy | Cube -> ());
+  Buffer.contents b
 
 let budget_of q =
   match (q.timeout, q.max_cells, q.max_probes) with
@@ -420,20 +433,46 @@ let budget_of q =
   | timeout, max_cells, max_probes ->
       Guard.Budget.create ?timeout ?max_cells ?max_probes ()
 
-(* [cost] is a response-envelope sibling of [result], never inside it:
-   the [result] bytes are what the cache stores and what byte-identity
-   tests compare, so provenance must not perturb them. *)
+(* Milliseconds at microsecond resolution, the resolution of
+   [Unix.gettimeofday]: integer digits, a point and three decimals. *)
+let add_millis b ms =
+  if Float.is_nan ms || Float.abs ms >= 1e12 then
+    Buffer.add_string b (Json.number_string ms)
+  else begin
+    if ms < 0. then Buffer.add_char b '-';
+    let us = Float.to_int (Float.round (Float.abs ms *. 1000.)) in
+    add_digits b (us / 1000);
+    Buffer.add_char b '.';
+    let frac = us mod 1000 in
+    Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (frac / 100)));
+    Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (frac / 10 mod 10)));
+    Buffer.add_char b (Char.unsafe_chr (Char.code '0' + (frac mod 10)))
+  end
+
+(* The one reply envelope, written straight into a buffer sized from
+   the spliced result.  [cost] is a sibling of [result], never inside
+   it: the [result] bytes are what the cache stores and what
+   byte-identity tests compare, so provenance must not perturb them. *)
 let ok_response ?cost ~id ~cached ~elapsed_ms result =
-  Json.to_string
-    (Json.Obj
-       ([
-          ("id", id);
-          ("ok", Json.Bool true);
-          ("cached", Json.Bool cached);
-          ("elapsed_ms", Json.float elapsed_ms);
-          ("result", result);
-        ]
-       @ match cost with Some c -> [ ("cost", c) ] | None -> []))
+  let b =
+    Buffer.create
+      (match result with Json.Raw s -> String.length s + 80 | _ -> 256)
+  in
+  Buffer.add_string b {|{"id":|};
+  Json.write b id;
+  Buffer.add_string b
+    (if cached then {|,"ok":true,"cached":true,"elapsed_ms":|}
+     else {|,"ok":true,"cached":false,"elapsed_ms":|});
+  add_millis b elapsed_ms;
+  Buffer.add_string b {|,"result":|};
+  Json.write b result;
+  (match cost with
+  | Some c ->
+      Buffer.add_string b {|,"cost":|};
+      Json.write b c
+  | None -> ());
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let error_response ~id ~code ~message =
   Json.to_string

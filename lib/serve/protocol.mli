@@ -15,7 +15,9 @@
     [result] member is the deterministic part: for a given loaded
     dataset and query parameters it is byte-identical whether it came
     from a solver run or the result cache (test/test_serve.ml asserts
-    this); [cached] and [elapsed_ms] are the per-call metadata. *)
+    this); [cached] and [elapsed_ms] are the per-call metadata.
+    [elapsed_ms] has microsecond resolution: integer digits and three
+    decimals. *)
 
 type algo =
   | A2d  (** the published 2D DP, ["2d"] *)
@@ -183,6 +185,8 @@ val ok_response :
 (** Serialize a success line; the last argument is [result].  [cost]
     (the [explain: true] provenance echo) is emitted as a sibling of
     [result], so the [result] bytes — the cached, byte-compared part —
-    are identical with or without it. *)
+    are identical with or without it.  The envelope is written directly
+    into one buffer (a {!Json.Raw} result is copied in as is);
+    [elapsed_ms] is printed with three decimals, e.g. [0.004]. *)
 
 val error_response : id:Json.t -> code:string -> message:string -> string

@@ -46,6 +46,21 @@ let rec remove_one key = function
 let session_seq = Atomic.make 0
 let new_session_id () = Printf.sprintf "s%d" (1 + Atomic.fetch_and_add session_seq 1)
 
+(* "<session>-r<n>" for n >= 0, written into one string. *)
+let request_id_of session_id n =
+  let rec width k = if k < 10 then 1 else 1 + width (k / 10) in
+  let ls = String.length session_id in
+  let b = Bytes.create (ls + 2 + width n) in
+  Bytes.blit_string session_id 0 b 0 ls;
+  Bytes.set b ls '-';
+  Bytes.set b (ls + 1) 'r';
+  let rec digits k i =
+    Bytes.set b i (Char.unsafe_chr (Char.code '0' + (k mod 10)));
+    if k >= 10 then digits (k / 10) (i - 1)
+  in
+  digits n (Bytes.length b - 1);
+  Bytes.unsafe_to_string b
+
 let ints arr = Json.Arr (Array.to_list (Array.map Json.int arr))
 
 (* What a shard router changes about answering a request.  Everything
@@ -106,6 +121,13 @@ let error_of_exn = function
       | Some e -> e
       | None -> ("internal", Printexc.to_string exn))
 
+(* The four per-request values the runner reads from its context, by
+   dense id rather than by name. *)
+let matrix_derived_key = Obs.Ctx.key "rrms_serve_matrix_derived_total"
+let queue_wait_key = Obs.Ctx.key "rrms_serve_queue_wait_seconds_total"
+let probes_key = Obs.Ctx.key "rrms_hd_rrms_probes_total"
+let cells_key = Obs.Ctx.key "rrms_matrix_cells_total"
+
 (* The one per-request runner: a single query, a batch item or a
    mutation runs [f] under its own request context and span, a refusal
    or exception becomes the wire [(code, message)], and one telemetry
@@ -153,13 +175,13 @@ let run_request ?trace ~telemetry ~session_id ~request_id ~dataset
     | Error _ -> ("miss", "error", "")
     | Ok { Store.result; cached; cost; _ } ->
         ( (if cached then "hit"
-           else if Obs.Ctx.value ctx "rrms_serve_matrix_derived_total" > 0.
+           else if Obs.Ctx.get ctx matrix_derived_key > 0.
            then "derived"
            else "miss"),
           (match Json.member "degraded" result with
           | Some (Json.Bool true) -> "degraded"
           | _ -> "ok"),
-          match List.assoc_opt "merge" cost with
+          match Json.field "merge" cost with
           | Some (Json.Str s) -> s
           | _ -> "" )
   in
@@ -176,10 +198,10 @@ let run_request ?trace ~telemetry ~session_id ~request_id ~dataset
       error_code =
         (match outcome with Error (code, _) -> Some code | Ok _ -> None);
       queue_wait_ms =
-        1000. *. Obs.Ctx.value ctx "rrms_serve_queue_wait_seconds_total";
+        1000. *. Obs.Ctx.get ctx queue_wait_key;
       elapsed_ms = elapsed_ms ();
-      probes = Obs.Ctx.value ctx "rrms_hd_rrms_probes_total";
-      cells = Obs.Ctx.value ctx "rrms_matrix_cells_total";
+      probes = Obs.Ctx.get ctx probes_key;
+      cells = Obs.Ctx.get ctx cells_key;
       shards;
       merge;
     }
@@ -239,7 +261,7 @@ let dispatch ~telemetry ~router ~session_id ~reqno store session line =
   in
   let next_request_id () =
     incr reqno;
-    Printf.sprintf "%s-r%d" session_id !reqno
+    request_id_of session_id !reqno
   in
   let resolved dataset =
     Option.value ~default:dataset (Store.resolve store dataset)
@@ -310,12 +332,26 @@ let dispatch ~telemetry ~router ~session_id ~reqno store session line =
                ("warnings", Json.int ld.Store.warnings);
              ])
     | Ok (Protocol.Query q) -> (
-        (* A batch item on a handle pinned for this one query. *)
+        (* A batch item on a handle pinned for this one query; the pin
+           names the content key the access log records. *)
         let request_id = next_request_id () in
-        match
-          query ~request_id ~dataset_key:(resolved q.Protocol.dataset)
+        let dataset = q.Protocol.dataset in
+        let run h () =
+          query ~request_id
+            ~dataset_key:
+              (match h with Some h -> Store.pinned_key h | None -> dataset)
             ~elapsed_ms q (fun () ->
-              with_pin q.Protocol.dataset (fun h -> answer h q))
+              match h with
+              | Some h -> answer h q
+              | None -> Error `Unknown_dataset)
+        in
+        match
+          match Store.pin store dataset with
+          | None -> run None ()
+          | Some h ->
+              Fun.protect
+                ~finally:(fun () -> Store.unpin store h)
+                (run (Some h))
         with
         | Ok (o, cost) ->
             ok ~cached:o.Store.cached ?cost (Json.Raw o.Store.result_text)

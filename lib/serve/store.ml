@@ -13,6 +13,15 @@ module Cube = Rrms_core.Cube
 module Delta = Rrms_core.Delta
 module Mrst = Rrms_core.Mrst
 
+(* The string-keyed tables a request consults: [String.equal], not the
+   polymorphic [compare] of a plain [Hashtbl]. *)
+module Stbl = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 module Metrics = struct
   let c ?(deterministic = true) name help =
     Obs.Counter.make ~deterministic ~help name
@@ -259,7 +268,7 @@ type entry = {
   mutable matrices : (int * Regret_matrix.t) list;  (* keyed by γ *)
   mutable incs : (int * Mrst.Incremental.t slot) list;  (* keyed by γ *)
   mutable scratches : (int * Hd_greedy.scratch slot) list;  (* likewise *)
-  results : (string, answer) Hashtbl.t;  (* Protocol.cache_key → result *)
+  results : answer Stbl.t;  (* Protocol.cache_key → result *)
   (* NOT guarded by [e_lock]: [refs] is read and written only under
      [t.lock], together with the entry tables it keeps consistent — a
      refcount that reaches zero must atomically disappear from
@@ -275,17 +284,15 @@ type t = {
   draining : bool Atomic.t;  (* set during graceful shutdown *)
   lock : Mutex.t;  (* guards entries, aliases and the admission state *)
   cond : Condition.t;
-  entries : (string, entry) Hashtbl.t;  (* content hash → entry *)
-  aliases : (string, string) Hashtbl.t;  (* dataset name → content hash *)
+  entries : entry Stbl.t;  (* content hash → entry *)
+  aliases : string Stbl.t;  (* dataset name → content hash *)
   g_lock : Mutex.t;  (* guards grids *)
   grids : (int * int, Rrms_geom.Vec.t array) Hashtbl.t;  (* (m, γ) → grid *)
   mutable inflight : int;
   mutable queued : int;
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let with_lock = Mutex.protect
 
 let create ?domains ?(max_inflight = 4) ?(max_queue = 16) ?persist () =
   if max_inflight < 1 then
@@ -306,8 +313,8 @@ let create ?domains ?(max_inflight = 4) ?(max_queue = 16) ?persist () =
     draining = Atomic.make false;
     lock = Mutex.create ();
     cond = Condition.create ();
-    entries = Hashtbl.create 16;
-    aliases = Hashtbl.create 16;
+    entries = Stbl.create 16;
+    aliases = Stbl.create 16;
     g_lock = Mutex.create ();
     grids = Hashtbl.create 16;
     inflight = 0;
@@ -336,13 +343,13 @@ let register t ~warnings d =
   let key = key_of_digests ~attributes:(Dataset.attributes d) digests in
   let r =
     with_lock t.lock (fun () ->
-      match Hashtbl.find_opt t.entries key with
+      match Stbl.find_opt t.entries key with
       | Some e ->
           e.refs <- e.refs + 1;
           Obs.Counter.incr Metrics.dataset_hits;
           (* The alias follows the newest load even on a hit, so two
              names for identical content both resolve. *)
-          Hashtbl.replace t.aliases (Dataset.name d) key;
+          Stbl.replace t.aliases (Dataset.name d) key;
           {
             key;
             dataset_name = Dataset.name e.dataset;
@@ -366,12 +373,12 @@ let register t ~warnings d =
               matrices = [];
               incs = [];
               scratches = [];
-              results = Hashtbl.create 16;
+              results = Stbl.create 16;
               refs = 1;
             }
           in
-          Hashtbl.replace t.entries key e;
-          Hashtbl.replace t.aliases (Dataset.name d) key;
+          Stbl.replace t.entries key e;
+          Stbl.replace t.aliases (Dataset.name d) key;
           Obs.Counter.incr Metrics.datasets_loaded;
           {
             key;
@@ -424,11 +431,11 @@ let add t d = register t ~warnings:0 d
 
 (* Resolve a key-or-alias under [t.lock]. *)
 let find_locked t handle =
-  match Hashtbl.find_opt t.entries handle with
+  match Stbl.find_opt t.entries handle with
   | Some e -> Some e
   | None -> (
-      match Hashtbl.find_opt t.aliases handle with
-      | Some key -> Hashtbl.find_opt t.entries key
+      match Stbl.find_opt t.aliases handle with
+      | Some key -> Stbl.find_opt t.entries key
       | None -> None)
 
 type release =
@@ -442,13 +449,13 @@ type release =
    decrementing or removing {e that} entry is exactly the cross-shard
    refcount race this store had. *)
 let free_locked t (e : entry) =
-  Hashtbl.remove t.entries e.key;
+  Stbl.remove t.entries e.key;
   let dead =
-    Hashtbl.fold
+    Stbl.fold
       (fun a k acc -> if k = e.key then a :: acc else acc)
       t.aliases []
   in
-  List.iter (Hashtbl.remove t.aliases) dead;
+  List.iter (Stbl.remove t.aliases) dead;
   Obs.Counter.incr Metrics.evictions
 
 let release t handle =
@@ -496,7 +503,7 @@ let unpin t (e : handle) =
       if e.refs = 0 then
         (* Physical-equality check: free only if this exact entry is
            still resident (see [free_locked]). *)
-        match Hashtbl.find_opt t.entries e.key with
+        match Stbl.find_opt t.entries e.key with
         | Some resident when resident == e -> free_locked t e
         | _ -> ())
 
@@ -920,7 +927,7 @@ let query_pinned t (e : handle) (q : Protocol.query) =
         with_lock e.e_lock (fun () ->
             ( e.generation,
               e.key,
-              if q.use_cache then Hashtbl.find_opt e.results ckey else None ))
+              if q.use_cache then Stbl.find_opt e.results ckey else None ))
       in
       match hit with
       | Some a ->
@@ -946,8 +953,8 @@ let query_pinned t (e : handle) (q : Protocol.query) =
           | Some a ->
               Obs.Counter.incr Metrics.result_hits;
               with_lock e.e_lock (fun () ->
-                  if e.generation = gen0 && not (Hashtbl.mem e.results ckey)
-                  then Hashtbl.add e.results ckey a);
+                  if e.generation = gen0 && not (Stbl.mem e.results ckey)
+                  then Stbl.add e.results ckey a);
               Ok (outcome a ~cached:true [ ("source", Json.Str "persist") ])
           | None ->
               if q.use_cache then Obs.Counter.incr Metrics.result_misses;
@@ -982,8 +989,8 @@ let query_pinned t (e : handle) (q : Protocol.query) =
                       let same_gen =
                         with_lock e.e_lock (fun () ->
                             if e.generation = gen0 then begin
-                              if not (Hashtbl.mem e.results ckey) then
-                                Hashtbl.add e.results ckey a;
+                              if not (Stbl.mem e.results ckey) then
+                                Stbl.add e.results ckey a;
                               true
                             end
                             else false)
@@ -1116,7 +1123,7 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
               e.skyline,
               e.matrices,
               (e.incs, e.scratches),
-              Hashtbl.fold (fun k v acc -> (k, v) :: acc) e.results [] ))
+              Stbl.fold (fun k v acc -> (k, v) :: acc) e.results [] ))
       in
       let m = Dataset.dim d0 in
       let plan =
@@ -1260,24 +1267,24 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
       (* Install: rebind the entry under its new content hash and swap
          every artifact field in one critical section. *)
       with_lock t.lock (fun () ->
-          (match Hashtbl.find_opt t.entries key0 with
-          | Some resident when resident == e -> Hashtbl.remove t.entries key0
+          (match Stbl.find_opt t.entries key0 with
+          | Some resident when resident == e -> Stbl.remove t.entries key0
           | _ -> ());
           (* If another resident entry already owns [new_key] (the
              mutation made this dataset bit-identical to a separately
              loaded one), the rebind shadows it: its pins stay safe
              (unpin frees only on physical equality) but it lives until
              process exit — an accepted leak for a pathological case. *)
-          Hashtbl.replace t.entries new_key e;
+          Stbl.replace t.entries new_key e;
           let stale =
-            Hashtbl.fold
+            Stbl.fold
               (fun a k acc -> if k = key0 then a :: acc else acc)
               t.aliases []
           in
-          List.iter (fun a -> Hashtbl.replace t.aliases a new_key) stale;
+          List.iter (fun a -> Stbl.replace t.aliases a new_key) stale;
           (* The old hash stays resolvable, so a client that addressed
              the dataset by content key keeps reaching it. *)
-          if key0 <> new_key then Hashtbl.replace t.aliases key0 new_key;
+          if key0 <> new_key then Stbl.replace t.aliases key0 new_key;
           with_lock e.e_lock (fun () ->
               e.key <- new_key;
               e.dataset <- d';
@@ -1288,8 +1295,8 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
               e.matrices <- mats';
               e.incs <- incs';
               e.scratches <- scratches';
-              Hashtbl.reset e.results;
-              List.iter (fun (k, v) -> Hashtbl.replace e.results k v) survivors));
+              Stbl.reset e.results;
+              List.iter (fun (k, v) -> Stbl.replace e.results k v) survivors));
       Obs.Counter.incr Metrics.mutations;
       Obs.Counter.add Metrics.mutation_ops (List.length muts);
       Obs.Counter.add Metrics.results_carried !kept;
@@ -1365,7 +1372,7 @@ let stats t =
   let datasets, inflight, queued =
     with_lock t.lock (fun () ->
         let ds =
-          Hashtbl.fold
+          Stbl.fold
             (fun key e acc ->
               let fields =
                 with_lock e.e_lock (fun () ->
@@ -1383,7 +1390,7 @@ let stats t =
                           (List.map
                              (fun (g, _) -> Json.int g)
                              (List.sort compare e.matrices)) );
-                      ("results_cached", Json.int (Hashtbl.length e.results));
+                      ("results_cached", Json.int (Stbl.length e.results));
                     ])
               in
               (key, Json.Obj fields) :: acc)

@@ -19,9 +19,20 @@ module Obs = Rrms_obs.Obs
 
 type key = { k_algo : string; k_cache : string; k_status : string }
 
+module Hists = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    String.equal a.k_algo b.k_algo
+    && String.equal a.k_cache b.k_cache
+    && String.equal a.k_status b.k_status
+
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   mutex : Mutex.t; (* guards hists, the channel, and the line counters *)
-  hists : (key, Obs.Hist.t) Hashtbl.t;
+  hists : Obs.Hist.t Hists.t;
   access : out_channel option;
   access_path : string option;
   slow_ms : float option;
@@ -32,7 +43,7 @@ type t = {
 let create ?access_log ?slow_ms () =
   {
     mutex = Mutex.create ();
-    hists = Hashtbl.create 16;
+    hists = Hists.create 16;
     access = Option.map open_out access_log;
     access_path = access_log;
     slow_ms;
@@ -67,11 +78,11 @@ type request = {
 }
 
 let hist_for t k =
-  match Hashtbl.find_opt t.hists k with
+  match Hists.find_opt t.hists k with
   | Some h -> h
   | None ->
       let h = Obs.Hist.create () in
-      Hashtbl.add t.hists k h;
+      Hists.add t.hists k h;
       h
 
 let span_json (ev : Obs.Trace.event) =
@@ -193,7 +204,7 @@ let quantile_ms h q = 1000. *. Obs.Hist.quantile h q
 
 let sorted_entries t =
   Mutex.lock t.mutex;
-  let entries = Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.hists [] in
+  let entries = Hists.fold (fun k h acc -> (k, h) :: acc) t.hists [] in
   Mutex.unlock t.mutex;
   (* [compare] on keys orders by algo, then cache, then status. *)
   List.sort (fun ((a : key), _) (b, _) -> compare a b) entries
@@ -292,19 +303,19 @@ let merge_exports labeled =
     | _ -> []
   in
   let per_shard = List.concat_map parse labeled in
-  let merged : (key, Obs.Hist.t) Hashtbl.t = Hashtbl.create 16 in
+  let merged = Hists.create 16 in
   let order = ref [] in
   List.iter
     (fun (_, (k, h)) ->
-      match Hashtbl.find_opt merged k with
-      | Some prev -> Hashtbl.replace merged k (Obs.Hist.merge prev h)
+      match Hists.find_opt merged k with
+      | Some prev -> Hists.replace merged k (Obs.Hist.merge prev h)
       | None ->
-          Hashtbl.replace merged k h;
+          Hists.replace merged k h;
           order := k :: !order)
     per_shard;
   let keys = List.sort (fun (a : key) b -> compare a b) (List.rev !order) in
   let all_rows =
-    List.map (fun k -> summary_row ~shard:"all" k (Hashtbl.find merged k)) keys
+    List.map (fun k -> summary_row ~shard:"all" k (Hists.find merged k)) keys
   in
   let shard_rows =
     List.map (fun (label, (k, h)) -> summary_row ~shard:label k h) per_shard
