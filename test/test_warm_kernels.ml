@@ -611,6 +611,12 @@ let test_warm_allocation () =
               List.iter
                 (fun r ->
                   let toggled0 = counter "rrms_mrst_cells_toggled_total" in
+                  (* [Gc.counters]' major words include promotions: a
+                     minor collection landing inside the query would
+                     promote what earlier queries left live (their
+                     cached answers), which is no allocation of this
+                     query.  Start each query on an empty minor heap. *)
+                  Gc.minor ();
                   let minor0, _, major0 = Gc.counters () in
                   let resp = reply (query algo r) in
                   let minor1, _, major1 = Gc.counters () in
