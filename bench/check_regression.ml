@@ -16,7 +16,9 @@
      "ratio_vs_exact", "mutate_major_words" (the words one mutation
      batch allocates in the major heap: a count, so it transfers
      between machines), "hit_minor_words" (the minor words one cached
-     hit allocates through a session: a count too), and the kernel
+     hit allocates through a session: a count too), "cell_order_bytes"
+     (the bytes of one matrix's cached cell order: a size, the same on
+     every machine), and the kernel
      perf gates
      ("matrix_build_seconds", "mrst_binary_search_seconds",
      "hd_rrms_solve_seconds") — a regression when the fresh value
@@ -61,8 +63,9 @@ let rule_of_key key =
   match key with
   | "speedup" | "speedup_vs_1" | "rehydrate_speedup" -> Higher_better
   | "ratio_vs_disabled" | "ratio_vs_untraced" | "ratio_vs_exact"
-  | "mutate_major_words" | "hit_minor_words" | "matrix_build_seconds"
-  | "mrst_binary_search_seconds" | "hd_rrms_solve_seconds" ->
+  | "mutate_major_words" | "hit_minor_words" | "cell_order_bytes"
+  | "matrix_build_seconds" | "mrst_binary_search_seconds"
+  | "hd_rrms_solve_seconds" ->
       Lower_better
   | "benchmark" | "dataset" | "n" | "m" | "gamma" | "r" | "repeats"
   | "kernel" | "algo" | "level" | "domains" | "budget_kind" | "budget"

@@ -35,7 +35,7 @@ let json_escape s =
          | c -> String.make 1 c)
        (List.init (String.length s) (String.get s)))
 
-let write_json path ~n ~m ~gamma ~r ~digest samples =
+let write_json path ~n ~m ~gamma ~r ~digest ~cell_order_bytes samples =
   let oc = open_out path in
   let base kernel =
     List.find_opt (fun s -> s.kernel = kernel && s.domains = 1) samples
@@ -48,10 +48,11 @@ let write_json path ~n ~m ~gamma ~r ~digest samples =
   Printf.fprintf oc "  \"cpu_cores_available\": %d,\n"
     (Domain.recommended_domain_count ());
   (* Hard perf gates: single-domain wall-clock of the three optimized
-     kernels (lower-better, only compared on matching core counts) plus
-     a machine-independent digest of the answers (identity — any layout
-     or batching change that alters a result fails the gate even on
-     noisy shared runners). *)
+     kernels (lower-better, only compared on matching core counts), the
+     bytes of the matrix's cached cell order (lower-better, and the same
+     on every machine) and a machine-independent digest of the answers
+     (identity — any layout or batching change that alters a result
+     fails the gate even on noisy shared runners). *)
   let gate kernel =
     match base kernel with Some s -> s.seconds | None -> nan
   in
@@ -62,6 +63,7 @@ let write_json path ~n ~m ~gamma ~r ~digest samples =
     (gate "mrst-binary-search");
   Printf.fprintf oc "    \"hd_rrms_solve_seconds\": %.6f,\n"
     (gate "hd-rrms-solve");
+  Printf.fprintf oc "    \"cell_order_bytes\": %d,\n" cell_order_bytes;
   Printf.fprintf oc "    \"answer_digest\": \"%s\"\n" (json_escape digest);
   Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"samples\": [\n";
@@ -176,18 +178,23 @@ let run scale =
         solves;
       record "hd-rrms-solve" domains (snd (fastest snd solves)))
     domain_counts;
+  (* What the cached cell order holds: its two id arrays, off-heap. *)
+  let cell_order_bytes =
+    let o = Rrms_core.Regret_matrix.cell_order matrix1 in
+    Bigarray.Array1.size_in_bytes o.cells
+    + Bigarray.Array1.size_in_bytes o.starts
+  in
   (* From-scratch probe cost at 1 domain, for the incremental-vs-rescan
      comparison (the binary search above uses Mrst.Incremental). *)
-  let values = Rrms_core.Regret_matrix.distinct_values matrix1 in
+  let runs = Rrms_core.Regret_matrix.distinct_count matrix1 in
+  let value = Rrms_core.Regret_matrix.distinct_value matrix1 in
   let _, t_scratch =
     time (fun () ->
         (* Replay the binary search with from-scratch probes. *)
-        let low = ref 0 and high = ref (Array.length values - 1) in
+        let low = ref 0 and high = ref (runs - 1) in
         while !low <= !high do
           let mid = (!low + !high) / 2 in
-          match
-            Rrms_core.Mrst.solve ~domains:1 matrix1 ~eps:values.(mid)
-          with
+          match Rrms_core.Mrst.solve ~domains:1 matrix1 ~eps:(value mid) with
           | Some rows when Array.length rows <= r -> high := mid - 1
           | Some _ | None -> low := mid + 1
         done)
@@ -201,10 +208,10 @@ let run scale =
   let perprobe_best = ref None in
   let _, t_perprobe =
     time (fun () ->
-        let low = ref 0 and high = ref (Array.length values - 1) in
+        let low = ref 0 and high = ref (runs - 1) in
         while !low <= !high do
           let mid = (!low + !high) / 2 in
-          let eps = values.(mid) in
+          let eps = value mid in
           match Rrms_core.Mrst.Incremental.solve incr ~eps with
           | Some rows when Array.length rows <= r ->
               perprobe_best := Some (rows, eps);
@@ -342,4 +349,5 @@ let run scale =
           sv.selected);
     Digest.to_hex (Digest.string (Buffer.contents b))
   in
-  write_json "BENCH_parallel.json" ~n ~m ~gamma ~r ~digest (List.rev !samples)
+  write_json "BENCH_parallel.json" ~n ~m ~gamma ~r ~digest ~cell_order_bytes
+    (List.rev !samples)

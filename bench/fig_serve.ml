@@ -26,7 +26,9 @@
      replayed into a third store whose answer must match again.
 
    All reuse paths are bit-exact, which the run asserts by comparing
-   serialized results before recording any timing. *)
+   serialized results before recording any timing.  The single-shot
+   phases (γ derivation, restart recovery, dynamic maintenance) record
+   the fastest of five runs from fresh state. *)
 
 open Bench_util
 module Store = Rrms_serve.Store
@@ -88,6 +90,20 @@ let min_time ~repeats ~iters f =
     if per_call < !best then best := per_call
   done;
   !best
+
+(* The single-shot speedups (γ derivation, restart recovery, dynamic
+   maintenance) each time one query against fresh state, so one shot
+   carries whatever heap the earlier phases left.  Each is run
+   [shot_runs] times from scratch after one untimed warm-up, and every
+   time recorded is the fastest of its runs, as [fig_parallel] does for
+   its gated kernels. *)
+let shot_runs = 5
+
+let shots f =
+  ignore (f ());
+  List.init shot_runs (fun _ -> f ())
+
+let fastest times = List.fold_left Float.min infinity times
 
 let json_escape s =
   String.concat ""
@@ -210,39 +226,41 @@ let run scale =
      query below is served by column selection, timed against a fresh
      store that must build grid and matrix at γ′ from scratch.  Single
      shots — the second derived query would be a matrix hit, which is
-     the cold/warm story above, not the derivation story. *)
-  let warm_store = Store.create () in
-  ignore (Store.load warm_store ~name:"bench" hd_csv);
-  ignore (run_query warm_store (q ~gamma ~r "bench"));
+     the cold/warm story above, not the derivation story — so every run
+     starts from a fresh warm store. *)
+  let gammas = [ gamma / 2; gamma / 4; 1 ] in
+  let gamma_shots =
+    shots (fun () ->
+        let warm_store = Store.create () in
+        ignore (Store.load warm_store ~name:"bench" hd_csv);
+        ignore (run_query warm_store (q ~gamma ~r "bench"));
+        List.map
+          (fun g ->
+            let d, derived =
+              time (fun () -> run_query warm_store (q ~gamma:g ~r "bench"))
+            in
+            let cold_store = Store.create () in
+            ignore (Store.load cold_store ~name:"bench" hd_csv);
+            let c, cold =
+              time (fun () -> run_query cold_store (q ~gamma:g ~r "bench"))
+            in
+            assert (
+              Json.to_string d.Store.result = Json.to_string c.Store.result);
+            (cold, derived))
+          gammas)
+  in
   let gamma_rows =
-    List.map
-      (fun g ->
-        let derived_out = ref None in
-        let derived =
-          let o, s =
-            time (fun () -> run_query warm_store (q ~gamma:g ~r "bench"))
-          in
-          derived_out := Some o;
-          s
-        in
-        let cold_store = Store.create () in
-        ignore (Store.load cold_store ~name:"bench" hd_csv);
-        let cold_out = ref None in
-        let cold =
-          let o, s =
-            time (fun () -> run_query cold_store (q ~gamma:g ~r "bench"))
-          in
-          cold_out := Some o;
-          s
-        in
-        let d = Option.get !derived_out and c = Option.get !cold_out in
-        assert (Json.to_string d.Store.result = Json.to_string c.Store.result);
+    List.mapi
+      (fun i g ->
+        let at = List.map (fun run -> List.nth run i) gamma_shots in
+        let cold = fastest (List.map fst at)
+        and derived = fastest (List.map snd at) in
         row fig ~x:(string_of_int g) ~x_name:"gamma" ~series:"derived"
           ~time:derived ();
         row fig ~x:(string_of_int g) ~x_name:"gamma" ~series:"cold" ~time:cold
           ();
         (g, cold, derived))
-      [ gamma / 2; gamma / 4; 1 ]
+      gammas
   in
   (* r-sweep of result-cache speedups on one shared store: artifacts are
      warm after the first r, so the cold times isolate the solver and
@@ -267,37 +285,44 @@ let run scale =
      state dir; a fresh store B over the same dir — empty memory, the
      restarted-daemon case — must answer the same query warm from the
      result blob alone.  Single shots: only the first warm query is a
-     rehydration (after it the answer lives in B's memory again). *)
-  let state_dir = Filename.temp_file "fig_serve_state" "" in
-  Sys.remove state_dir;
+     rehydration (after it the answer lives in B's memory again), so
+     every run starts from a fresh state dir. *)
+  let state_dirs = ref [] in
   let recovery =
-    let store_a = Store.create ~persist:(Persist.open_dir state_dir) () in
-    ignore (Store.load store_a ~name:"bench" hd_csv);
-    let cold_out = ref None in
-    let cold_s =
-      let o, s = time (fun () -> run_query store_a (q ~gamma ~r "bench")) in
-      cold_out := Some o;
-      s
+    let runs =
+      shots (fun () ->
+          let state_dir = Filename.temp_file "fig_serve_state" "" in
+          Sys.remove state_dir;
+          state_dirs := state_dir :: !state_dirs;
+          let store_a = Store.create ~persist:(Persist.open_dir state_dir) () in
+          ignore (Store.load store_a ~name:"bench" hd_csv);
+          let co, cold_s =
+            time (fun () -> run_query store_a (q ~gamma ~r "bench"))
+          in
+          let persist_b = Persist.open_dir state_dir in
+          let scan = Persist.last_scan persist_b in
+          let store_b = Store.create ~persist:persist_b () in
+          ignore (Store.load store_b ~name:"bench" hd_csv);
+          let wo, rehydrated_s =
+            time (fun () -> run_query store_b (q ~gamma ~r "bench"))
+          in
+          assert ((not co.Store.cached) && wo.Store.cached);
+          let cold_str = Json.to_string co.Store.result in
+          assert (cold_str = Json.to_string wo.Store.result);
+          (cold_s, rehydrated_s, cold_str, scan.Persist.corrupt))
     in
-    let persist_b = Persist.open_dir state_dir in
-    let scan = Persist.last_scan persist_b in
-    let store_b = Store.create ~persist:persist_b () in
-    ignore (Store.load store_b ~name:"bench" hd_csv);
-    let warm_out = ref None in
-    let rehydrated_s =
-      let o, s = time (fun () -> run_query store_b (q ~gamma ~r "bench")) in
-      warm_out := Some o;
-      s
-    in
-    let co = Option.get !cold_out and wo = Option.get !warm_out in
-    assert ((not co.Store.cached) && wo.Store.cached);
-    let cold_str = Json.to_string co.Store.result in
-    assert (cold_str = Json.to_string wo.Store.result);
+    let _, _, cold_str, _ = List.hd runs in
+    List.iter (fun (_, _, str, _) -> assert (str = cold_str)) runs;
+    let cold_s = fastest (List.map (fun (c, _, _, _) -> c) runs)
+    and rehydrated_s = fastest (List.map (fun (_, w, _, _) -> w) runs) in
     row fig ~x:"restart" ~x_name:"phase" ~series:"cold" ~time:cold_s ();
     row fig ~x:"restart" ~x_name:"phase" ~series:"rehydrated"
       ~time:rehydrated_s ();
     let digest = Digest.to_hex (Digest.string cold_str) in
-    (cold_s, rehydrated_s, digest, scan.Persist.corrupt)
+    ( cold_s,
+      rehydrated_s,
+      digest,
+      List.fold_left (fun a (_, _, _, c) -> max a c) 0 runs )
   in
   (* Dynamic maintenance: a warm store absorbs batches of mixed
      mutations through the incremental delta path and answers the
@@ -318,9 +343,6 @@ let run scale =
     let dyn_csv = temp_csv ~n:n_dyn ~m in
     let wal_dir = Filename.temp_file "fig_serve_wal" "" in
     Sys.remove wal_dir;
-    let store_a = Store.create () in
-    ignore (Store.load store_a ~name:"dyn" dyn_csv);
-    ignore (run_query store_a (q ~gamma ~r "dyn"));
     let rng = Rrms_rng.Rng.create (seed_of ("serve", "dyn", m)) in
     let size = ref n_dyn in
     let fresh_tuple () = Array.init m (fun _ -> Rrms_rng.Rng.float rng 1.) in
@@ -360,20 +382,42 @@ let run scale =
           (b :: init, last)
     in
     let warmup, last = split_last all_batches in
-    List.iter
-      (fun b ->
-        ignore (must_mutate store_a b);
-        ignore (run_query store_a (q ~gamma ~r "dyn")))
-      warmup;
-    (* The timed batch's major-heap words ([Gc.counters] counts a
-       direct major allocation at once): a machine-independent price
-       of the write path, whose n-length arrays all land there. *)
-    let _, _, major0 = Gc.counters () in
-    let _, mutate_s = time (fun () -> must_mutate store_a last) in
-    let _, _, major1 = Gc.counters () in
-    let inc_o, query_s = time (fun () -> run_query store_a (q ~gamma ~r "dyn")) in
-    let incremental_s = mutate_s +. query_s in
-    let inc_str = Json.to_string inc_o.Store.result in
+    (* Each run brings a fresh store through the same batches; only the
+       last run's store is kept, for the rebuild below. *)
+    let last_store = ref None in
+    let runs =
+      shots (fun () ->
+          let store_a = Store.create () in
+          ignore (Store.load store_a ~name:"dyn" dyn_csv);
+          ignore (run_query store_a (q ~gamma ~r "dyn"));
+          List.iter
+            (fun b ->
+              ignore (must_mutate store_a b);
+              ignore (run_query store_a (q ~gamma ~r "dyn")))
+            warmup;
+          (* The timed batch's major-heap words ([Gc.counters] counts a
+             direct major allocation at once): a machine-independent
+             price of the write path, whose n-length arrays all land
+             there.  Promotions add to it by chance, so the fewest of
+             the runs is recorded. *)
+          let _, _, major0 = Gc.counters () in
+          let _, mutate_s = time (fun () -> must_mutate store_a last) in
+          let _, _, major1 = Gc.counters () in
+          let inc_o, query_s =
+            time (fun () -> run_query store_a (q ~gamma ~r "dyn"))
+          in
+          last_store := Some store_a;
+          ( mutate_s,
+            mutate_s +. query_s,
+            major1 -. major0,
+            Json.to_string inc_o.Store.result ))
+    in
+    let _, _, _, inc_str = List.hd runs in
+    List.iter (fun (_, _, _, str) -> assert (str = inc_str)) runs;
+    let mutate_s = fastest (List.map (fun (t, _, _, _) -> t) runs)
+    and incremental_s = fastest (List.map (fun (_, t, _, _) -> t) runs)
+    and major_words = fastest (List.map (fun (_, _, w, _) -> w) runs) in
+    let store_a = Option.get !last_store in
     (* From-scratch rebuild over the exact post-mutation dataset (taken
        from the store, not a CSV round-trip, so the bits agree). *)
     let h =
@@ -383,16 +427,21 @@ let run scale =
     in
     let d_final = Store.pinned_dataset h in
     Store.unpin store_a h;
-    let rebuild_store = Store.create () in
     (* The timed rebuild starts from the raw rows: registering the
        dataset (hashing + transforms) is part of the from-scratch price
        a daemon without the mutation path would pay per update. *)
-    let reb_o, rebuild_s =
-      time (fun () ->
-          let final = Store.add rebuild_store d_final in
-          run_query rebuild_store (q ~gamma ~r final.Store.key))
+    let rebuild_s =
+      fastest
+        (shots (fun () ->
+             let rebuild_store = Store.create () in
+             let reb_o, rebuild_s =
+               time (fun () ->
+                   let final = Store.add rebuild_store d_final in
+                   run_query rebuild_store (q ~gamma ~r final.Store.key))
+             in
+             assert (inc_str = Json.to_string reb_o.Store.result);
+             rebuild_s))
     in
-    assert (inc_str = Json.to_string reb_o.Store.result);
     (* Crash-recovery path: a persistent twin journals the same batches
        to the WAL, which is then replayed into a cold store. *)
     let store_w = Store.create ~persist:(Persist.open_dir wal_dir) () in
@@ -418,7 +467,7 @@ let run scale =
     Sys.remove dyn_csv;
     ( batches * ops_per_batch,
       incremental_s,
-      int_of_float (major1 -. major0),
+      int_of_float major_words,
       rebuild_s,
       rep.Mutate.records,
       wal_replay_s,
@@ -469,9 +518,13 @@ let run scale =
   in
   write_json "BENCH_serve.json" ~n ~m ~gamma ~r ~repeats ~cold_warm ~gamma_rows
     ~r_rows ~hit_line ~recovery ~dynamic;
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat state_dir f) with Sys_error _ -> ())
-    (Sys.readdir state_dir);
-  (try Unix.rmdir state_dir with Unix.Unix_error _ -> ());
+  List.iter
+    (fun state_dir ->
+      Array.iter
+        (fun f ->
+          try Sys.remove (Filename.concat state_dir f) with Sys_error _ -> ())
+        (Sys.readdir state_dir);
+      try Unix.rmdir state_dir with Unix.Unix_error _ -> ())
+    !state_dirs;
   Sys.remove hd_csv;
   Sys.remove csv_2d

@@ -7,7 +7,19 @@
    equal values keep their index order, which is the
    [(Float.compare value, index)] tie-break.  Any other input (NaN,
    negatives, huge ratios) takes the stable comparator sort, so exotic
-   inputs keep the same total order. *)
+   inputs keep the same total order.  Ids and run starts land in int32
+   [Bigarray]s, so at most [max_length] values are sorted. *)
+
+open Bigarray
+
+type ids = (int32, int32_elt, c_layout) Array1.t
+
+let max_length = Int32.to_int Int32.max_int
+
+let check_length n =
+  if n > max_length then
+    Rrms_guard.Guard.Error.resource_limit ~what:"cell order ids (int32)"
+      ~requested:n ~limit:max_length
 
 (* Bit pattern of a float in [0, 2) fits in 62 bits: the sign bit is 0
    and the biased exponent is at most 0x3FF, so the pattern is at most
@@ -29,8 +41,9 @@ let id_bits n =
    The first two passes move (key, index) pairs.  After them only the
    key's top 30 bits still matter, so the second pass packs each pair
    into one int, [(key lsr 32) lsl b lor index], and the last two
-   passes move half the data.  The last pass unpacks the indices. *)
-let radix_order a =
+   passes move half the data.  The last pass unpacks the indices into
+   [dst]. *)
+let radix_order a (dst : ids) =
   let n = Array.length a in
   let b = id_bits n in
   let ids_mask = (1 lsl b) - 1 in
@@ -86,47 +99,46 @@ let radix_order a =
     let slot = (3 * digit_count) + digit in
     let pos = Array.unsafe_get hist slot in
     Array.unsafe_set hist slot (pos + 1);
-    Array.unsafe_set ids pos (x land ids_mask)
-  done;
-  ids
+    Array1.unsafe_set dst pos (Int32.of_int (x land ids_mask))
+  done
 
 let order (a : float array) =
   let n = Array.length a in
-  (* NaN fails both comparisons.  Packing needs 30 key bits plus the
-     index bits in one 63-bit int. *)
-  let ids =
-    if n > 1 && id_bits n <= 33 && Array.for_all (fun x -> x >= 0. && x < 2.) a
-    then radix_order a
-    else begin
-      let ids = Array.init n Fun.id in
-      Array.stable_sort (fun i j -> Float.compare a.(i) a.(j)) ids;
-      ids
-    end
-  in
-  (* Runs of [=]-equal values in sorted order, each reporting its first
-     value: one gather lays the values out in sorted order, one scan
-     counts the runs and a second fills them in. *)
+  check_length n;
+  let ids = Array1.create int32 c_layout n in
+  (* NaN fails both comparisons.  With [n <= max_length] the index needs
+     at most 31 bits, so 30 key bits and the index pack into one
+     63-bit int. *)
+  if n > 1 && Array.for_all (fun x -> x >= 0. && x < 2.) a then
+    radix_order a ids
+  else begin
+    let perm = Array.init n Fun.id in
+    Array.stable_sort (fun i j -> Float.compare a.(i) a.(j)) perm;
+    Array.iteri (fun q i -> Array1.unsafe_set ids q (Int32.of_int i)) perm
+  end;
+  (* Runs of [=]-equal values in sorted order: one gather lays the
+     values out in sorted order and counts the runs as it goes, and one
+     scan records where each run starts. *)
   let sorted = Array.create_float n in
-  for q = 0 to n - 1 do
-    Array.unsafe_set sorted q (Array.unsafe_get a (Array.unsafe_get ids q))
-  done;
   let runs = ref (if n > 0 then 1 else 0) in
+  if n > 0 then
+    Array.unsafe_set sorted 0
+      (Array.unsafe_get a (Int32.to_int (Array1.unsafe_get ids 0)));
   for q = 1 to n - 1 do
-    if Array.unsafe_get sorted q <> Array.unsafe_get sorted (q - 1) then
-      incr runs
+    let v = Array.unsafe_get a (Int32.to_int (Array1.unsafe_get ids q)) in
+    Array.unsafe_set sorted q v;
+    if v <> Array.unsafe_get sorted (q - 1) then incr runs
   done;
-  let starts = Array.make (!runs + 1) n and values = Array.create_float !runs in
+  let starts = Array1.create int32 c_layout (!runs + 1) in
+  Array1.unsafe_set starts !runs (Int32.of_int n);
   if n > 0 then begin
-    starts.(0) <- 0;
-    values.(0) <- sorted.(0);
+    Array1.unsafe_set starts 0 0l;
     let r = ref 1 in
     for q = 1 to n - 1 do
-      let v = Array.unsafe_get sorted q in
-      if v <> Array.unsafe_get sorted (q - 1) then begin
-        Array.unsafe_set starts !r q;
-        Array.unsafe_set values !r v;
+      if Array.unsafe_get sorted q <> Array.unsafe_get sorted (q - 1) then begin
+        Array1.unsafe_set starts !r (Int32.of_int q);
         incr r
       end
     done
   end;
-  (ids, starts, values)
+  (ids, starts)

@@ -45,15 +45,15 @@ type search = {
   stopped : Guard.reason option;
 }
 
-(* Algorithm 4: binary search over the sorted distinct cell values; each
-   probe asks MRST whether some row set of size <= max_size satisfies
-   the threshold (max_size = r for the §6.1 rule; r·H(|F|) for §4.4.3's
-   alternative).  Each probe is one Mrst.Incremental.solve, which
-   toggles the cells crossing the new threshold and gives up on the
-   cover once it needs more than max_size rows.  No threshold is probed
-   twice: binary-search midpoints never repeat, and the fallback's top
-   value is probed only when no probe accepted, while the top always
-   accepts.
+(* Algorithm 4: binary search over the sorted distinct cell values, by
+   run index into the matrix's cell order; each probe asks MRST whether
+   some row set of size <= max_size satisfies the threshold (max_size =
+   r for the §6.1 rule; r·H(|F|) for §4.4.3's alternative).  Each probe
+   is one Mrst.Incremental.solve_run, which toggles the cells crossing
+   the new threshold and gives up on the cover once it needs more than
+   max_size rows.  No threshold is probed twice: binary-search
+   midpoints never repeat, and the fallback's top value is probed only
+   when no probe accepted, while the top always accepts.
 
    The guard is consulted at probe boundaries only, so a degraded
    search is deterministic for a fixed probe count: the probe sequence
@@ -67,7 +67,7 @@ type search = {
 let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
     ?max_size ?inc matrix ~r =
   let max_size = match max_size with Some s -> s | None -> r in
-  let values = Regret_matrix.distinct_values matrix in
+  let runs = Regret_matrix.distinct_count matrix in
   let pooled = Option.is_some inc in
   let inc =
     (* A caller-supplied structure (the serve layer pools them across
@@ -88,9 +88,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
   let crossed = ref 0 and toggled = ref 0 in
   let probe ~save mid =
     incr fresh;
-    let answer =
-      Mrst.Incremental.solve ?solver ~limit:max_size inc ~eps:values.(mid)
-    in
+    let answer = Mrst.Incremental.solve_run ?solver ~limit:max_size inc mid in
     if save then Mrst.Incremental.save inc;
     crossed := !crossed + Mrst.Incremental.last_crossed inc;
     toggled := !toggled + Mrst.Incremental.last_toggled inc;
@@ -99,7 +97,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
   let best = ref None in
   let stopped = ref None in
   let probes = ref 0 in
-  let low = ref 0 and high = ref (Array.length values - 1) in
+  let low = ref 0 and high = ref (runs - 1) in
   (try
      while !low <= !high do
        (match Guard.Budget.stop_reason guard with
@@ -113,7 +111,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
        let mid = (!low + !high) / 2 in
        match probe ~save:(pooled && !probes <= 3) mid with
        | Some rows ->
-           best := Some (rows, values.(mid));
+           best := Some (rows, Regret_matrix.distinct_value matrix mid);
            high := mid - 1
        | None -> low := mid + 1
      done
@@ -126,10 +124,11 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
      deterministic degraded answer. *)
   (match (!best, !stopped) with
   | None, Some _ ->
-      let top = Array.length values - 1 in
+      let top = runs - 1 in
       if top >= 0 then begin
         match probe ~save:false top with
-        | Some rows -> best := Some (rows, values.(top))
+        | Some rows ->
+            best := Some (rows, Regret_matrix.distinct_value matrix top)
         | None -> ()
       end
   | _ -> ());

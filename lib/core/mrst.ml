@@ -100,7 +100,9 @@ module Incremental = struct
   type saved = { at : int; words : int array; counts : int array }
 
   type t = {
+    matrix : Regret_matrix.t;
     order : Regret_matrix.cell_order;
+    runs : int; (* distinct cell values *)
     rows : Setcover.instance; (* thresholded rows, updated in place *)
     sizes : int array; (* per row: its set bits *)
     bounds : int array; (* the greedy cover's work space *)
@@ -116,8 +118,11 @@ module Incremental = struct
 
   let create ?domains:_ matrix =
     let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
+    let order = Regret_matrix.cell_order matrix in
     {
-      order = Regret_matrix.cell_order matrix;
+      matrix;
+      order;
+      runs = Bigarray.Array1.dim order.starts - 1;
       rows =
         Setcover.make_instance ~universe:k ~sets:n
           (Array.make (n * Bitset.nwords k) 0);
@@ -166,15 +171,16 @@ module Incremental = struct
 
   (* Runs admitted at [eps]: how many run values are <= eps (they
      ascend, so a binary search finds the boundary). *)
-  let level_of values eps =
-    let lo = ref 0 and hi = ref (Array.length values) in
+  let level_of t eps =
+    let lo = ref 0 and hi = ref t.runs in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if values.(mid) <= eps then lo := mid + 1 else hi := mid
+      if Regret_matrix.distinct_value t.matrix mid <= eps then lo := mid + 1
+      else hi := mid
     done;
     !lo
 
-  (* Move to [eps]'s level by toggling the cells of the runs between the
+  (* Move to level [l1] by toggling the cells of the runs between the
      starting and the new level — exactly the cells whose membership
      differs, so a probe costs O(#cells toggled) instead of a full
      O(s·|F|) rescan.  The start is the nearest of the current and the
@@ -183,10 +189,11 @@ module Incremental = struct
      cell [c] is row [c / k], column [f = c mod k], and so bit [f mod 63]
      of word [f / 63] of that row's [w] words; every index is in range
      by construction, so the loop reads and writes unchecked. *)
-  let advance t ~eps =
+  let advance t l1 =
     let o = t.order and k = cols t in
-    let l0 = t.level and l1 = level_of o.values eps in
-    let dist l = abs (o.starts.(l) - o.starts.(l1)) in
+    let start l = Int32.to_int o.starts.{l} in
+    let l0 = t.level in
+    let dist l = abs (start l - start l1) in
     let crossed = dist l0 in
     let nearest, _ =
       List.fold_left
@@ -197,11 +204,11 @@ module Incremental = struct
     in
     Option.iter (restore t) nearest;
     let from = t.level in
-    let lo = o.starts.(min from l1) and hi = o.starts.(max from l1) in
+    let lo = start (min from l1) and hi = start (max from l1) in
     let delta = if l1 > from then 1 else -1 in
-    let words = t.rows.words and w = Bitset.nwords k in
+    let words = t.rows.words and w = Bitset.nwords k and cells = o.cells in
     for q = lo to hi - 1 do
-      let c = Array.unsafe_get o.cells q in
+      let c = Int32.to_int (Bigarray.Array1.unsafe_get cells q) in
       let i = c / k in
       let f = c - (i * k) in
       let j = f / 63 in
@@ -216,9 +223,17 @@ module Incremental = struct
     Obs.Counter.add Metrics.cells_crossed crossed;
     Obs.Counter.add Metrics.cells_toggled (hi - lo)
 
-  let solve ?solver ?limit t ~eps =
+  let probe ?solver ?limit t level =
     Obs.Counter.incr Metrics.incremental_solves;
-    advance t ~eps;
+    advance t level;
     Array.blit t.sizes 0 t.bounds 0 (rows t);
     cover ?solver ?limit ~bounds:t.bounds t.rows
+
+  (* A threshold at run [r]'s value admits runs [0, r]. *)
+  let solve_run ?solver ?limit t r =
+    if r < 0 || r >= t.runs then
+      invalid_arg "Mrst.Incremental.solve_run: run out of range";
+    probe ?solver ?limit t (r + 1)
+
+  let solve ?solver ?limit t ~eps = probe ?solver ?limit t (level_of t eps)
 end

@@ -26,7 +26,7 @@ val solve :
     probe.  The binary search, however, only ever moves the threshold,
     and a threshold admits a prefix of the matrix's value-sorted cells
     ({!Regret_matrix.cell_order}, the same sort behind
-    {!Regret_matrix.distinct_values}).  So the probe state is the
+    {!Regret_matrix.distinct_value}).  So the probe state is the
     admitted prefix, and each probe toggles only the cells between the
     old and the new threshold.  A full search costs the one cached sort
     plus O(changed cells) per probe, instead of O(s·|F|) per probe.
@@ -52,7 +52,7 @@ module Incremental : sig
   val create : ?domains:int -> Regret_matrix.t -> t
   (** Empty probe state — a threshold below every cell — over the
       matrix's cell order, which is computed here if no earlier call
-      (e.g. {!Regret_matrix.distinct_values}) did.  [domains] is unused:
+      (e.g. {!Regret_matrix.distinct_count}) did.  [domains] is unused:
       the order is built serially. *)
 
   val rows : t -> int
@@ -66,7 +66,7 @@ module Incremental : sig
       each of its rows to a row of [old] or to [-1].  Nothing of [old]
       is reused: the probe state of a replaced matrix is dropped, and
       the new matrix's cell order is the one sort its
-      {!Regret_matrix.distinct_values} needs anyway.  [domains] is
+      {!Regret_matrix.distinct_count} needs anyway.  [domains] is
       unused.
       @raise Invalid_argument on a column-count or [carried] mismatch. *)
 
@@ -76,7 +76,15 @@ module Incremental : sig
       created from, at incremental cost.  With [limit], the answer is
       that cover when it has at most [limit] rows and [None] otherwise —
       the question Algorithm 4's search asks — and the cover stops as
-      soon as it knows. *)
+      soon as it knows.  It finds [eps]'s level by a binary search
+      over the run values; {!solve_run} skips that search. *)
+
+  val solve_run : ?solver:solver -> ?limit:int -> t -> int -> int array option
+  (** [solve_run t r] = [solve t ~eps:(Regret_matrix.distinct_value
+      matrix r)]: the probe at run [r]'s value, which admits runs
+      [0 .. r] of the cell order.  Algorithm 4 probes this way, by run
+      index, so no probe searches the runs for its threshold.
+      @raise Invalid_argument unless [0 <= r < distinct_count matrix]. *)
 
   val save : t -> unit
   (** Keep a copy of the current state (one [Array.copy] of the row

@@ -12,7 +12,7 @@ module Metrics = struct
 
   let distinct =
     Obs.Gauge.make
-      ~help:"distinct cell values of the last distinct_values scan"
+      ~help:"distinct cell values of the last matrix searched"
       "rrms_matrix_distinct_values"
 
   (* One per sort of a matrix's cells: a cold solve must pay it once. *)
@@ -32,11 +32,7 @@ module Metrics = struct
       "rrms_matrix_cells_carried_total"
 end
 
-type cell_order = {
-  cells : int array;
-  starts : int array;
-  values : float array;
-}
+type cell_order = { cells : Fsort.ids; starts : Fsort.ids }
 
 (* One flat row-major buffer instead of [float array array]: a cell read
    is one load with no row pointer to chase, and rows are contiguous for
@@ -339,11 +335,12 @@ let update ?domains ?(guard = Rrms_guard.Guard.Budget.unlimited) t ~funcs
       (make ~data ~nrows:n ~best, Array.of_list !changed))
 
 (* The cell id is the cell's offset in [data], so sorting [data]'s
-   indices sorts the cells. *)
+   indices sorts the cells.  A run's value is the value of its first
+   cell, so [data] is the only copy of the values. *)
 let compute_order t =
   Obs.Counter.incr Metrics.cell_orders;
-  let cells, starts, values = Fsort.order t.data in
-  { cells; starts; values }
+  let cells, starts = Fsort.order t.data in
+  { cells; starts }
 
 let cell_order t =
   match Atomic.get t.order with
@@ -355,10 +352,18 @@ let cell_order t =
       Atomic.set t.order (Some o);
       o
 
-let distinct_values t =
-  let d = (cell_order t).values in
-  Obs.Gauge.set_int Metrics.distinct (Array.length d);
+let distinct_count t =
+  let d = Bigarray.Array1.dim (cell_order t).starts - 1 in
+  Obs.Gauge.set_int Metrics.distinct d;
   d
+
+let distinct_value t r =
+  let o = cell_order t in
+  if r < 0 || r >= Bigarray.Array1.dim o.starts - 1 then
+    invalid_arg "Regret_matrix.distinct_value: run out of range";
+  t.data.(Int32.to_int o.cells.{Int32.to_int o.starts.{r}})
+
+let distinct_values t = Array.init (distinct_count t) (distinct_value t)
 
 let regret_of_minima t mins =
   if Array.length mins < cols t then

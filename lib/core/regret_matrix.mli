@@ -130,31 +130,45 @@ val row_improve :
     out of range, or [current] or [order] is shorter than [cols t]. *)
 
 type cell_order = {
-  cells : int array;
+  cells : Fsort.ids;
       (** every cell id [i·cols + f], stably sorted by value: ascending
           by [(Float.compare M[i,f], id)] *)
-  starts : int array;
-      (** [starts.(r)] is the first position in [cells] of the [r]-th
-          run of equal values; one sentinel entry [= Array.length cells]
-          closes the last run *)
-  values : float array;  (** the value of each run, strictly ascending *)
+  starts : Fsort.ids;
+      (** [starts.{r}] is the first position in [cells] of the [r]-th
+          run of equal values; one sentinel entry [= dim cells] closes
+          the last run *)
 }
 (** The matrix's cells in value order — the one sort behind both
-    Algorithm 4's thresholds ({!distinct_values}) and every MRST probe
-    ({!Mrst.Incremental}): a threshold at [values.(r)] admits exactly
-    the cells [cells.(0 .. starts.(r + 1) - 1)]. *)
+    Algorithm 4's thresholds ({!distinct_value}) and every MRST probe
+    ({!Mrst.Incremental}): a threshold at run [r]'s value admits
+    exactly the cells [cells.{0 .. starts.{r + 1} - 1}].  Both arrays
+    hold 4-byte ids off the OCaml heap, 4 bytes per cell plus 4 per
+    run; a run's value is not stored, since its first cell holds it. *)
 
 val cell_order : t -> cell_order
 (** The cell order, computed on first use (one {!Fsort.order} of every
     cell) and cached — matrices are immutable, so the cache never
     invalidates.  The arrays are the cache itself: treat them as
-    read-only. *)
+    read-only.
+    @raise Rrms_guard.Guard.Error.Guard_error [Resource_limit] when the
+    matrix has more than {!Fsort.max_length} cells. *)
+
+val distinct_count : t -> int
+(** The number of distinct cell values: the runs of {!cell_order},
+    which it computes on first use. *)
+
+val distinct_value : t -> int -> float
+(** [distinct_value t r] is the [r]-th smallest distinct cell value,
+    read from run [r]'s first cell: O(1) once the cell order exists.
+    @raise Invalid_argument unless [0 <= r < distinct_count t]. *)
 
 val distinct_values : t -> float array
 (** All distinct cell values, sorted ascending — the binary-search
-    domain of Algorithm 4: [(cell_order t).values].  Includes at least
-    [0.] when the matrix has a zero cell.  Equal to sorting every cell
-    and dropping each value equal to its predecessor. *)
+    domain of Algorithm 4, as a fresh array of {!distinct_value} for
+    every run.  Includes at least [0.] when the matrix has a zero cell.
+    Equal to sorting every cell and dropping each value equal to its
+    predecessor.  The search itself reads {!distinct_value} and never
+    builds this array. *)
 
 val regret_of_rows : ?mins:float array -> t -> int array -> float
 (** [regret_of_rows t rs] = the discretized maximum regret of keeping

@@ -422,7 +422,15 @@ let shard_slice d = function
 
 let load t ?name ?(normalize = false) ?(lenient = false) ?shard path =
   let mode = if lenient then Dataset.Lenient else Dataset.Strict in
-  let d, warns = Dataset.of_csv_report ?name ~mode path in
+  (* A path that cannot be opened or read is bad input, not a fault.
+     An open error names the path already; a read error does not. *)
+  let d, warns =
+    try Dataset.of_csv_report ?name ~mode path
+    with Sys_error msg ->
+      Guard.Error.invalid_input
+        (if String.starts_with ~prefix:path msg then msg
+         else path ^ ": " ^ msg)
+  in
   let d = if normalize then Dataset.normalize d else d in
   let d = shard_slice d shard in
   register t ~warnings:(List.length warns) d

@@ -140,8 +140,8 @@ val load :
     the transforms and {e before} hashing, so every worker's content
     key is its own.
     @raise Rrms_guard.Guard.Error.Guard_error as
-    {!Rrms_dataset.Dataset.of_csv_report}, or [Invalid_input] on a bad
-    or empty shard slice. *)
+    {!Rrms_dataset.Dataset.of_csv_report}, or [Invalid_input] on a path
+    that cannot be opened or read, or on a bad or empty shard slice. *)
 
 val shard_rows : shard:int -> shards:int -> int -> int array
 (** [shard_rows ~shard:s ~shards n] is member [s] of the round-robin

@@ -990,6 +990,40 @@ let test_hit_allocation () =
             Alcotest.failf "%.0f minor words per cached hit (ceiling %.0f)"
               per_hit hit_words_ceiling))
 
+(* A [load] whose path cannot be opened or read is the caller's error:
+   code [invalid_input], with the system's message, not [internal]. *)
+let test_load_unreadable_path () =
+  let store, telemetry, _ = Lazy.force fuzz_env in
+  let missing = Filename.temp_file "rrms_missing" ".csv" in
+  Sys.remove missing;
+  List.iter
+    (fun (label, path) ->
+      let line =
+        Printf.sprintf {|{"id":1,"req":"load","path":%S}|} path
+      in
+      match Server.handle_line ~telemetry store line with
+      | `Reply r -> (
+          match Json.parse r with
+          | Ok j ->
+              Alcotest.(check (list string)) (label ^ ": code")
+                [ "invalid_input" ] (reply_codes j);
+              Alcotest.(check bool) (label ^ ": names the path") true
+                (match Option.bind (Json.member "error" j) (Json.member "message") with
+                | Some (Json.Str m) ->
+                    let n = String.length path in
+                    let rec has i =
+                      i + n <= String.length m
+                      && (String.sub m i n = path || has (i + 1))
+                    in
+                    has 0
+                | _ -> false)
+          | Error msg -> Alcotest.failf "%s: reply does not parse: %s" label msg)
+      | `Shutdown _ -> Alcotest.failf "%s: the load shut the session down" label)
+    [
+      ("missing file", missing);
+      ("a directory", Filename.get_temp_dir_name ());
+    ]
+
 let suite =
   [
     Alcotest.test_case "number corners" `Quick test_number_corners;
@@ -1012,4 +1046,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_envelope;
     QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ()) prop_fuzz_bytes;
     QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ()) prop_fuzz_mutated;
+    Alcotest.test_case "load of an unreadable path: invalid_input" `Quick
+      test_load_unreadable_path;
   ]
