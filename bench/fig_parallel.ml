@@ -1,10 +1,10 @@
 (* Domain-pool scaling benchmark: times the skyline SFS, the
-   regret-matrix build, the full MRST binary search (and its three
-   layers: cell order, index build, probes) and
-   the end-to-end HD-RRMS solve at 1/2/4/8 domains on an
-   anti-correlated instance, prints the usual bench rows, and writes the
-   results as BENCH_parallel.json so the repo tracks its perf
-   trajectory across PRs.
+   regret-matrix build and the end-to-end HD-RRMS solve at 1/2/4/8
+   domains on an anti-correlated instance, and the full MRST binary
+   search (and its three layers: cell order, index build, probes) at 1
+   domain, since none of them takes a domain count.  It prints the
+   usual bench rows and writes the results as BENCH_parallel.json so
+   the repo tracks its perf trajectory across PRs.
 
    Results are asserted bit-identical across domain counts before any
    timing is reported — a wrong parallel answer must never look like a
@@ -107,7 +107,7 @@ let run scale =
   let sky_points = Array.map (fun i -> points.(i)) sky1 in
   let matrix1 = Rrms_core.Regret_matrix.build ~domains:1 ~funcs sky_points in
   let search1 =
-    (Rrms_core.Hd_rrms.search_on_matrix ~domains:1 matrix1 ~r).found
+    (Rrms_core.Hd_rrms.search_on_matrix matrix1 ~r).found
   in
   let solve1 = ref None in
   (* The gated kernels (matrix-build, mrst-binary-search, hd-rrms-solve)
@@ -134,38 +134,41 @@ let run scale =
          empty probe state over it, and the probes.  Their sum is the
          whole search.  Each run builds its own matrix, since the matrix
          caches its cell order.  No layer takes a domain count, so the
-         split is recorded once, at 1 domain. *)
+         search is timed at 1 domain only: at more, its samples would
+         time the same serial code. *)
       let built =
         runs (fun () ->
             let matrix, t_build =
               time (fun () ->
                   Rrms_core.Regret_matrix.build ~domains ~funcs sky_points)
             in
-            let _, t_order =
-              time (fun () -> Rrms_core.Regret_matrix.cell_order matrix)
-            in
-            let inc, t_index =
-              time (fun () -> Rrms_core.Mrst.Incremental.create ~domains matrix)
-            in
-            let search, t_probes =
-              time (fun () ->
-                  (Rrms_core.Hd_rrms.search_on_matrix ~domains ~inc matrix ~r)
-                    .found)
-            in
-            assert (search = search1);
-            (t_build, t_order, t_index, t_probes))
+            if domains > 1 then (t_build, None)
+            else begin
+              let _, t_order =
+                time (fun () -> Rrms_core.Regret_matrix.cell_order matrix)
+              in
+              let inc, t_index =
+                time (fun () -> Rrms_core.Mrst.Incremental.create matrix)
+              in
+              let search, t_probes =
+                time (fun () ->
+                    (Rrms_core.Hd_rrms.search_on_matrix ~inc matrix ~r).found)
+              in
+              assert (search = search1);
+              (t_build, Some (t_order, t_index, t_probes))
+            end)
       in
-      let t_build, _, _, _ = fastest (fun (b, _, _, _) -> b) built in
-      record "matrix-build" domains t_build;
-      let _, t_order, t_index, t_probes =
-        fastest (fun (_, o, i, p) -> o +. i +. p) built
-      in
-      record "mrst-binary-search" domains (t_order +. t_index +. t_probes);
-      if domains = 1 then begin
-        record "cell-order" domains t_order;
-        record "index-build" domains t_index;
-        record "probes" domains t_probes
-      end;
+      record "matrix-build" domains (fst (fastest fst built));
+      (match List.filter_map snd built with
+      | [] -> ()
+      | layers ->
+          let t_order, t_index, t_probes =
+            fastest (fun (o, i, p) -> o +. i +. p) layers
+          in
+          record "mrst-binary-search" domains (t_order +. t_index +. t_probes);
+          record "cell-order" domains t_order;
+          record "index-build" domains t_index;
+          record "probes" domains t_probes);
       let solves =
         runs (fun () ->
             time (fun () -> Rrms_core.Hd_rrms.solve ~gamma ~domains points ~r))
@@ -194,7 +197,7 @@ let run scale =
         let low = ref 0 and high = ref (runs - 1) in
         while !low <= !high do
           let mid = (!low + !high) / 2 in
-          match Rrms_core.Mrst.solve ~domains:1 matrix1 ~eps:(value mid) with
+          match Rrms_core.Mrst.solve matrix1 ~eps:(value mid) with
           | Some rows when Array.length rows <= r -> high := mid - 1
           | Some _ | None -> low := mid + 1
         done)
@@ -204,7 +207,7 @@ let run scale =
      Hd_rrms.search_on_matrix (one unlimited Incremental.solve per
      probe), over an index built outside the timer.  Must land on the
      same answer. *)
-  let incr = Rrms_core.Mrst.Incremental.create ~domains:1 matrix1 in
+  let incr = Rrms_core.Mrst.Incremental.create matrix1 in
   let perprobe_best = ref None in
   let _, t_perprobe =
     time (fun () ->
@@ -277,20 +280,19 @@ let run scale =
      against the cells crossed (the cost without saved states).  Every
      answer must equal a fresh state's. *)
   let sweep = [ 5; 12; 8; 20; 6; 17; 9; 15; 7; 11 ] in
-  let pooled = Rrms_core.Mrst.Incremental.create ~domains:1 matrix1 in
-  ignore (Rrms_core.Hd_rrms.search_on_matrix ~domains:1 ~inc:pooled matrix1 ~r);
+  let pooled = Rrms_core.Mrst.Incremental.create matrix1 in
+  ignore (Rrms_core.Hd_rrms.search_on_matrix ~inc:pooled matrix1 ~r);
   let warm, t_warm =
     time (fun () ->
         List.map
           (fun r ->
-            Rrms_core.Hd_rrms.search_on_matrix ~domains:1 ~inc:pooled matrix1
-              ~r)
+            Rrms_core.Hd_rrms.search_on_matrix ~inc:pooled matrix1 ~r)
           sweep)
   in
   List.iter2
     (fun r (w : Rrms_core.Hd_rrms.search) ->
       assert (
-        w.found = (Rrms_core.Hd_rrms.search_on_matrix ~domains:1 matrix1 ~r).found))
+        w.found = (Rrms_core.Hd_rrms.search_on_matrix matrix1 ~r).found))
     sweep warm;
   let per_query f =
     List.fold_left (fun a w -> a + f w) 0 warm / List.length sweep

@@ -64,8 +64,8 @@ type search = {
    thresholds per matrix, whatever [r]).  A later search's first probes
    then start from a saved copy, and its deeper probes toggle only the
    cells between a saved level and their own. *)
-let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
-    ?max_size ?inc matrix ~r =
+let search_on_matrix ?solver ?(guard = Guard.Budget.unlimited) ?max_size ?inc
+    matrix ~r =
   let max_size = match max_size with Some s -> s | None -> r in
   let runs = Regret_matrix.distinct_count matrix in
   let pooled = Option.is_some inc in
@@ -82,7 +82,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
         Guard.Error.invalid_input
           "Hd_rrms.search_on_matrix: incremental state does not match the \
            matrix"
-    | None -> Mrst.Incremental.create ?domains matrix
+    | None -> Mrst.Incremental.create matrix
   in
   let fresh = ref 0 in
   let crossed = ref 0 and toggled = ref 0 in
@@ -146,7 +146,7 @@ let search_on_matrix ?solver ?domains ?(guard = Guard.Budget.unlimited)
    [solve] and the resident query server (lib/serve) end up here, so a
    server answer on cached artifacts is bit-identical to a cold
    [solve] by construction. *)
-let solve_prepared ?solver ?(budget = Strict) ?domains
+let solve_prepared ?solver ?(budget = Strict) ?domains:_
     ?(guard = Guard.Budget.unlimited) ?inc ~skyline ~gamma_used ~m matrix ~r =
   if r < 1 then
     Guard.Error.invalid_input "Hd_rrms.solve_prepared: r must be >= 1";
@@ -167,7 +167,7 @@ let solve_prepared ?solver ?(budget = Strict) ?domains
   in
   let search =
     Obs.Span.with_ "hd_rrms.search" (fun () ->
-        search_on_matrix ?solver ?domains ~guard ~max_size ?inc matrix ~r)
+        search_on_matrix ?solver ~guard ~max_size ?inc matrix ~r)
   in
   match search.found with
   | Some (rows, eps_min) ->
@@ -242,7 +242,7 @@ let solve ?(gamma = 4) ?solver ?(budget = Strict) ?funcs ?domains
         Regret_matrix.build ?domains ~guard ~funcs sky_points)
   in
   let res =
-    solve_prepared ?solver ~budget ?domains ~guard ~skyline:sky ~gamma_used
-      ~m matrix ~r
+    solve_prepared ?solver ~budget ~guard ~skyline:sky ~gamma_used ~m matrix
+      ~r
   in
   { res with quality = Guard.degrade_first res.quality shrink_reason })

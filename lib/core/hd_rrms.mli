@@ -128,7 +128,6 @@ type search = {
 
 val search_on_matrix :
   ?solver:Mrst.solver ->
-  ?domains:int ->
   ?guard:Rrms_guard.Guard.Budget.t ->
   ?max_size:int ->
   ?inc:Mrst.Incremental.t ->
@@ -137,10 +136,11 @@ val search_on_matrix :
   search
 (** The core binary search of Algorithm 4 over an arbitrary matrix,
     accepting covers of size at most [max_size] (default [r]).  Each
-    probe is one {!Mrst.Incremental.solve} at the midpoint's distinct
-    value with [~limit:max_size] (toggling only the cells that cross
-    the threshold) and returns exactly what a from-scratch
-    {!Mrst.solve} probe would.
+    probe is one {!Mrst.Incremental.solve_run} at the midpoint's run
+    with [~limit:max_size] (toggling only the cells that cross the
+    threshold) and returns exactly what a from-scratch {!Mrst.solve}
+    probe would.  It is serial: the cell order, the probe state and
+    the probes take no domain count.
     [inc] supplies a ready {!Mrst.Incremental.t} for this matrix (e.g.
     pooled across queries); any starting probe state is fine because
     every threshold move is bidirectional.  The search mutates it,
@@ -177,6 +177,8 @@ val solve_prepared :
     on cached artifacts — the resident query server's warm path — is
     bit-identical to a cold [solve].  No cell-cap shrinking happens
     here (the matrix is already built); deadline / probe budgets apply
-    to the binary search exactly as in {!solve}.
+    to the binary search exactly as in {!solve}.  [domains] is unused:
+    the search is serial, and the argument stays for callers that pass
+    one.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] if
     [r < 1] or [skyline] and [matrix] disagree on the row count. *)

@@ -69,23 +69,20 @@ let cover ?(solver = Greedy) ?limit ?bounds (rows : Setcover.instance) =
         (Array.map (fun si -> fst pairs.(si)))
         (Setcover.exact ?max_sets:limit instance)
 
-let solve ?solver ?domains matrix ~eps =
+let solve ?solver matrix ~eps =
   Obs.Counter.incr Metrics.fresh_solves;
   let n = Regret_matrix.rows matrix and k = Regret_matrix.cols matrix in
-  (* Threshold every row into its words of one flat array; rows are
-     independent, so the scan fans out across the domain pool.  The row
-     is blitted into a per-worker scratch buffer once, so the threshold
-     loop reads contiguous floats even on a column view. *)
+  (* Threshold every row into its words of one flat array.  Each row is
+     blitted into one buffer first, so the threshold loop reads
+     contiguous floats even on a column view. *)
   let w = Bitset.nwords k in
-  let words = Array.make (n * w) 0 in
-  Rrms_parallel.parallel_for_with ?domains ~min_chunk:16
-    ~scratch:(fun () -> Array.make k 0.)
-    n
-    (fun row i ->
-      Regret_matrix.blit_row matrix i row;
-      for f = 0 to k - 1 do
-        if Array.unsafe_get row f <= eps then Bitset.row_set words (i * w) f
-      done);
+  let words = Array.make (n * w) 0 and row = Array.make k 0. in
+  for i = 0 to n - 1 do
+    Regret_matrix.blit_row matrix i row;
+    for f = 0 to k - 1 do
+      if Array.unsafe_get row f <= eps then Bitset.row_set words (i * w) f
+    done
+  done;
   cover ?solver (Setcover.make_instance ~universe:k ~sets:n words)
 
 module Incremental = struct

@@ -11,14 +11,13 @@
 
 type solver = Exact | Greedy
 
-val solve :
-  ?solver:solver -> ?domains:int -> Regret_matrix.t -> eps:float -> int array option
+val solve : ?solver:solver -> Regret_matrix.t -> eps:float -> int array option
 (** [solve matrix ~eps] returns row indices covering every column within
     [eps], of minimum (Exact) or near-minimum (Greedy, the default)
     cardinality; [None] when some column cannot be satisfied by any
-    single row.  The per-row thresholding scan fans out over [domains]
-    worker domains (default {!Rrms_parallel.Pool.default_size}); the
-    answer is identical for every domain count. *)
+    single row.  It thresholds every row from scratch, serially, in
+    O(s·|F|): the reference that {!Incremental} is tested against.  No
+    served path calls it; Algorithm 4 probes through {!Incremental}. *)
 
 (** Incremental probing for Algorithm 4's binary search.
 

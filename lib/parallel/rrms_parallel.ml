@@ -16,8 +16,9 @@
    - chunk sizes derived from the measured per-item cost (targeting a
      fixed time grain, bounded for balance), claimed from an atomic
      cursor so no per-chunk closures are allocated.
-   None of this affects results: [parallel_for] bodies write disjoint
-   indices, so the chunk layout is free to adapt. *)
+   An armed [Fault] bypasses the cap and the small-work exit but not the
+   chunk formula.  None of this affects results: [parallel_for] bodies
+   write disjoint indices, so the chunk layout is free to adapt. *)
 
 module Obs = Rrms_obs.Obs
 
@@ -251,14 +252,12 @@ module Pool = struct
     end
     else task ()
 
-  (* Run [body scratch i] for i in [lo, hi) with [width] participants
-     (the caller plus [width - 1] pool workers).  Chunks of [chunk]
-     items are claimed from an atomic cursor; each participant creates
-     its scratch value once per batch, not per chunk.  A chunk that
-     raises records the first failure (rethrown after the batch) and
-     the remaining chunks still run — same isolation as queueing every
-     chunk separately. *)
-  let run_chunked pool ~width ~lo ~hi ~chunk ~scratch body =
+  (* Run [body i] for i in [lo, hi) with [width] participants (the
+     caller plus [width - 1] pool workers).  Chunks of [chunk] items are
+     claimed from an atomic cursor.  A chunk that raises records the
+     first failure (rethrown after the batch) and the remaining chunks
+     still run — same isolation as queueing every chunk separately. *)
+  let run_chunked pool ~width ~lo ~hi ~chunk body =
     Obs.Counter.incr Metrics.batches;
     Obs.Gauge.set_int Metrics.last_chunk_items chunk;
     let next = Atomic.make lo in
@@ -276,7 +275,6 @@ module Pool = struct
        survives the pool boundary. *)
     let ctx = Obs.Ctx.current () in
     let grab_loop () =
-      let s = scratch () in
       let continue = ref true in
       while !continue do
         let start = Atomic.fetch_and_add next chunk in
@@ -289,7 +287,7 @@ module Pool = struct
                 timed_exec (fun () ->
                     let stop = min hi (start + chunk) in
                     for i = start to stop - 1 do
-                      body s i
+                      body i
                     done))
           with e ->
             Mutex.lock b.b_mutex;
@@ -336,72 +334,55 @@ let serial_threshold = 200e-6
 let target_grain = 1e-3
 let chunks_per_worker = 4
 
-let parallel_for_with ?domains ?(min_chunk = 64) ~scratch n body =
-  if min_chunk < 1 then invalid_arg "parallel_for_with: min_chunk must be >= 1";
+let parallel_for ?domains ?(min_chunk = 64) n body =
+  if min_chunk < 1 then invalid_arg "parallel_for: min_chunk must be >= 1";
+  let run lo hi =
+    Pool.timed_exec (fun () ->
+        for i = lo to hi - 1 do
+          body i
+        done)
+  in
   if n > 0 then begin
     let pool = resolve domains in
-    if Fault.active () && Pool.size pool > 1 && n >= 2 * min_chunk then begin
-      (* Fault-injection runs bypass cap and cost model: the tests aim
-         faults at spawned workers and rely on them executing chunks.
-         The chunk layout is the pre-adaptive fixed one. *)
-      let nchunks =
-        min ((n + min_chunk - 1) / min_chunk) (4 * Pool.size pool)
-      in
-      let chunk = (n + nchunks - 1) / nchunks in
-      Pool.run_chunked pool ~width:(Pool.size pool) ~lo:0 ~hi:n ~chunk ~scratch
-        body
+    let width = Pool.effective_width pool in
+    if width = 1 || n < 2 * min_chunk then begin
+      (* Serial fallback = one chunk executed by the calling domain,
+         so the fault hook still sees a chunk boundary. *)
+      Obs.Counter.incr Metrics.serial;
+      Fault.hook ();
+      run 0 n
     end
     else begin
-      let width = Pool.effective_width pool in
-      if width = 1 || n < 2 * min_chunk then begin
-        (* Serial fallback = one chunk executed by the calling domain,
-           so the fault hook still sees a chunk boundary. *)
-        Obs.Counter.incr Metrics.serial;
+      (* Pilot: run the first chunk on the caller under a timer to
+         measure the per-item cost, then decide serial vs parallel
+         and the chunk size from the measurement.  An armed fault
+         skips the serial exit: the tests aim faults at spawned
+         workers and rely on them executing chunks. *)
+      let pilot = min_chunk in
+      Fault.hook ();
+      let t0 = Unix.gettimeofday () in
+      run 0 pilot;
+      let dt = Unix.gettimeofday () -. t0 in
+      let per_item = Float.max (dt /. float_of_int pilot) 1e-9 in
+      let remaining = n - pilot in
+      if
+        float_of_int remaining *. per_item < serial_threshold
+        && not (Fault.active ())
+      then begin
+        Obs.Counter.incr Metrics.small_work;
         Fault.hook ();
-        let s = scratch () in
-        Pool.timed_exec (fun () ->
-            for i = 0 to n - 1 do
-              body s i
-            done)
+        run pilot n
       end
       else begin
-        (* Pilot: run the first chunk on the caller under a timer to
-           measure the per-item cost, then decide serial vs parallel
-           and the chunk size from the measurement. *)
-        let pilot = min_chunk in
-        Fault.hook ();
-        let s = scratch () in
-        let t0 = Unix.gettimeofday () in
-        Pool.timed_exec (fun () ->
-            for i = 0 to pilot - 1 do
-              body s i
-            done);
-        let dt = Unix.gettimeofday () -. t0 in
-        let per_item = Float.max (dt /. float_of_int pilot) 1e-9 in
-        let remaining = n - pilot in
-        if float_of_int remaining *. per_item < serial_threshold then begin
-          Obs.Counter.incr Metrics.small_work;
-          Fault.hook ();
-          Pool.timed_exec (fun () ->
-              for i = pilot to n - 1 do
-                body s i
-              done)
-        end
-        else begin
-          Obs.Counter.incr Metrics.adaptive_batches;
-          let grain_items =
-            int_of_float (Float.min (target_grain /. per_item) 1e9)
-          in
-          let balance_items =
-            max 1 (remaining / (width * chunks_per_worker))
-          in
-          let chunk = max min_chunk (min grain_items balance_items) in
-          Pool.run_chunked pool ~width ~lo:pilot ~hi:n ~chunk ~scratch body
-        end
+        Obs.Counter.incr Metrics.adaptive_batches;
+        let grain_items =
+          int_of_float (Float.min (target_grain /. per_item) 1e9)
+        in
+        let balance_items =
+          max 1 (remaining / (width * chunks_per_worker))
+        in
+        let chunk = max min_chunk (min grain_items balance_items) in
+        Pool.run_chunked pool ~width ~lo:pilot ~hi:n ~chunk body
       end
     end
   end
-
-let parallel_for ?domains ?min_chunk n f =
-  parallel_for_with ?domains ?min_chunk ~scratch:(fun () -> ()) n
-    (fun () i -> f i)

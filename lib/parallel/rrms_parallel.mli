@@ -93,26 +93,15 @@ end
 
 val parallel_for : ?domains:int -> ?min_chunk:int -> int -> (int -> unit) -> unit
 (** [parallel_for n f] runs [f i] for every [i] in [0 .. n-1], split
-    into contiguous chunks across the pool.  Stays on the calling
-    domain when the effective width is 1, when [n < 2 * min_chunk]
-    (default [min_chunk = 64]), or when a timed pilot chunk estimates
-    the remaining work below the parallelism break-even threshold;
-    otherwise chunk sizes adapt to the measured per-item cost.  [f]
-    must only write state owned by index [i] — which is also why the
-    adaptive chunk layout cannot affect results. *)
-
-val parallel_for_with :
-  ?domains:int ->
-  ?min_chunk:int ->
-  scratch:(unit -> 'a) ->
-  int ->
-  ('a -> int -> unit) ->
-  unit
-(** [parallel_for_with ~scratch n body] is {!parallel_for} with a
-    per-participant scratch value: each executing domain calls
-    [scratch ()] once per batch and passes the result to every [body]
-    invocation it runs — reusable row buffers instead of a fresh
-    allocation per chunk.  [body] must treat the scratch value as
-    domain-local and still write only index-[i]-owned shared state;
-    results must not depend on how iterations share a scratch value
-    (write-before-read per iteration keeps the determinism contract). *)
+    into contiguous chunks across the pool; it is the pool's only loop
+    combinator.  Stays on the calling domain when the effective width
+    is 1, when [n < 2 * min_chunk] (default [min_chunk = 64]), or when
+    a timed pilot chunk of [min_chunk] items estimates the remaining
+    work below the parallelism break-even threshold; otherwise chunk
+    sizes adapt to the measured per-item cost.  An armed {!Fault}
+    bypasses the parallelism cap and the break-even exit, so a faulted
+    worker gets chunks, but the chunks follow the same measured formula.
+    [f] must only write state owned by index [i] — which is also why the
+    adaptive chunk layout cannot affect results.  A body that needs a
+    work buffer allocates it per index or per chunk of its own making
+    (HD-GREEDY's argmin runs one index per fixed chunk). *)

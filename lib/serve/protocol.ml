@@ -427,6 +427,12 @@ let cache_key q =
   | A2d | A2d_exact | Sweepline | Greedy | Cube -> ());
   Buffer.contents b
 
+let algo_of_cache_key ckey =
+  match String.index_opt ckey ';' with
+  | Some i when i > 5 && String.starts_with ~prefix:"algo=" ckey ->
+      algo_of_string (String.sub ckey 5 (i - 5))
+  | _ -> None
+
 let budget_of q =
   match (q.timeout, q.max_cells, q.max_probes) with
   | None, None, None -> Guard.Budget.unlimited

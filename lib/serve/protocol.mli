@@ -174,6 +174,11 @@ val cache_key : query -> string
     algorithms — never budgets or cache flags, so a budgeted request
     can be answered from a cache entry computed without budgets. *)
 
+val algo_of_cache_key : string -> algo option
+(** The [algo] a {!cache_key} names: [algo_of_cache_key (cache_key q)
+    = Some q.algo].  [None] for a string that does not start with
+    [algo=<name>;] for a known algorithm name. *)
+
 val budget_of : query -> Rrms_guard.Guard.Budget.t
 (** The solver budget a query's [timeout], [max_cells] and [max_probes]
     describe ({!Rrms_guard.Guard.Budget.unlimited} when none is set).

@@ -222,23 +222,20 @@ let carried_key ~attributes digests0 (plan : Delta.plan) =
 (* State                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A pooled warm-kernel state (an MRST probe state or an HD-GREEDY
-   scratch), valid only for the exact matrix it was created over —
-   checkout verifies physical equality, so a slot left behind by a
-   replaced matrix is simply never reused. *)
-type 'a slot = { state : 'a; for_matrix : Regret_matrix.t }
+(* A resident regret matrix and the warm-kernel states pooled on it: an
+   MRST probe state and an HD-GREEDY scratch, each built over this
+   matrix.  A query takes a state out of the record under the entry
+   lock and puts it back into the same record, so a concurrent query on
+   the matrix builds its own meanwhile.  A mutation that replaces the
+   matrix installs a new record: a state put back after that lands in a
+   record nothing reaches. *)
+type resident = {
+  matrix : Regret_matrix.t;
+  mutable inc : Mrst.Incremental.t option;
+  mutable scratch : Hd_greedy.scratch option;
+}
 
-(* Under the entry lock.  A checked-out state is removed from the pool
-   while in use, so a concurrent query on the same matrix makes its
-   own. *)
-let checkout slots ~gamma matrix =
-  match List.assoc_opt gamma slots with
-  | Some s when s.for_matrix == matrix ->
-      (Some s.state, List.remove_assoc gamma slots)
-  | _ -> (None, slots)
-
-let checkin slots ~gamma matrix state =
-  (gamma, { state; for_matrix = matrix }) :: List.remove_assoc gamma slots
+let resident matrix = { matrix; inc = None; scratch = None }
 
 (* A result-cache entry: the answer and its wire bytes, encoded once
    when the entry is made (fresh solve, rehydrate, or a mutation's
@@ -265,9 +262,7 @@ type entry = {
          detect that its answer belongs to a previous generation *)
   mutable skyline : int array option;
   mutable hull : Rrms2d.ctx option;
-  mutable matrices : (int * Regret_matrix.t) list;  (* keyed by γ *)
-  mutable incs : (int * Mrst.Incremental.t slot) list;  (* keyed by γ *)
-  mutable scratches : (int * Hd_greedy.scratch slot) list;  (* likewise *)
+  mutable matrices : (int * resident) list;  (* keyed by γ *)
   results : answer Stbl.t;  (* Protocol.cache_key → result *)
   (* NOT guarded by [e_lock]: [refs] is read and written only under
      [t.lock], together with the entry tables it keeps consistent — a
@@ -371,8 +366,6 @@ let register t ~warnings d =
               skyline = None;
               hull = None;
               matrices = [];
-              incs = [];
-              scratches = [];
               results = Stbl.create 16;
               refs = 1;
             }
@@ -649,17 +642,17 @@ let grid_of t ~m ~gamma =
    skyline is cheaper than reading it back. *)
 let matrix_locked t e ~sky ~m ~gamma ~guard =
   match List.assoc_opt gamma e.matrices with
-  | Some mat ->
+  | Some rm ->
       Obs.Counter.incr Metrics.matrix_hits;
-      mat
+      rm
   | None ->
       let derived =
         List.find_map
-          (fun (g, mat) ->
+          (fun (g, rm) ->
             if g <= gamma then None
             else
               Option.map
-                (Regret_matrix.select_cols mat)
+                (Regret_matrix.select_cols rm.matrix)
                 (Discretize.subgrid_indices ~gamma_sub:gamma ~gamma:g ~m))
           e.matrices
       in
@@ -675,8 +668,9 @@ let matrix_locked t e ~sky ~m ~gamma ~guard =
             let sky_points = Array.map (fun i -> rows.(i)) sky in
             Regret_matrix.build ~domains:t.domains ~guard ~funcs sky_points
       in
-      e.matrices <- (gamma, mat) :: e.matrices;
-      mat
+      let rm = resident mat in
+      e.matrices <- (gamma, rm) :: e.matrices;
+      rm
 
 (* ------------------------------------------------------------------ *)
 (* Shard hooks                                                        *)
@@ -724,41 +718,53 @@ let quality_fields q =
     ("degraded", Json.Bool (not (Guard.is_exact q)));
   ]
 
+(* The front half HD-RRMS and HD-GREEDY share, in one lock hold: the
+   skyline, the γ the cell cap allows, the matrix record at that γ, and
+   the warm state [take] moves out of the record, all of one
+   generation. *)
+let hd_prepare t e ~guard ~m (q : Protocol.query) take =
+  with_lock e.e_lock (fun () ->
+      let sky = skyline_locked t e in
+      let gamma_used, shrink =
+        Discretize.shrink_gamma ~max_cells:q.max_cells ~rows:(Array.length sky)
+          ~gamma:q.gamma ~m
+      in
+      let rm = matrix_locked t e ~sky ~m ~gamma:gamma_used ~guard in
+      (sky, gamma_used, shrink, rm, take rm))
+
+let hd_cost sky ~gamma_used rm =
+  [
+    ("s", Json.int (Array.length sky));
+    ("gamma_used", Json.int gamma_used);
+    ( "cells",
+      Json.int (Regret_matrix.rows rm.matrix * Regret_matrix.cols rm.matrix) );
+  ]
+
 let solve_query t e ~guard (q : Protocol.query) =
   let m = Dataset.dim e.dataset in
   match q.algo with
   | Protocol.Hd_rrms ->
-      let sky, matrix, gamma_used, shrink, pooled =
-        with_lock e.e_lock (fun () ->
-            let sky = skyline_locked t e in
-            let gamma_used, shrink =
-              Discretize.shrink_gamma ~max_cells:q.max_cells
-                ~rows:(Array.length sky) ~gamma:q.gamma ~m
-            in
-            let matrix = matrix_locked t e ~sky ~m ~gamma:gamma_used ~guard in
-            (* Check out the pooled probe state for this matrix, if any:
-               its bitsets are reusable across queries (any starting
-               threshold is fine), so a warm search pays only for the
-               cells its probes cross. *)
-            let pooled, rest = checkout e.incs ~gamma:gamma_used matrix in
-            e.incs <- rest;
-            (sky, matrix, gamma_used, shrink, pooled))
+      (* The pooled probe state's bitsets are reusable across queries
+         (any starting threshold is fine), so a warm search pays only
+         for the cells its probes cross. *)
+      let sky, gamma_used, shrink, rm, pooled =
+        hd_prepare t e ~guard ~m q (fun rm ->
+            let inc = rm.inc in
+            rm.inc <- None;
+            inc)
       in
       let inc =
         match pooled with
         | Some i -> i
-        | None -> Mrst.Incremental.create ~domains:t.domains matrix
+        | None -> Mrst.Incremental.create rm.matrix
       in
       let res =
-        Hd_rrms.solve_prepared ~domains:t.domains ~guard ~skyline:sky
-          ~gamma_used ~m ~inc matrix ~r:q.r
+        Hd_rrms.solve_prepared ~guard ~skyline:sky ~gamma_used ~m ~inc
+          rm.matrix ~r:q.r
       in
-      (* Return the probe state (a budget failure above simply drops it;
-         the next query rebuilds).  Keyed to the matrix it served, so if
-         a mutation replaced the matrix mid-solve the slot goes stale
-         and is never reused. *)
-      with_lock e.e_lock (fun () ->
-          e.incs <- checkin e.incs ~gamma:gamma_used matrix inc);
+      (* A budget failure above drops the state; the next query
+         rebuilds. *)
+      with_lock e.e_lock (fun () -> rm.inc <- Some inc);
       let quality = Guard.degrade_first res.Hd_rrms.quality shrink in
       ( Json.Obj
           ([
@@ -772,47 +778,37 @@ let solve_query t e ~guard (q : Protocol.query) =
            ]
           @ quality_fields quality),
         Guard.is_exact quality,
-        [
-          ("s", Json.int (Array.length sky));
-          ("gamma_used", Json.int gamma_used);
-          ( "cells",
-            Json.int (Regret_matrix.rows matrix * Regret_matrix.cols matrix) );
-          ("probes", Json.int res.Hd_rrms.cost.Hd_rrms.probes);
-          ("probes_fresh", Json.int res.Hd_rrms.cost.Hd_rrms.probes_fresh);
-          ("cells_crossed", Json.int res.Hd_rrms.cost.Hd_rrms.cells_crossed);
-          ("probe_state", Json.Str (if pooled = None then "fresh" else "pooled"));
-          ("theorem4_bound", Json.float res.Hd_rrms.guarantee);
-        ] )
+        hd_cost sky ~gamma_used rm
+        @ [
+            ("probes", Json.int res.Hd_rrms.cost.Hd_rrms.probes);
+            ("probes_fresh", Json.int res.Hd_rrms.cost.Hd_rrms.probes_fresh);
+            ("cells_crossed", Json.int res.Hd_rrms.cost.Hd_rrms.cells_crossed);
+            ( "probe_state",
+              Json.Str (if pooled = None then "fresh" else "pooled") );
+            ("theorem4_bound", Json.float res.Hd_rrms.guarantee);
+          ] )
   | Protocol.Hd_greedy ->
-      let sky, matrix, gamma_used, shrink, pooled =
-        with_lock e.e_lock (fun () ->
-            let sky = skyline_locked t e in
-            let gamma_used, shrink =
-              Discretize.shrink_gamma ~max_cells:q.max_cells
-                ~rows:(Array.length sky) ~gamma:q.gamma ~m
-            in
-            let matrix = matrix_locked t e ~sky ~m ~gamma:gamma_used ~guard in
-            (* The pooled scratch holds the matrix's row maxima and
-               every per-solve array, so a warm solve's first step
-               reads no cell and it allocates nothing |F|- or
-               s-sized. *)
-            let pooled, rest = checkout e.scratches ~gamma:gamma_used matrix in
-            e.scratches <- rest;
-            (sky, matrix, gamma_used, shrink, pooled))
+      (* The pooled scratch holds the matrix's row maxima and every
+         per-solve array, so a warm solve's first step reads no cell and
+         it allocates nothing |F|- or s-sized. *)
+      let sky, gamma_used, shrink, rm, pooled =
+        hd_prepare t e ~guard ~m q (fun rm ->
+            let sc = rm.scratch in
+            rm.scratch <- None;
+            sc)
       in
       let scratch =
         match pooled with
         | Some sc -> sc
-        | None -> Hd_greedy.scratch ~domains:t.domains matrix
+        | None -> Hd_greedy.scratch ~domains:t.domains rm.matrix
       in
       let res =
         Hd_greedy.solve_prepared ~domains:t.domains ~guard ~scratch
-          ~skyline:sky ~gamma_used matrix ~r:q.r
+          ~skyline:sky ~gamma_used rm.matrix ~r:q.r
       in
       (* Each solve resets the scratch on entry, so a budget-stopped
          one goes back too; an exception drops it. *)
-      with_lock e.e_lock (fun () ->
-          e.scratches <- checkin e.scratches ~gamma:gamma_used matrix scratch);
+      with_lock e.e_lock (fun () -> rm.scratch <- Some scratch);
       let quality = Guard.degrade_first res.Hd_greedy.quality shrink in
       ( Json.Obj
           ([
@@ -825,14 +821,11 @@ let solve_query t e ~guard (q : Protocol.query) =
            ]
           @ quality_fields quality),
         Guard.is_exact quality,
-        [
-          ("s", Json.int (Array.length sky));
-          ("gamma_used", Json.int gamma_used);
-          ( "cells",
-            Json.int (Regret_matrix.rows matrix * Regret_matrix.cols matrix) );
-          ("steps", Json.int res.Hd_greedy.steps);
-          ("cells_read", Json.int res.Hd_greedy.cells_read);
-        ] )
+        hd_cost sky ~gamma_used rm
+        @ [
+            ("steps", Json.int res.Hd_greedy.steps);
+            ("cells_read", Json.int res.Hd_greedy.cells_read);
+          ] )
   | Protocol.A2d | Protocol.A2d_exact ->
       (* ctx and rows from one lock hold: a mutation replaces the
          dataset wholesale, so the pair must come from the same
@@ -1048,13 +1041,6 @@ type mutated = {
   results_evicted : int;
 }
 
-let algo_of_cache_key ckey =
-  match String.index_opt ckey ';' with
-  | Some i when i > 5 && String.length ckey > 5 && String.sub ckey 0 5 = "algo="
-    ->
-      Protocol.algo_of_string (String.sub ckey 5 (i - 5))
-  | _ -> None
-
 (* Rewrite the "selected" member of a cached answer through the plan's
    index map.  [None] (evict) if any selected index has no surviving
    image — which cannot happen for a sequence-preserving mutation, but
@@ -1122,7 +1108,7 @@ let sky_values_unique rows sky =
    paths keep running against the old generation until the install. *)
 let mutate_pinned ~expect ~guard t (e : handle) muts =
   with_lock e.mu_lock (fun () ->
-      let key0, gen0, d0, digests0, sky0, mats0, pools0, results0 =
+      let key0, gen0, d0, digests0, sky0, mats0, results0 =
         with_lock e.e_lock (fun () ->
             ( e.key,
               e.generation,
@@ -1130,7 +1116,6 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
               e.digests,
               e.skyline,
               e.matrices,
-              (e.incs, e.scratches),
               Stbl.fold (fun k v acc -> (k, v) :: acc) e.results [] ))
       in
       let m = Dataset.dim d0 in
@@ -1179,16 +1164,16 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
         | Some o, Some n -> Delta.sequence_preserved plan ~old_sky:o ~new_sky:n
         | _ -> false
       in
-      (* Matrices: a sequence-preserving mutation leaves them untouched
-         (they are pure functions of the skyline point sequence), and
-         the pooled probe states and greedy scratches with them.
-         Otherwise each matrix is updated in place-equivalent fashion —
-         carried rows blit, fresh rows run the kernel — and its pooled
-         states are dropped: the next query sorts the new matrix's cells
-         once, the sort its distinct values need anyway, and the next
-         greedy query rescans its row maxima. *)
-      let mats', (incs', scratches'), updated, dropped =
-        if preserved then (mats0, pools0, 0, 0)
+      (* Matrices: a sequence-preserving mutation keeps their records
+         (a matrix is a pure function of the skyline point sequence),
+         and the warm states pooled in them with it.  Otherwise each
+         matrix is updated in place-equivalent fashion — carried rows
+         blit, fresh rows run the kernel — into a new record with no
+         warm state: the next query sorts the new matrix's cells once,
+         the sort its distinct values need anyway, and the next greedy
+         query rescans its row maxima. *)
+      let mats', updated, dropped =
+        if preserved then (mats0, 0, 0)
         else
           match (sky0, sky') with
           | Some o, Some n ->
@@ -1196,19 +1181,20 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
               let points = Array.map (fun g -> plan.Delta.rows.(g)) n in
               let mats' =
                 List.map
-                  (fun (gamma, mat) ->
+                  (fun (gamma, rm) ->
                     let funcs = grid_of t ~m ~gamma in
                     ( gamma,
-                      fst
-                        (Regret_matrix.update ~domains:t.domains ~guard mat
-                           ~funcs ~points ~carried) ))
+                      resident
+                        (fst
+                           (Regret_matrix.update ~domains:t.domains ~guard
+                              rm.matrix ~funcs ~points ~carried)) ))
                   mats0
               in
-              (mats', ([], []), List.length mats0, 0)
+              (mats', List.length mats0, 0)
           | _ ->
               (* No materialized skyline to carry from: any matrices
                  are dropped and rebuild lazily. *)
-              ([], ([], []), 0, List.length mats0)
+              ([], 0, List.length mats0)
       in
       (* Delta-scoped result invalidation.  A cached answer survives
          only with a proof that a fresh solve over the new rows returns
@@ -1244,7 +1230,7 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
         List.filter_map
           (fun (ckey, result) ->
             let keep =
-              match algo_of_cache_key ckey with
+              match Protocol.algo_of_cache_key ckey with
               | Some (Protocol.Hd_rrms | Protocol.Hd_greedy) when preserved ->
                   (* renamed indices: re-encoded once, here *)
                   Option.map answer
@@ -1301,18 +1287,18 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
               e.skyline <- sky';
               e.hull <- None;
               e.matrices <- mats';
-              e.incs <- incs';
-              e.scratches <- scratches';
               Stbl.reset e.results;
               List.iter (fun (k, v) -> Stbl.replace e.results k v) survivors));
       Obs.Counter.incr Metrics.mutations;
       Obs.Counter.add Metrics.mutation_ops (List.length muts);
       Obs.Counter.add Metrics.results_carried !kept;
       Obs.Counter.add Metrics.results_invalidated !evicted;
-      (* Spill the new generation's artifacts outside all locks, so a
-         restart rehydrates them without replaying (the WAL record is
-         then a no-op integrity check).  On replay these blobs already
-         exist, and the write-once saves skip them. *)
+      (* Spill the new generation's artifacts outside all locks.  A
+         restart still replays every WAL record (Mutate.replay); these
+         blobs are what let that replay write nothing, since the
+         write-once saves skip blobs that exist, and what let a record
+         whose base is not resident start from the base's dataset
+         blob. *)
       Option.iter
         (fun p ->
           Persist.save_dataset p ~key:new_key d';
@@ -1395,9 +1381,9 @@ let stats t =
                       ("hull_cached", Json.Bool (e.hull <> None));
                       ( "matrices",
                         Json.Arr
-                          (List.map
-                             (fun (g, _) -> Json.int g)
-                             (List.sort compare e.matrices)) );
+                          (List.map Json.int
+                             (List.sort Int.compare (List.map fst e.matrices)))
+                      );
                       ("results_cached", Json.int (Stbl.length e.results));
                     ])
               in

@@ -219,8 +219,9 @@ val query :
     ({!Rrms_core.Regret_matrix.update}) and the delta-scoped result
     cache — is computed against a consistent snapshot and installed in
     one critical section, bumping the entry's {e generation}.  A
-    replaced matrix's pooled MRST probe state is dropped; the next
-    query builds one over the new matrix.  Queries
+    replaced matrix gets a new record without the old one's pooled MRST
+    probe state and HD-GREEDY scratch; the next queries build them over
+    the new matrix.  Queries
     racing a mutation keep answering against the old generation (a
     valid linearization) and never pollute the new generation's caches.
     The pass reads no cell of a row the batch did not change: carried

@@ -246,7 +246,7 @@ let prop_walk =
             | Repeat -> !prev
           in
           let ok =
-            Mrst.Incremental.solve inc ~eps = Mrst.solve ~domains:1 matrix ~eps
+            Mrst.Incremental.solve inc ~eps = Mrst.solve matrix ~eps
             && Mrst.Incremental.last_crossed inc
                = crossed_between matrix !prev eps
           in

@@ -32,28 +32,43 @@ let test_parallel_for_covers () =
         (Array.for_all (fun h -> h = 1) hits))
     [ 1; 2; 4 ]
 
-let test_parallel_for_with_matches_serial () =
-  (* Each iteration fills a domain-local scratch row before reading it,
-     so the result must not depend on how iterations share a row. *)
-  let n = 777 in
-  let row i buf =
-    for j = 0 to Array.length buf - 1 do
-      buf.(j) <- (i * 7919 + j) mod 1013
-    done;
-    Array.fold_left ( + ) 0 buf
+(* An armed fault lifts the small-work serial exit: a loop too cheap to
+   pay for a wake-up is still scheduled as a batch of chunks at full
+   width, so a faulted worker gets chunks to fault in.  The
+   chunks follow the measured formula — at most an even share of four
+   claims per participant, never the 125-item layout that ⌈n/min_chunk⌉
+   capped at 4·size chunks used to give this loop.  A zero stall on
+   worker 1 arms the fault without changing any timing. *)
+let test_fault_chunks_measured () =
+  let prev = Rrms_obs.Obs.level () in
+  let counter name =
+    Option.value ~default:0.
+      (List.assoc_opt name (Rrms_obs.Obs.snapshot ()))
   in
-  let expected = Array.init n (fun i -> row i (Array.make 8 0)) in
-  List.iter
-    (fun domains ->
-      let got = Array.make n (-1) in
-      Rrms_parallel.parallel_for_with ~domains ~min_chunk:16
-        ~scratch:(fun () -> Array.make 8 0)
-        n
-        (fun buf i -> got.(i) <- row i buf);
-      Alcotest.(check (array int))
-        (Printf.sprintf "parallel_for_with (domains=%d)" domains)
-        expected got)
-    [ 1; 4 ]
+  Fun.protect
+    ~finally:(fun () ->
+      Rrms_parallel.Fault.clear ();
+      Rrms_parallel.Fault.configure_from_env ();
+      Rrms_obs.Obs.reset ();
+      Rrms_obs.Obs.set_level prev)
+    (fun () ->
+      Rrms_obs.Obs.set_level Rrms_obs.Obs.Counters;
+      Rrms_obs.Obs.reset ();
+      Rrms_parallel.Fault.set ~worker:1 (Rrms_parallel.Fault.Stall 0.);
+      let n = 1000 in
+      let hits = Array.make n 0 in
+      Rrms_parallel.parallel_for ~domains:2 ~min_chunk:16 n (fun i ->
+          hits.(i) <- hits.(i) + 1);
+      Alcotest.(check bool) "every index ran exactly once" true
+        (Array.for_all (fun h -> h = 1) hits);
+      Alcotest.(check (float 0.))
+        "one batch under the fault" 1.
+        (counter "rrms_pool_batches_total");
+      let chunk = counter "rrms_pool_last_chunk_items" in
+      Alcotest.(check bool)
+        (Printf.sprintf "measured chunk (%g items) in [16, 123]" chunk)
+        true
+        (chunk >= 16. && chunk <= 123.))
 
 let test_greedy_chunks_pool_independent () =
   (* HD-GREEDY's argmin runs over fixed 128-row chunks whose winners
@@ -152,19 +167,30 @@ let test_hd_greedy_deterministic () =
     "regret identical" r1.Hd_greedy.discretized_regret
     r4.Hd_greedy.discretized_regret
 
-let test_mrst_solve_deterministic () =
+(* The from-scratch reference thresholds each row through one row
+   buffer, so a column view (the store's γ-derived matrices) must give
+   what a matrix built at the coarser grid gives, at every distinct
+   value and between them. *)
+let test_mrst_solve_column_view () =
   let rng = Rrms_rng.Rng.create 5 in
   let pts = random_points rng ~n:200 ~m:3 in
-  let funcs = Discretize.grid ~gamma:4 ~m:3 in
-  let m = Regret_matrix.build ~funcs pts in
-  List.iter
-    (fun eps ->
-      let opt_rows = Alcotest.(option (array int)) in
-      Alcotest.check opt_rows
-        (Printf.sprintf "Mrst.solve identical (eps=%g)" eps)
-        (Mrst.solve ~domains:1 m ~eps)
-        (Mrst.solve ~domains:4 m ~eps))
-    [ 0.; 0.05; 0.2; 0.5; 1. ]
+  let built = Regret_matrix.build ~funcs:(Discretize.grid ~gamma:2 ~m:3) pts in
+  let fine = Regret_matrix.build ~funcs:(Discretize.grid ~gamma:4 ~m:3) pts in
+  let view =
+    match Discretize.subgrid_indices ~gamma_sub:2 ~gamma:4 ~m:3 with
+    | Some idx -> Regret_matrix.select_cols fine idx
+    | None -> Alcotest.fail "gamma 2 is a sub-grid of gamma 4"
+  in
+  Array.iter
+    (fun v ->
+      List.iter
+        (fun eps ->
+          Alcotest.check
+            Alcotest.(option (array int))
+            (Printf.sprintf "view = built (eps=%g)" eps)
+            (Mrst.solve built ~eps) (Mrst.solve view ~eps))
+        [ v; v -. 1e-9 ])
+    (Regret_matrix.distinct_values built)
 
 (* --- incremental MRST vs from-scratch -------------------------------- *)
 
@@ -543,8 +569,8 @@ let suite =
   [
     Alcotest.test_case "parallel_for covers every index" `Quick
       test_parallel_for_covers;
-    Alcotest.test_case "parallel_for_with matches serial" `Quick
-      test_parallel_for_with_matches_serial;
+    Alcotest.test_case "armed fault chunks by the measured formula" `Quick
+      test_fault_chunks_measured;
     Alcotest.test_case "hd-greedy chunk layout is pool-size independent"
       `Quick test_greedy_chunks_pool_independent;
     Alcotest.test_case "pool propagates exceptions" `Quick
@@ -557,8 +583,8 @@ let suite =
       test_hd_rrms_deterministic;
     Alcotest.test_case "hd-greedy: domains 1 = domains 4" `Quick
       test_hd_greedy_deterministic;
-    Alcotest.test_case "mrst solve: domains 1 = domains 4" `Quick
-      test_mrst_solve_deterministic;
+    Alcotest.test_case "mrst solve: column view = built sub-grid" `Quick
+      test_mrst_solve_column_view;
     Alcotest.test_case "incremental probes = from-scratch (property)" `Quick
       test_incremental_matches_scratch;
     Alcotest.test_case "incremental: domains 1 = domains 4" `Quick

@@ -932,6 +932,89 @@ let test_stdio_deep_nesting () =
   Alcotest.(check bool) "next line answered" true
     (Astring_contains.contains (List.nth lines 1) "\"pong\":true")
 
+(* The cache-key format has one owner: [Protocol.algo_of_cache_key]
+   reads back the algorithm [Protocol.cache_key] printed. *)
+let test_cache_key_algo_roundtrip () =
+  List.iter
+    (fun algo ->
+      let name = Protocol.algo_to_string algo in
+      List.iter
+        (fun (r, gamma) ->
+          let key = Protocol.cache_key (query ~algo ~r ~gamma "d") in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s inverts (%s)" name key)
+            true
+            (Protocol.algo_of_cache_key key = Some algo))
+        [ (1, 1); (5, 8); (12, 3) ])
+    Protocol.[ A2d; A2d_exact; Sweepline; Hd_rrms; Hd_greedy; Greedy; Cube ];
+  List.iter
+    (fun key ->
+      Alcotest.(check bool)
+        (Printf.sprintf "malformed %S" key)
+        true
+        (Protocol.algo_of_cache_key key = None))
+    [
+      "";
+      "algo=";
+      "algo=;r=3";
+      "algo=cube";
+      "algo=frob;r=3";
+      "algos=cube;r=3";
+      "r=3;algo=cube";
+      "ALGO=cube;r=3";
+      "algo=hd-rrms r=3;gamma=4";
+    ]
+
+(* The [probe_state] explain member names whether an HD-RRMS solve ran
+   on its matrix's pooled probe state: a first solve builds one, a
+   repeat reuses it, a sequence-preserving mutation keeps it with the
+   matrix, and a replaced or derived matrix starts without one.  Every
+   answer equals a cold store's over the same rows. *)
+let test_probe_state_explain () =
+  with_csv ~n:300 ~m:3 ~seed:23 (fun csv ->
+      let store = Store.create () in
+      ignore (Store.load store ~name:"probe" csv);
+      let solve ?(gamma = 4) ~cache () =
+        let q = { (query ~r:4 ~gamma ~cache "probe") with explain = true } in
+        match Store.query store q with
+        | Ok { Store.result; cost; cached; _ } ->
+            Alcotest.(check bool) "solved, not a cache hit" false cached;
+            ( Json.to_string result,
+              match List.assoc_opt "probe_state" cost with
+              | Some (Json.Str s) -> Some s
+              | _ -> None )
+        | Error _ -> Alcotest.fail "query refused"
+      in
+      let cold_answer ~gamma =
+        let h = Option.get (Store.pin store "probe") in
+        let d = Store.pinned_dataset h in
+        Store.unpin store h;
+        let cold = Store.create () in
+        let c = Store.add cold d in
+        fst (result_string cold (query ~r:4 ~gamma c.Store.key))
+      in
+      let expect step ?(gamma = 4) ~cache state =
+        let answer, probe_state = solve ~gamma ~cache () in
+        Alcotest.(check (option string))
+          (step ^ ": probe_state") (Some state) probe_state;
+        Alcotest.(check string)
+          (step ^ ": answer = cold store")
+          (cold_answer ~gamma) answer
+      in
+      let mutate step ops =
+        match Store.mutate store ~dataset:"probe" ops with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.failf "%s: mutation refused" step
+      in
+      expect "cold" ~cache:true "fresh";
+      expect "repeat, cache bypassed" ~cache:false "pooled";
+      mutate "dominated row"
+        [ Rrms_core.Delta.Insert [| 0.001; 0.001; 0.001 |] ];
+      expect "after a dominated row" ~cache:false "pooled";
+      mutate "skyline row" [ Rrms_core.Delta.Insert [| 2.; 0.; 0. |] ];
+      expect "after a skyline row" ~cache:false "fresh";
+      expect "derived gamma" ~gamma:2 ~cache:false "fresh")
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
@@ -964,4 +1047,8 @@ let suite =
     Alcotest.test_case "json nesting depth cap" `Quick test_json_depth_cap;
     Alcotest.test_case "stdio survives deep nesting" `Quick
       test_stdio_deep_nesting;
+    Alcotest.test_case "cache key names its algo" `Quick
+      test_cache_key_algo_roundtrip;
+    Alcotest.test_case "probe_state across reuse paths" `Quick
+      test_probe_state_explain;
   ]
