@@ -636,16 +636,17 @@ let cmd =
       & opt (some string) None
       & info [ "state-dir" ] ~docv:"DIR"
           ~doc:
-            "Durable artifact cache: spill datasets, skylines and Exact \
-             results to write-once, content-addressed blobs under \
+            "Durable artifact cache: write loaded datasets, skylines and \
+             Exact results to write-once, content-addressed blobs under \
              $(docv) (created if absent), and rehydrate them on demand \
              after a restart; regret matrices and direction grids are \
              rebuilt from the skyline, which is faster than reading them \
-             back.  Mutations are journaled to a \
-             checksummed write-ahead log in the same directory and \
-             replayed at startup.  Torn or corrupt blobs are detected by \
-             checksum, discarded and counted, never served.  Incompatible \
-             with $(b,--router).")
+             back.  A mutation's only durable write is its record in a \
+             checksummed write-ahead log in the same directory, replayed \
+             at startup; a mutated table's skyline and answers are \
+             recomputed on first use after a restart.  Torn or corrupt \
+             blobs are detected by checksum, discarded and counted, never \
+             served.  Incompatible with $(b,--router).")
   in
   let supervise =
     Arg.(

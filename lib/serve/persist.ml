@@ -600,21 +600,23 @@ module Wal = struct
         e
 
   (* Append one record at the validated end of the log, fsync'd before
-     the caller proceeds to install the mutation.  Like every persist
-     write this never raises: an I/O failure is counted and the service
-     degrades to memory-only durability for that mutation.  A torn
-     record leaves [wal_end] where it was, so the next append (or the
-     next process's scan) cuts it away. *)
+     the caller proceeds to install the mutation, and return whether
+     the whole record was written.  Like every persist write this never
+     raises: an I/O failure is counted and the service degrades to
+     memory-only durability for that mutation.  A torn record leaves
+     [wal_end] where it was, so the next append (or the next process's
+     scan) cuts it away. *)
   let append t record =
     let payload = encode record in
     let e = valid_end t in
     match write_frame (path t) ~offset:e ~kind:Wal_record payload with
     | true ->
         t.wal_end <- Some (e + header_len + String.length payload);
-        Obs.Counter.incr Metrics.wal_appends
-    | false -> Obs.Counter.incr Metrics.write_errors
-    | exception (Unix.Unix_error _ | Sys_error _) ->
-        Obs.Counter.incr Metrics.write_errors
+        Obs.Counter.incr Metrics.wal_appends;
+        true
+    | false | (exception (Unix.Unix_error _ | Sys_error _)) ->
+        Obs.Counter.incr Metrics.write_errors;
+        false
 
   let replay t f =
     let e, count, torn =

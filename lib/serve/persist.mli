@@ -211,9 +211,15 @@ module Wal : sig
     ops : Rrms_core.Delta.mutation list;
   }
 
-  val append : t -> record -> unit
+  val append : t -> record -> bool
   (** Durably append one record at the validated end of the log
-      (cutting off a torn tail).  Never raises. *)
+      (cutting off a torn tail), and return whether the whole record
+      was written; [false] (a torn write or an I/O error) is counted in
+      [rrms_serve_persist_write_errors_total].  Never raises.  The
+      record is a mutation's only durable write: the store saves the
+      new generation's dataset blob only when the append returns
+      [false], so a later record based on that generation can still
+      replay. *)
 
   val replay : t -> (record -> unit) -> int
   (** Scan the log from the start, calling the function on every valid

@@ -367,7 +367,7 @@ module Router = struct
             Skyline.merge_partitions ?domains:rt.domains (Store.pinned_rows h)
               parts
           in
-          ignore (Store.preload_skyline rt.rt_store h merged : bool))
+          Store.preload_skyline h merged)
     end
 
   (* One query against a pinned handle, fanning out for the HD

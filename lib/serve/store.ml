@@ -42,8 +42,6 @@ module Metrics = struct
 
   let hull_hits = c "rrms_serve_hull_hits_total" "2D hull context hits"
   let hull_misses = c "rrms_serve_hull_misses_total" "2D hull contexts built"
-  let grid_hits = c "rrms_serve_grid_hits_total" "direction-grid hits"
-  let grid_misses = c "rrms_serve_grid_misses_total" "direction grids built"
   let matrix_hits = c "rrms_serve_matrix_hits_total" "regret-matrix hits"
 
   let matrix_misses =
@@ -275,14 +273,12 @@ type t = {
   domains : int;
   max_inflight : int;
   max_queue : int;
-  persist : Persist.t option;  (* durable artifact spill, when --state-dir *)
+  persist : Persist.t option;  (* durable artifact cache, when --state-dir *)
   draining : bool Atomic.t;  (* set during graceful shutdown *)
   lock : Mutex.t;  (* guards entries, aliases and the admission state *)
   cond : Condition.t;
   entries : entry Stbl.t;  (* content hash → entry *)
   aliases : string Stbl.t;  (* dataset name → content hash *)
-  g_lock : Mutex.t;  (* guards grids *)
-  grids : (int * int, Rrms_geom.Vec.t array) Hashtbl.t;  (* (m, γ) → grid *)
   mutable inflight : int;
   mutable queued : int;
 }
@@ -310,8 +306,6 @@ let create ?domains ?(max_inflight = 4) ?(max_queue = 16) ?persist () =
     cond = Condition.create ();
     entries = Stbl.create 16;
     aliases = Stbl.create 16;
-    g_lock = Mutex.create ();
-    grids = Hashtbl.create 16;
     inflight = 0;
     queued = 0;
   }
@@ -574,10 +568,10 @@ let admission_state t = with_lock t.lock (fun () -> (t.inflight, t.queued))
 (* Artifacts                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Lock order everywhere: [t.lock] strictly before [e.e_lock]; [g_lock]
-   only ever innermost.  Artifact builds run under the entry lock, so
-   concurrent sessions querying the same dataset serialize the build
-   and every one of them reuses the single copy — the whole point.
+(* Lock order everywhere: [t.lock] strictly before [e.e_lock].
+   Artifact builds run under the entry lock, so concurrent sessions
+   querying the same dataset serialize the build and every one of them
+   reuses the single copy — the whole point.
 
    [refs] belongs to [t.lock], not [e_lock] (see the entry type): any
    use of an entry outside [t.lock] must hold a pin, and frees check
@@ -623,23 +617,13 @@ let hull_locked e =
       e.hull <- Some ctx;
       ctx
 
-let grid_of t ~m ~gamma =
-  with_lock t.g_lock (fun () ->
-      match Hashtbl.find_opt t.grids (m, gamma) with
-      | Some g ->
-          Obs.Counter.incr Metrics.grid_hits;
-          g
-      | None ->
-          Obs.Counter.incr Metrics.grid_misses;
-          let g = Discretize.grid ~gamma ~m in
-          Hashtbl.replace t.grids (m, gamma) g;
-          g)
-
 (* The γ-matrix for [e], in preference order: cached at γ → derived by
    column selection from a cached γ' > γ whose shared angles are
    bit-identical (Discretize.subgrid_indices) → built from scratch.
    Matrices are never persisted: rebuilding one from the (persisted)
-   skyline is cheaper than reading it back. *)
+   skyline is cheaper than reading it back.  Nor is the direction grid
+   cached: a pure function of (γ, m), it computes in a small fraction
+   of the matrix build that needs it. *)
 let matrix_locked t e ~sky ~m ~gamma ~guard =
   match List.assoc_opt gamma e.matrices with
   | Some rm ->
@@ -663,7 +647,7 @@ let matrix_locked t e ~sky ~m ~gamma ~guard =
             mat
         | None ->
             Obs.Counter.incr Metrics.matrix_misses;
-            let funcs = grid_of t ~m ~gamma in
+            let funcs = Discretize.grid ~gamma ~m in
             let rows = rows_of e in
             let sky_points = Array.map (fun i -> rows.(i)) sky in
             Regret_matrix.build ~domains:t.domains ~guard ~funcs sky_points
@@ -689,7 +673,7 @@ let artifacts_cached (e : handle) ~gamma =
   with_lock e.e_lock (fun () ->
       (e.skyline <> None, List.mem_assoc gamma e.matrices))
 
-let preload_skyline t (e : handle) sky =
+let preload_skyline (e : handle) sky =
   if Array.length sky = 0 then
     Guard.Error.invalid_input "Store.preload_skyline: empty skyline";
   with_lock e.e_lock (fun () ->
@@ -699,12 +683,7 @@ let preload_skyline t (e : handle) sky =
           if i < 0 || i >= n then
             Guard.Error.invalid_input "Store.preload_skyline: index out of range")
         sky;
-      match e.skyline with
-      | Some _ -> false
-      | None ->
-          e.skyline <- Some sky;
-          Option.iter (fun p -> Persist.save_skyline p ~key:e.key sky) t.persist;
-          true)
+      if e.skyline = None then e.skyline <- Some sky)
 
 (* ------------------------------------------------------------------ *)
 (* Query                                                              *)
@@ -1182,7 +1161,7 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
               let mats' =
                 List.map
                   (fun (gamma, rm) ->
-                    let funcs = grid_of t ~m ~gamma in
+                    let funcs = Discretize.grid ~gamma ~m in
                     ( gamma,
                       resident
                         (fst
@@ -1251,13 +1230,20 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
       in
       (* Write-ahead journal, after the maintenance pass proved the
          batch applies cleanly and before the in-memory install — a
-         crash from here on is replayable. *)
-      if expect = None then
-        Option.iter
-          (fun p ->
-            Persist.Wal.append p
-              { Persist.Wal.base_key = key0; new_key; ops = muts })
-          t.persist;
+         crash from here on is replayable.  The record is the
+         mutation's only durable write: a restart rebuilds this
+         generation by replay, and its skyline and answers are
+         recomputed on first use.  When the append is not whole, the
+         new generation's dataset blob is saved instead, so a later
+         record whose base this generation is can still replay. *)
+      (match t.persist with
+      | Some p when expect = None ->
+          if
+            not
+              (Persist.Wal.append p
+                 { Persist.Wal.base_key = key0; new_key; ops = muts })
+          then Persist.save_dataset p ~key:new_key d'
+      | _ -> ());
       (* Install: rebind the entry under its new content hash and swap
          every artifact field in one critical section. *)
       with_lock t.lock (fun () ->
@@ -1293,21 +1279,6 @@ let mutate_pinned ~expect ~guard t (e : handle) muts =
       Obs.Counter.add Metrics.mutation_ops (List.length muts);
       Obs.Counter.add Metrics.results_carried !kept;
       Obs.Counter.add Metrics.results_invalidated !evicted;
-      (* Spill the new generation's artifacts outside all locks.  A
-         restart still replays every WAL record (Mutate.replay); these
-         blobs are what let that replay write nothing, since the
-         write-once saves skip blobs that exist, and what let a record
-         whose base is not resident start from the base's dataset
-         blob. *)
-      Option.iter
-        (fun p ->
-          Persist.save_dataset p ~key:new_key d';
-          Option.iter (fun s -> Persist.save_skyline p ~key:new_key s) sky';
-          List.iter
-            (fun (ck, a) ->
-              Persist.save_result p ~key:new_key ~cache_key:ck a.text)
-            survivors)
-        t.persist;
       {
         old_key = key0;
         new_key;

@@ -20,8 +20,9 @@
       ({!Rrms_core.Discretize.subgrid_indices} +
       {!Rrms_core.Regret_matrix.select_cols}) — counted as a derived
       matrix, not a miss.
-    - {e direction grids}, keyed [(m, γ)] store-wide (they are
-      dataset-independent).
+      Direction grids are not cached: each matrix build or update
+      computes its own ({!Rrms_core.Discretize.grid}, a pure function
+      of [(m, γ)]).
     - {e results}: the serialized deterministic part of every [Exact]
       answer, keyed by {!Protocol.cache_key}.  Degraded (budget-stopped)
       answers are never cached, so a cache hit is always bit-identical
@@ -52,8 +53,6 @@ module Metrics : sig
   val skyline_misses : Rrms_obs.Obs.Counter.t
   val hull_hits : Rrms_obs.Obs.Counter.t
   val hull_misses : Rrms_obs.Obs.Counter.t
-  val grid_hits : Rrms_obs.Obs.Counter.t
-  val grid_misses : Rrms_obs.Obs.Counter.t
   val matrix_hits : Rrms_obs.Obs.Counter.t
   val matrix_misses : Rrms_obs.Obs.Counter.t
 
@@ -370,10 +369,10 @@ val artifacts_cached : handle -> gamma:int -> bool * bool
 (** [(skyline_cached, matrix_cached_at_gamma)] — lets the router skip
     the fan-out when its store already holds the merged skyline. *)
 
-val preload_skyline : t -> handle -> int array -> bool
-(** Install a merged skyline as the entry's artifact ([false] if one is
+val preload_skyline : handle -> int array -> unit
+(** Install a merged skyline as the entry's artifact, unless one is
     already present — first writer wins, later writers must have
-    produced the identical array by the merge contract).  Writes through
-    to persistence like a computed skyline.
+    produced the identical array by the merge contract.  The router's
+    store has no state directory, so nothing is persisted.
     @raise Rrms_guard.Guard.Error.Guard_error [Invalid_input] on an
     empty or out-of-range index set. *)

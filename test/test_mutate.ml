@@ -740,12 +740,14 @@ let test_wal_replay_base_is_own_key () =
         (must_mutate "elsewhere" (Store.mutate s ~dataset:"mut" [ Delta.Delete 0 ]))
           .Store.new_key
       in
-      Persist.Wal.append p2
-        {
-          Persist.Wal.base_key = k0;
-          new_key = String.make 16 'f';
-          ops = [ Delta.Delete 0 ];
-        };
+      ignore
+        (Persist.Wal.append p2
+           {
+             Persist.Wal.base_key = k0;
+             new_key = String.make 16 'f';
+             ops = [ Delta.Delete 0 ];
+           }
+          : bool);
       let before = files () in
       let p3 = Persist.open_dir dir in
       let s3 = Store.create ~persist:p3 () in
@@ -761,6 +763,81 @@ let test_wal_replay_base_is_own_key () =
         (Some k2) (Store.resolve s3 "mut");
       Alcotest.(check (list string)) "and no blob written" before (files ()))
 
+(* Under a state dir a mutation's only write is its log record: one
+   whole append, no blob, and — once the log exists — no new file in
+   the directory. *)
+let test_wal_record_only_write () =
+  Test_persist.with_counters (fun () ->
+      with_state_dir (fun dir ->
+          let counter = Obs.Counter.value in
+          let s = Store.create ~persist:(Persist.open_dir dir) () in
+          ignore (Store.add s (dataset_of (synth ~n:40 ~m:3 ~seed:51))
+                   : Store.loaded);
+          (* A materialized skyline and a cached answer, the artifacts a
+             mutation carries into its new generation, at a generation
+             whose mutation has already created the log. *)
+          let q = query ~algo:Protocol.Hd_rrms ~r:3 "mut" in
+          let warm () = ignore (answer_of "warm" (Store.query s q) : string * bool) in
+          warm ();
+          ignore
+            (must_mutate "first" (Store.mutate s ~dataset:"mut" [ Delta.Delete 0 ])
+              : Store.mutated);
+          warm ();
+          let files () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+          let before = files () in
+          let a0 = counter Persist.Metrics.wal_appends
+          and w0 = counter Persist.Metrics.writes in
+          ignore
+            (must_mutate "second"
+               (Store.mutate s ~dataset:"mut" [ Delta.Insert [| 0.9; 0.9; 0.1 |] ])
+              : Store.mutated);
+          Alcotest.(check int) "one record appended" 1
+            (counter Persist.Metrics.wal_appends - a0);
+          Alcotest.(check int) "no blob written" 0
+            (counter Persist.Metrics.writes - w0);
+          Alcotest.(check (list string)) "no file added" before (files ())))
+
+(* A replayed generation's artifacts come back the way a cold
+   dataset's do: a query the original process never asked at the final
+   generation answers byte-identically to a cold store over the same
+   rows, and writes the skyline blob once. *)
+let test_wal_replay_cold_query () =
+  with_state_dir (fun dir ->
+      let m = 3 in
+      let rows0 = synth ~n:60 ~m ~seed:81 in
+      let rng = Rng.create 82 in
+      let s1 = Store.create ~persist:(Persist.open_dir dir) () in
+      ignore (Store.add s1 (dataset_of rows0) : Store.loaded);
+      let muts1 = random_ops rng ~m ~len0:(Array.length rows0) 6 in
+      let r1 = must_mutate "first" (Store.mutate s1 ~dataset:"mut" muts1) in
+      let rows1 = apply_all ~m rows0 muts1 in
+      let muts2 = random_ops rng ~m ~len0:(Array.length rows1) 6 in
+      let r2 = must_mutate "second" (Store.mutate s1 ~dataset:"mut" muts2) in
+      ignore (r1 : Store.mutated);
+      let rows2 = apply_all ~m rows1 muts2 in
+      let q = query ~algo:Protocol.Hd_greedy ~r:4 "mut" in
+      let cold = Store.create () in
+      ignore (Store.add cold (dataset_of rows2) : Store.loaded);
+      let want, _ = answer_of "cold" (Store.query cold q) in
+      Test_persist.with_counters (fun () ->
+          let p2 = Persist.open_dir dir in
+          let s2 = Store.create ~persist:p2 () in
+          let rep = Mutate.replay s2 p2 in
+          Alcotest.(check int) "two records applied" 2 rep.Mutate.applied;
+          let skyline_blob =
+            Filename.concat dir ("skyline-" ^ r2.Store.new_key ^ ".blob")
+          in
+          Alcotest.(check bool) "no skyline blob before the query" false
+            (Sys.file_exists skyline_blob);
+          let w0 = Obs.Counter.value Persist.Metrics.writes in
+          let got, cached = answer_of "replayed" (Store.query s2 q) in
+          Alcotest.(check bool) "solved, not rehydrated" false cached;
+          Alcotest.(check string) "byte-identical to a cold store" want got;
+          Alcotest.(check bool) "skyline blob written" true
+            (Sys.file_exists skyline_blob);
+          Alcotest.(check int) "the skyline and the answer, once each" 2
+            (Obs.Counter.value Persist.Metrics.writes - w0)))
+
 let with_fault mode f =
   Fun.protect
     ~finally:(fun () ->
@@ -772,10 +849,12 @@ let with_fault mode f =
 
 (* torn_write@1 armed just before a mutation lands on its log append:
    the record is half written and the mutation still installs in
-   memory.  The next process's scan counts the torn tail and replays
-   the record before it; the next append of the process that tore it
-   writes over the torn bytes, and a replay then applies every record
-   but the torn one. *)
+   memory, with the new generation's dataset blob saved in the
+   record's place.  The next process's scan counts the torn tail and
+   replays the record before it; the next append of the process that
+   tore it writes over the torn bytes, and a replay then applies every
+   record but the torn one — the record after it starting from that
+   dataset blob. *)
 let test_wal_torn_append () =
   Test_persist.with_counters (fun () ->
       with_state_dir (fun dir ->
@@ -788,16 +867,21 @@ let test_wal_torn_append () =
             (must_mutate "a" (Store.mutate s1 ~dataset:"mut" [ Delta.Delete 0 ])
               : Store.mutated);
           let e0 = counter Persist.Metrics.write_errors in
-          with_fault (Persist.Fault.Torn (Some 1)) (fun () ->
-              ignore
-                (must_mutate "b"
-                   (Store.mutate s1 ~dataset:"mut"
-                      [ Delta.Insert [| 0.3; 0.7 |] ])
-                  : Store.mutated));
+          let b =
+            with_fault (Persist.Fault.Torn (Some 1)) (fun () ->
+                must_mutate "b"
+                  (Store.mutate s1 ~dataset:"mut"
+                     [ Delta.Insert [| 0.3; 0.7 |] ]))
+          in
           Alcotest.(check int) "torn append counted as a write error" 1
             (counter Persist.Metrics.write_errors - e0);
           Alcotest.(check int) "only the whole record counts as appended" 1
             (counter Persist.Metrics.wal_appends);
+          Alcotest.(check bool) "the torn generation's dataset blob saved"
+            true
+            (Sys.file_exists
+               (Filename.concat dir
+                  ("dataset-" ^ b.Store.new_key ^ ".blob")));
           let t0 = counter Persist.Metrics.wal_torn in
           let p2 = Persist.open_dir dir in
           let rep = Mutate.replay (Store.create ~persist:p2 ()) p2 in
@@ -827,11 +911,11 @@ let test_wal_torn_append () =
           Alcotest.(check string) "replayed state answers bit-identically"
             want got))
 
-(* crash@4 in a daemon: load writes the dataset blob (1), the first
-   insert appends its record (2) and writes the new dataset blob (3),
-   and the second insert dies inside its append (4) with SIGKILL's exit
-   code.  A restart replays the one whole record and answers
-   byte-identically to a daemon that only ever saw the first insert. *)
+(* crash@3 in a daemon: load writes the dataset blob (1), the first
+   insert appends its record (2), and the second insert dies inside its
+   append (3) with SIGKILL's exit code.  A restart replays the one
+   whole record and answers byte-identically to a daemon that only
+   ever saw the first insert. *)
 let test_wal_crash_mid_append () =
   Test_serve.with_csv ~n:40 ~m:3 ~seed:63 (fun csv ->
       with_state_dir (fun dir ->
@@ -851,14 +935,14 @@ let test_wal_crash_mid_append () =
           in
           let _, ref_lines = Test_persist.run_stdio [ load; insert1; q ] in
           let status, crash_lines =
-            Test_persist.run_stdio ~env:"RRMS_SERVE_FAULT=crash@4" ~args
+            Test_persist.run_stdio ~env:"RRMS_SERVE_FAULT=crash@3" ~args
               [ load; insert1; insert2; q ]
           in
           (match status with
           | Unix.WEXITED 137 -> ()
           | Unix.WEXITED c ->
-              Alcotest.fail (Printf.sprintf "crash@4 exited %d, wanted 137" c)
-          | _ -> Alcotest.fail "crash@4 process not an exit");
+              Alcotest.fail (Printf.sprintf "crash@3 exited %d, wanted 137" c)
+          | _ -> Alcotest.fail "crash@3 process not an exit");
           (* The four lines arrive as one burst; the first insert was
              journaled before the crash, so its reply (and the load's
              before it) must already have been sent. *)
@@ -871,7 +955,7 @@ let test_wal_crash_mid_append () =
                 (Test_persist.strip_elapsed inserted)
           | lines, _ ->
               Alcotest.failf
-                "crash@4 sent %d reply lines, wanted the load and \
+                "crash@3 sent %d reply lines, wanted the load and \
                  first-insert replies"
                 (List.length lines));
           let err = Filename.temp_file "rrms_wal_crash" ".err" in
@@ -1029,6 +1113,10 @@ let suite =
     Alcotest.test_case "wal replay base is own key" `Quick
       test_wal_replay_base_is_own_key;
     Alcotest.test_case "wal torn append" `Quick test_wal_torn_append;
+    Alcotest.test_case "wal record is a mutation's only write" `Quick
+      test_wal_record_only_write;
+    Alcotest.test_case "wal replay then a cold query" `Quick
+      test_wal_replay_cold_query;
     Alcotest.test_case "wal crash mid-append" `Quick test_wal_crash_mid_append;
     Alcotest.test_case "protocol session" `Quick test_protocol_session;
     Alcotest.test_case "router rejects mutations" `Quick
